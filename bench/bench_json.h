@@ -5,7 +5,7 @@
 // numeric records do not need one.  JsonObject is a tiny ordered builder —
 // keys render in insertion order, so checked-in baselines diff cleanly run
 // over run — plus the shared `--bench-json <path>` plumbing every bench main
-// uses (the same detached-form flag convention as `optcm run`).
+// uses (the same flag parser as `optcm`).
 
 #pragma once
 
@@ -160,16 +160,23 @@ inline JsonObject& bench_json_doc() {
 }
 
 /// Call at the top of an exp_* main: parses --bench-json (detached form
-/// included) and rejects unknown flags.  Returns false on a bad command line.
+/// included) and rejects anything else.  Returns false on a bad command line.
 inline bool init_bench_json(int argc, const char* const* argv) {
-  Flags flags(argc, argv);
-  bench_json_path() = flags.get("bench-json", "");
-  bool ok = true;
-  for (const std::string& f : flags.unknown()) {
-    std::fprintf(stderr, "unrecognized flag --%s\n", f.c_str());
-    ok = false;
+  static constexpr FlagSpec kFlags[] = {
+      {.name = "bench-json", .type = FlagType::kText, .value = "PATH",
+       .help = "also write every table as one JSON document to PATH"}};
+  std::string error;
+  const auto flags = parse_flags(
+      kFlags, std::span(argv + 1, static_cast<std::size_t>(argc - 1)),
+      kAnyCommand, error);
+  if (flags && flags->positional().empty()) {
+    bench_json_path() = flags->text("bench-json");
+    return true;
   }
-  return ok;
+  if (flags) error = "unexpected argument '" + flags->positional()[0] + "'";
+  std::fprintf(stderr, "%s: %s\nusage: %s [--flag=value ...]\n%s", argv[0],
+               error.c_str(), argv[0], flag_usage(kFlags, kAnyCommand).c_str());
+  return false;
 }
 
 /// Call at the end of an exp_* main: writes every emit()ed table (plus any

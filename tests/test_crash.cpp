@@ -156,6 +156,13 @@ struct CrashParams {
   std::uint64_t seed;
 };
 
+// Names the row in the test name; gtest's default byte dump would include
+// the struct's indeterminate padding and change from build to build.
+void PrintTo(const CrashParams& p, std::ostream* os) {
+  *os << "crash=" << p.crashes << " cut=" << p.partition_len / sim_ms(1)
+      << "ms drop=" << p.drop;
+}
+
 SimRunConfig crash_config(const CrashParams& p, const LatencyModel& latency) {
   SimRunConfig cfg;
   cfg.kind = p.kind;

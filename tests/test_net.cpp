@@ -1009,10 +1009,15 @@ TEST(ProcessClusterTest, SigkillRespawnFromStateDirMatchesSimulator) {
   ASSERT_TRUE(cluster.spawn());
   ASSERT_TRUE(cluster.wait_ready());
 
-  const auto scripts = paper::make_h1_scripts();
+  // The respawned node restarts the gap before its next step, so a kill just
+  // before p1's w(x1)c (due at +60ms) delays that write by the downtime.  p2
+  // waits 720ms instead of 120ms before w(x2)b, so the delayed c still comes
+  // first: c after b is a legal run, but not the simulator's.
+  auto scripts = paper::make_h1_scripts();
+  scripts[1][1].delay = 240;
   ASSERT_TRUE(cluster.run(scripts, /*time_scale=*/3000));
 
-  // Randomized kill point somewhere inside the run's ~360ms window.
+  // Randomized kill point in the first 100ms, before or after c is written.
   Rng rng(static_cast<std::uint64_t>(::getpid()));
   const auto kill_at = std::chrono::milliseconds(1 + rng.below(100));
   std::this_thread::sleep_for(kill_at);

@@ -381,6 +381,12 @@ struct LossyParams {
   std::uint64_t seed;
 };
 
+// Names the row in the test name; gtest's default byte dump would include
+// the struct's indeterminate padding and change from build to build.
+void PrintTo(const LossyParams& p, std::ostream* os) {
+  *os << "drop=" << p.drop << " dup=" << p.duplicate;
+}
+
 class LossySweep : public ::testing::TestWithParam<LossyParams> {};
 
 TEST_P(LossySweep, ProtocolCorrectOverFaultyNetwork) {
