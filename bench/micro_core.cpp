@@ -1,5 +1,5 @@
 // micro_core — google-benchmark microbenchmarks of the hot paths (M1 in
-// DESIGN.md): vector-clock algebra, codec round-trips, the ↦co closure, the
+// DESIGN.md): vector-clock algebra, codec round-trips, the ↦co oracle, the
 // consistency checker, protocol op latency, drain machinery and end-to-end
 // simulation throughput.
 //
@@ -119,15 +119,18 @@ void BM_CoRelationBuild(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_CoRelationBuild)->Arg(100)->Arg(400)->Arg(1600)->Complexity();
+BENCHMARK(BM_CoRelationBuild)
+    ->Arg(100)->Arg(400)->Arg(1600)->Arg(100'000)->Complexity(benchmark::oN);
 
 void BM_ConsistencyCheck(benchmark::State& state) {
   const auto h = random_history(6, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ConsistencyChecker::check(h));
   }
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_ConsistencyCheck)->Arg(100)->Arg(400)->Arg(1600);
+BENCHMARK(BM_ConsistencyCheck)
+    ->Arg(100)->Arg(400)->Arg(1600)->Arg(100'000)->Complexity(benchmark::oN);
 
 // --------------------------------------------------------- protocol ops ---
 

@@ -11,8 +11,8 @@
 //   r(x)v is legal iff ∃ w(x)v ↦co r(x)v and ∄ w(x)v' with
 //   w(x)v ↦co w(x)v' ↦co r(x)v;  a read with no ↦ro-predecessor must return ⊥
 //   and no write on x may be in its causal past.
-// The SpecChecker run with an all-register schema reproduces this checker's
-// verdicts byte-for-byte (the differential oracle in tests/).
+// RegisterLegality below is the one implementation of that rule: this
+// checker and the SpecChecker's register variables both call it.
 //
 // The checker is deliberately independent of every protocol implementation:
 // it recomputes ↦co from the recorded program order + ↦ro alone, then
@@ -22,6 +22,7 @@
 
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,12 +63,36 @@ struct CheckResult {
   [[nodiscard]] bool consistent() const noexcept { return violations.empty(); }
 };
 
+/// Definition 1 for single register reads, against a built ↦co.  On each
+/// process p the writes w on x with w ↦co r form a prefix of p's writes on x,
+/// and those with c ↦co w (c the cited write) an upward-closed suffix, so one
+/// per-(process, variable) index of write positions, built here once, answers
+/// each read with one lookup or binary search per process.  When several
+/// writes witness a violation, the one reported is the first in
+/// h.writes() order.
+class RegisterLegality {
+ public:
+  /// `h` and `co` must outlive this object.
+  RegisterLegality(const GlobalHistory& h, const CoRelation& co);
+
+  /// Appends read r's violation, if any, to `result`.
+  void check_read(OpRef r, CheckResult& result) const;
+
+ private:
+  /// p's writes on x, in program order.
+  [[nodiscard]] std::span<const OpRef> writes_on(VarId x, ProcessId p) const;
+
+  const GlobalHistory* h_;
+  const CoRelation* co_;
+  std::vector<std::vector<OpRef>> writes_on_;  // [x · n + p]
+};
+
 class ConsistencyChecker {
  public:
   /// Full check of Definition 2 over the history.
   [[nodiscard]] static CheckResult check(const GlobalHistory& h);
 
-  /// Same, but reuses an already-built ↦co (avoids recomputing the closure
+  /// Same, but reuses an already-built ↦co (avoids rebuilding the relation
   /// when callers also need the relation for other purposes).
   [[nodiscard]] static CheckResult check(const GlobalHistory& h,
                                          const CoRelation& co);

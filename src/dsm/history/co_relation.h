@@ -1,22 +1,26 @@
 // optcm — the causal-order relation ↦co, recomputed from a history.
 //
 // Paper Section 2: o₁ ↦co o₂ iff (process order) ∨ (read-from) ∨ (transitive
-// closure of the two).  We build the DAG whose edges are consecutive
-// program-order pairs plus write→read ↦ro pairs, then take the transitive
-// closure over a packed bit-matrix.  If the recorded relation is cyclic the
-// input is not a history at all (↦co must be a partial order) and build()
-// reports it.
+// closure of the two).  Process order is part of ↦co and ↦co is transitive,
+// so the causal past of an operation holds, on each process p, a *prefix* of
+// p's local history — the fact behind Theorems 1–2.  We store that past as n
+// prefix lengths per operation: past[o][p] = |↓(o, ↦co) ∩ h_p|.  Then
+// a ↦co b iff past[b][proc(a)] > idx(a), where idx(a) is a's position in its
+// local history.  Memory and build time are O(ops·n).  If the recorded
+// relation is cyclic, or a read cites an unrecorded write, the input is not a
+// history at all (↦co must be a partial order) and build() reports it.
 //
 // This module is the *oracle* side of the repository: protocols never call
 // it; tests, the checker and the optimality auditor use it to judge protocol
-// behaviour independently.
+// behaviour independently.  The vectors come from the recorded program order
+// and ↦ro alone, never from a protocol's clocks.
 
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "dsm/common/bitmatrix.h"
 #include "dsm/history/history.h"
 
 namespace dsm {
@@ -55,8 +59,14 @@ class CoRelation {
  private:
   explicit CoRelation(const GlobalHistory& h) : h_(&h) {}
 
+  /// The n prefix lengths of ↓(o, ↦co), one per process.
+  [[nodiscard]] const std::uint32_t* past(OpRef o) const noexcept {
+    return past_.data() + std::size_t{o} * h_->n_procs();
+  }
+
   const GlobalHistory* h_;
-  BitMatrix reach_;  // reach_[a][b] == true ⇔ a ↦co b
+  std::vector<std::uint32_t> idx_;   // idx_[o]: o's local-history position
+  std::vector<std::uint32_t> past_;  // ops × n prefix lengths, row-major
 };
 
 }  // namespace dsm

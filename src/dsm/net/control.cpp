@@ -1,5 +1,7 @@
 #include "dsm/net/control.h"
 
+#include <string>
+
 #include "dsm/codec/codec.h"
 
 namespace dsm {
@@ -159,6 +161,19 @@ std::vector<std::uint8_t> encode_control(const ControlMessage& m) {
       break;  // op byte only
   }
   return std::move(w).take();
+}
+
+std::vector<std::uint8_t> encode_control_reply(const ControlMessage& m) {
+  const auto body = encode_control(m);
+  if (body.size() + 1 <= kMaxFrameBytes) {
+    return encode_frame(FrameKind::kControl, body);
+  }
+  ControlMessage err;
+  err.op = ControlOp::kError;
+  err.text = "reply of " + std::to_string(body.size()) +
+             " bytes exceeds the frame cap kMaxFrameBytes = " +
+             std::to_string(kMaxFrameBytes) + " bytes";
+  return encode_frame(FrameKind::kControl, encode_control(err));
 }
 
 std::optional<ControlMessage> decode_control(

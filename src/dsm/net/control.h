@@ -99,6 +99,13 @@ struct ControlMessage {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_control(const ControlMessage& m);
 
+/// The whole Control frame a node sends for reply `m`.  A reply too big for
+/// one frame (over kMaxFrameBytes, e.g. a long run's kLogReply) goes out as
+/// a kError naming the cap instead, so the driver's call fails like any
+/// other error and the node keeps running.
+[[nodiscard]] std::vector<std::uint8_t> encode_control_reply(
+    const ControlMessage& m);
+
 /// std::nullopt on malformed input (unknown op, truncated fields, trailing
 /// bytes, oversized script).
 [[nodiscard]] std::optional<ControlMessage> decode_control(

@@ -521,7 +521,7 @@ bool ProcessNode::stack_quiescent() const {
 }
 
 void ProcessNode::reply(ControlConn& conn, const ControlMessage& msg) {
-  const auto frame = encode_frame(FrameKind::kControl, encode_control(msg));
+  const auto frame = encode_control_reply(msg);
   conn.out.insert(conn.out.end(), frame.begin(), frame.end());
   flush_control(conn);
 }

@@ -24,68 +24,6 @@ TypedOp typed_of(const Operation& op) noexcept {
   return t;
 }
 
-/// Register legality, verbatim from ConsistencyChecker::check(h, co) — one
-/// read's worth.  Kept textually in step so the differential oracle holds.
-void check_register_read(const GlobalHistory& h, const CoRelation& co,
-                         OpRef r, CheckResult& result) {
-  const Operation& read = h.op(r);
-
-  if (!read.write_id.valid()) {
-    // Read of ⊥: Definition 1 (second clause of ↦ro) — no write on this
-    // variable may causally precede the read.
-    for (const OpRef wref : h.writes()) {
-      const Operation& w = h.op(wref);
-      if (w.var == read.var && co.precedes(wref, r)) {
-        result.violations.push_back(
-            {ViolationKind::kStaleBottomRead, r, wref,
-             op_to_string(read) + " returned ⊥ but " + op_to_string(w) +
-                 " is in its causal past"});
-        break;  // one witness per read is enough
-      }
-    }
-    return;
-  }
-
-  const auto cited = h.find_write(read.write_id);
-  if (!cited) {
-    result.violations.push_back(
-        {ViolationKind::kDanglingReadsFrom, r, kInvalidOp,
-         op_to_string(read) + " reads from unrecorded write " +
-             to_string(read.write_id)});
-    return;
-  }
-  const Operation& w = h.op(*cited);
-  if (w.var != read.var) {
-    result.violations.push_back(
-        {ViolationKind::kVariableMismatch, r, *cited,
-         op_to_string(read) + " cites " + op_to_string(w) +
-             " on a different variable"});
-    return;
-  }
-  if (w.value != read.value) {
-    result.violations.push_back(
-        {ViolationKind::kValueMismatch, r, *cited,
-         op_to_string(read) + " cites " + op_to_string(w) +
-             " but the values differ"});
-    return;
-  }
-
-  // Definition 1's second condition: no write on the same variable strictly
-  // between the cited write and the read in ↦co.
-  for (const OpRef wref : h.writes()) {
-    if (wref == *cited) continue;
-    const Operation& other = h.op(wref);
-    if (other.var != read.var) continue;
-    if (co.precedes(*cited, wref) && co.precedes(wref, r)) {
-      result.violations.push_back(
-          {ViolationKind::kOverwrittenRead, r, wref,
-           op_to_string(read) + " returned a value overwritten by " +
-               op_to_string(other)});
-      break;
-    }
-  }
-}
-
 /// DFS over the linearizations of (V, ↦co|V) with per-sender frontiers.
 /// Returns true iff some complete linearization makes the spec's observe()
 /// reproduce the accessor's recorded return, or the budget ran out.
@@ -264,32 +202,16 @@ CheckResult SpecChecker::check(const GlobalHistory& h,
                                const ObjectSchema& schema,
                                const Options& opts) {
   const auto co = CoRelation::build(h);
-  if (!co) {
-    CheckResult result;
-    // Mirror the register checker: distinguish "cites a missing write" from
-    // a genuine cycle by re-scanning the reads for dangling references.
-    for (OpRef r = 0; r < h.size(); ++r) {
-      const Operation& op = h.op(r);
-      if (op.is_read() && op.write_id.valid() && !h.find_write(op.write_id)) {
-        result.violations.push_back(
-            {ViolationKind::kDanglingReadsFrom, r, kInvalidOp,
-             op_to_string(op) + " reads from unrecorded write " +
-                 to_string(op.write_id)});
-      }
-    }
-    if (result.violations.empty()) {
-      result.violations.push_back(
-          {ViolationKind::kCyclicCausality, kInvalidOp, kInvalidOp,
-           "recorded process-order + reads-from relation contains a cycle"});
-    }
-    return result;
-  }
+  // No ↦co, nothing to linearize: report the cycle or dangling read exactly
+  // as the register checker does.
+  if (!co) return ConsistencyChecker::check(h);
   return check(h, schema, *co, opts);
 }
 
 CheckResult SpecChecker::check(const GlobalHistory& h,
                                const ObjectSchema& schema,
                                const CoRelation& co, const Options& opts) {
+  const RegisterLegality registers(h, co);
   CheckResult result;
   for (OpRef r = 0; r < h.size(); ++r) {
     const Operation& read = h.op(r);
@@ -297,7 +219,7 @@ CheckResult SpecChecker::check(const GlobalHistory& h,
     ++result.reads_checked;
     const SpecId spec_id = schema.spec_for(read.var);
     if (spec_id == SpecId::kRegister) {
-      check_register_read(h, co, r, result);
+      registers.check_read(r, result);
     } else {
       check_typed_accessor(h, co, r, spec_for(spec_id), opts, result);
     }

@@ -22,8 +22,8 @@
 //      evaluate a single order.  If no linearization yields the recorded
 //      return, the accessor is flagged kIllegalReturn.
 //
-// Register variables take the exact code path of the seed checker
-// (Definition 1 scans — same violations, same details, same order), which
+// Register variables run the register checker's own code
+// (RegisterLegality — same violations, same details, same order), which
 // makes the SpecChecker a drop-in superset: on an all-register schema its
 // verdicts are byte-identical to ConsistencyChecker's (differential ctest).
 //

@@ -30,6 +30,12 @@ const Row kRows[] = {
      "--dry-run"},
     {"cli_reject_bad_kill_host", 2, "bad --kill-host 'nope'",
      "drive --script=h1 --spawn=3 --respawn --kill-host=nope --dry-run"},
+    {"cli_reject_kill_conn_trailing_text", 2, "bad --kill-conn '2:1@15x'",
+     "drive --script=h1 --spawn=3 --kill-conn=2:1@15x --dry-run"},
+    {"cli_reject_kill_conn_second_at", 2, "bad --kill-conn '2:1@15@9'",
+     "drive --script=h1 --spawn=3 --kill-conn=2:1@15@9 --dry-run"},
+    {"cli_accept_kill_conn", 0, "",
+     "drive --script=h1 --spawn=3 --kill-conn=2:1@15 --dry-run"},
     {"cli_reject_kill_without_respawn", 2, "--kill-host needs --respawn",
      "drive --script=h1 --spawn=3 --kill-host=0 --dry-run"},
     {"cli_reject_state_dir_without_recoverable", 2,

@@ -1,4 +1,4 @@
-// Unit tests for the common kernel: rng, bitmatrix, format, WriteId.
+// Unit tests for the common kernel: rng, format, WriteId.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <set>
 #include <unordered_set>
 
-#include "dsm/common/bitmatrix.h"
 #include "dsm/common/format.h"
 #include "dsm/common/rng.h"
 #include "dsm/common/types.h"
@@ -199,61 +198,6 @@ TEST(Zipf, SameSeedYieldsSameSequence) {
   Rng rng_a(77);
   Rng rng_b(77);
   for (int i = 0; i < 1'000; ++i) EXPECT_EQ(a.sample(rng_a), b.sample(rng_b));
-}
-
-// ------------------------------------------------------------- BitMatrix --
-
-TEST(BitMatrix, StartsEmpty) {
-  const BitMatrix m(10);
-  for (std::size_t r = 0; r < 10; ++r) {
-    for (std::size_t c = 0; c < 10; ++c) EXPECT_FALSE(m.get(r, c));
-  }
-}
-
-TEST(BitMatrix, SetGetClearRoundTrip) {
-  BitMatrix m(70);  // crosses the 64-bit word boundary
-  m.set(3, 65);
-  m.set(69, 0);
-  EXPECT_TRUE(m.get(3, 65));
-  EXPECT_TRUE(m.get(69, 0));
-  EXPECT_FALSE(m.get(3, 64));
-  m.clear(3, 65);
-  EXPECT_FALSE(m.get(3, 65));
-  EXPECT_TRUE(m.get(69, 0));
-}
-
-TEST(BitMatrix, OrRowIntoUnions) {
-  BitMatrix m(130);
-  m.set(0, 1);
-  m.set(0, 128);
-  m.set(1, 5);
-  m.or_row_into(0, 1);
-  EXPECT_TRUE(m.get(1, 1));
-  EXPECT_TRUE(m.get(1, 5));
-  EXPECT_TRUE(m.get(1, 128));
-  EXPECT_EQ(m.row_popcount(1), 3u);
-}
-
-TEST(BitMatrix, RowMembersAscending) {
-  BitMatrix m(100);
-  m.set(7, 99);
-  m.set(7, 0);
-  m.set(7, 64);
-  const auto members = m.row_members(7);
-  ASSERT_EQ(members.size(), 3u);
-  EXPECT_EQ(members[0], 0u);
-  EXPECT_EQ(members[1], 64u);
-  EXPECT_EQ(members[2], 99u);
-}
-
-TEST(BitMatrix, RowSubset) {
-  BitMatrix m(80);
-  m.set(0, 3);
-  m.set(1, 3);
-  m.set(1, 70);
-  EXPECT_TRUE(m.row_subset(0, 1));
-  EXPECT_FALSE(m.row_subset(1, 0));
-  EXPECT_TRUE(m.row_subset(0, 0));
 }
 
 // ---------------------------------------------------------------- format --

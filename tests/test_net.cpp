@@ -399,6 +399,28 @@ TEST(Control, MalformedInputsRejected) {
   }
 }
 
+TEST(Control, OversizedReplyBecomesErrorNamingTheCap) {
+  // A kLogReply whose text alone exceeds the 16 MiB frame cap: the node
+  // answers kError instead of aborting, so the driver's fetch_log fails
+  // like any other error.
+  ControlMessage log;
+  log.op = ControlOp::kLogReply;
+  log.text.assign(kMaxFrameBytes + 1, 'x');
+  FrameAssembler rx;
+  ASSERT_TRUE(rx.feed(encode_control_reply(log)));
+  const auto frame = rx.next();
+  ASSERT_TRUE(frame.has_value());
+  const auto rep = decode_control(frame->body);
+  ASSERT_TRUE(rep.has_value());
+  EXPECT_EQ(rep->op, ControlOp::kError);
+  EXPECT_NE(rep->text.find(std::to_string(kMaxFrameBytes)), std::string::npos)
+      << rep->text;
+  // A reply that fits goes out unchanged.
+  log.text = "small";
+  EXPECT_EQ(encode_control_reply(log),
+            encode_frame(FrameKind::kControl, encode_control(log)));
+}
+
 TEST(Control, CorruptionFuzzNeverCrashes) {
   Rng rng(0xC7A1);
   ControlMessage run;

@@ -115,7 +115,10 @@ TEST(ObjectsThreadCluster, TypedOpsConvergeAcrossReplicas) {
   ThreadCluster cluster(cfg);
 
   EXPECT_EQ(cluster.mutate(0, 0, SpecId::kCounter, OpCode::kInc, 5), 5);
-  EXPECT_EQ(cluster.mutate(1, 0, SpecId::kCounter, OpCode::kInc, 2), 2);
+  // mutate returns the post-state at the issuer, so p1's result depends on
+  // whether p0's inc has reached it: wait, so that it has.
+  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  EXPECT_EQ(cluster.mutate(1, 0, SpecId::kCounter, OpCode::kInc, 2), 7);
   EXPECT_EQ(cluster.mutate(2, 1, SpecId::kCounter, OpCode::kDec, 4), -4);
   ASSERT_TRUE(cluster.await_quiescence(5000ms));
 

@@ -1042,12 +1042,16 @@ std::optional<Work> prepare_drive(const FlagValues& f) {
   unsigned long long kc_to = 0;
   unsigned long long kc_at_ms = 0;
   const bool want_kill = f.has("kill-conn");
-  if (want_kill &&
-      (std::sscanf(f.text("kill-conn").c_str(), "%llu:%llu@%llu", &kc_from,
-                   &kc_to, &kc_at_ms) != 3 ||
-       kc_from >= scripts.size() || kc_to >= scripts.size() ||
-       kc_from == kc_to)) {
-    return reject("bad --kill-conn (want P:Q@MS)");
+  if (want_kill) {
+    const std::string kill_conn = f.text("kill-conn");
+    int end = 0;  // characters parsed: all of them, or the text is malformed
+    if (std::sscanf(kill_conn.c_str(), "%llu:%llu@%llu%n", &kc_from, &kc_to,
+                    &kc_at_ms, &end) != 3 ||
+        static_cast<std::size_t>(end) != kill_conn.size() ||
+        kc_from >= scripts.size() || kc_to >= scripts.size() ||
+        kc_from == kc_to) {
+      return reject("bad --kill-conn '%s' (want P:Q@MS)", kill_conn.c_str());
+    }
   }
   unsigned long long kh_node = 0;
   unsigned long long kh_at_ms = 30;
