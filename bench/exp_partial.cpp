@@ -1,13 +1,13 @@
-// exp_partial — partial replication and subscription-routed sharding
-// (extension after the paper's reference [14] and Xiang & Vaidya; see
-// DESIGN.md §5, src/dsm/protocols/partial.h and sharded.h).
+// exp_partial — partial replication by subscription-routed sharding
+// (extension after Xiang & Vaidya; see DESIGN.md §5 and
+// src/dsm/protocols/sharded.h).  Every cell runs ShardedOptP, whose routing
+// follows the map: a write of x reaches subs(x) and nobody else.
 //
 // Three cells:
-//   * by_factor      — PartialOptP: metadata-full / data-partial.  Every
-//     write still announces its vector to all n processes; only the payload
-//     ships to the replicas.  Bytes fall with the factor, messages do not.
-//   * subscription   — ShardedOptP: routing itself follows the map.  A write
-//     of x reaches subs(x) and nobody else, so messages/write equals the
+//   * by_factor      — chained declustering (`chained:F`, each variable on
+//     F consecutive processes) with a 4 KiB payload: messages/write is F−1
+//     and bytes grow ~linearly with the factor.
+//   * subscription   — disjoint:G groups: messages/write equals the
 //     Xiang–Vaidya floor Σ(|subs(x)|−1)/W exactly, at every group count.
 //   * shard_scaling  — fixed subscription size (2 per variable), growing
 //     cluster: messages/write stays flat at |subs|−1 = 1 while the full
@@ -33,12 +33,13 @@ struct ShardCell {
   bool ok = false;  ///< settled + consistent + safe + live
 };
 
-/// One ShardedOptP cell: subscriber-restricted workload under `map`,
-/// audited with the subscription-aware overload.  `groups` = 0 skips the
-/// cross-receipt count (the map is not a disjoint grouping).
+/// One ShardedOptP cell: subscriber-restricted workload under `map`, each
+/// write carrying a `blob`-byte payload, audited with the subscription-aware
+/// overload.  `groups` = 0 skips the cross-receipt count (the map is not a
+/// disjoint grouping).
 ShardCell run_sharded(const WorkloadSpec& spec,
                       const std::shared_ptr<const SubscriptionMap>& map,
-                      std::size_t groups) {
+                      std::size_t groups, std::size_t blob) {
   const auto latency = make_latency(LatencyKind::kLogNormal, sim_us(400), 1.0,
                                     spec.seed ^ 0xE1);
   SimRunConfig cfg;
@@ -47,7 +48,7 @@ ShardCell run_sharded(const WorkloadSpec& spec,
   cfg.n_vars = spec.n_vars;
   cfg.latency = latency.get();
   cfg.protocol_config.subscription = map;
-  cfg.protocol_config.write_blob_size = 256;
+  cfg.protocol_config.write_blob_size = blob;
 
   const auto result = run_sim(cfg, generate_subscriber_workload(spec, *map));
   const auto audit = OptimalityAuditor::audit(
@@ -89,21 +90,29 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> seeds = {61, 62, 63};
   bool all_ok = true;
 
-  // ---- cell 1: PartialOptP replication-factor sweep (unchanged shape) ----
+  // ---- cell 1: chained-declustering replication-factor sweep ------------
+  // chained:F over 8 processes — each write reaches its F−1 foreign
+  // replicas, so messages/write is F−1 and the payload bytes scale with F.
   {
     constexpr std::size_t kProcs = 8;
     constexpr std::size_t kVars = 16;
     constexpr std::size_t kBlob = 4096;
     const std::vector<std::size_t> factors = {1, 2, 4, 6, 8};
 
-    Table table({"factor", "net bytes", "bytes/write", "vs full (%)", "delayed",
-                 "unnecessary", "settle (ms)"});
+    Table table({"factor", "msgs/write", "net bytes", "bytes/write",
+                 "vs full (%)", "delayed", "unnecessary", "settle (ms)",
+                 "checks"});
 
-    std::uint64_t full_bytes = 0;
-    std::vector<std::vector<std::string>> rows;
+    struct FactorRow {
+      std::size_t factor;
+      std::uint64_t writes, msgs, bytes, delayed, unnecessary;
+      SimTime end;
+      bool ok;
+    };
+    std::vector<FactorRow> rows;
     for (const std::size_t factor : factors) {
-      std::uint64_t bytes = 0, delayed = 0, unnecessary = 0, writes = 0;
-      SimTime end = 0;
+      FactorRow row{factor, 0, 0, 0, 0, 0, 0, true};
+      std::uint64_t floor = 0;
       for (const auto seed : seeds) {
         WorkloadSpec spec;
         spec.n_procs = kProcs;
@@ -112,46 +121,37 @@ int main(int argc, char** argv) {
         spec.write_fraction = 0.6;
         spec.mean_gap = sim_us(300);
         spec.seed = seed;
-
-        const auto map = std::make_shared<const ReplicationMap>(
-            ReplicationMap::chained(kProcs, kVars, factor));
-        const auto latency = make_latency(LatencyKind::kLogNormal, sim_us(400),
-                                          1.0, seed ^ 0xE1);
-
-        SimRunConfig cfg;
-        cfg.kind = ProtocolKind::kOptPPartial;
-        cfg.n_procs = kProcs;
-        cfg.n_vars = kVars;
-        cfg.latency = latency.get();
-        cfg.protocol_config.replication = map;
-        cfg.protocol_config.write_blob_size = kBlob;
-
-        const auto result = run_sim(cfg, generate_replica_workload(spec, *map));
-        const auto audit = OptimalityAuditor::audit(*result.recorder);
-        bytes += result.net.bytes_sent;
-        delayed += audit.total_delayed();
-        unnecessary += audit.total_unnecessary();
-        writes += result.recorder->history().writes().size();
-        end += result.end_time;
+        const auto map = std::make_shared<const SubscriptionMap>(
+            SubscriptionMap::chained(kProcs, kVars, factor));
+        const auto cell = run_sharded(spec, map, 0, kBlob);
+        row.writes += cell.writes;
+        row.msgs += cell.net_messages;
+        row.bytes += cell.net_bytes;
+        row.delayed += cell.delayed;
+        row.unnecessary += cell.unnecessary;
+        row.end += cell.end_time;
+        row.ok = row.ok && cell.ok;
+        floor += cell.floor;
       }
-      if (factor == kProcs) full_bytes = bytes;
-      rows.push_back({std::to_string(factor),
-                      std::to_string(bytes / seeds.size()),
-                      std::to_string(writes == 0 ? 0 : bytes / writes),
-                      "",  // filled once full_bytes is known
-                      std::to_string(delayed / seeds.size()),
-                      std::to_string(unnecessary),
-                      std::to_string(end / seeds.size() / 1000)});
+      row.ok = row.ok && row.msgs == floor && row.unnecessary == 0;
+      all_ok = all_ok && row.ok;
+      rows.push_back(row);
     }
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::uint64_t full_bytes = rows.back().bytes;  // factor 8 of 8
+    for (const FactorRow& row : rows) {
       const double pct = full_bytes == 0
                              ? 0.0
-                             : 100.0 *
-                                   static_cast<double>(
-                                       std::stoull(rows[i][1]) * seeds.size()) /
+                             : 100.0 * static_cast<double>(row.bytes) /
                                    static_cast<double>(full_bytes);
-      rows[i][3] = std::to_string(static_cast<int>(pct)) + "%";
-      table.row(rows[i]);
+      table.add(row.factor,
+                row.writes == 0 ? 0.0
+                                : static_cast<double>(row.msgs) /
+                                      static_cast<double>(row.writes),
+                row.bytes / seeds.size(),
+                row.writes == 0 ? 0 : row.bytes / row.writes,
+                std::to_string(static_cast<int>(pct)) + "%",
+                row.delayed / seeds.size(), row.unnecessary,
+                row.end / seeds.size() / 1000, row.ok ? "pass" : "FAIL");
     }
     bench::emit("exp_partial_by_factor", table);
   }
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
         spec.seed = seed;
         const auto map = std::make_shared<const SubscriptionMap>(
             SubscriptionMap::disjoint(kProcs, kVars, groups));
-        const auto cell = run_sharded(spec, map, groups);
+        const auto cell = run_sharded(spec, map, groups, 256);
         writes += cell.writes;
         msgs += cell.net_messages;
         bytes += cell.net_bytes;
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
         spec.seed = seed;
         const auto map = std::make_shared<const SubscriptionMap>(
             SubscriptionMap::disjoint(n, 2 * n, groups));
-        const auto cell = run_sharded(spec, map, groups);
+        const auto cell = run_sharded(spec, map, groups, 256);
         writes += cell.writes;
         msgs += cell.net_messages;
         cross += cell.cross_receipts;
@@ -258,13 +258,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nExpected shape: PartialOptP bytes grow ~linearly with the factor\n"
-      "while its message count stays full-group; ShardedOptP messages/write\n"
-      "equal the Xiang-Vaidya floor (subs/var - 1) at every group count with\n"
+      "\nExpected shape: under chained:F, messages/write is F-1 and bytes\n"
+      "grow ~linearly with the factor; ShardedOptP messages/write equal the\n"
+      "Xiang-Vaidya floor (subs/var - 1) at every group count with\n"
       "zero cross-group receipts, and stay flat at 1 as the cluster grows\n"
       "with 2 subscribers per variable (the full group would pay n-1).\n"
-      "The unnecessary column stays 0 everywhere: both extensions inherit\n"
-      "Theorem 4's write-delay optimality.\n");
+      "The unnecessary column stays 0 everywhere: subscription routing\n"
+      "inherits Theorem 4's write-delay optimality.\n");
   if (!all_ok) std::printf("\nCHECK FAILURE: see the NO/FAIL cells above\n");
   return dsm::bench::finish_bench_json("exp_partial") && all_ok ? 0 : 1;
 }

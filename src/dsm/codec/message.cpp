@@ -5,10 +5,8 @@
 namespace dsm {
 
 namespace {
-// Flag bits of the WriteUpdate flags byte.  Bit 0 has always been the
-// meta_only marker (the byte was a plain bool before typed objects); bit 1
-// announces the typed trailer.  Unknown bits reject — they are reserved.
-constexpr std::uint8_t kFlagMetaOnly = 1;
+// Flag bits of the WriteUpdate flags byte.  Bit 1 announces the typed
+// trailer; every other bit (bit 0 included) is reserved and rejects.
 constexpr std::uint8_t kFlagTyped = 2;
 }  // namespace
 
@@ -19,8 +17,7 @@ void WriteUpdate::encode(ByteWriter& w) const {
   w.i64(value);
   w.u64(write_seq);
   w.u64(run);
-  w.u8(static_cast<std::uint8_t>((meta_only ? kFlagMetaOnly : 0) |
-                                 (typed ? kFlagTyped : 0)));
+  w.u8(typed ? kFlagTyped : std::uint8_t{0});
   w.u64(blob.size());
   w.bytes(blob);
   w.u64_vec(clock.components());
@@ -47,7 +44,7 @@ std::optional<WriteUpdate> WriteUpdate::decode(ByteReader& r) {
   const auto flags = r.u8();
   const auto blob_len = r.u64();
   if (!sender || !var || !value || !seq || !run || !flags || !blob_len ||
-      (*flags & ~(kFlagMetaOnly | kFlagTyped)) != 0 ||
+      (*flags & ~kFlagTyped) != 0 ||
       *blob_len > (1ULL << 24) || *blob_len > r.remaining()) {
     return std::nullopt;
   }
@@ -99,7 +96,6 @@ std::optional<WriteUpdate> WriteUpdate::decode(ByteReader& r) {
   m.value = *value;
   m.write_seq = *seq;
   m.run = *run;
-  m.meta_only = (*flags & kFlagMetaOnly) != 0;
   m.clock = VectorClock{std::move(*clock)};
   return m;
 }

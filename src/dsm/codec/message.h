@@ -65,13 +65,8 @@ struct WriteUpdate {
   /// message anyway, logically applying the superseded writes just before it.
   /// Always 0 for protocols without writing semantics.
   std::uint64_t run = 0;
-  /// Partial replication (after [14]): true when this copy of the update
-  /// carries causal metadata only — the receiver is not a replica of `var`
-  /// and must advance its Apply counter without installing the value.
-  bool meta_only = false;
-  /// Application payload attached to the value (models large objects whose
-  /// bodies partial replication avoids shipping to non-replicas).  Empty for
-  /// meta-only copies.
+  /// Application payload attached to the value (models large objects; its
+  /// bytes reach only the processes a write is routed to).
   std::vector<std::uint8_t> blob;
   /// Subscription-routed sharding (ShardedOptP): the sparse causal-knowledge
   /// matrix carried instead of the complete-group Apply counters.  Sorted by

@@ -71,11 +71,6 @@ double Rng::uniform01() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) noexcept {
-  DSM_REQUIRE(lo <= hi);
-  return lo + (hi - lo) * uniform01();
-}
-
 bool Rng::chance(double p) noexcept { return uniform01() < p; }
 
 double Rng::exponential(double mean) noexcept {

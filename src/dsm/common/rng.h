@@ -42,9 +42,6 @@ class Rng {
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform01() noexcept;
 
-  /// Uniform double in [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) noexcept;
-
   /// Bernoulli trial with probability p of returning true.
   [[nodiscard]] bool chance(double p) noexcept;
 

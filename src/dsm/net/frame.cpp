@@ -7,15 +7,6 @@
 
 namespace dsm {
 
-const char* to_string(FrameError e) noexcept {
-  switch (e) {
-    case FrameError::kNone: return "none";
-    case FrameError::kOversize: return "oversize";
-    case FrameError::kEmpty: return "empty";
-  }
-  return "?";
-}
-
 bool FrameAssembler::feed(std::span<const std::uint8_t> bytes) {
   if (poisoned()) return false;
   // Reclaim the consumed prefix before growing: steady-state connections

@@ -49,8 +49,6 @@ enum class FrameError : std::uint8_t {
   kEmpty,     ///< length == 0 (no kind byte)
 };
 
-[[nodiscard]] const char* to_string(FrameError e) noexcept;
-
 /// One reassembled frame.
 struct Frame {
   std::uint8_t kind = 0;

@@ -484,10 +484,6 @@ bool TcpTransport::flushed() const {
   return true;
 }
 
-std::uint16_t TcpTransport::listen_port() const {
-  return listen_fd_ >= 0 ? net::local_port(listen_fd_) : 0;
-}
-
 void TcpTransport::kill_connection(ProcessId peer) {
   DSM_REQUIRE(peer < n_procs() && peer != config_.self);
   Conn* conn = conn_of(peer);

@@ -148,7 +148,6 @@ class TcpTransport final : public DatagramTransport {
   }
   /// True when every established connection's out-queue is drained.
   [[nodiscard]] bool flushed() const;
-  [[nodiscard]] std::uint16_t listen_port() const;
   [[nodiscard]] const TcpStats& stats() const noexcept { return stats_; }
 
   /// Test hook (and control-plane KillConn): close the live connection to

@@ -194,12 +194,6 @@ CheckResult SpecChecker::check(const GlobalHistory& h,
 
 CheckResult SpecChecker::check(const GlobalHistory& h,
                                const ObjectSchema& schema,
-                               const CoRelation& co) {
-  return check(h, schema, co, Options{});
-}
-
-CheckResult SpecChecker::check(const GlobalHistory& h,
-                               const ObjectSchema& schema,
                                const Options& opts) {
   const auto co = CoRelation::build(h);
   // No ↦co, nothing to linearize: report the cycle or dangling read exactly

@@ -58,9 +58,6 @@ class SpecChecker {
   /// Same, reusing an already-built ↦co.
   [[nodiscard]] static CheckResult check(const GlobalHistory& h,
                                          const ObjectSchema& schema,
-                                         const CoRelation& co);
-  [[nodiscard]] static CheckResult check(const GlobalHistory& h,
-                                         const ObjectSchema& schema,
                                          const CoRelation& co,
                                          const Options& opts);
 };

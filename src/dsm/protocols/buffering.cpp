@@ -128,11 +128,9 @@ void BufferingProtocol::apply_events(const WriteUpdate& m, bool delayed) {
   }
 
   applied_[u] = m.write_seq;
-  // Partial replication: metadata-only copies advance the counters (the
-  // Fig. 5 wait condition needs them) but install no value.  Convergent
-  // mode additionally suppresses values outranked by the current holder.
+  // Convergent mode suppresses values outranked by the current holder.
   bool installed = false;
-  if (!m.meta_only && wins_arbitration(m.var, m.clock, u)) {
+  if (wins_arbitration(m.var, m.clock, u)) {
     store(m.var, m.value, WriteId{u, m.write_seq});
     record_winner(m.var, m.clock, u);
     installed = true;

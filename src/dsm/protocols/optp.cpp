@@ -14,7 +14,7 @@ OptP::OptP(ProcessId self, std::size_t n_procs, std::size_t n_vars,
       last_write_on_(n_vars, VectorClock{n_procs}),
       write_blob_size_(write_blob_size) {}
 
-const WriteUpdate& OptP::prepare_write(VarId x, Value v) {
+void OptP::write(VarId x, Value v) {
   DSM_REQUIRE(x < n_vars_);
   ++stats_.writes_issued;
 
@@ -28,30 +28,21 @@ const WriteUpdate& OptP::prepare_write(VarId x, Value v) {
   m.write_seq = seq;
   m.clock = write_co_;  // copy-assign: reuses the component buffer
   m.run = next_run(x, write_co_);
-  m.meta_only = false;
   m.blob.assign(write_blob_size_, static_cast<std::uint8_t>(v));
   stamp_typed(m);
 
   observer_->on_send(self_, m);
-  return m;
-}
+  // Fig. 4 line 2: send event — one encode, one shared payload for all
+  // n−1 receivers.
+  endpoint_->broadcast(encode_payload(m));
 
-void OptP::finish_write(const WriteUpdate& m) {
   // Fig. 4 lines 3–5: local apply event and bookkeeping.  In convergent
   // mode an own write can lose arbitration to an already-applied concurrent
   // write; LastWriteOn then stays with the winner so reads keep merging the
   // vector of the value they actually return.
-  if (apply_own_write(m.var, m.value, m.write_seq, write_co_)) {
-    last_write_on_[m.var] = write_co_;
+  if (apply_own_write(x, v, seq, write_co_)) {
+    last_write_on_[x] = write_co_;
   }
-}
-
-void OptP::write(VarId x, Value v) {
-  const WriteUpdate& m = prepare_write(x, v);
-  // Fig. 4 line 2: send event — one encode, one shared payload for all
-  // n−1 receivers.
-  endpoint_->broadcast(encode_payload(m));
-  finish_write(m);
 }
 
 ReadResult OptP::read(VarId x) {

@@ -35,7 +35,7 @@
 
 namespace dsm {
 
-class OptP : public BufferingProtocol {
+class OptP final : public BufferingProtocol {
  public:
   OptP(ProcessId self, std::size_t n_procs, std::size_t n_vars,
        Endpoint& endpoint, ProtocolObserver& observer,
@@ -57,23 +57,13 @@ class OptP : public BufferingProtocol {
   void snapshot(ByteWriter& w) const override;
   [[nodiscard]] bool restore(ByteReader& r) override;
 
- protected:
-  /// Fig. 4 lines 1–2 minus the transmission: tick Write_co, build the
-  /// update (with payload blob) and announce the send to the observer.
-  /// Returns a reference to a reused member (clock and blob buffers keep
-  /// their capacity across writes); valid until the next prepare_write.
-  [[nodiscard]] const WriteUpdate& prepare_write(VarId x, Value v);
-
-  /// Fig. 4 lines 3–5: local apply and bookkeeping.
-  void finish_write(const WriteUpdate& m);
-
  private:
   void post_apply(const WriteUpdate& m, bool installed) override;
 
   VectorClock write_co_;
   std::vector<VectorClock> last_write_on_;
   std::size_t write_blob_size_;
-  WriteUpdate outgoing_;  ///< prepare_write scratch (buffer reuse)
+  WriteUpdate outgoing_;  ///< write() scratch (buffer reuse)
 };
 
 }  // namespace dsm

@@ -44,8 +44,8 @@ class Endpoint {
   /// receivers — implementations must not mutate it.
   virtual void broadcast(Payload payload) = 0;
 
-  /// Deliver `payload` to one specific peer (token handoffs, partial
-  /// replication's per-receiver full/meta split, catch-up replies).
+  /// Deliver `payload` to one specific peer (token handoffs, subscription
+  /// routing, catch-up replies).
   virtual void send(ProcessId to, Payload payload) = 0;
 };
 

@@ -20,7 +20,7 @@ void RecoveryNode::log_update(const WriteUpdate& m) {
   std::vector<WriteUpdate>& lane = log_[m.sender];
   if (lane.size() < m.write_seq) lane.resize(m.write_seq);
   WriteUpdate& slot = lane[m.write_seq - 1];
-  if (slot.write_seq == 0 || (slot.meta_only && !m.meta_only)) slot = m;
+  if (slot.write_seq == 0) slot = m;
 }
 
 void RecoveryNode::broadcast(Payload payload) {
@@ -87,18 +87,11 @@ void RecoveryNode::handle_request(const CatchUpRequest& req) {
   CatchUpReply reply;
   reply.replier = self_;
   reply.have = seen();
-  // Full copies first: if the requester replicates the variable, the value
-  // installation must not lose the race to a metadata-only copy relayed by
-  // a non-replica (partial replication; see docs/FAULTS.md).
-  for (const bool want_full : {true, false}) {
-    for (ProcessId u = 0; u < n_procs_; ++u) {
-      const std::uint64_t floor = u < req.have.size() ? req.have[u] : 0;
-      for (std::uint64_t k = floor; k < log_[u].size(); ++k) {
-        const WriteUpdate& m = log_[u][k];
-        if (m.write_seq == 0) continue;  // hole
-        if (m.meta_only == want_full) continue;
-        reply.writes.push_back(m);
-      }
+  for (ProcessId u = 0; u < n_procs_; ++u) {
+    const std::uint64_t floor = u < req.have.size() ? req.have[u] : 0;
+    for (std::uint64_t k = floor; k < log_[u].size(); ++k) {
+      const WriteUpdate& m = log_[u][k];
+      if (m.write_seq != 0) reply.writes.push_back(m);  // skip holes
     }
   }
 

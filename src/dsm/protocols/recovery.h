@@ -103,8 +103,7 @@ class RecoveryNode final : public Endpoint, public MessageSink {
   /// shared payload to the lower endpoint.  \post the write is servable to
   /// restarting peers even if every network copy is lost.
   void broadcast(Payload payload) override;
-  /// Pass-through for targeted sends (partial replication's meta-only
-  /// copies); full-update sends are logged like broadcasts.
+  /// Targeted sends: a WriteUpdate is logged like a broadcast one.
   void send(ProcessId to, Payload payload) override;
 
   // -- MessageSink (world → protocol): log foreign writes, handle catch-up --
@@ -150,8 +149,7 @@ class RecoveryNode final : public Endpoint, public MessageSink {
   BufferingProtocol* proto_ = nullptr;
   CheckpointHook checkpoint_;
   /// log_[u][k-1] = p_u's k-th write.  Slots with write_seq == 0 are holes
-  /// (non-FIFO arrival); for partial replication the slot keeps the best
-  /// copy seen (a full copy replaces a metadata-only one, never vice versa).
+  /// (non-FIFO arrival); the first copy seen fills a slot.
   std::vector<std::vector<WriteUpdate>> log_;
   RecoveryStats stats_;
 };

@@ -3,7 +3,6 @@
 #include "dsm/protocols/anbkh.h"
 #include "dsm/protocols/buffering.h"
 #include "dsm/protocols/optp.h"
-#include "dsm/protocols/partial.h"
 #include "dsm/protocols/sharded.h"
 #include "dsm/protocols/token.h"
 
@@ -16,9 +15,8 @@ const char* to_string(ProtocolKind k) noexcept {
     case ProtocolKind::kAnbkh: return "anbkh";
     case ProtocolKind::kAnbkhWs: return "anbkh-ws";
     case ProtocolKind::kTokenWs: return "token-ws";
-    case ProtocolKind::kOptPPartial: return "optp-partial";
-    case ProtocolKind::kOptPConv: return "optp-conv";
     case ProtocolKind::kOptPSharded: return "optp-sharded";
+    case ProtocolKind::kOptPConv: return "optp-conv";
   }
   return "?";
 }
@@ -26,9 +24,6 @@ const char* to_string(ProtocolKind k) noexcept {
 std::optional<ProtocolKind> parse_protocol(std::string_view name) {
   for (const auto kind : all_protocol_kinds()) {
     if (name == to_string(kind)) return kind;
-  }
-  if (name == to_string(ProtocolKind::kOptPPartial)) {
-    return ProtocolKind::kOptPPartial;
   }
   if (name == to_string(ProtocolKind::kOptPConv)) {
     return ProtocolKind::kOptPConv;
@@ -94,17 +89,6 @@ std::unique_ptr<CausalProtocol> build_protocol(ProtocolKind kind,
                                     /*writing_semantics=*/false,
                                     config.write_blob_size,
                                     /*convergent=*/true);
-    case ProtocolKind::kOptPPartial: {
-      auto map = config.replication;
-      if (map == nullptr) {
-        map = std::make_shared<const ReplicationMap>(
-            ReplicationMap::full(n_procs, n_vars));
-      }
-      return std::make_unique<PartialOptP>(self, n_procs, n_vars, endpoint,
-                                           observer, std::move(map),
-                                           /*writing_semantics=*/false,
-                                           config.write_blob_size);
-    }
     case ProtocolKind::kOptPSharded: {
       auto map = config.subscription;
       if (map == nullptr) {

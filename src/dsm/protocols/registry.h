@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "dsm/protocols/protocol.h"
-#include "dsm/protocols/replication.h"
 #include "dsm/protocols/subscription.h"
 
 namespace dsm {
@@ -26,21 +25,19 @@ enum class ProtocolKind : std::uint8_t {
   kAnbkh,        ///< Ahamad et al. baseline [1]
   kAnbkhWs,      ///< ANBKH + receiver-side writing semantics ([2]/[14] spirit)
   kTokenWs,      ///< Jiménez et al. token protocol [7]
-  kOptPPartial,  ///< OptP over partial replication (after [14]); needs a
-                 ///< ProtocolConfig::replication map and replica-aware
-                 ///< workloads, so it is NOT in all_protocol_kinds()
-  kOptPConv,     ///< OptP + convergent (LWW-arbitrated) causal memory: the
-                 ///< "causal+" strengthening — replicas agree on concurrent
-                 ///< writes under a total order extending ↦co
   kOptPSharded,  ///< subscription-routed OptP (after Xiang & Vaidya): writes
                  ///< unicast to subs(x) only; needs a
                  ///< ProtocolConfig::subscription map and subscription-aware
                  ///< workloads, so it is NOT in all_protocol_kinds()
+  kOptPConv,     ///< OptP + convergent (LWW-arbitrated) causal memory: the
+                 ///< "causal+" strengthening — replicas agree on concurrent
+                 ///< writes under a total order extending ↦co
 };
 
 [[nodiscard]] const char* to_string(ProtocolKind k) noexcept;
 
-/// Parses "optp" / "optp-ws" / "anbkh" / "anbkh-ws" / "token-ws".
+/// Parses every kind's to_string name: "optp", "optp-ws", "anbkh",
+/// "anbkh-ws", "token-ws", "optp-conv" and "optp-sharded".
 [[nodiscard]] std::optional<ProtocolKind> parse_protocol(std::string_view name);
 
 /// All kinds, in comparison-table order.
@@ -53,12 +50,9 @@ enum class ProtocolKind : std::uint8_t {
 struct ProtocolConfig {
   /// TokenWs only: circulation cap so simulations terminate.
   std::uint64_t token_max_rounds = 1'000'000;
-  /// OptP family: bytes of application payload attached to every full write
-  /// update (models large objects; see PartialOptP).
+  /// OptP family: bytes of application payload attached to every write
+  /// update (models large objects; see bench/exp_partial).
   std::size_t write_blob_size = 0;
-  /// kOptPPartial: which process replicates which variable.  Defaults to
-  /// full replication when unset.
-  std::shared_ptr<const ReplicationMap> replication;
   /// kOptPSharded: which process subscribes to which variable.  Defaults to
   /// full subscription when unset (the protocol then degenerates to OptP).
   std::shared_ptr<const SubscriptionMap> subscription;

@@ -55,7 +55,6 @@ void ShardedOptP::write(VarId x, Value v) {
   m.write_seq = seq;
   m.clock = knowledge_[self_];  // summary row (diagnostics; not waited on)
   m.run = 0;
-  m.meta_only = false;
   m.blob.assign(write_blob_size_, static_cast<std::uint8_t>(v));
   m.sub_deps.clear();
   for (ProcessId q = 0; q < n_procs_; ++q) {

@@ -2,11 +2,12 @@
 // "Partial Replication: Causal Consistency, Lower Bounds and an Optimal
 // Algorithm"; see PAPERS.md).
 //
-// Where PartialOptP is metadata-full — every write still broadcasts an O(n)
-// control message so the Fig. 5 wait condition can keep complete per-sender
-// Apply counters — ShardedOptP routes each write only to its variable's
-// subscription set.  Both the message count and the carried metadata then
-// scale with |subs(x)|, not with n.
+// Where OptP broadcasts every write to all n processes so the Fig. 5 wait
+// condition can keep complete per-sender Apply counters, ShardedOptP routes
+// each write only to its variable's subscription set — its replicas, so
+// partial replication (e.g. chained declustering, `chained:K`) runs here.
+// Both the message count and the carried metadata then scale with
+// |subs(x)|, not with n.
 //
 // Data structures (per process i; `q-relevant` means "on a variable q
 // subscribes to"):
@@ -41,11 +42,11 @@
 // every row evolves identically to Write_co and the protocol degenerates to
 // OptP (same events, same wait outcomes).
 //
-// Contracts: reads and writes of x require self ∈ subs(x) (DSM_REQUIRE, as
-// PartialOptP does for replicas); an update arriving at a non-subscriber is
-// a routing bug and also aborts.  Crash recovery is out of scope (the map
-// trims exactly the global counters catch-up would need), so the registry
-// refuses to build a recoverable sharded host.
+// Contracts: reads and writes of x require self ∈ subs(x) (DSM_REQUIRE); an
+// update arriving at a non-subscriber is a routing bug and also aborts.
+// Crash recovery is out of scope (the map trims exactly the global counters
+// catch-up would need), so the registry refuses to build a recoverable
+// sharded host.
 
 #pragma once
 

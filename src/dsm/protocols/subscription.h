@@ -3,16 +3,15 @@
 // Optimal Algorithm"; see PAPERS.md).
 //
 // A SubscriptionMap fixes, per variable, the set of processes *interested*
-// in it.  Unlike ReplicationMap — which only trims the data plane while
-// PartialOptP still broadcasts metadata to all n processes — a subscription
-// map drives routing itself: ShardedOptP sends a write of x to subs(x) and
-// to nobody else, so both the message count and the carried metadata scale
-// with subscription size, not cluster size.  The map is immutable after
-// construction (membership changes are outside the paper's model).
+// in it — its replicas.  The map drives routing itself: ShardedOptP sends a
+// write of x to subs(x) and to nobody else, so both the message count and
+// the carried metadata scale with subscription size, not cluster size.
+// Partial replication by chained declustering is the `chained` placement.
+// The map is immutable after construction (membership changes are outside
+// the paper's model).
 //
 // Writer contract: a process may only read or write variables it subscribes
-// to (enforced by ShardedOptP with DSM_REQUIRE, mirroring PartialOptP's
-// replica contract).
+// to (enforced by ShardedOptP with DSM_REQUIRE).
 
 #pragma once
 
@@ -61,8 +60,26 @@ class SubscriptionMap {
     return map;
   }
 
-  /// Parse a CLI spec: "full", "disjoint:G", or an explicit per-variable
-  /// list "v:p,p;v:p,p" covering every variable (e.g. "0:0,1;1:1,2").
+  /// Chained declustering: variable v lives on the k processes
+  /// (v + i) mod n for i < k.  k is clamped to n_procs.
+  [[nodiscard]] static SubscriptionMap chained(std::size_t n_procs,
+                                               std::size_t n_vars,
+                                               std::size_t k) {
+    DSM_REQUIRE(k >= 1);
+    SubscriptionMap map(n_procs, n_vars);
+    k = std::min(k, n_procs);
+    for (VarId v = 0; v < n_vars; ++v) {
+      for (std::size_t i = 0; i < k; ++i) {
+        map.subs_[v][(v + i) % n_procs] = true;
+      }
+    }
+    map.label_ = "chained(" + std::to_string(k) + ")";
+    return map;
+  }
+
+  /// Parse a CLI spec: "full", "disjoint:G", "chained:K", or an explicit
+  /// per-variable list "v:p,p;v:p,p" covering every variable (e.g.
+  /// "0:0,1;1:1,2").
   /// Returns nullopt (with a reason in *error) on a malformed or
   /// out-of-range spec; never aborts, so the CLI can pre-validate.
   [[nodiscard]] static std::optional<SubscriptionMap> parse(
@@ -87,6 +104,18 @@ class SubscriptionMap {
                     std::to_string(n_vars) + " vars");
       }
       return disjoint(n_procs, n_vars, groups);
+    }
+    if (spec.rfind("chained:", 0) == 0) {
+      std::size_t k = 0;
+      if (!parse_uint(spec.substr(8), &k)) {
+        return fail("chained:K needs an integer K");
+      }
+      if (k < 1) return fail("chained:K needs K >= 1");
+      if (k > n_procs) {
+        return fail("chained:" + std::to_string(k) + " exceeds " +
+                    std::to_string(n_procs) + " procs");
+      }
+      return chained(n_procs, n_vars, k);
     }
     // Explicit list: semicolon-separated "var:proc,proc" entries.
     SubscriptionMap map(n_procs, n_vars);

@@ -270,10 +270,6 @@ RecoveryStats ThreadCluster::recovery_stats() const {
   return total;
 }
 
-std::uint64_t ThreadCluster::replay_suppressed() const {
-  return filter_ != nullptr ? filter_->suppressed() : 0;
-}
-
 std::uint64_t ThreadCluster::crash_dropped() const {
   std::uint64_t total = 0;
   for (const auto& node : nodes_) {

@@ -132,8 +132,6 @@ class ThreadCluster {
   /// Summed across incarnations in recoverable mode.
   [[nodiscard]] ProtocolStats stats(ProcessId p) const;
   [[nodiscard]] RecoveryStats recovery_stats() const;
-  /// Observer events suppressed as replays (recoverable mode).
-  [[nodiscard]] std::uint64_t replay_suppressed() const;
   /// Messages dropped because they arrived at a killed process.
   [[nodiscard]] std::uint64_t crash_dropped() const;
   [[nodiscard]] std::size_t n_procs() const noexcept { return nodes_.size(); }

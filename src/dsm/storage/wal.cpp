@@ -78,16 +78,6 @@ const char* to_string(FsyncPolicy p) noexcept {
   return "?";
 }
 
-const char* to_string(WalIoError e) noexcept {
-  switch (e) {
-    case WalIoError::kNone: return "none";
-    case WalIoError::kWrite: return "write";
-    case WalIoError::kNoSpace: return "nospace";
-    case WalIoError::kFsync: return "fsync";
-  }
-  return "?";
-}
-
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};

@@ -74,8 +74,6 @@ enum class FsyncPolicy : std::uint8_t { kNone, kInterval, kEvery };
 /// means the record IS appended but durability is unknown (WAL now dirty).
 enum class WalIoError : std::uint8_t { kNone, kWrite, kNoSpace, kFsync };
 
-[[nodiscard]] const char* to_string(WalIoError e) noexcept;
-
 struct WalOptions {
   FsyncPolicy fsync = FsyncPolicy::kEvery;
   std::uint64_t fsync_interval = 64;  ///< appends per fsync under kInterval

@@ -7,15 +7,6 @@
 
 namespace dsm {
 
-std::string_view to_string(MetricKind k) {
-  switch (k) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kSummary: return "summary";
-  }
-  return "?";
-}
-
 MetricsRegistry::Family& MetricsRegistry::family_locked(std::string_view name,
                                                         MetricKind kind) {
   auto it = families_.find(name);

@@ -76,8 +76,6 @@ class Gauge {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kSummary };
 
-[[nodiscard]] std::string_view to_string(MetricKind k);
-
 /// Canonical metric names.  Every producer in the tree uses these constants
 /// (never ad-hoc strings) so the catalogue in docs/OBSERVABILITY.md is the
 /// single source of truth.

@@ -88,38 +88,6 @@ std::vector<Script> generate_workload(const WorkloadSpec& spec) {
   return scripts;
 }
 
-std::vector<Script> generate_replica_workload(const WorkloadSpec& spec,
-                                              const ReplicationMap& map) {
-  DSM_REQUIRE(map.n_procs() == spec.n_procs);
-  DSM_REQUIRE(map.n_vars() == spec.n_vars);
-
-  Rng master(spec.seed);
-  std::vector<Script> scripts(spec.n_procs);
-  for (ProcessId p = 0; p < spec.n_procs; ++p) {
-    Rng rng = master.split();
-    const auto shard = map.vars_of(p);
-    DSM_REQUIRE(!shard.empty() &&
-                "every process must replicate at least one variable");
-    Script& script = scripts[p];
-    script.reserve(spec.ops_per_proc);
-    SeqNo writes = 0;
-    for (std::size_t i = 0; i < spec.ops_per_proc; ++i) {
-      const VarId var = shard[rng.below(shard.size())];
-      const auto gap = static_cast<SimTime>(
-          rng.exponential(static_cast<double>(spec.mean_gap)));
-      if (rng.chance(spec.write_fraction)) {
-        ++writes;
-        const Value v = static_cast<Value>(p) * 1'000'000 +
-                        static_cast<Value>(writes);
-        script.push_back(write_step(gap, var, v));
-      } else {
-        script.push_back(read_step(gap, var));
-      }
-    }
-  }
-  return scripts;
-}
-
 std::vector<Script> generate_subscriber_workload(const WorkloadSpec& spec,
                                                  const SubscriptionMap& map) {
   DSM_REQUIRE(map.n_procs() == spec.n_procs);

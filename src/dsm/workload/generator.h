@@ -26,7 +26,6 @@
 
 #include "dsm/common/rng.h"
 #include "dsm/objects/schema.h"
-#include "dsm/protocols/replication.h"
 #include "dsm/protocols/subscription.h"
 #include "dsm/workload/script.h"
 
@@ -58,13 +57,6 @@ struct WorkloadSpec {
 
 /// Deterministic: equal specs yield equal scripts.
 [[nodiscard]] std::vector<Script> generate_workload(const WorkloadSpec& spec);
-
-/// Replication-aware variant for PartialOptP: every process only reads and
-/// writes variables it replicates (uniformly over its shard; the spec's
-/// pattern field is ignored).  Requires every process to replicate at least
-/// one variable.
-[[nodiscard]] std::vector<Script> generate_replica_workload(
-    const WorkloadSpec& spec, const ReplicationMap& map);
 
 /// Subscription-aware variant for ShardedOptP: every process only reads and
 /// writes variables it subscribes to.  Honors the spec's pattern over the

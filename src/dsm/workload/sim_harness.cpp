@@ -310,11 +310,6 @@ std::uint64_t SimRunResult::total_skipped() const {
   for (const auto& st : stats) s += st.skipped_writes;
   return s;
 }
-std::uint64_t SimRunResult::peak_pending() const {
-  std::uint64_t s = 0;
-  for (const auto& st : stats) s = std::max(s, st.peak_pending);
-  return s;
-}
 
 SimRunResult run_sim(const SimRunConfig& config,
                      const std::vector<Script>& scripts) {

@@ -103,7 +103,6 @@ struct SimRunResult {
   [[nodiscard]] std::uint64_t total_delayed() const;
   [[nodiscard]] std::uint64_t total_applies() const;
   [[nodiscard]] std::uint64_t total_skipped() const;
-  [[nodiscard]] std::uint64_t peak_pending() const;
 };
 
 /// Runs `scripts[p]` on process p (scripts.size() == config.n_procs).

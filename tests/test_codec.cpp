@@ -277,24 +277,29 @@ TEST(Message, AllZeroTrailerWithTypedFlagRejected) {
 }
 
 TEST(Message, UnknownFlagBitsRejected) {
-  // Locate the flags byte as the single byte that flips with meta_only, then
-  // set a reserved bit — the decoder must refuse rather than ignore it.
-  WriteUpdate m = sample_write_update();
-  const auto clear = encode_message(Message{m});
-  m.meta_only = true;
-  const auto set = encode_message(Message{m});
-  ASSERT_EQ(clear.size(), set.size());
-  std::size_t flags_at = clear.size();
-  for (std::size_t i = 0; i < clear.size(); ++i) {
-    if (clear[i] != set[i]) {
-      ASSERT_EQ(flags_at, clear.size()) << "more than one differing byte";
+  // A typed frame is the plain frame with the typed flag bit set and a
+  // trailer appended, so the flags byte is the one byte of the common prefix
+  // that differs.  Bit 0 (once a per-copy marker) and bit 2 are reserved: a
+  // frame carrying either must be refused rather than ignored.
+  const auto plain = encode_message(Message{sample_write_update()});
+  const auto typed = encode_message(
+      Message{sample_typed_update(SpecId::kCounter, OpCode::kInc, 1)});
+  ASSERT_GT(typed.size(), plain.size());
+  std::size_t flags_at = plain.size();
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    if (plain[i] != typed[i]) {
+      ASSERT_EQ(flags_at, plain.size()) << "more than one differing byte";
       flags_at = i;
     }
   }
-  ASSERT_LT(flags_at, clear.size());
-  auto bytes = clear;
-  bytes[flags_at] = 4;  // reserved bit
-  EXPECT_FALSE(decode_message(bytes).has_value());
+  ASSERT_LT(flags_at, plain.size());
+  ASSERT_EQ(plain[flags_at], 0);
+  for (const std::uint8_t reserved : {std::uint8_t{1}, std::uint8_t{4}}) {
+    auto bytes = plain;
+    bytes[flags_at] = reserved;
+    EXPECT_FALSE(decode_message(bytes).has_value())
+        << "bit " << (reserved == 1 ? 0 : 2);
+  }
 }
 
 // -------------------------- property sweep: random message round-trips -----

@@ -1,9 +1,10 @@
 // Tests for subscription-routed sharding (ShardedOptP, after Xiang &
-// Vaidya): the SubscriptionMap, unicast routing, the knowledge-matrix wait
-// condition (including transitive chains through non-shared-variable
-// processes), degeneration to OptP under a full map, per-shard log merging,
-// the subscription-aware auditor, and the Zipf sampler the skewed workloads
-// ride on.
+// Vaidya): the SubscriptionMap (including chained-declustering partial
+// replication), unicast routing, the knowledge-matrix wait condition
+// (including transitive chains through non-shared-variable processes),
+// degeneration to OptP under a full map, per-shard log merging, the
+// subscription-aware auditor, and the Zipf sampler the skewed workloads ride
+// on.
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,24 @@ TEST(SubscriptionMap, DisjointGroupsPartitionProcsAndVars) {
   }
 }
 
+TEST(SubscriptionMap, ChainedPlacement) {
+  // chained(4, 4, 2): v lives on (v + i) mod 4 for i < 2.
+  const auto map = SubscriptionMap::chained(4, 4, 2);
+  EXPECT_EQ(map.subscribers(0), (std::vector<ProcessId>{0, 1}));
+  EXPECT_EQ(map.subscribers(1), (std::vector<ProcessId>{1, 2}));
+  EXPECT_EQ(map.subscribers(3), (std::vector<ProcessId>{0, 3}));
+  EXPECT_EQ(map.vars_of(1), (std::vector<VarId>{0, 1}));
+  EXPECT_FALSE(map.is_full());
+  EXPECT_DOUBLE_EQ(map.mean_size(), 2.0);
+  EXPECT_EQ(map.describe(), "chained(2)");
+}
+
+TEST(SubscriptionMap, ChainedFactorClampedToProcs) {
+  const auto map = SubscriptionMap::chained(2, 3, 10);
+  EXPECT_TRUE(map.is_full());
+  EXPECT_DOUBLE_EQ(map.mean_size(), 2.0);
+}
+
 TEST(SubscriptionMap, ParseAcceptsAllThreeSpecForms) {
   const auto full = SubscriptionMap::parse("full", 3, 2);
   ASSERT_TRUE(full.has_value());
@@ -78,6 +97,13 @@ TEST(SubscriptionMap, ParseAcceptsAllThreeSpecForms) {
   const auto reference = SubscriptionMap::disjoint(4, 4, 2);
   for (VarId v = 0; v < 4; ++v) {
     EXPECT_EQ(disjoint->subscribers(v), reference.subscribers(v));
+  }
+
+  const auto chained = SubscriptionMap::parse("chained:3", 4, 6);
+  ASSERT_TRUE(chained.has_value());
+  const auto chained_ref = SubscriptionMap::chained(4, 6, 3);
+  for (VarId v = 0; v < 6; ++v) {
+    EXPECT_EQ(chained->subscribers(v), chained_ref.subscribers(v));
   }
 
   const auto explicit_map = SubscriptionMap::parse("0:0,1;1:1,2", 3, 2);
@@ -95,6 +121,10 @@ TEST(SubscriptionMap, ParseRejectsMalformedSpecs) {
       "disjoint:x",   // non-numeric group count
       "disjoint:0",   // zero groups
       "disjoint:5",   // more groups than the 3 procs below
+      "chained:0",    // zero replicas
+      "chained:x",    // non-numeric factor
+      "chained:",     // missing factor
+      "chained:4",    // more replicas than the 3 procs below
       "0:0,1",        // variable 1 missing from an explicit spec
       "0:0;0:1;1:1",  // variable listed twice
       "0:9;1:0",      // process out of range
@@ -117,6 +147,7 @@ TEST(SubscriptionMap, ParseErrorsNameTheOffendingToken) {
     const char* error;
   } cases[] = {
       {"0:0;0:1;1:1", "variable 0 listed twice"},
+      {"chained:4", "chained:4 exceeds 3 procs"},
       {"0:9;1:0", "bad process in \"0:9\""},
       // An empty subscriber list dies on the empty token, same branch.
       {"0:;1:0", "bad process in \"0:\""},
@@ -263,14 +294,73 @@ TEST(ShardedOptP, NameAndRegistryDefaults) {
   EXPECT_TRUE(parse_protocol("optp-sharded").has_value());
 }
 
-// The access contract mirrors PartialOptP's replica contract: touching a
-// variable outside one's subscription — or routing an update to a
-// non-subscriber — is a harness bug, and DSM_REQUIRE aborts.
+// The access contract: touching a variable outside one's subscription — or
+// routing an update to a non-subscriber — is a harness bug, and DSM_REQUIRE
+// aborts.
 TEST(ShardedOptPDeathTest, AccessOutsideSubscriptionDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto map = parse_map("0:0,1;1:1,2", 3, 2);
   DirectCluster c(ProtocolKind::kOptPSharded, 3, 2, sharded_config(map));
   EXPECT_DEATH(c.write(0, 1, 5), "subscribe");
+  EXPECT_DEATH((void)c.read(2, 0), "subscribe");
+}
+
+// ------------------------------- partial replication (chained placement) ---
+//
+// Partial replication is a chained:K subscription map on optp-sharded: each
+// variable lives on K consecutive processes, and non-replicas get nothing.
+
+TEST(ReplicationMap, FullMapReplicatesEverywhere) {
+  // A replication factor equal to the process count is the full map.
+  const auto map = SubscriptionMap::chained(3, 4, 3);
+  const auto full = SubscriptionMap::full(3, 4);
+  EXPECT_TRUE(map.is_full());
+  for (VarId v = 0; v < 4; ++v) {
+    for (ProcessId p = 0; p < 3; ++p) EXPECT_TRUE(map.is_subscriber(v, p));
+    EXPECT_EQ(map.subscribers(v), full.subscribers(v));
+  }
+  EXPECT_DOUBLE_EQ(map.mean_size(), 3.0);
+}
+
+TEST(PartialOptP, CausalChainThroughUnreplicatedVariable) {
+  // chained(3, 3, 2): x0 at {p0,p1}, x1 at {p1,p2}, x2 at {p2,p0}.  p0
+  // writes x2 then x0; p1 reads x0 and writes x1.  p2 replicates no copy of
+  // x0, yet x1's write causally follows p0's write of x2 through it — so x1
+  // delivered first must buffer until x2 arrives.
+  const auto map =
+      std::make_shared<const SubscriptionMap>(SubscriptionMap::chained(3, 3, 2));
+  DirectCluster c(ProtocolKind::kOptPSharded, 3, 3, sharded_config(map));
+  c.write(0, 2, 1);                 // to p2, left in flight
+  c.write(0, 0, 2);                 // to p1
+  ASSERT_TRUE(c.deliver_to(1, 0));
+  EXPECT_EQ(c.read(1, 0).value, 2);
+  c.write(1, 1, 3);                 // to p2, causally after both p0 writes
+
+  ASSERT_TRUE(c.deliver_to(2, 1));
+  EXPECT_EQ(c.node(2).pending_count(), 1u);  // waits for p0's x2
+  EXPECT_EQ(c.node(2).peek(1).value, kBottom);
+  ASSERT_TRUE(c.deliver_to(2, 0));  // x2 arrives; x1 drains behind it
+  EXPECT_EQ(c.node(2).pending_count(), 0u);
+  EXPECT_EQ(c.node(2).peek(2).value, 1);
+  EXPECT_EQ(c.node(2).peek(1).value, 3);
+  EXPECT_EQ(c.node(2).stats().delayed_writes, 1u);
+
+  const auto& rec = c.recorder();
+  EXPECT_TRUE(ConsistencyChecker::check(rec.history()).consistent());
+  const auto audit =
+      OptimalityAuditor::audit(rec.history(), rec.events(), map.get());
+  EXPECT_TRUE(audit.safe());
+  EXPECT_TRUE(audit.live());
+  EXPECT_EQ(audit.total_unnecessary(), 0u);  // the delay was necessary
+}
+
+TEST(PartialOptPDeathTest, AccessOutsideReplicaSetDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // chained(3, 3, 2): x0 at {p0, p1} — p2 is no replica of it.
+  const auto map =
+      std::make_shared<const SubscriptionMap>(SubscriptionMap::chained(3, 3, 2));
+  DirectCluster c(ProtocolKind::kOptPSharded, 3, 3, sharded_config(map));
+  EXPECT_DEATH(c.write(2, 0, 1), "subscribe");
   EXPECT_DEATH((void)c.read(2, 0), "subscribe");
 }
 
@@ -434,15 +524,17 @@ TEST(ZipfWorkload, SubscriberScriptsAreDeterministicAndInBounds) {
 
 // ----------------------------------------------- end-to-end sharded runs ---
 
+// `spec` is a --subscriptions spec over the sweep's 6 processes and 12
+// variables: disjoint:G shards, or chained:K replicas per variable.
 struct ShardedParams {
-  std::size_t groups;
+  const char* spec;
   std::uint64_t seed;
 };
 
 class ShardedSweep : public ::testing::TestWithParam<ShardedParams> {};
 
 TEST_P(ShardedSweep, RoutedRunIsConsistentSafeLiveAndMessageOptimal) {
-  const auto [groups, seed] = GetParam();
+  const auto [subscriptions, seed] = GetParam();
   constexpr std::size_t kProcs = 6;
   constexpr std::size_t kVars = 12;
 
@@ -454,8 +546,7 @@ TEST_P(ShardedSweep, RoutedRunIsConsistentSafeLiveAndMessageOptimal) {
   spec.mean_gap = sim_us(250);
   spec.seed = seed;
 
-  const auto map = std::make_shared<const SubscriptionMap>(
-      SubscriptionMap::disjoint(kProcs, kVars, groups));
+  const auto map = parse_map(subscriptions, kProcs, kVars);
   const auto latency =
       make_latency(LatencyKind::kLogNormal, sim_us(400), 1.2, seed ^ 0xAB);
 
@@ -482,15 +573,59 @@ TEST_P(ShardedSweep, RoutedRunIsConsistentSafeLiveAndMessageOptimal) {
             OptimalityAuditor::message_floor(rec.history(), *map));
 }
 
-INSTANTIATE_TEST_SUITE_P(Groups, ShardedSweep,
-                         ::testing::Values(ShardedParams{1, 1},
-                                           ShardedParams{2, 2},
-                                           ShardedParams{3, 3},
-                                           ShardedParams{6, 4}),
-                         [](const ::testing::TestParamInfo<ShardedParams>& pi) {
-                           return "g" + std::to_string(pi.param.groups) +
-                                  "_s" + std::to_string(pi.param.seed);
-                         });
+// Rows are named g<G>_s<seed> (disjoint) and c<K>_s<seed> (chained).
+INSTANTIATE_TEST_SUITE_P(
+    Groups, ShardedSweep,
+    ::testing::Values(ShardedParams{"disjoint:1", 1},
+                      ShardedParams{"disjoint:2", 2},
+                      ShardedParams{"disjoint:3", 3},
+                      ShardedParams{"disjoint:6", 4},
+                      ShardedParams{"chained:1", 1},
+                      ShardedParams{"chained:2", 2},
+                      ShardedParams{"chained:3", 3},
+                      ShardedParams{"chained:6", 4}),
+    [](const ::testing::TestParamInfo<ShardedParams>& pi) {
+      const std::string_view spec = pi.param.spec;
+      const std::string_view k = spec.substr(spec.find(':') + 1);
+      return (spec[0] == 'd' ? "g" : "c") + std::string(k) + "_s" +
+             std::to_string(pi.param.seed);
+    });
+
+TEST(ShardedOptP, BandwidthScalesWithFactor) {
+  // Chained placement on the message floor: a write of x reaches its K−1
+  // foreign replicas only, so factor 2 ships the blob to 1 peer, not 5.
+  constexpr std::size_t kProcs = 6;
+  constexpr std::size_t kVars = 12;
+  WorkloadSpec spec;
+  spec.n_procs = kProcs;
+  spec.n_vars = kVars;
+  spec.ops_per_proc = 40;
+  spec.write_fraction = 0.8;
+  spec.seed = 11;
+
+  const auto latency =
+      make_latency(LatencyKind::kUniform, sim_us(300), 0.5, 0x5);
+  std::uint64_t bytes_at[2] = {0, 0};
+  const char* specs[2] = {"chained:2", "chained:6"};
+  for (int i = 0; i < 2; ++i) {
+    const auto map = parse_map(specs[i], kProcs, kVars);
+    SimRunConfig cfg;
+    cfg.kind = ProtocolKind::kOptPSharded;
+    cfg.n_procs = kProcs;
+    cfg.n_vars = kVars;
+    cfg.latency = latency.get();
+    cfg.protocol_config.subscription = map;
+    cfg.protocol_config.write_blob_size = 2048;
+    const auto result = run_sim(cfg, generate_subscriber_workload(spec, *map));
+    ASSERT_TRUE(result.settled);
+    EXPECT_EQ(result.net.messages_sent,
+              OptimalityAuditor::message_floor(result.recorder->history(),
+                                               *map))
+        << specs[i];
+    bytes_at[i] = result.net.bytes_sent;
+  }
+  EXPECT_LT(bytes_at[0] * 2, bytes_at[1]);
+}
 
 }  // namespace
 }  // namespace dsm

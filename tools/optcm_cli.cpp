@@ -62,8 +62,7 @@ constexpr FlagSpec kFlags[] = {
     // -- stack shape ---------------------------------------------------------
     {.name = "protocol", .type = T::kChoice,
      .commands = kRun | kFaults | kServe | kDrive,
-     .value = "optp|optp-ws|anbkh|anbkh-ws|token-ws|optp-partial|optp-conv|"
-              "optp-sharded",
+     .value = "optp|optp-ws|anbkh|anbkh-ws|token-ws|optp-conv|optp-sharded",
      .fallback = "optp", .help = "faults without it runs optp and anbkh"},
     {.name = "procs", .type = T::kInt, .commands = kSim, .value = "N",
      .fallback = "4", .min = 1, .help = "number of processes"},
@@ -116,11 +115,9 @@ constexpr FlagSpec kFlags[] = {
      .needs = "objects", .help = "typed op weights (else 6:2:1:1)"},
     {.name = "subscriptions", .type = T::kText, .commands = kRun | kDrive,
      .value = "SPEC", .excludes = "shards",
-     .help = "optp-sharded map: full, disjoint:G, or v:p,p;v:p,p"},
+     .help = "optp-sharded map: full, disjoint:G, chained:K, or v:p,p;v:p,p"},
     {.name = "shards", .type = T::kInt, .commands = kRun | kDrive,
      .value = "G", .min = 1, .help = "--subscriptions=disjoint:G"},
-    {.name = "replication", .type = T::kInt, .commands = kRun, .value = "F",
-     .min = 1, .help = "optp-partial: F chained replicas per variable"},
     // -- run: outputs (docs/OBSERVABILITY.md) --------------------------------
     {.name = "trace", .commands = kRun, .help = "print the space-time diagram"},
     {.name = "history", .commands = kRun | kReplay},
@@ -198,7 +195,7 @@ bool supports_objects(ProtocolKind kind) {
 constexpr const char* kObjectsNeedProtocol =
     "typed objects require --protocol=optp, anbkh or optp-sharded "
     "(writing-semantics protocols skip superseded writes, which would drop "
-    "mutations; partial replication has no object seam)";
+    "mutations)";
 
 /// Why `kind` cannot run under a crash plan, or null.
 const char* crash_refusal(ProtocolKind kind) {
@@ -240,18 +237,16 @@ ScriptChoice load_script(const std::string& name) {
   return c;
 }
 
-/// Fixed scripts must stay inside the access map — the protocol would
+/// Fixed scripts must stay inside the subscription map — the protocol would
 /// otherwise abort on its contract check mid-run.  Reject at flag time.
-template <typename Map>
-bool scripts_within(const std::vector<Script>& scripts, const Map& map,
-                    bool (Map::*inside)(VarId, ProcessId) const,
-                    const char* flag) {
+bool scripts_within(const std::vector<Script>& scripts,
+                    const SubscriptionMap& map) {
   for (ProcessId p = 0; p < scripts.size(); ++p) {
     for (const ScriptStep& step : scripts[p]) {
-      if (!(map.*inside)(step.var, p)) {
-        reject("p%u accesses x%u outside the %s map (the script must stay "
-               "inside the map)",
-               static_cast<unsigned>(p), static_cast<unsigned>(step.var), flag);
+      if (!map.is_subscriber(step.var, p)) {
+        reject("p%u accesses x%u outside the --subscriptions map (the script "
+               "must stay inside the map)",
+               static_cast<unsigned>(p), static_cast<unsigned>(step.var));
         return false;
       }
     }
@@ -293,8 +288,6 @@ struct CommonOptions {
   CrashPlan crash;
   /// optp-sharded only (--subscriptions/--shards); null = full map.
   std::shared_ptr<const SubscriptionMap> subscription;
-  /// optp-partial only (--replication); null = full replication.
-  std::shared_ptr<const ReplicationMap> replication;
   /// Typed objects (--objects / --script=objects); null = plain registers.
   std::shared_ptr<const ObjectSchema> objects;
 };
@@ -406,7 +399,6 @@ SimRunResult run_one(ProtocolKind kind, const CommonOptions& o,
   cfg.protocol_config.token_max_rounds =
       o.spec.ops_per_proc * o.spec.n_procs * 50 + 1000;
   cfg.protocol_config.subscription = o.subscription;
-  cfg.protocol_config.replication = o.replication;
   cfg.protocol_config.objects = o.objects;
   cfg.telemetry = telemetry;
   if (choreo != nullptr) cfg.latency_override = *choreo;
@@ -616,31 +608,13 @@ std::optional<Work> prepare_run(const FlagValues& f) {
                     "redelivery carries no typed payload (docs/OBJECTS.md)");
     }
   }
-  // Sharding/replication maps parse against the FINAL shape (a paper script
-  // may have just overridden --procs/--vars).
+  // Subscription maps parse against the FINAL shape (a paper script may have
+  // just overridden --procs/--vars).
   if (!parse_subscription_flags(f, kind, o.spec.n_procs, o.spec.n_vars,
                            o.subscription)) {
     return std::nullopt;
   }
-  if (f.has("replication")) {
-    const auto factor = f.num<std::size_t>("replication");
-    if (kind != ProtocolKind::kOptPPartial) {
-      return reject("--replication requires --protocol=optp-partial");
-    }
-    if (factor > o.spec.n_procs) {
-      return reject("--replication must be in [1, procs]");
-    }
-    o.replication = std::make_shared<const ReplicationMap>(
-        ReplicationMap::chained(o.spec.n_procs, o.spec.n_vars, factor));
-  }
-  if (o.subscription != nullptr &&
-      !scripts_within(scripts, *o.subscription,
-                      &SubscriptionMap::is_subscriber, "--subscriptions")) {
-    return std::nullopt;
-  }
-  if (o.replication != nullptr &&
-      !scripts_within(scripts, *o.replication, &ReplicationMap::is_replica,
-                      "--replication")) {
+  if (o.subscription != nullptr && !scripts_within(scripts, *o.subscription)) {
     return std::nullopt;
   }
   if (o.objects != nullptr && scripts.empty() && o.subscription != nullptr &&
@@ -659,8 +633,6 @@ std::optional<Work> prepare_run(const FlagValues& f) {
         scripts = generate_mixed_object_workload(o.spec, *o.objects, mix);
       } else if (o.subscription != nullptr && !o.subscription->is_full()) {
         scripts = generate_subscriber_workload(o.spec, *o.subscription);
-      } else if (o.replication != nullptr) {
-        scripts = generate_replica_workload(o.spec, *o.replication);
       }
     }
 
@@ -1105,9 +1077,7 @@ std::optional<Work> prepare_drive(const FlagValues& f) {
                                 subscription)) {
     return std::nullopt;
   }
-  if (subscription != nullptr &&
-      !scripts_within(scripts, *subscription, &SubscriptionMap::is_subscriber,
-                      "--subscriptions")) {
+  if (subscription != nullptr && !scripts_within(scripts, *subscription)) {
     return std::nullopt;
   }
 

@@ -60,10 +60,11 @@ echo "wrote results/BENCH_storage.json"
 echo "wrote results/BENCH_chaos.json"
 
 # The partial-replication / subscription-routing baseline (docs/NETWORK.md):
-# PartialOptP bytes-by-factor plus ShardedOptP's message-floor and shard-
+# ShardedOptP's chained-placement bytes-by-factor, message-floor and shard-
 # scaling cells.  Fully seeded and simulated — every column is deterministic,
-# and the bench itself gates msgs == Xiang–Vaidya floor and zero cross-shard
-# receipts (nonzero exit on violation).
+# and the bench itself gates msgs == Xiang–Vaidya floor, zero cross-shard
+# receipts and (factor sweep) zero unnecessary delays — nonzero exit on
+# violation.
 "$build/bench/exp_partial" --bench-json results/BENCH_partial.json > /dev/null
 echo "wrote results/BENCH_partial.json"
 
