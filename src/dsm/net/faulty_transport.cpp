@@ -129,13 +129,11 @@ std::optional<NetFaultPlan> NetFaultPlan::decode(
 }
 
 FaultyTransport::FaultyTransport(NetLoop& loop, DatagramTransport& inner,
-                                 ProcessId self, MetricsRegistry* metrics,
-                                 TraceSink* trace)
+                                 ProcessId self, MetricsRegistry* metrics)
     : loop_(&loop),
       inner_(&inner),
       self_(self),
       metrics_(metrics),
-      trace_(trace),
       frame_index_(inner.n_procs(), 0),
       held_(inner.n_procs()),
       busy_until_(inner.n_procs(), 0) {}
@@ -147,17 +145,6 @@ void FaultyTransport::attach(ProcessId p, MessageSink& sink) {
 }
 
 std::size_t FaultyTransport::n_procs() const { return inner_->n_procs(); }
-
-void FaultyTransport::trace_fault(ProcessId to, std::uint64_t frame_index) {
-  if (trace_ == nullptr) return;
-  TraceEvent e;
-  e.kind = TraceKind::kFaultInject;
-  e.at = self_;
-  e.time = loop_->wall_now();
-  e.var = to;
-  e.bytes = frame_index;
-  trace_->accept(e);
-}
 
 void FaultyTransport::forward(ProcessId to, Payload payload) {
   ++stats_.forwarded;
@@ -192,7 +179,6 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
     if (metrics_ != nullptr) {
       metrics_->counter(self_, metric::kFaultBlocked).add();
     }
-    trace_fault(to, idx);
     return;
   }
   const NetFaultPlan::Draw d = plan_.draw(from, to, idx);
@@ -201,7 +187,6 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
     if (metrics_ != nullptr) {
       metrics_->counter(self_, metric::kFaultDropped).add();
     }
-    trace_fault(to, idx);
     return;
   }
   if (d.corrupted) {
@@ -216,7 +201,6 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
     if (metrics_ != nullptr) {
       metrics_->counter(self_, metric::kFaultCorrupted).add();
     }
-    trace_fault(to, idx);
   }
   if (d.reordered && held_[to] == nullptr) {
     // Hold this frame back one slot: the next frame to the same peer
@@ -227,7 +211,6 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
     if (metrics_ != nullptr) {
       metrics_->counter(self_, metric::kFaultReordered).add();
     }
-    trace_fault(to, idx);
     loop_->queue().schedule_after(kReorderFlushDelay,
                                   [this, to, alive = alive_] {
                                     if (!*alive) return;
@@ -258,14 +241,12 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
     if (metrics_ != nullptr) {
       metrics_->counter(self_, metric::kFaultDelayed).add();
     }
-    trace_fault(to, idx);
   }
   if (d.duplicated) {
     ++stats_.duplicated;
     if (metrics_ != nullptr) {
       metrics_->counter(self_, metric::kFaultDuplicated).add();
     }
-    trace_fault(to, idx);
   }
   const int copies = d.duplicated ? 2 : 1;
   if (at <= now) {

@@ -54,7 +54,6 @@
 #include "dsm/common/transport.h"
 #include "dsm/net/net_loop.h"
 #include "dsm/telemetry/metrics.h"
-#include "dsm/telemetry/trace.h"
 
 namespace dsm {
 
@@ -139,11 +138,10 @@ struct FaultStatsNet {
 class FaultyTransport final : public DatagramTransport {
  public:
   /// `inner` outlives this shim; `loop` drives delay/reorder timers.
-  /// `metrics`/`trace` are optional observability (same contract as
+  /// `metrics` is optional observability (same contract as
   /// TcpTransportConfig).
   FaultyTransport(NetLoop& loop, DatagramTransport& inner, ProcessId self,
-                  MetricsRegistry* metrics = nullptr,
-                  TraceSink* trace = nullptr);
+                  MetricsRegistry* metrics = nullptr);
   ~FaultyTransport() override;
 
   FaultyTransport(const FaultyTransport&) = delete;
@@ -164,13 +162,11 @@ class FaultyTransport final : public DatagramTransport {
  private:
   void forward(ProcessId to, Payload payload);
   void flush_held(ProcessId to);
-  void trace_fault(ProcessId to, std::uint64_t frame_index);
 
   NetLoop* loop_;
   DatagramTransport* inner_;
   ProcessId self_;
   MetricsRegistry* metrics_;
-  TraceSink* trace_;
   NetFaultPlan plan_;
   FaultStatsNet stats_;
   std::vector<std::uint64_t> frame_index_;  ///< per-dest frames seen

@@ -1,9 +1,7 @@
 #include "dsm/net/net_loop.h"
 
-#include <poll.h>
-
 #include <algorithm>
-#include <vector>
+#include <ctime>
 
 namespace dsm {
 
@@ -53,27 +51,25 @@ void NetLoop::poll_once(SimTime max_wait) {
     const SimTime now = wall_now();
     wait = *next > now ? std::min(wait, *next - now) : 0;
   }
-  // poll() is millisecond-granular; round up so a 100µs timer sleeps 1ms
-  // instead of busy-spinning at timeout 0.
-  const int timeout_ms =
-      wait == 0 ? 0
-                : static_cast<int>(std::min<SimTime>((wait + 999) / 1000,
-                                                     /*cap 1s*/ 1000));
+  wait = std::min<SimTime>(wait, sim_s(1));
+  const timespec timeout{static_cast<std::time_t>(wait / sim_s(1)),
+                         static_cast<long>(wait % sim_s(1)) * 1000};
 
-  std::vector<pollfd> pfds;
-  pfds.reserve(fds_.size());
+  pfds_.clear();
   for (const auto& [fd, w] : fds_) {
     pollfd p{};
     p.fd = fd;
     p.events = POLLIN;
     if (w.want_write) p.events |= POLLOUT;
-    pfds.push_back(p);
+    pfds_.push_back(p);
   }
 
-  const int n =
-      ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
+  const int n = ::ppoll(pfds_.data(), static_cast<nfds_t>(pfds_.size()),
+                        &timeout, nullptr);
+  // Stamp this tick's callbacks with the time the loop woke.
+  service_queue();
   if (n > 0) {
-    for (const pollfd& p : pfds) {
+    for (const pollfd& p : pfds_) {
       if (p.revents == 0) continue;
       // Callbacks may watch/unwatch fds (accept, close, reconnect); re-look
       // the fd up so a registration removed mid-dispatch is skipped.

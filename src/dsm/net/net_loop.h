@@ -1,4 +1,4 @@
-// optcm — the net event loop: poll(2) + the deterministic EventQueue, driven
+// optcm — the net event loop: ppoll(2) + the deterministic EventQueue, driven
 // by wall-clock time.
 //
 // The whole protocol stack (CausalProtocol, ReliableNode with its adaptive
@@ -9,10 +9,14 @@
 //   each wakeup:  t := µs since loop epoch
 //                 queue.run_until(t)       — fire every timer now due
 //                 queue.advance_to(t)      — reconcile now() with the wall
-//   poll timeout: next_at() − now(), capped (so late-registered work and
-//                 signals are noticed), floored at 1ms (poll granularity).
+//   poll timeout: next_at() − now() in µs, capped (so late-registered work
+//                 and signals are noticed).
 //
-// So an RTO armed for "now + 5ms" fires within a poll-granularity of 5 real
+// The clock is reconciled as soon as the poll returns, before any fd
+// callback runs, so a callback stamps receipts, applies and ARQ RTT samples
+// with the time it woke, not the time the loop went to sleep.
+//
+// So an RTO armed for "now + 5ms" fires within timer slack of 5 real
 // milliseconds, and the identical ReliableNode/ScriptRunner code runs over
 // sockets unmodified — the single-delivery-context confinement contract
 // holds because everything (socket callbacks and timers) dispatches from
@@ -30,6 +34,8 @@
 // several transports on one loop (single-threaded multi-node harnesses).
 
 #pragma once
+
+#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
@@ -99,6 +105,7 @@ class NetLoop {
   std::chrono::steady_clock::time_point epoch_;
   EventQueue queue_;
   std::map<int, Watch> fds_;
+  std::vector<pollfd> pfds_;  ///< rebuilt each tick, its storage reused
   std::vector<std::function<void()>> tick_hooks_;
 };
 

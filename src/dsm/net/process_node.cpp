@@ -63,24 +63,23 @@ ProcessNode::ProcessNode(ProcessNodeConfig config)
                      .peers = config_.peers,
                      .listen_fd = config_.listen_fd,
                      .metrics = &telemetry_.metrics(),
-                     .trace = &telemetry_.trace(),
                      .local_peers = co_located_shards(config_),
                  }),
       mux_(loop_, transport_, config_.shape.self, &telemetry_.metrics()),
-      faulty_(loop_, mux_, config_.shape.self, &telemetry_.metrics(),
-              &telemetry_.trace()),
+      faulty_(loop_, mux_, config_.shape.self, &telemetry_.metrics()),
       reliable_(loop_.queue(), faulty_, config_.shape.self, *this,
                 config_.arq),
-      endpoint_(reliable_) {
+      endpoint_(reliable_),
+      waker_(config_.shape.n_procs),
+      waking_({&telemetry_.observe_through(recorder_), &waker_}) {
   telemetry_.set_clock([this] { return loop_.queue().now(); });
   if (config_.mesh != nullptr) mux_.set_mesh(config_.mesh);
   DSM_REQUIRE(!durable() || config_.shape.recoverable);
   faulty_.set_plan(config_.net_faults);
   for (const StorageFailpoint& fp : config_.storage_fail) io_hooks_.add(fp);
-  ProtocolObserver& tee = telemetry_.observe_through(recorder_);
-  ProtocolObserver* head = &tee;
+  ProtocolObserver* head = &waking_;
   if (config_.shape.recoverable) {
-    filter_ = std::make_unique<ReplayFilterObserver>(tee);
+    filter_ = std::make_unique<ReplayFilterObserver>(waking_);
     head = filter_.get();
   }
   if (config_.shape.protocol_config.objects != nullptr) {
@@ -190,12 +189,6 @@ void ProcessNode::boot_durable() {
   telemetry_.metrics()
       .counter(config_.shape.self, metric::kWalReplayed)
       .add(open_stats.records_recovered);
-  TraceEvent ev;
-  ev.kind = TraceKind::kWalReplay;
-  ev.at = config_.shape.self;
-  ev.time = telemetry_.now();
-  ev.bytes = open_stats.records_recovered;
-  telemetry_.trace().accept(ev);
 
   // 4. From here on, everything the recorder accepts is spilled.
   wal_sink_ = std::make_unique<WalEventSink>(*wal_);
@@ -246,14 +239,6 @@ void ProcessNode::spill() {
   // the snapshot's op count already counts.
   const WalIoError werr = wal_sink_->commit();
   MetricsRegistry& m = telemetry_.metrics();
-  if (werr != WalIoError::kNone) {
-    TraceEvent ev;
-    ev.kind = TraceKind::kIoFault;
-    ev.at = config_.shape.self;
-    ev.time = telemetry_.now();
-    ev.bytes = static_cast<std::uint64_t>(werr);
-    telemetry_.trace().accept(ev);
-  }
   if (werr == WalIoError::kWrite || werr == WalIoError::kNoSpace) {
     // The batch was NOT appended (it stays pending; the next commit retries).
     // Writing a snapshot now would advance its op count past the WAL's
@@ -310,14 +295,6 @@ void ProcessNode::wal_tick() {
     m.counter(config_.shape.self, metric::kWalGroupCommits).add(1);
     m.summary(config_.shape.self, metric::kWalRecordsPerSync)
         .add(static_cast<double>(covered));
-  }
-  if (err != WalIoError::kNone) {
-    TraceEvent ev;
-    ev.kind = TraceKind::kIoFault;
-    ev.at = config_.shape.self;
-    ev.time = telemetry_.now();
-    ev.bytes = static_cast<std::uint64_t>(err);
-    telemetry_.trace().accept(ev);
   }
   m.gauge(config_.shape.self, metric::kWalDirty).set(wal_->dirty() ? 1 : 0);
 }
@@ -486,6 +463,7 @@ void ProcessNode::start_run(const ControlMessage& req) {
         return host_->up() ? &host_->protocol() : nullptr;
       },
       config_.shape.self, script_, std::move(after_op));
+  waker_.attach(config_.shape.self, runner_.get());
   runner_->set_telemetry(&telemetry_);
   runner_->set_objects(objects_.get());
   runner_->set_time_scale(req.time_scale);

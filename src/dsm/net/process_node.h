@@ -180,7 +180,12 @@ class ProcessNode final : public MessageSink {
   FaultyTransport faulty_;
   ReliableNode reliable_;
   ArqEndpoint endpoint_;
-  /// Recoverable mode: event dedup between the tee and the protocol — crash
+  /// Wakes the runner's parked awaits on every apply, teed in beside the
+  /// telemetry tee by waking_; below filter_, so a suppressed echo wakes
+  /// nothing.
+  AwaitWaker waker_;
+  FanoutObserver waking_;
+  /// Recoverable mode: event dedup between waking_ and the protocol — crash
   /// recovery legitimately redelivers updates (catch-up + ARQ retransmission)
   /// and a respawned peer may re-broadcast a reconciled write; the filter
   /// keeps the recorded trace free of the echo on every node.

@@ -325,19 +325,16 @@ void TcpTransport::established(Conn& conn) {
   }
   ever_established_[conn.peer] = true;
   backoff_[conn.peer] = config_.reconnect_min;
-  trace_conn(TraceKind::kConnect, conn.peer);
   flush(conn);
 }
 
 void TcpTransport::conn_lost(Conn& conn, bool count_as_drop) {
   const int fd = conn.fd;
-  const bool was_established = conn.phase == Phase::kEstablished;
   const bool dialer = conn.dialer;
   const ProcessId peer = conn.peer;
   const bool had_peer = dialer || conn.phase == Phase::kEstablished;
 
   if (count_as_drop) ++stats_.conns_killed;
-  if (was_established) trace_conn(TraceKind::kDisconnect, peer);
 
   loop_->unwatch(fd);
   ::close(fd);
@@ -516,16 +513,6 @@ std::vector<std::uint8_t> encode_hello_frame(HelloRole role, ProcessId sender,
 
 std::vector<std::uint8_t> TcpTransport::encode_hello(HelloRole role) const {
   return encode_hello_frame(role, config_.self, n_procs());
-}
-
-void TcpTransport::trace_conn(TraceKind kind, ProcessId peer) {
-  if (config_.trace == nullptr) return;
-  TraceEvent e;
-  e.kind = kind;
-  e.at = config_.self;
-  e.time = loop_->queue().now();
-  e.var = peer;
-  config_.trace->accept(e);
 }
 
 }  // namespace dsm

@@ -51,7 +51,6 @@
 #include "dsm/net/net_loop.h"
 #include "dsm/net/socket.h"
 #include "dsm/telemetry/metrics.h"
-#include "dsm/telemetry/trace.h"
 
 namespace dsm {
 
@@ -105,10 +104,8 @@ struct TcpTransportConfig {
   /// required (the draw already folds in self→peer).
   std::uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
   /// Optional observability (owned by the caller, may be null): counters
-  /// land in `metrics` under scope `self`; connection lifecycle events
-  /// (kConnect/kDisconnect, var = peer id) go to `trace`.
+  /// land in `metrics` under scope `self`.
   MetricsRegistry* metrics = nullptr;
-  TraceSink* trace = nullptr;
   /// Peers reached out-of-band (the ShardMux ring mesh): never dialed, never
   /// expected to dial us, excluded from fully_connected(), and a send() to
   /// one counts as a drop (the mux routes them away before they get here).
@@ -204,8 +201,6 @@ class TcpTransport final : public DatagramTransport {
   [[nodiscard]] std::vector<std::uint8_t> encode_hello(HelloRole role) const;
   [[nodiscard]] Conn* conn_of(ProcessId peer);
   [[nodiscard]] const Conn* conn_of(ProcessId peer) const;
-
-  void trace_conn(TraceKind kind, ProcessId peer);
 
   NetLoop* loop_;
   TcpTransportConfig config_;

@@ -26,6 +26,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dsm/codec/message.h"
@@ -76,6 +77,32 @@ class ProtocolObserver {
   /// Writing semantics: write `w` was skipped at this process because `by`
   /// supersedes it (w is "logically applied immediately before" by).
   virtual void on_skip(ProcessId /*at*/, WriteId /*w*/, WriteId /*by*/) {}
+};
+
+/// Tees protocol events to several observers (recorder + tracker + …).
+class FanoutObserver final : public ProtocolObserver {
+ public:
+  explicit FanoutObserver(std::vector<ProtocolObserver*> targets)
+      : targets_(std::move(targets)) {}
+
+  void on_send(ProcessId at, const WriteUpdate& m) override {
+    for (auto* t : targets_) t->on_send(at, m);
+  }
+  void on_receipt(ProcessId at, const WriteUpdate& m) override {
+    for (auto* t : targets_) t->on_receipt(at, m);
+  }
+  void on_apply(ProcessId at, WriteId w, bool delayed) override {
+    for (auto* t : targets_) t->on_apply(at, w, delayed);
+  }
+  void on_return(ProcessId at, VarId x, Value v, WriteId from) override {
+    for (auto* t : targets_) t->on_return(at, x, v, from);
+  }
+  void on_skip(ProcessId at, WriteId w, WriteId by) override {
+    for (auto* t : targets_) t->on_skip(at, w, by);
+  }
+
+ private:
+  std::vector<ProtocolObserver*> targets_;
 };
 
 /// Buffer-level instrumentation hooks (telemetry layer).  Unlike

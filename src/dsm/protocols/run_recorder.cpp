@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "dsm/common/format.h"
 
@@ -42,7 +43,7 @@ RunRecorder::RunRecorder(std::size_t n_procs, std::size_t n_vars, ClockFn clock)
 void RunRecorder::push(RunEvent e) {
   e.order = next_order_++;
   e.time = clock_ ? clock_() : 0;
-  events_.push_back(e);
+  events_.push_back(std::move(e));
   if (sink_ != nullptr) sink_->accept_event(events_.back());
 }
 
@@ -111,7 +112,7 @@ void RunRecorder::on_send(ProcessId at, const WriteUpdate& m) {
   e.var = m.var;
   e.value = m.value;
   e.clock = m.clock;
-  push(e);
+  push(std::move(e));
 }
 
 void RunRecorder::on_receipt(ProcessId at, const WriteUpdate& m) {
@@ -123,7 +124,7 @@ void RunRecorder::on_receipt(ProcessId at, const WriteUpdate& m) {
   e.var = m.var;
   e.value = m.value;
   e.clock = m.clock;
-  push(e);
+  push(std::move(e));
 }
 
 void RunRecorder::on_apply(ProcessId at, WriteId w, bool delayed) {
@@ -133,7 +134,7 @@ void RunRecorder::on_apply(ProcessId at, WriteId w, bool delayed) {
   e.kind = EvKind::kApply;
   e.write = w;
   e.delayed = delayed;
-  push(e);
+  push(std::move(e));
 }
 
 void RunRecorder::on_return(ProcessId at, VarId x, Value v, WriteId from) {
@@ -144,7 +145,7 @@ void RunRecorder::on_return(ProcessId at, VarId x, Value v, WriteId from) {
   e.var = x;
   e.value = v;
   e.write = from;
-  push(e);
+  push(std::move(e));
 }
 
 void RunRecorder::on_skip(ProcessId at, WriteId w, WriteId by) {
@@ -154,7 +155,7 @@ void RunRecorder::on_skip(ProcessId at, WriteId w, WriteId by) {
   e.kind = EvKind::kSkip;
   e.write = w;
   e.other = by;
-  push(e);
+  push(std::move(e));
 }
 
 std::vector<RunEvent> RunRecorder::events_at(ProcessId p) const {

@@ -48,9 +48,11 @@ class RunTelemetry::Tee final : public ProtocolObserver {
     if (!m.sub_deps.empty()) {
       t_.metrics_.counter(at, metric::kSubDepEntries).add(m.sub_deps.size());
     }
-    t_.trace_.accept({TraceKind::kSend, at, t_.now(),
-                      WriteId{m.sender, m.write_seq}, m.var, m.value,
-                      /*delayed=*/false, meta, m.clock});
+    if (t_.trace_) {
+      t_.trace_->accept({TraceKind::kSend, at, t_.now(),
+                         WriteId{m.sender, m.write_seq}, m.var, m.value,
+                         /*delayed=*/false, meta, m.clock});
+    }
     down_.on_send(at, m);
   }
 
@@ -61,14 +63,16 @@ class RunTelemetry::Tee final : public ProtocolObserver {
       std::lock_guard lock(mu_);
       receipt_at_[{at, WriteId{m.sender, m.write_seq}}] = now;
     }
-    t_.trace_.accept({TraceKind::kReceive, at, now,
-                      WriteId{m.sender, m.write_seq}, m.var, m.value,
-                      /*delayed=*/false, 0, m.clock});
+    if (t_.trace_) {
+      t_.trace_->accept({TraceKind::kReceive, at, now,
+                         WriteId{m.sender, m.write_seq}, m.var, m.value,
+                         /*delayed=*/false, 0, m.clock});
+    }
     down_.on_receipt(at, m);
   }
 
   void on_apply(ProcessId at, WriteId w, bool delayed) override {
-    const std::uint64_t now = t_.now();
+    const std::uint64_t now = delayed || t_.trace_ ? t_.now() : 0;
     t_.metrics_.counter(at, metric::kApplies).add();
     if (delayed) {
       t_.metrics_.counter(at, metric::kAppliesDelayed).add();
@@ -89,15 +93,19 @@ class RunTelemetry::Tee final : public ProtocolObserver {
       std::lock_guard lock(mu_);
       receipt_at_.erase({at, w});
     }
-    t_.trace_.accept({TraceKind::kApply, at, now, w, 0, kBottom, delayed, 0,
-                      VectorClock{}});
+    if (t_.trace_) {
+      t_.trace_->accept({TraceKind::kApply, at, now, w, 0, kBottom, delayed, 0,
+                         VectorClock{}});
+    }
     down_.on_apply(at, w, delayed);
   }
 
   void on_return(ProcessId at, VarId x, Value v, WriteId from) override {
     t_.metrics_.counter(at, metric::kReadsIssued).add();
-    t_.trace_.accept({TraceKind::kRead, at, t_.now(), from, x, v,
-                      /*delayed=*/false, 0, VectorClock{}});
+    if (t_.trace_) {
+      t_.trace_->accept({TraceKind::kRead, at, t_.now(), from, x, v,
+                         /*delayed=*/false, 0, VectorClock{}});
+    }
     down_.on_return(at, x, v, from);
   }
 
@@ -109,8 +117,10 @@ class RunTelemetry::Tee final : public ProtocolObserver {
       std::lock_guard lock(mu_);
       receipt_at_.erase({at, w});
     }
-    t_.trace_.accept({TraceKind::kSkip, at, t_.now(), w, 0, kBottom,
-                      /*delayed=*/false, by.seq, VectorClock{}});
+    if (t_.trace_) {
+      t_.trace_->accept({TraceKind::kSkip, at, t_.now(), w, 0, kBottom,
+                         /*delayed=*/false, by.seq, VectorClock{}});
+    }
     down_.on_skip(at, w, by);
   }
 
@@ -140,13 +150,21 @@ class RunTelemetry::NodeInstr final : public ProtocolInstrumentation {
   Summary& deficit_;
 };
 
-RunTelemetry::RunTelemetry(std::size_t n_procs) : metrics_(n_procs) {
+RunTelemetry::RunTelemetry(std::size_t n_procs, Trace trace)
+    : metrics_(n_procs),
+      trace_(trace == Trace::kKeep ? std::make_unique<TraceBuffer>()
+                                   : nullptr) {
   instr_.reserve(n_procs);
   for (std::size_t p = 0; p < n_procs; ++p)
     instr_.push_back(std::make_unique<NodeInstr>(*this, static_cast<ProcessId>(p)));
 }
 
 RunTelemetry::~RunTelemetry() = default;
+
+const TraceBuffer& RunTelemetry::trace() const {
+  DSM_REQUIRE(trace_ != nullptr && "no trace was asked for");
+  return *trace_;
+}
 
 void RunTelemetry::set_clock(ClockFn clock) {
   std::lock_guard lock(clock_mu_);
@@ -170,8 +188,10 @@ ProtocolInstrumentation& RunTelemetry::instrumentation(ProcessId p) {
 
 void RunTelemetry::record_write_op(ProcessId p, VarId x, Value v) {
   metrics_.counter(p, metric::kWritesIssued).add();
-  trace_.accept({TraceKind::kWrite, p, now(), WriteId{}, x, v,
-                 /*delayed=*/false, 0, VectorClock{}});
+  if (trace_) {
+    trace_->accept({TraceKind::kWrite, p, now(), WriteId{}, x, v,
+                    /*delayed=*/false, 0, VectorClock{}});
+  }
 }
 
 void RunTelemetry::record_object_op(ProcessId p, SpecId /*spec*/) {
@@ -180,21 +200,27 @@ void RunTelemetry::record_object_op(ProcessId p, SpecId /*spec*/) {
 
 void RunTelemetry::record_crash(ProcessId p) {
   metrics_.counter(p, metric::kCrashes).add();
-  trace_.accept({TraceKind::kCrash, p, now(), WriteId{}, 0, kBottom,
-                 /*delayed=*/false, 0, VectorClock{}});
+  if (trace_) {
+    trace_->accept({TraceKind::kCrash, p, now(), WriteId{}, 0, kBottom,
+                    /*delayed=*/false, 0, VectorClock{}});
+  }
 }
 
 void RunTelemetry::record_restart(ProcessId p) {
   metrics_.counter(p, metric::kRestarts).add();
-  trace_.accept({TraceKind::kRestart, p, now(), WriteId{}, 0, kBottom,
-                 /*delayed=*/false, 0, VectorClock{}});
+  if (trace_) {
+    trace_->accept({TraceKind::kRestart, p, now(), WriteId{}, 0, kBottom,
+                    /*delayed=*/false, 0, VectorClock{}});
+  }
 }
 
 void RunTelemetry::record_checkpoint(ProcessId p, std::uint64_t bytes) {
   metrics_.counter(p, metric::kCheckpoints).add();
   metrics_.summary(p, metric::kCheckpointBytes).add(static_cast<double>(bytes));
-  trace_.accept({TraceKind::kCheckpoint, p, now(), WriteId{}, 0, kBottom,
-                 /*delayed=*/false, bytes, VectorClock{}});
+  if (trace_) {
+    trace_->accept({TraceKind::kCheckpoint, p, now(), WriteId{}, 0, kBottom,
+                    /*delayed=*/false, bytes, VectorClock{}});
+  }
 }
 
 void RunTelemetry::fold_network(const NetworkStats& net,
@@ -228,12 +254,12 @@ void RunTelemetry::fold_recovery(ProcessId p, const RecoveryStats& rec) {
 }
 
 std::string RunTelemetry::chrome_trace(double ts_scale) const {
-  const auto events = trace_.events();
+  const auto events = trace().events();
   return export_chrome_trace(events, ts_scale);
 }
 
 std::string RunTelemetry::trace_csv() const {
-  const auto events = trace_.events();
+  const auto events = trace().events();
   return export_trace_csv(events);
 }
 

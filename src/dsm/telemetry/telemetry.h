@@ -3,8 +3,8 @@
 // One RunTelemetry instance captures everything observable about one run:
 //
 //   * it tees the ProtocolObserver event stream (observe_through) into the
-//     metrics registry and the trace buffer without disturbing the existing
-//     recorder/auditor pipeline;
+//     metrics registry and, when the caller asked for one, the trace buffer,
+//     without disturbing the existing recorder/auditor pipeline;
 //   * it hands each node a ProtocolInstrumentation (pending-buffer depth and
 //     enabling-set deficit — facts only the protocol can see);
 //   * the harnesses report lifecycle facts (write ops, crashes, restarts,
@@ -51,7 +51,12 @@ class RunTelemetry {
   /// ThreadCluster.  Must be callable from any thread that records events.
   using ClockFn = std::function<std::uint64_t()>;
 
-  explicit RunTelemetry(std::size_t n_procs);
+  /// Whether the run keeps a trace beside its metrics.  Only a caller that
+  /// exports one asks: each TraceEvent costs a vector-clock copy and a
+  /// locked append, and without a trace none is built.
+  enum class Trace : bool { kOff, kKeep };
+
+  explicit RunTelemetry(std::size_t n_procs, Trace trace = Trace::kOff);
   ~RunTelemetry();
 
   RunTelemetry(const RunTelemetry&) = delete;
@@ -68,8 +73,9 @@ class RunTelemetry {
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
     return metrics_;
   }
-  [[nodiscard]] TraceBuffer& trace() noexcept { return trace_; }
-  [[nodiscard]] const TraceBuffer& trace() const noexcept { return trace_; }
+  [[nodiscard]] bool keeps_trace() const noexcept { return trace_ != nullptr; }
+  /// \pre keeps_trace()
+  [[nodiscard]] const TraceBuffer& trace() const;
 
   /// Build the observer tee: protocol events are recorded here, then
   /// forwarded unchanged to `downstream` (the run recorder).  Call once per
@@ -102,7 +108,7 @@ class RunTelemetry {
   void sample_rto(ProcessId p, std::uint64_t rto_us);
   void fold_recovery(ProcessId p, const RecoveryStats& rec);
 
-  // ---- exports (call after the run has quiesced) ----
+  // ---- exports (call after the run has quiesced; traces need keeps_trace())
 
   [[nodiscard]] std::string metrics_csv() const { return metrics_.csv(); }
   [[nodiscard]] std::string chrome_trace(double ts_scale = 1.0) const;
@@ -117,7 +123,7 @@ class RunTelemetry {
   class NodeInstr;
 
   MetricsRegistry metrics_;
-  TraceBuffer trace_;
+  std::unique_ptr<TraceBuffer> trace_;  ///< null unless Trace::kKeep
   mutable std::mutex clock_mu_;
   ClockFn clock_;
   std::unique_ptr<Tee> tee_;

@@ -19,11 +19,6 @@ std::string_view to_string(TraceKind k) {
     case TraceKind::kCrash: return "crash";
     case TraceKind::kRestart: return "restart";
     case TraceKind::kCheckpoint: return "checkpoint";
-    case TraceKind::kConnect: return "connect";
-    case TraceKind::kDisconnect: return "disconnect";
-    case TraceKind::kWalReplay: return "wal_replay";
-    case TraceKind::kFaultInject: return "fault_inject";
-    case TraceKind::kIoFault: return "io_fault";
   }
   return "?";
 }

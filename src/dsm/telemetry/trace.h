@@ -3,9 +3,8 @@
 // Every interesting event of a run — send, receive, apply, read, write,
 // crash, restart, checkpoint — becomes one TraceEvent carrying the process,
 // the harness timestamp, the write identity and (where meaningful) the
-// piggybacked vector clock.  Events flow to a pluggable TraceSink; the
-// bundled TraceBuffer retains them in emission order, and two exporters
-// render a retained trace:
+// piggybacked vector clock.  A TraceBuffer retains them in emission order,
+// and two exporters render a retained trace:
 //
 //   * export_chrome_trace — the Chrome trace_event JSON array format, loadable
 //     directly in chrome://tracing or https://ui.perfetto.dev.  Each process
@@ -42,11 +41,6 @@ enum class TraceKind : std::uint8_t {
   kCrash,       ///< the process crashed (volatile state lost)
   kRestart,     ///< the process restarted from its checkpoint
   kCheckpoint,  ///< the process took a checkpoint
-  kConnect,     ///< net: a peer connection became established (var = peer id)
-  kDisconnect,  ///< net: a peer connection was lost/closed (var = peer id)
-  kWalReplay,   ///< storage: durable boot replayed the WAL (bytes = records)
-  kFaultInject, ///< net: a frame was faulted on send (var = dest peer id)
-  kIoFault,     ///< storage: an injected/real I/O failure (bytes = errno-ish)
 };
 
 [[nodiscard]] std::string_view to_string(TraceKind k);
@@ -65,19 +59,12 @@ struct TraceEvent {
   VectorClock clock;         ///< piggybacked vector (send/receive); may be empty
 };
 
-/// Pluggable event consumer.  Implementations must tolerate concurrent calls
-/// when used under the threaded runtime.
-class TraceSink {
+/// Retains events in emission order.  Thread-safe append (the threaded
+/// runtime records from every node); events() is meant for after the run
+/// has quiesced.
+class TraceBuffer {
  public:
-  virtual ~TraceSink() = default;
-  virtual void accept(const TraceEvent& e) = 0;
-};
-
-/// Default sink: retains events in emission order.  Thread-safe append;
-/// events() is meant for after the run has quiesced.
-class TraceBuffer final : public TraceSink {
- public:
-  void accept(const TraceEvent& e) override {
+  void accept(const TraceEvent& e) {
     std::lock_guard lock(mu_);
     events_.push_back(e);
   }

@@ -6,8 +6,8 @@
 //
 //   * Write(x, v)            — issue w(x)v.
 //   * Read(x)                — issue r(x), whatever the value.
-//   * ReadUntil(x, v)        — poll the local copy (without issuing reads)
-//     until it holds the write carrying value v, then issue one real read.
+//   * ReadUntil(x, v)        — wait, without issuing reads, until the local
+//     copy holds the write carrying value v, then issue one real read.
 //     This is how the paper's reactive examples are scripted: p_3 in Ĥ₁
 //     reads x₂ only once it returns b — under any protocol and any latency
 //     assignment, so the *same history* is produced and only the event
@@ -20,7 +20,7 @@
 //     visible-set counts, and paired with one real protocol read so the
 //     causal merge-on-read discipline is preserved.
 //
-// Polling uses CausalProtocol::peek, which performs no Write_co merge and
+// Awaiting uses CausalProtocol::peek, which performs no Write_co merge and
 // records nothing; the semantically relevant read happens exactly once.
 
 #pragma once
@@ -44,7 +44,16 @@ struct ScriptStep {
   Value value = 0;                 ///< Write/Mutate: primary operand;
                                    ///< ReadUntil: value awaited;
                                    ///< Observe: query operand
-  SimTime poll_every = sim_us(50); ///< ReadUntil polling period
+  /// ReadUntil polling period p.  A missing value parks the step instead
+  /// of polling: it wakes only at poll instants t0 + k·p (t0 = when it
+  /// parked) — at the first one not before an apply at its process, and at
+  /// the timeout's instant.  So it reads when polling every p would have,
+  /// except on same-instant ties: an apply exactly on a poll instant is
+  /// seen at that instant, even where a poll queued before the apply would
+  /// have missed it, and the deadline runs before events at its instant
+  /// queued after the step parked (DESIGN.md §4, "Awaits sleep on the poll
+  /// grid").  Must be > 0.
+  SimTime poll_every = sim_us(50);
   SimTime timeout = sim_s(3600);   ///< ReadUntil: give up and read anyway
   /// Typed steps only (kMutate/kObserve): the governing spec, opcode, and
   /// the secondary operand (CAS desired value).  Raw bytes, matching the

@@ -1,5 +1,6 @@
 #include "dsm/workload/script_runner.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "dsm/common/contracts.h"
@@ -41,6 +42,63 @@ void ScriptRunner::resume() {
   }
 }
 
+void ScriptRunner::suspend() {
+  down_ = true;
+  if (!parked_) return;
+  // The poll chain this park stands for would have stashed the step at its
+  // next instant: keep only that instant, as a plain poll.
+  queue_->cancel(deadline_);
+  parked_ = false;
+  arm_recheck();
+}
+
+void ScriptRunner::on_apply() {
+  if (parked_) arm_recheck();
+}
+
+SimTime ScriptRunner::poll_period() const {
+  const SimTime p = (*script_)[park_idx_].poll_every * time_scale_;
+  DSM_REQUIRE(p > 0);
+  return p;
+}
+
+void ScriptRunner::park(std::size_t idx) {
+  if (parked_) return;  // a re-check found nothing new: keep the deadline
+  parked_ = true;
+  park_idx_ = idx;
+  park_t0_ = queue_->now();
+  park_waited_ = waited_;
+  const SimTime p = poll_period();
+  const SimTime left = (*script_)[idx].timeout * time_scale_ - waited_;
+  const std::uint64_t k = (left + p - 1) / p;
+  deadline_ = queue_->schedule_at(park_t0_ + k * p, [this, k] { wake(k); });
+}
+
+void ScriptRunner::unpark() {
+  if (!parked_) return;
+  queue_->cancel(deadline_);
+  if (recheck_armed_) queue_->cancel(recheck_);
+  parked_ = false;
+  recheck_armed_ = false;
+}
+
+void ScriptRunner::arm_recheck() {
+  if (recheck_armed_) return;
+  const SimTime p = poll_period();
+  const SimTime since = queue_->now() - park_t0_;
+  const std::uint64_t k = std::max<std::uint64_t>(1, (since + p - 1) / p);
+  recheck_armed_ = true;
+  recheck_ = queue_->schedule_at(park_t0_ + k * p, [this, k] {
+    recheck_armed_ = false;
+    wake(k);
+  });
+}
+
+void ScriptRunner::wake(std::uint64_t k) {
+  waited_ = park_waited_ + k * poll_period();
+  execute(park_idx_);
+}
+
 void ScriptRunner::schedule_step(std::size_t idx, SimTime extra_delay) {
   if (idx >= script_->size()) return;
   const ScriptStep& step = (*script_)[idx];
@@ -50,7 +108,7 @@ void ScriptRunner::schedule_step(std::size_t idx, SimTime extra_delay) {
 
 void ScriptRunner::execute(std::size_t idx) {
   if (down_) {
-    // The process is crashed; park the step until the restart.
+    // The process is crashed; stash the step until the restart.
     stashed_ = true;
     stash_idx_ = idx;
     return;
@@ -73,15 +131,14 @@ void ScriptRunner::execute(std::size_t idx) {
       break;
     }
     case StepKind::kReadUntil: {
-      // Poll without reading; fire the one real read when the awaited
-      // value is visible (or the timeout elapsed).
+      // Park while the awaited value is missing; fire the one real read
+      // when it is visible (or the timeout elapsed).
       if (proto->peek(step.var).value != step.value &&
           waited_ < step.timeout * time_scale_) {
-        waited_ += step.poll_every * time_scale_;
-        queue_->schedule_after(step.poll_every * time_scale_,
-                               [this, idx] { execute(idx); });
+        park(idx);
         return;
       }
+      unpark();
       waited_ = 0;
       const ReadResult r = proto->read(step.var);
       recorder_->record_read(self_, step.var, r);

@@ -111,9 +111,11 @@ SimRunResult run_sim_crash(const SimRunConfig& config,
   if (tel != nullptr) downstream = &tel->observe_through(*recorder);
   // A write can legitimately reach a process twice (catch-up reply + ARQ
   // retransmission whose ACK died with the crash); record each event once.
-  // The filter sits outermost so telemetry also sees the deduplicated stream
-  // (replayed applies would otherwise double-count).
-  ReplayFilterObserver filter(*downstream);
+  // The filter sits outermost so telemetry and the await waker also see the
+  // deduplicated stream (replayed applies would otherwise double-count).
+  AwaitWaker waker(config.n_procs);
+  FanoutObserver waking({downstream, &waker});
+  ReplayFilterObserver filter(waking);
 
   SimRunResult result;
   std::vector<LateSink> sinks(config.n_procs);
@@ -168,6 +170,7 @@ SimRunResult run_sim_crash(const SimRunConfig& config,
         queue, *recorder, [&nodes, p] { return nodes[p].proto.get(); }, p,
         scripts[p], [&checkpoint, p] { checkpoint(p); }, &issued);
     runners.back().set_telemetry(tel);
+    waker.attach(p, &runners.back());
   }
   for (auto& r : runners) r.begin();
 
@@ -336,6 +339,11 @@ SimRunResult run_sim(const SimRunConfig& config,
     observer = &tel->observe_through(*recorder);
   }
 
+  // Parked awaits wake on the applies at their process.
+  AwaitWaker waker(config.n_procs);
+  FanoutObserver waking({observer, &waker});
+  observer = &waking;
+
   // Typed-object runs interpose the ObjectStore outermost: it stashes each
   // mutation's typed payload at send/receipt and replays it on apply, before
   // forwarding every event unchanged to telemetry/recorder.
@@ -389,6 +397,7 @@ SimRunResult run_sim(const SimRunConfig& config,
         scripts[p]);
     runners.back().set_telemetry(tel);
     runners.back().set_objects(objects.get());
+    waker.attach(p, &runners.back());
   }
   for (auto& r : runners) r.begin();
 

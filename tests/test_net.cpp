@@ -7,9 +7,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -452,6 +454,63 @@ TEST(Control, CorruptionFuzzNeverCrashes) {
       EXPECT_TRUE(decode_control(encode_control(*decoded)).has_value());
     }
   }
+}
+
+// --------------------------------------------------------------- NetLoop ---
+
+TEST(NetLoop, SubMillisecondTimersSleepMicroseconds) {
+  // 20 chained timers on an idle loop, each due 100 µs of wall time after
+  // the previous one fired.  A loop that rounds each sub-ms wait up to a
+  // 1 ms poll() takes at least 20 ms on every attempt; the best of a few
+  // attempts keeps a busy test host from failing a µs-precise loop.
+  auto chain_of_20 = [] {
+    NetLoop loop;
+    int fired = 0;
+    std::function<void()> tick = [&] {
+      if (++fired < 20) {
+        loop.queue().schedule_at(loop.wall_now() + sim_us(100), tick);
+      }
+    };
+    loop.queue().schedule_at(loop.wall_now() + sim_us(100), tick);
+    const auto start = std::chrono::steady_clock::now();
+    while (fired < 20) loop.poll_once(sim_ms(50));
+    return std::chrono::steady_clock::now() - start;
+  };
+  auto best = chain_of_20();
+  for (int attempt = 1; attempt < 5 && best >= std::chrono::milliseconds(10);
+       ++attempt) {
+    best = std::min(best, chain_of_20());
+  }
+  EXPECT_LT(best, std::chrono::milliseconds(10));
+}
+
+TEST(NetLoop, CallbackSeesTheTimeTheLoopWoke) {
+  // After an idle sleep of at least 2 ms, a callback's clock reads no
+  // earlier than the wall time at which the peer wrote.
+  NetLoop loop;
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::atomic<SimTime> wrote_at{0};
+  bool seen = false;
+  SimTime seen_at = 0;
+  loop.watch(fds[0], [&](NetLoop::Ready) {
+    char c = 0;
+    EXPECT_EQ(::read(fds[0], &c, 1), 1);
+    seen_at = loop.queue().now();
+    seen = true;
+  });
+  std::thread peer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    wrote_at = loop.wall_now();
+    EXPECT_EQ(::write(fds[1], "x", 1), 1);
+  });
+  while (!seen) loop.poll_once(sim_ms(50));
+  peer.join();
+  EXPECT_GE(wrote_at.load(), sim_ms(2));
+  EXPECT_GE(seen_at, wrote_at.load());
+  loop.unwatch(fds[0]);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 // ------------------------------------------- TcpTransport pair, one loop ---

@@ -329,7 +329,7 @@ TEST(TelemetrySim, RegistryNamesAreDocumented) {
 }
 
 TEST(TelemetrySim, ChromeTraceRoundTrips) {
-  RunTelemetry telemetry(paper::kH1Procs);
+  RunTelemetry telemetry(paper::kH1Procs, RunTelemetry::Trace::kKeep);
   const auto result = run_fig1(telemetry, ProtocolKind::kOptP);
   ASSERT_TRUE(result.settled);
 
@@ -364,7 +364,7 @@ TEST(TelemetrySim, ChromeTraceRoundTrips) {
 }
 
 TEST(TelemetrySim, TraceCsvHasHeaderAndAllEvents) {
-  RunTelemetry telemetry(paper::kH1Procs);
+  RunTelemetry telemetry(paper::kH1Procs, RunTelemetry::Trace::kKeep);
   const auto result = run_fig1(telemetry, ProtocolKind::kOptP);
   ASSERT_TRUE(result.settled);
   const std::string csv = telemetry.trace_csv();
@@ -375,6 +375,19 @@ TEST(TelemetrySim, TraceCsvHasHeaderAndAllEvents) {
   std::size_t rows = 0;
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, telemetry.trace().size());
+}
+
+TEST(TelemetrySim, TraceIsKeptOnlyWhenAskedAndMetricsDoNotDependOnIt) {
+  RunTelemetry plain(paper::kH1Procs);
+  RunTelemetry traced(paper::kH1Procs, RunTelemetry::Trace::kKeep);
+  ASSERT_TRUE(run_fig1(plain, ProtocolKind::kOptP).settled);
+  ASSERT_TRUE(run_fig1(traced, ProtocolKind::kOptP).settled);
+  // Without a trace there is no buffer to build events for.
+  EXPECT_FALSE(plain.keeps_trace());
+  EXPECT_DEATH((void)plain.trace(), "no trace was asked for");
+  EXPECT_TRUE(traced.keeps_trace());
+  EXPECT_GT(traced.trace().size(), 0u);
+  EXPECT_EQ(plain.metrics_csv(), traced.metrics_csv());
 }
 
 // ---------------------------------------------------------------------------
@@ -406,7 +419,7 @@ TEST(TelemetryGolden, Fig1OptPMetricsMatchGoldenFile) {
 TEST(TelemetryCluster, PerNodeEventTimesAreMonotone) {
   constexpr std::size_t kProcs = 4;
   constexpr int kOpsPerProc = 40;
-  RunTelemetry telemetry(kProcs);
+  RunTelemetry telemetry(kProcs, RunTelemetry::Trace::kKeep);
   {
     ThreadCluster::Config config;
     config.kind = ProtocolKind::kOptP;

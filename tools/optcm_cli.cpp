@@ -640,7 +640,10 @@ std::optional<Work> prepare_run(const FlagValues& f) {
     const std::string trace_out = f.text("trace-out");
     const bool want_telemetry = !metrics_out.empty() || !trace_out.empty();
     std::optional<RunTelemetry> tel;
-    if (want_telemetry) tel.emplace(o.spec.n_procs);
+    if (want_telemetry) {
+      tel.emplace(o.spec.n_procs, trace_out.empty() ? RunTelemetry::Trace::kOff
+                                                    : RunTelemetry::Trace::kKeep);
+    }
 
     const auto wall_start = std::chrono::steady_clock::now();
     const auto result =
