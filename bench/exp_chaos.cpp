@@ -107,17 +107,19 @@ bool run_cell(const std::string& schedule_name, const std::string& spec,
                           Clock::now() - t0)
                           .count();
 
+      NodeNetStats total;
       for (ProcessId p = 0; p < kProcs; ++p) {
         const auto s = cluster.fetch_stats(p);
         if (!s.has_value()) goto done;
-        stats.faults += s->faults.dropped + s->faults.duplicated +
-                        s->faults.corrupted + s->faults.reordered;
-        stats.blocked += s->faults.blocked;
-        stats.retx += s->reliable.retransmissions;
-        stats.dup_suppressed += s->reliable.duplicates_suppressed;
-        stats.wal_retries += s->wal_write_retries;
-        stats.wal_fsync_errors += s->wal_fsync_errors;
+        total += *s;
       }
+      stats.faults = total.faults.dropped + total.faults.duplicated +
+                     total.faults.corrupted + total.faults.reordered;
+      stats.blocked = total.faults.blocked;
+      stats.retx = total.reliable.retransmissions;
+      stats.dup_suppressed = total.reliable.duplicates_suppressed;
+      stats.wal_retries = total.wal.write_retries;
+      stats.wal_fsync_errors = total.wal.fsync_errors;
 
       // Merge (stitching crashed nodes' pre-kill archives first) and check.
       std::map<ProcessId, std::vector<ImportedRun>> incarnations;

@@ -13,77 +13,15 @@ namespace {
 constexpr std::uint64_t kMaxScriptSteps = 1u << 16;
 
 void encode_stats(ByteWriter& w, const NodeNetStats& s) {
-  w.u64(s.reliable.data_sent);
-  w.u64(s.reliable.retransmissions);
-  w.u64(s.reliable.acks_sent);
-  w.u64(s.reliable.delivered);
-  w.u64(s.reliable.duplicates_suppressed);
-  w.u64(s.reliable.abandoned);
-  w.u64(s.reliable.rtt_samples);
-  w.u64(s.reliable.malformed_dropped);
-  w.u64(s.tcp.frames_out);
-  w.u64(s.tcp.bytes_out);
-  w.u64(s.tcp.frames_in);
-  w.u64(s.tcp.bytes_in);
-  w.u64(s.tcp.dials);
-  w.u64(s.tcp.dial_failures);
-  w.u64(s.tcp.accepted);
-  w.u64(s.tcp.reconnects);
-  w.u64(s.tcp.sends_dropped);
-  w.u64(s.tcp.frame_errors);
-  w.u64(s.tcp.conns_killed);
-  w.u64(s.dropped_while_down);
-  w.u64(s.faults.forwarded);
-  w.u64(s.faults.dropped);
-  w.u64(s.faults.duplicated);
-  w.u64(s.faults.corrupted);
-  w.u64(s.faults.reordered);
-  w.u64(s.faults.delayed);
-  w.u64(s.faults.throttled);
-  w.u64(s.faults.blocked);
-  w.u64(s.wal_write_errors);
-  w.u64(s.wal_write_retries);
-  w.u64(s.wal_fsync_errors);
-  w.u64(s.wal_dirty);
-  w.u64(s.snapshot_failures);
+  for_each_stat(s, [&w](const char*, std::uint64_t v) { w.u64(v); });
 }
 
 /// Decode failures surface through r.ok(), checked once by the caller.
 NodeNetStats decode_stats(ByteReader& r) {
   NodeNetStats s;
-  s.reliable.data_sent = r.u64().value_or(0);
-  s.reliable.retransmissions = r.u64().value_or(0);
-  s.reliable.acks_sent = r.u64().value_or(0);
-  s.reliable.delivered = r.u64().value_or(0);
-  s.reliable.duplicates_suppressed = r.u64().value_or(0);
-  s.reliable.abandoned = r.u64().value_or(0);
-  s.reliable.rtt_samples = r.u64().value_or(0);
-  s.reliable.malformed_dropped = r.u64().value_or(0);
-  s.tcp.frames_out = r.u64().value_or(0);
-  s.tcp.bytes_out = r.u64().value_or(0);
-  s.tcp.frames_in = r.u64().value_or(0);
-  s.tcp.bytes_in = r.u64().value_or(0);
-  s.tcp.dials = r.u64().value_or(0);
-  s.tcp.dial_failures = r.u64().value_or(0);
-  s.tcp.accepted = r.u64().value_or(0);
-  s.tcp.reconnects = r.u64().value_or(0);
-  s.tcp.sends_dropped = r.u64().value_or(0);
-  s.tcp.frame_errors = r.u64().value_or(0);
-  s.tcp.conns_killed = r.u64().value_or(0);
-  s.dropped_while_down = r.u64().value_or(0);
-  s.faults.forwarded = r.u64().value_or(0);
-  s.faults.dropped = r.u64().value_or(0);
-  s.faults.duplicated = r.u64().value_or(0);
-  s.faults.corrupted = r.u64().value_or(0);
-  s.faults.reordered = r.u64().value_or(0);
-  s.faults.delayed = r.u64().value_or(0);
-  s.faults.throttled = r.u64().value_or(0);
-  s.faults.blocked = r.u64().value_or(0);
-  s.wal_write_errors = r.u64().value_or(0);
-  s.wal_write_retries = r.u64().value_or(0);
-  s.wal_fsync_errors = r.u64().value_or(0);
-  s.wal_dirty = r.u64().value_or(0);
-  s.snapshot_failures = r.u64().value_or(0);
+  for_each_stat(s, [&r](const char*, std::uint64_t& v) {
+    v = r.u64().value_or(0);
+  });
   return s;
 }
 

@@ -17,7 +17,8 @@
 //   kFetchLog    → kLogReply{text}: the node's recorded run as trace JSONL
 //                  (dsm/audit/trace_io.h) — history ops of this process plus
 //                  every observer event that occurred here
-//   kFetchStats  → kStatsReply{stats}: ARQ + transport counters
+//   kFetchStats  → kStatsReply{stats}: every counter of every node-tier
+//                  layer (NodeNetStats), walked from the field tables
 //   kKillConn    → kAck: drop the live TCP connection to `peer` (fault hook)
 //   kKillHost    → kAck: crash the protocol stack (recoverable mode)
 //   kRestartHost → kAck: restore from checkpoint + catch-up
@@ -35,15 +36,21 @@
 
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "dsm/common/stat_fields.h"
 #include "dsm/net/faulty_transport.h"
+#include "dsm/net/ring_mesh.h"
 #include "dsm/net/tcp_transport.h"
 #include "dsm/sim/reliable.h"
+#include "dsm/storage/wal.h"
 #include "dsm/workload/script.h"
 
 namespace dsm {
@@ -69,19 +76,58 @@ enum class ControlOp : std::uint8_t {
   kError = 105,
 };
 
-/// One node's transport-layer counters as reported over kFetchStats.
+/// What a node counts itself, outside any layer's stats struct.
+struct NodeStats {
+  std::uint64_t dropped_while_down = 0;  ///< ProtocolHost drops while crashed
+  std::uint64_t wal_replayed = 0;        ///< WAL records replayed at boot
+  std::uint64_t wal_dirty = 0;           ///< 1 while the WAL is sticky-dirty
+  std::uint64_t snapshot_writes = 0;
+  std::uint64_t snapshot_failures = 0;   ///< spills skipped or failed
+
+  static const StatField<NodeStats> kFields[];
+};
+
+inline constexpr StatField<NodeStats> NodeStats::kFields[] = {
+    {metric::kDroppedWhileDown, &NodeStats::dropped_while_down},
+    {metric::kWalReplayed, &NodeStats::wal_replayed},
+    {metric::kWalDirty, &NodeStats::wal_dirty},
+    {metric::kSnapshotWrites, &NodeStats::snapshot_writes},
+    {metric::kSnapshotFailures, &NodeStats::snapshot_failures},
+};
+static_assert(covers_every_field<NodeStats>());
+
+/// One node's counters as reported over kFetchStats: each layer's stats
+/// struct, whole.
 struct NodeNetStats {
   ReliableStats reliable;
   TcpStats tcp;
-  std::uint64_t dropped_while_down = 0;  ///< ProtocolHost drops while crashed
-  FaultStatsNet faults;                  ///< FaultyTransport injections
-  // Storage degradation counters (see wal.h WalStats and the spill path).
-  std::uint64_t wal_write_errors = 0;
-  std::uint64_t wal_write_retries = 0;
-  std::uint64_t wal_fsync_errors = 0;
-  std::uint64_t wal_dirty = 0;          ///< 1 while the WAL is sticky-dirty
-  std::uint64_t snapshot_failures = 0;
+  FaultStatsNet faults;  ///< FaultyTransport injections
+  ShardStats shard;      ///< ShardMux routing and rings
+  WalStats wal;          ///< zeros on a node without a state dir
+  NodeStats node;
+
+  NodeNetStats& operator+=(const NodeNetStats& other) noexcept;
 };
+
+/// The parts of a NodeNetStats in wire order; the only list of them.
+inline constexpr std::tuple kNodeNetStatsParts{
+    &NodeNetStats::reliable, &NodeNetStats::tcp, &NodeNetStats::faults,
+    &NodeNetStats::shard, &NodeNetStats::wal, &NodeNetStats::node};
+
+/// f(name, value) for every counter of every part, in wire order.
+template <class N, class F>
+  requires std::same_as<std::remove_const_t<N>, NodeNetStats>
+void for_each_stat(N& s, F&& f) {
+  std::apply([&](auto... part) { (for_each_stat(s.*part, f), ...); },
+             kNodeNetStatsParts);
+}
+
+inline NodeNetStats& NodeNetStats::operator+=(
+    const NodeNetStats& other) noexcept {
+  std::apply([&](auto... part) { ((this->*part += other.*part), ...); },
+             kNodeNetStatsParts);
+  return *this;
+}
 
 /// Union-style control message; fields beyond `op` are meaningful per op
 /// (see the table above).  Kept flat — the control plane is a handful of

@@ -129,11 +129,10 @@ std::optional<NetFaultPlan> NetFaultPlan::decode(
 }
 
 FaultyTransport::FaultyTransport(NetLoop& loop, DatagramTransport& inner,
-                                 ProcessId self, MetricsRegistry* metrics)
+                                 ProcessId self)
     : loop_(&loop),
       inner_(&inner),
       self_(self),
-      metrics_(metrics),
       frame_index_(inner.n_procs(), 0),
       held_(inner.n_procs()),
       busy_until_(inner.n_procs(), 0) {}
@@ -148,9 +147,6 @@ std::size_t FaultyTransport::n_procs() const { return inner_->n_procs(); }
 
 void FaultyTransport::forward(ProcessId to, Payload payload) {
   ++stats_.forwarded;
-  if (metrics_ != nullptr) {
-    metrics_->counter(self_, metric::kFaultForwarded).add();
-  }
   inner_->send(self_, to, std::move(payload));
   flush_held(to);
 }
@@ -176,17 +172,11 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
   }
   if (lf.blocked) {
     ++stats_.blocked;
-    if (metrics_ != nullptr) {
-      metrics_->counter(self_, metric::kFaultBlocked).add();
-    }
     return;
   }
   const NetFaultPlan::Draw d = plan_.draw(from, to, idx);
   if (d.dropped) {
     ++stats_.dropped;
-    if (metrics_ != nullptr) {
-      metrics_->counter(self_, metric::kFaultDropped).add();
-    }
     return;
   }
   if (d.corrupted) {
@@ -198,9 +188,6 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
     (*mangled)[0] = kCorruptFrameType;
     payload = std::move(mangled);
     ++stats_.corrupted;
-    if (metrics_ != nullptr) {
-      metrics_->counter(self_, metric::kFaultCorrupted).add();
-    }
   }
   if (d.reordered && held_[to] == nullptr) {
     // Hold this frame back one slot: the next frame to the same peer
@@ -208,9 +195,6 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
     // when traffic dries up.
     held_[to] = std::move(payload);
     ++stats_.reordered;
-    if (metrics_ != nullptr) {
-      metrics_->counter(self_, metric::kFaultReordered).add();
-    }
     loop_->queue().schedule_after(kReorderFlushDelay,
                                   [this, to, alive = alive_] {
                                     if (!*alive) return;
@@ -230,23 +214,14 @@ void FaultyTransport::send(ProcessId from, ProcessId to, Payload payload) {
     at = busy_until_[to];
     if (at > now) {
       ++stats_.throttled;
-      if (metrics_ != nullptr) {
-        metrics_->counter(self_, metric::kFaultThrottled).add();
-      }
     }
   }
   if (d.delayed) {
     at += d.delay_us;
     ++stats_.delayed;
-    if (metrics_ != nullptr) {
-      metrics_->counter(self_, metric::kFaultDelayed).add();
-    }
   }
   if (d.duplicated) {
     ++stats_.duplicated;
-    if (metrics_ != nullptr) {
-      metrics_->counter(self_, metric::kFaultDuplicated).add();
-    }
   }
   const int copies = d.duplicated ? 2 : 1;
   if (at <= now) {

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "dsm/common/rng.h"
+#include "dsm/common/stat_fields.h"
 #include "dsm/common/transport.h"
 #include "dsm/net/net_loop.h"
 #include "dsm/telemetry/metrics.h"
@@ -133,15 +134,26 @@ struct FaultStatsNet {
   std::uint64_t delayed = 0;
   std::uint64_t throttled = 0;   ///< frames pushed late by the token bucket
   std::uint64_t blocked = 0;     ///< frames eaten by a blocked link
+
+  static const StatField<FaultStatsNet> kFields[];
 };
+
+inline constexpr StatField<FaultStatsNet> FaultStatsNet::kFields[] = {
+    {metric::kFaultForwarded, &FaultStatsNet::forwarded},
+    {metric::kFaultDropped, &FaultStatsNet::dropped},
+    {metric::kFaultDuplicated, &FaultStatsNet::duplicated},
+    {metric::kFaultCorrupted, &FaultStatsNet::corrupted},
+    {metric::kFaultReordered, &FaultStatsNet::reordered},
+    {metric::kFaultDelayed, &FaultStatsNet::delayed},
+    {metric::kFaultThrottled, &FaultStatsNet::throttled},
+    {metric::kFaultBlocked, &FaultStatsNet::blocked},
+};
+static_assert(covers_every_field<FaultStatsNet>());
 
 class FaultyTransport final : public DatagramTransport {
  public:
   /// `inner` outlives this shim; `loop` drives delay/reorder timers.
-  /// `metrics` is optional observability (same contract as
-  /// TcpTransportConfig).
-  FaultyTransport(NetLoop& loop, DatagramTransport& inner, ProcessId self,
-                  MetricsRegistry* metrics = nullptr);
+  FaultyTransport(NetLoop& loop, DatagramTransport& inner, ProcessId self);
   ~FaultyTransport() override;
 
   FaultyTransport(const FaultyTransport&) = delete;
@@ -166,7 +178,6 @@ class FaultyTransport final : public DatagramTransport {
   NetLoop* loop_;
   DatagramTransport* inner_;
   ProcessId self_;
-  MetricsRegistry* metrics_;
   NetFaultPlan plan_;
   FaultStatsNet stats_;
   std::vector<std::uint64_t> frame_index_;  ///< per-dest frames seen

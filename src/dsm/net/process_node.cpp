@@ -62,11 +62,10 @@ ProcessNode::ProcessNode(ProcessNodeConfig config)
                      .self = config_.shape.self,
                      .peers = config_.peers,
                      .listen_fd = config_.listen_fd,
-                     .metrics = &telemetry_.metrics(),
                      .local_peers = co_located_shards(config_),
                  }),
-      mux_(loop_, transport_, config_.shape.self, &telemetry_.metrics()),
-      faulty_(loop_, mux_, config_.shape.self, &telemetry_.metrics()),
+      mux_(loop_, transport_, config_.shape.self),
+      faulty_(loop_, mux_, config_.shape.self),
       reliable_(loop_.queue(), faulty_, config_.shape.self, *this,
                 config_.arq),
       endpoint_(reliable_),
@@ -186,9 +185,7 @@ void ProcessNode::boot_durable() {
   // replayable record.  Clamping reconciles the surplus ops below through the
   // muted path, exactly like the ordinary kill-9 window.
   if (snap_ops > replayed_local_ops_) snap_ops = replayed_local_ops_;
-  telemetry_.metrics()
-      .counter(config_.shape.self, metric::kWalReplayed)
-      .add(open_stats.records_recovered);
+  node_stats_.wal_replayed = open_stats.records_recovered;
 
   // 4. From here on, everything the recorder accepts is spilled.
   wal_sink_ = std::make_unique<WalEventSink>(*wal_);
@@ -238,15 +235,13 @@ void ProcessNode::spill() {
   // every op the snapshot claims" — the reverse order could lose the batch
   // the snapshot's op count already counts.
   const WalIoError werr = wal_sink_->commit();
-  MetricsRegistry& m = telemetry_.metrics();
   if (werr == WalIoError::kWrite || werr == WalIoError::kNoSpace) {
     // The batch was NOT appended (it stays pending; the next commit retries).
     // Writing a snapshot now would advance its op count past the WAL's
     // coverage — a crash before the retry lands would lose recorded events
     // that the restored protocol state already includes.  Skip this round;
     // the protocol keeps running on the in-memory state.
-    ++snapshot_failures_;
-    m.counter(config_.shape.self, metric::kSnapshotFailures).add(1);
+    ++node_stats_.snapshot_failures;
   } else {
     // kNone — or kFsync: the records ARE in the log (page cache), the WAL is
     // sticky-dirty until a later fsync succeeds, and the snapshot we force
@@ -262,41 +257,18 @@ void ProcessNode::spill() {
     w.u64(arq_blob.size());
     w.bytes(arq_blob);
     if (SnapshotFile::write(state_->snapshot_path(), w.buffer(), &io_hooks_)) {
-      m.counter(config_.shape.self, metric::kSnapshotWrites).add(1);
+      ++node_stats_.snapshot_writes;
     } else {
-      ++snapshot_failures_;
-      m.counter(config_.shape.self, metric::kSnapshotFailures).add(1);
+      ++node_stats_.snapshot_failures;
     }
   }
-  const WalStats& ws = wal_->stats();
-  m.counter(config_.shape.self, metric::kWalAppends)
-      .add(ws.appends - wal_reported_.appends);
-  m.counter(config_.shape.self, metric::kWalBytes)
-      .add(ws.bytes - wal_reported_.bytes);
-  m.counter(config_.shape.self, metric::kWalFsyncs)
-      .add(ws.fsyncs - wal_reported_.fsyncs);
-  m.counter(config_.shape.self, metric::kWalWriteErrors)
-      .add(ws.write_errors - wal_reported_.write_errors);
-  m.counter(config_.shape.self, metric::kWalWriteRetries)
-      .add(ws.write_retries - wal_reported_.write_retries);
-  m.counter(config_.shape.self, metric::kWalFsyncErrors)
-      .add(ws.fsync_errors - wal_reported_.fsync_errors);
-  m.gauge(config_.shape.self, metric::kWalDirty).set(wal_->dirty() ? 1 : 0);
-  wal_reported_ = ws;
 }
 
 void ProcessNode::wal_tick() {
   if (!wal_.has_value()) return;
-  const std::uint64_t covered = wal_->unsynced_appends();
-  if (covered == 0 && !wal_->dirty()) return;
-  const WalIoError err = wal_->group_sync();
-  MetricsRegistry& m = telemetry_.metrics();
-  if (err == WalIoError::kNone && covered > 0) {
-    m.counter(config_.shape.self, metric::kWalGroupCommits).add(1);
-    m.summary(config_.shape.self, metric::kWalRecordsPerSync)
-        .add(static_cast<double>(covered));
-  }
-  m.gauge(config_.shape.self, metric::kWalDirty).set(wal_->dirty() ? 1 : 0);
+  if (wal_->unsynced_appends() == 0 && !wal_->dirty()) return;
+  // A failure leaves the WAL sticky-dirty, which kFetchStats reports.
+  (void)wal_->group_sync();
 }
 
 std::uint64_t ProcessNode::local_op_count() const {
@@ -391,16 +363,14 @@ ControlMessage ProcessNode::handle_control(const ControlMessage& req) {
       rep.op = ControlOp::kStatsReply;
       rep.stats.reliable = reliable_.stats();
       rep.stats.tcp = transport_.stats();
-      rep.stats.dropped_while_down = host_->dropped_while_down();
       rep.stats.faults = faulty_.stats();
+      rep.stats.shard = mux_.stats();
+      rep.stats.node = node_stats_;
+      rep.stats.node.dropped_while_down = host_->dropped_while_down();
       if (wal_.has_value()) {
-        const WalStats& ws = wal_->stats();
-        rep.stats.wal_write_errors = ws.write_errors;
-        rep.stats.wal_write_retries = ws.write_retries;
-        rep.stats.wal_fsync_errors = ws.fsync_errors;
-        rep.stats.wal_dirty = wal_->dirty() ? 1 : 0;
+        rep.stats.wal = wal_->stats();
+        rep.stats.node.wal_dirty = wal_->dirty() ? 1 : 0;
       }
-      rep.stats.snapshot_failures = snapshot_failures_;
       break;
     case ControlOp::kKillConn:
       if (req.peer >= transport_.n_procs() || req.peer == config_.shape.self) {

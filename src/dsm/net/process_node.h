@@ -108,7 +108,6 @@ class ProcessNode final : public MessageSink {
   [[nodiscard]] const RunRecorder& recorder() const noexcept {
     return recorder_;
   }
-  [[nodiscard]] RunTelemetry& telemetry() noexcept { return telemetry_; }
   /// Boot counter from the durable state dir (1 on a fresh dir, +1 per boot);
   /// 0 when the node runs without durability.
   [[nodiscard]] std::uint64_t incarnation() const noexcept {
@@ -207,8 +206,8 @@ class ProcessNode final : public MessageSink {
   std::unique_ptr<WalEventSink> wal_sink_;
   std::uint64_t replayed_local_ops_ = 0;  ///< script resume index
   std::uint64_t incarnation_ = 0;
-  WalStats wal_reported_;  ///< counters already folded into telemetry
-  std::uint64_t snapshot_failures_ = 0;  ///< spills skipped or failed
+  /// Counted here, reported with the layers' structs by kFetchStats.
+  NodeStats node_stats_;
 };
 
 }  // namespace dsm

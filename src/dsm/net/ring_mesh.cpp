@@ -120,8 +120,7 @@ void ShardMux::start() {
   // The doorbell makes ring arrivals look like socket readability: the
   // NetLoop sleeps in poll() and a co-located producer's post() wakes it.
   loop_->watch(mesh_->doorbell_fd(self_), [this](NetLoop::Ready) {
-    if (metrics_ != nullptr)
-      metrics_->counter(self_, metric::kRingWakeups).add();
+    ++stats_.ring_wakeups;
     mesh_->acknowledge(self_);
     drain();
   });
@@ -140,33 +139,29 @@ void ShardMux::start() {
 void ShardMux::send(ProcessId from, ProcessId to, Payload payload) {
   if (mesh_ != nullptr && mesh_->hosts(to)) {
     DSM_REQUIRE(from == self_ && to != self_);
-    if (metrics_ != nullptr)
-      metrics_->counter(self_, metric::kShardLocalFrames).add();
+    ++stats_.local_frames;
     if (mesh_->post(from, to, std::move(payload))) {
-      if (metrics_ != nullptr)
-        metrics_->counter(self_, metric::kRingPushes).add();
+      ++stats_.ring_pushes;
     } else {
       // Datagram semantics, same as a send to a down TCP peer: drop, count,
       // let the ARQ repair.  Dropping (not blocking) is what makes the mesh
       // deadlock-free — a full ring never stalls the producer's loop.
-      if (metrics_ != nullptr)
-        metrics_->counter(self_, metric::kRingOverflows).add();
+      ++stats_.ring_overflows;
     }
     return;
   }
   // Only count the split when a mesh exists: the non-sharded ProcessNode
   // also routes through the mux, and every frame there would be "cross".
-  if (mesh_ != nullptr && metrics_ != nullptr)
-    metrics_->counter(self_, metric::kShardCrossFrames).add();
+  if (mesh_ != nullptr) ++stats_.cross_frames;
   tcp_->send(from, to, std::move(payload));
 }
 
 void ShardMux::drain() {
   if (mesh_ == nullptr || sink_ == nullptr) return;
   const std::size_t n = mesh_->drain(self_, *sink_);
-  if (n > 0 && metrics_ != nullptr) {
-    metrics_->counter(self_, metric::kRingPops).add(n);
-    metrics_->summary(self_, metric::kRingDepth).add(double(n));
+  if (n > 0) {
+    stats_.ring_pops += n;
+    ++stats_.ring_drains;
   }
 }
 

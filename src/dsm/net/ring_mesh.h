@@ -31,6 +31,7 @@
 #include <optional>
 #include <vector>
 
+#include "dsm/common/stat_fields.h"
 #include "dsm/common/transport.h"
 #include "dsm/net/tcp_transport.h"
 #include "dsm/runtime/spsc_ring.h"
@@ -115,14 +116,39 @@ class RingMesh {
   std::vector<Armed> armed_;
 };
 
+/// A ShardMux's counters (all 0 without a mesh).
+struct ShardStats {
+  std::uint64_t local_frames = 0;  ///< sends to a co-located shard
+  std::uint64_t cross_frames = 0;  ///< sends handed to the TcpTransport
+  std::uint64_t ring_pushes = 0;
+  std::uint64_t ring_overflows = 0;  ///< ring full: dropped, the ARQ repairs
+  std::uint64_t ring_wakeups = 0;    ///< doorbell readiness callbacks
+  std::uint64_t ring_pops = 0;
+  /// Drains that popped at least one message: pops / drains is the mean
+  /// batch a wakeup or tick edge delivers.
+  std::uint64_t ring_drains = 0;
+
+  static const StatField<ShardStats> kFields[];
+};
+
+inline constexpr StatField<ShardStats> ShardStats::kFields[] = {
+    {metric::kShardLocalFrames, &ShardStats::local_frames},
+    {metric::kShardCrossFrames, &ShardStats::cross_frames},
+    {metric::kRingPushes, &ShardStats::ring_pushes},
+    {metric::kRingOverflows, &ShardStats::ring_overflows},
+    {metric::kRingWakeups, &ShardStats::ring_wakeups},
+    {metric::kRingPops, &ShardStats::ring_pops},
+    {metric::kRingDrains, &ShardStats::ring_drains},
+};
+static_assert(covers_every_field<ShardStats>());
+
 /// The routing DatagramTransport: co-located destinations ride the mesh,
 /// remote ones the wrapped TcpTransport.  With no mesh attached it is a
 /// transparent pass-through (the non-sharded ProcessNode pays one branch).
 class ShardMux final : public DatagramTransport {
  public:
-  ShardMux(NetLoop& loop, TcpTransport& tcp, ProcessId self,
-           MetricsRegistry* metrics = nullptr)
-      : loop_(&loop), tcp_(&tcp), self_(self), metrics_(metrics) {}
+  ShardMux(NetLoop& loop, TcpTransport& tcp, ProcessId self)
+      : loop_(&loop), tcp_(&tcp), self_(self) {}
   ~ShardMux() override {
     *alive_ = false;
     if (started_ && mesh_ != nullptr)
@@ -150,6 +176,7 @@ class ShardMux final : public DatagramTransport {
   /// Every peer reachable: TCP conns up for remote peers; co-located peers
   /// are always "connected" (the mesh needs no handshake).
   [[nodiscard]] bool fully_connected() const;
+  [[nodiscard]] const ShardStats& stats() const noexcept { return stats_; }
 
  private:
   void drain();
@@ -157,7 +184,7 @@ class ShardMux final : public DatagramTransport {
   NetLoop* loop_;
   TcpTransport* tcp_;
   ProcessId self_;
-  MetricsRegistry* metrics_;
+  ShardStats stats_;
   RingMesh* mesh_ = nullptr;
   MessageSink* sink_ = nullptr;
   bool started_ = false;

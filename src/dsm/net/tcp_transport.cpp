@@ -96,14 +96,10 @@ void TcpTransport::dial(ProcessId peer) {
   DSM_REQUIRE(dials_to(peer));
   if (peer_fd_[peer] >= 0) return;  // a live attempt already exists
   ++stats_.dials;
-  if (config_.metrics != nullptr)
-    config_.metrics->counter(config_.self, metric::kTcpDials).add();
   const auto addr = net::parse_addr(config_.peers[peer]);
   const int fd = addr ? net::dial_tcp(*addr) : -1;
   if (fd < 0) {
     ++stats_.dial_failures;
-    if (config_.metrics != nullptr)
-      config_.metrics->counter(config_.self, metric::kTcpDialFailures).add();
     schedule_redial(peer);
     return;
   }
@@ -150,8 +146,6 @@ void TcpTransport::on_listener_ready() {
     net::set_nonblocking(fd);
     net::set_nodelay(fd);
     ++stats_.accepted;
-    if (config_.metrics != nullptr)
-      config_.metrics->counter(config_.self, metric::kTcpAccepted).add();
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->phase = Phase::kAwaitHello;
@@ -171,8 +165,6 @@ void TcpTransport::on_conn_ready(int fd, NetLoop::Ready ready) {
   if (conn.phase == Phase::kConnecting) {
     if (ready.hangup || (ready.writable && net::take_socket_error(fd) != 0)) {
       ++stats_.dial_failures;
-      if (config_.metrics != nullptr)
-        config_.metrics->counter(config_.self, metric::kTcpDialFailures).add();
       conn_lost(conn, /*count_as_drop=*/false);
       return;
     }
@@ -209,9 +201,6 @@ void TcpTransport::on_conn_readable(Conn& conn) {
       return;
     }
     stats_.bytes_in += static_cast<std::uint64_t>(n);
-    if (config_.metrics != nullptr)
-      config_.metrics->counter(config_.self, metric::kTcpBytesIn)
-          .add(static_cast<std::uint64_t>(n));
     (void)conn.rx.feed({buf, static_cast<std::size_t>(n)});
     const int fd = conn.fd;
     while (auto frame = conn.rx.next()) {
@@ -221,8 +210,6 @@ void TcpTransport::on_conn_readable(Conn& conn) {
     }
     if (conn.rx.poisoned()) {
       ++stats_.frame_errors;
-      if (config_.metrics != nullptr)
-        config_.metrics->counter(config_.self, metric::kTcpFrameErrors).add();
       conn_lost(conn, /*count_as_drop=*/false);
       return;
     }
@@ -232,15 +219,11 @@ void TcpTransport::on_conn_readable(Conn& conn) {
 
 bool TcpTransport::handle_frame(Conn& conn, Frame frame) {
   ++stats_.frames_in;
-  if (config_.metrics != nullptr)
-    config_.metrics->counter(config_.self, metric::kTcpFramesIn).add();
 
   if (conn.phase == Phase::kAwaitHello) {
     if (frame.kind != static_cast<std::uint8_t>(FrameKind::kHello) ||
         !handle_hello(conn, frame)) {
       ++stats_.frame_errors;
-      if (config_.metrics != nullptr)
-        config_.metrics->counter(config_.self, metric::kTcpFrameErrors).add();
       conn_lost(conn, /*count_as_drop=*/false);
       return false;
     }
@@ -250,8 +233,6 @@ bool TcpTransport::handle_frame(Conn& conn, Frame frame) {
   // Established: only Data frames are legal peer traffic.
   if (frame.kind != static_cast<std::uint8_t>(FrameKind::kData)) {
     ++stats_.frame_errors;
-    if (config_.metrics != nullptr)
-      config_.metrics->counter(config_.self, metric::kTcpFrameErrors).add();
     conn_lost(conn, /*count_as_drop=*/false);
     return false;
   }
@@ -320,8 +301,6 @@ void TcpTransport::established(Conn& conn) {
   conn.phase = Phase::kEstablished;
   if (ever_established_[conn.peer]) {
     ++stats_.reconnects;
-    if (config_.metrics != nullptr)
-      config_.metrics->counter(config_.self, metric::kTcpReconnects).add();
   }
   ever_established_[conn.peer] = true;
   backoff_[conn.peer] = config_.reconnect_min;
@@ -354,8 +333,6 @@ void TcpTransport::send(ProcessId from, ProcessId to, Payload payload) {
   Conn* conn = conn_of(to);
   if (conn == nullptr || conn->phase != Phase::kEstablished) {
     ++stats_.sends_dropped;
-    if (config_.metrics != nullptr)
-      config_.metrics->counter(config_.self, metric::kTcpSendsDropped).add();
     return;
   }
   const auto head = frame_header(FrameKind::kData, payload->size());
@@ -384,11 +361,6 @@ void TcpTransport::flush_all() {
 void TcpTransport::enqueue(Conn& conn, OutChunk chunk) {
   ++stats_.frames_out;
   stats_.bytes_out += chunk.size();
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter(config_.self, metric::kTcpFramesOut).add();
-    config_.metrics->counter(config_.self, metric::kTcpBytesOut)
-        .add(chunk.size());
-  }
   conn.out.push_back(std::move(chunk));
 }
 
@@ -442,11 +414,6 @@ void TcpTransport::flush(Conn& conn) {
       return;
     }
     ++stats_.writev_calls;
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter(config_.self, metric::kTcpWritevCalls).add();
-      config_.metrics->summary(config_.self, metric::kTcpWritevFrames)
-          .add(static_cast<double>(frames));
-    }
     conn.out_offset += static_cast<std::size_t>(n);
     while (!conn.out.empty() && conn.out_offset >= conn.out.front().size()) {
       conn.out_offset -= conn.out.front().size();

@@ -27,8 +27,8 @@
 // registers a NetLoop tick hook, and at each tick edge every frame queued
 // for a peer since the last flush goes out as ONE writev over an iovec chain
 // (up to kWritevMaxFrames frames per call, under Linux's IOV_MAX).  The
-// batching win is visible as tcp_writev_calls_total versus
-// tcp_frames_out_total, and as the tcp_writev_frames_per_call summary.
+// batching win is visible as tcp_frames_out_total over
+// tcp_writev_calls_total: the mean frames per writev call.
 //
 // The listener is also the cluster's control-plane door: a Hello with the
 // control role hands the (already accepted) fd to the registered control
@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "dsm/common/stat_fields.h"
 #include "dsm/common/transport.h"
 #include "dsm/net/frame.h"
 #include "dsm/net/net_loop.h"
@@ -81,7 +82,25 @@ struct TcpStats {
   std::uint64_t frame_errors = 0;    ///< malformed framing/handshake, conn closed
   std::uint64_t conns_killed = 0;    ///< kill_connection() test-hook closures
   std::uint64_t writev_calls = 0;    ///< batched flushes (vs frames_out)
+
+  static const StatField<TcpStats> kFields[];
 };
+
+inline constexpr StatField<TcpStats> TcpStats::kFields[] = {
+    {metric::kTcpFramesOut, &TcpStats::frames_out},
+    {metric::kTcpBytesOut, &TcpStats::bytes_out},
+    {metric::kTcpFramesIn, &TcpStats::frames_in},
+    {metric::kTcpBytesIn, &TcpStats::bytes_in},
+    {metric::kTcpDials, &TcpStats::dials},
+    {metric::kTcpDialFailures, &TcpStats::dial_failures},
+    {metric::kTcpAccepted, &TcpStats::accepted},
+    {metric::kTcpReconnects, &TcpStats::reconnects},
+    {metric::kTcpSendsDropped, &TcpStats::sends_dropped},
+    {metric::kTcpFrameErrors, &TcpStats::frame_errors},
+    {metric::kTcpConnsKilled, &TcpStats::conns_killed},
+    {metric::kTcpWritevCalls, &TcpStats::writev_calls},
+};
+static_assert(covers_every_field<TcpStats>());
 
 /// Frames coalesced into one writev call (each frame contributes a header
 /// iovec and usually a payload iovec, so this stays well under IOV_MAX).
@@ -103,9 +122,6 @@ struct TcpTransportConfig {
   /// de-synchronize).  Any value works; distinct per-process values are not
   /// required (the draw already folds in self→peer).
   std::uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
-  /// Optional observability (owned by the caller, may be null): counters
-  /// land in `metrics` under scope `self`.
-  MetricsRegistry* metrics = nullptr;
   /// Peers reached out-of-band (the ShardMux ring mesh): never dialed, never
   /// expected to dial us, excluded from fully_connected(), and a send() to
   /// one counts as a drop (the mux routes them away before they get here).

@@ -53,8 +53,10 @@
 #include <vector>
 
 #include "dsm/codec/codec.h"
+#include "dsm/common/stat_fields.h"
 #include "dsm/common/transport.h"
 #include "dsm/sim/event_queue.h"
+#include "dsm/telemetry/metrics.h"
 
 namespace dsm {
 
@@ -68,18 +70,20 @@ struct ReliableStats {
   std::uint64_t rtt_samples = 0;      ///< ACKs that updated the RTT estimator
   std::uint64_t malformed_dropped = 0;  ///< frames this class never produced
 
-  ReliableStats& operator+=(const ReliableStats& o) noexcept {
-    data_sent += o.data_sent;
-    retransmissions += o.retransmissions;
-    acks_sent += o.acks_sent;
-    delivered += o.delivered;
-    duplicates_suppressed += o.duplicates_suppressed;
-    abandoned += o.abandoned;
-    rtt_samples += o.rtt_samples;
-    malformed_dropped += o.malformed_dropped;
-    return *this;
-  }
+  static const StatField<ReliableStats> kFields[];
 };
+
+inline constexpr StatField<ReliableStats> ReliableStats::kFields[] = {
+    {metric::kArqData, &ReliableStats::data_sent},
+    {metric::kArqRetransmissions, &ReliableStats::retransmissions},
+    {metric::kArqAcks, &ReliableStats::acks_sent},
+    {metric::kArqDelivered, &ReliableStats::delivered},
+    {metric::kArqDuplicates, &ReliableStats::duplicates_suppressed},
+    {metric::kArqAbandoned, &ReliableStats::abandoned},
+    {metric::kArqRttSamples, &ReliableStats::rtt_samples},
+    {metric::kArqMalformedDropped, &ReliableStats::malformed_dropped},
+};
+static_assert(covers_every_field<ReliableStats>());
 
 /// ARQ tuning knobs.
 struct ReliableConfig {

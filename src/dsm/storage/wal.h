@@ -54,7 +54,9 @@
 #include <string_view>
 #include <vector>
 
+#include "dsm/common/stat_fields.h"
 #include "dsm/storage/io_hooks.h"
+#include "dsm/telemetry/metrics.h"
 
 namespace dsm {
 
@@ -92,7 +94,20 @@ struct WalStats {
   std::uint64_t write_retries = 0; ///< failed write attempts that were retried
   std::uint64_t fsync_errors = 0;  ///< fsync attempts that failed
   std::uint64_t group_commits = 0; ///< group_sync() barriers that fsynced
+
+  static const StatField<WalStats> kFields[];
 };
+
+inline constexpr StatField<WalStats> WalStats::kFields[] = {
+    {metric::kWalAppends, &WalStats::appends},
+    {metric::kWalBytes, &WalStats::bytes},
+    {metric::kWalFsyncs, &WalStats::fsyncs},
+    {metric::kWalWriteErrors, &WalStats::write_errors},
+    {metric::kWalWriteRetries, &WalStats::write_retries},
+    {metric::kWalFsyncErrors, &WalStats::fsync_errors},
+    {metric::kWalGroupCommits, &WalStats::group_commits},
+};
+static_assert(covers_every_field<WalStats>());
 
 /// What open() found: the recovered prefix and the corrupt/torn remainder.
 struct WalOpenStats {
@@ -147,7 +162,7 @@ class Wal {
   [[nodiscard]] WalIoError group_sync();
 
   /// Records appended since the last successful fsync (what the next
-  /// group_sync() barrier would cover — the wal_records_per_sync source).
+  /// group_sync() barrier would cover).
   [[nodiscard]] std::uint64_t unsynced_appends() const noexcept {
     return appends_since_sync_;
   }

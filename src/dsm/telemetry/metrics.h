@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "dsm/common/types.h"
-#include "dsm/metrics/histogram.h"
+#include "dsm/metrics/summary.h"
 
 namespace dsm {
 
@@ -109,6 +109,10 @@ inline constexpr char kArqRetransmissions[] = "arq_retransmissions_total";
 inline constexpr char kArqAcks[] = "arq_acks_total";
 inline constexpr char kArqDuplicates[] = "arq_duplicates_suppressed_total";
 inline constexpr char kArqAbandoned[] = "arq_abandoned_total";
+// ARQ counters only a node reports (kFetchStats; ReliableStats::kFields).
+inline constexpr char kArqDelivered[] = "arq_delivered_total";
+inline constexpr char kArqRttSamples[] = "arq_rtt_samples_total";
+inline constexpr char kArqMalformedDropped[] = "arq_malformed_dropped_total";
 inline constexpr char kArqRto[] = "arq_rto_us";
 inline constexpr char kRecoveryRequests[] = "recovery_requests_total";
 inline constexpr char kRecoveryWrites[] = "recovery_writes_recovered_total";
@@ -120,7 +124,10 @@ inline constexpr char kNetDropped[] = "net_dropped_total";
 inline constexpr char kNetDuplicated[] = "net_duplicated_total";
 inline constexpr char kNetPartitionDropped[] = "net_partition_dropped_total";
 inline constexpr char kNetCrashDropped[] = "net_crash_dropped_total";
-// TCP transport layer (dsm/net; per node — each OS process owns a registry).
+// The node tier (dsm/net) counts in each layer's stats struct and reports
+// it through kFetchStats; these names label those structs' fields
+// (dsm/common/stat_fields.h), not registry entries.
+// TCP transport layer (TcpStats).
 inline constexpr char kTcpFramesIn[] = "tcp_frames_in_total";
 inline constexpr char kTcpFramesOut[] = "tcp_frames_out_total";
 inline constexpr char kTcpBytesIn[] = "tcp_bytes_in_total";
@@ -131,37 +138,36 @@ inline constexpr char kTcpReconnects[] = "tcp_reconnects_total";
 inline constexpr char kTcpAccepted[] = "tcp_accepted_total";
 inline constexpr char kTcpSendsDropped[] = "tcp_sends_dropped_total";
 inline constexpr char kTcpFrameErrors[] = "tcp_frame_errors_total";
-// Batched hot path (dsm/net; per node).  A tick-edge flush coalesces every
-// frame queued for a peer into one writev; frames-per-call is the batching
-// win (1.0 = the old syscall-per-message behaviour).
+inline constexpr char kTcpConnsKilled[] = "tcp_conns_killed_total";
+// A tick-edge flush coalesces every frame queued for a peer into one
+// writev; frames per call (frames out / writev calls) is the batching win.
 inline constexpr char kTcpWritevCalls[] = "tcp_writev_calls_total";
-inline constexpr char kTcpWritevFrames[] = "tcp_writev_frames_per_call";
-// Shard runtime SPSC rings (dsm/runtime; scope = consumer node, except
-// pushes which are counted at the producer).
+// Shard runtime SPSC rings (ShardStats; pushes, overflows and the frame
+// split are counted at the sender, the rest at the consumer).
 inline constexpr char kRingPushes[] = "ring_pushes_total";
 inline constexpr char kRingPops[] = "ring_pops_total";
 inline constexpr char kRingOverflows[] = "ring_overflows_total";
 inline constexpr char kRingWakeups[] = "ring_wakeups_total";
-inline constexpr char kRingDepth[] = "ring_depth";
-// Shard-aware dispatch (dsm/net ShardMux; per node = sender side).  With a
-// disjoint subscription map, cross must stay 0: no frame leaves the host.
+inline constexpr char kRingDrains[] = "ring_drains_total";  // non-empty ones
+// Shard-aware dispatch: with every peer on the host, cross stays 0.
 inline constexpr char kShardLocalFrames[] = "shard_local_frames_total";
 inline constexpr char kShardCrossFrames[] = "shard_cross_frames_total";
-// Durable storage layer (dsm/storage; per node).
+// Durable storage layer (WalStats).
 inline constexpr char kWalAppends[] = "wal_appends_total";
 inline constexpr char kWalBytes[] = "wal_bytes_total";
 inline constexpr char kWalFsyncs[] = "wal_fsyncs_total";
 inline constexpr char kWalGroupCommits[] = "wal_group_commits_total";
-inline constexpr char kWalRecordsPerSync[] = "wal_records_per_sync";
-inline constexpr char kWalReplayed[] = "wal_replayed_records_total";
-inline constexpr char kSnapshotWrites[] = "snapshot_writes_total";
-// Storage degradation under injected/real I/O failures (per node).
+// Storage degradation under injected/real I/O failures.
 inline constexpr char kWalWriteErrors[] = "wal_write_errors_total";
 inline constexpr char kWalWriteRetries[] = "wal_write_retries_total";
 inline constexpr char kWalFsyncErrors[] = "wal_fsync_errors_total";
-inline constexpr char kWalDirty[] = "wal_dirty";  // gauge: 1 while degraded
+// What the node itself counts (NodeStats, dsm/net/control.h).
+inline constexpr char kDroppedWhileDown[] = "dropped_while_down_total";
+inline constexpr char kWalReplayed[] = "wal_replayed_records_total";
+inline constexpr char kWalDirty[] = "wal_dirty";  // 1 while degraded
+inline constexpr char kSnapshotWrites[] = "snapshot_writes_total";
 inline constexpr char kSnapshotFailures[] = "snapshot_failures_total";
-// Fault injection layer (dsm/net FaultyTransport; per node = sender side).
+// Fault injection layer (FaultStatsNet; sender side).
 inline constexpr char kFaultForwarded[] = "fault_forwarded_total";
 inline constexpr char kFaultDropped[] = "fault_dropped_total";
 inline constexpr char kFaultDuplicated[] = "fault_duplicated_total";

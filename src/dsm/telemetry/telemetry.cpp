@@ -1,6 +1,6 @@
 #include "dsm/telemetry/telemetry.h"
 
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "dsm/common/contracts.h"
@@ -36,10 +36,12 @@ std::uint64_t meta_bytes(const WriteUpdate& m) {
 }  // namespace
 
 /// The observer tee: records protocol events, then forwards to downstream.
+/// Receipt times are kept per node: a node's events all arrive on its own
+/// thread of control, so no two threads touch the same map.
 class RunTelemetry::Tee final : public ProtocolObserver {
  public:
   Tee(RunTelemetry& t, ProtocolObserver& downstream)
-      : t_(t), down_(downstream) {}
+      : t_(t), down_(downstream), receipt_at_(t.n_procs()) {}
 
   void on_send(ProcessId at, const WriteUpdate& m) override {
     const std::uint64_t meta = meta_bytes(m);
@@ -59,10 +61,7 @@ class RunTelemetry::Tee final : public ProtocolObserver {
   void on_receipt(ProcessId at, const WriteUpdate& m) override {
     const std::uint64_t now = t_.now();
     t_.metrics_.counter(at, metric::kUpdatesReceived).add();
-    {
-      std::lock_guard lock(mu_);
-      receipt_at_[{at, WriteId{m.sender, m.write_seq}}] = now;
-    }
+    receipt_at_[at][WriteId{m.sender, m.write_seq}] = now;
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kReceive, at, now,
                          WriteId{m.sender, m.write_seq}, m.var, m.value,
@@ -77,21 +76,17 @@ class RunTelemetry::Tee final : public ProtocolObserver {
     if (delayed) {
       t_.metrics_.counter(at, metric::kAppliesDelayed).add();
       std::uint64_t received = now;
-      {
-        std::lock_guard lock(mu_);
-        const auto it = receipt_at_.find({at, w});
-        if (it != receipt_at_.end()) {
-          received = it->second;
-          receipt_at_.erase(it);
-        }
+      const auto it = receipt_at_[at].find(w);
+      if (it != receipt_at_[at].end()) {
+        received = it->second;
+        receipt_at_[at].erase(it);
       }
       // The write delay of Definition 3, measured on the harness clock:
       // buffered at receipt, applied once the enabling events occurred.
       t_.metrics_.summary(at, metric::kApplyDelay)
           .add(static_cast<double>(now - received));
     } else {
-      std::lock_guard lock(mu_);
-      receipt_at_.erase({at, w});
+      receipt_at_[at].erase(w);
     }
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kApply, at, now, w, 0, kBottom, delayed, 0,
@@ -111,12 +106,9 @@ class RunTelemetry::Tee final : public ProtocolObserver {
 
   void on_skip(ProcessId at, WriteId w, WriteId by) override {
     t_.metrics_.counter(at, metric::kSkips).add();
-    {
-      // Skipped writes never apply, so their receipt entry would otherwise
-      // linger; apply_delay_us deliberately measures applies only.
-      std::lock_guard lock(mu_);
-      receipt_at_.erase({at, w});
-    }
+    // Skipped writes never apply, so their receipt entry would otherwise
+    // linger; apply_delay_us deliberately measures applies only.
+    receipt_at_[at].erase(w);
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kSkip, at, t_.now(), w, 0, kBottom,
                          /*delayed=*/false, by.seq, VectorClock{}});
@@ -127,8 +119,8 @@ class RunTelemetry::Tee final : public ProtocolObserver {
  private:
   RunTelemetry& t_;
   ProtocolObserver& down_;
-  std::mutex mu_;
-  std::map<std::pair<ProcessId, WriteId>, std::uint64_t> receipt_at_;
+  /// Per node: receipt time of each write received and not yet applied.
+  std::vector<std::unordered_map<WriteId, std::uint64_t>> receipt_at_;
 };
 
 /// Per-node buffer instrumentation: depth gauge + enabling-deficit summary.

@@ -20,10 +20,10 @@
 // safe even though the harness clock is gone).
 //
 // Thread-safety: every recording entry point is safe under the threaded
-// runtime's discipline — counters/gauges are atomic, per-node summaries are
-// only touched from their node's thread of control (under the node mutex),
-// and the trace buffer and receipt-time map are mutex-guarded.  Exports are
-// meant for after the run has quiesced.
+// runtime's discipline — counters/gauges are atomic, per-node summaries and
+// receipt times are only touched from their node's thread of control (under
+// the node mutex), and the trace buffer is mutex-guarded.  Exports are meant
+// for after the run has quiesced.
 
 #pragma once
 

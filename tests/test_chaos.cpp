@@ -409,12 +409,7 @@ FaultStatsNet total_faults(ProcessCluster& cluster) {
     const auto stats = cluster.fetch_stats(p);
     EXPECT_TRUE(stats.has_value()) << "process " << p;
     if (!stats.has_value()) continue;
-    total.dropped += stats->faults.dropped;
-    total.duplicated += stats->faults.duplicated;
-    total.corrupted += stats->faults.corrupted;
-    total.reordered += stats->faults.reordered;
-    total.delayed += stats->faults.delayed;
-    total.blocked += stats->faults.blocked;
+    total += stats->faults;
   }
   return total;
 }

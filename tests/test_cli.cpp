@@ -118,6 +118,21 @@ const Row kRows[] = {
      "typed objects with a restricted subscription map",
      "run --protocol=optp-sharded --subscriptions=0:0,1;1:1,2 "
      "--objects=counter --vars=2 --procs=3 --dry-run"},
+    // Fault windows: digits only, DUR > 0, START+DUR must fit in 64 bits.
+    {"crash_negative_duration", 2, "bad --crash",
+     "faults --procs=3 --ops=5 --crash=1@100:-5"},
+    {"crash_trailing_text", 2, "bad --crash",
+     "faults --procs=3 --ops=5 --crash=1@100:50x"},
+    {"crash_window_overflow", 2, "bad --crash",
+     "faults --procs=3 --ops=5 --crash=1@18446744073709551615:1"},
+    {"partition_negative_start", 2, "bad --partition",
+     "faults --procs=3 --ops=5 --partition=-1:5"},
+    {"partition_trailing_text", 2, "bad --partition",
+     "faults --procs=3 --ops=5 --partition=100:50xyz"},
+    {"partition_window_overflow", 2, "bad --partition",
+     "faults --procs=3 --ops=5 --partition=18446744073709551615:1"},
+    {"partition_and_crash_windows", 0, "",
+     "faults --procs=3 --ops=5 --partition=100:50 --crash=1@100:50,2@0:1"},
     // Values that used to abort, be replaced or be ignored.
     {"negative_ops", 2, "--ops='-1' is out of range [0, inf]",
      "run --ops=-1"},

@@ -1,8 +1,8 @@
-// Unit tests for the metrics module: Summary, Histogram, Table.
+// Unit tests for the metrics module: Summary, Table.
 
 #include <gtest/gtest.h>
 
-#include "dsm/metrics/histogram.h"
+#include "dsm/metrics/summary.h"
 #include "dsm/metrics/table.h"
 
 namespace dsm {
@@ -53,38 +53,6 @@ TEST(Summary, StrMentionsTheStats) {
   const std::string str = s.str();
   EXPECT_NE(str.find("n=1"), std::string::npos);
   EXPECT_NE(str.find("mean=3.50"), std::string::npos);
-}
-
-// --------------------------------------------------------------- Histogram
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(10.0, 4);  // [0,10) [10,20) [20,30) [30,inf)
-  h.add(0);
-  h.add(9.99);
-  h.add(10);
-  h.add(25);
-  h.add(1000);  // overflow -> last bucket
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, NegativeClampsToFirstBucket) {
-  Histogram h(1.0, 2);
-  h.add(-5);
-  EXPECT_EQ(h.bucket(0), 1u);
-}
-
-TEST(Histogram, AsciiRendersBars) {
-  Histogram h(10.0, 2);
-  for (int i = 0; i < 8; ++i) h.add(1);
-  h.add(15);
-  const std::string art = h.ascii(8);
-  EXPECT_NE(art.find("########"), std::string::npos);
-  EXPECT_NE(art.find(" 8"), std::string::npos);
-  EXPECT_NE(art.find(" 1"), std::string::npos);
 }
 
 // ------------------------------------------------------------------- Table

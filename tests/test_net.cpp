@@ -345,38 +345,49 @@ TEST(Control, EveryOpRoundTrips) {
   EXPECT_EQ(roundtrip(err).text, "boom");
 }
 
+/// Every counter of every layer crosses the wire: each field gets its own
+/// value, and each must come back.  The walk covers all of NodeNetStats, so
+/// a field missing from a table would fail the size check instead.
 TEST(Control, StatsRoundTripAllCounters) {
   ControlMessage m;
   m.op = ControlOp::kStatsReply;
-  m.stats.reliable.data_sent = 11;
-  m.stats.reliable.retransmissions = 2;
-  m.stats.reliable.acks_sent = 13;
-  m.stats.reliable.delivered = 10;
-  m.stats.reliable.duplicates_suppressed = 1;
-  m.stats.reliable.abandoned = 0;
-  m.stats.reliable.rtt_samples = 9;
-  m.stats.reliable.malformed_dropped = 3;
-  m.stats.tcp.frames_out = 100;
-  m.stats.tcp.bytes_out = 5000;
-  m.stats.tcp.frames_in = 99;
-  m.stats.tcp.bytes_in = 4950;
-  m.stats.tcp.dials = 2;
-  m.stats.tcp.dial_failures = 1;
-  m.stats.tcp.accepted = 1;
-  m.stats.tcp.reconnects = 1;
-  m.stats.tcp.sends_dropped = 4;
-  m.stats.tcp.frame_errors = 0;
-  m.stats.tcp.conns_killed = 1;
-  m.stats.dropped_while_down = 6;
+  std::uint64_t next = 1000;
+  std::size_t fields = 0;
+  for_each_stat(m.stats, [&](const char*, std::uint64_t& v) {
+    v = next++;
+    ++fields;
+  });
+  EXPECT_EQ(fields * sizeof(std::uint64_t), sizeof(NodeNetStats));
   const auto d = roundtrip(m);
-  EXPECT_EQ(d.stats.reliable.data_sent, 11u);
-  EXPECT_EQ(d.stats.reliable.retransmissions, 2u);
-  EXPECT_EQ(d.stats.reliable.malformed_dropped, 3u);
-  EXPECT_EQ(d.stats.tcp.frames_out, 100u);
-  EXPECT_EQ(d.stats.tcp.bytes_in, 4950u);
-  EXPECT_EQ(d.stats.tcp.sends_dropped, 4u);
-  EXPECT_EQ(d.stats.tcp.conns_killed, 1u);
-  EXPECT_EQ(d.stats.dropped_while_down, 6u);
+  std::vector<std::pair<std::string, std::uint64_t>> sent;
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  for_each_stat(m.stats, [&](const char* name, std::uint64_t v) {
+    sent.emplace_back(name, v);
+  });
+  for_each_stat(d.stats, [&](const char* name, std::uint64_t v) {
+    got.emplace_back(name, v);
+  });
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(d.stats.tcp.writev_calls, m.stats.tcp.writev_calls);
+  EXPECT_NE(d.stats.tcp.writev_calls, 0u);
+}
+
+/// The sum across nodes is field-wise over every part.
+TEST(Control, StatsSumIsFieldWise) {
+  NodeNetStats a;
+  NodeNetStats b;
+  std::uint64_t next = 1;
+  for_each_stat(a, [&](const char*, std::uint64_t& v) { v = next++; });
+  for_each_stat(b, [&](const char*, std::uint64_t& v) { v = 100 * next++; });
+  NodeNetStats sum = a;
+  sum += b;
+  std::vector<std::uint64_t> want;
+  std::vector<std::uint64_t> have;
+  for_each_stat(a, [&](const char*, std::uint64_t v) { want.push_back(v); });
+  std::size_t i = 0;
+  for_each_stat(b, [&](const char*, std::uint64_t v) { want[i++] += v; });
+  for_each_stat(sum, [&](const char*, std::uint64_t v) { have.push_back(v); });
+  EXPECT_EQ(have, want);
 }
 
 TEST(Control, MalformedInputsRejected) {
@@ -967,6 +978,46 @@ TEST(ProcessClusterTest, H1MatchesSimulatorByteForByte) {
   }
 }
 
+/// Ĥ₁ on three shards packed `per_proc` to an OS process: the sum of every
+/// shard's kFetchStats reply.
+void run_packed_h1(std::size_t per_proc, NodeNetStats& total) {
+  ProcessClusterConfig config;
+  config.shape.kind = ProtocolKind::kOptP;
+  config.shape.n_procs = 3;
+  config.shape.n_vars = 2;
+  config.shards_per_proc = per_proc;
+  ProcessCluster cluster(config);
+  ASSERT_TRUE(cluster.spawn());
+  ASSERT_TRUE(cluster.wait_ready());
+  ASSERT_TRUE(cluster.run(paper::make_h1_scripts(), /*time_scale=*/1000));
+  ASSERT_TRUE(cluster.wait_done());
+  for (ProcessId p = 0; p < 3; ++p) {
+    const auto stats = cluster.fetch_stats(p);
+    ASSERT_TRUE(stats.has_value()) << "shard " << p;
+    total += *stats;
+  }
+  EXPECT_TRUE(cluster.shutdown());
+  EXPECT_EQ(total.reliable.abandoned, 0u);
+}
+
+/// All three shards in one process: every frame rides the ring mesh and
+/// none leaves the host.
+TEST(ProcessClusterTest, AllShardsPackedSendNoCrossHostFrame) {
+  NodeNetStats total;
+  run_packed_h1(3, total);
+  EXPECT_EQ(total.shard.cross_frames, 0u);
+  EXPECT_GT(total.shard.local_frames, 0u);
+  EXPECT_EQ(total.shard.ring_pushes, total.shard.local_frames);
+}
+
+/// Two shards per process leave p2 on its own host: some frames cross.
+TEST(ProcessClusterTest, TwoShardsPerProcessSendCrossHostFrames) {
+  NodeNetStats total;
+  run_packed_h1(2, total);
+  EXPECT_GT(total.shard.cross_frames, 0u);
+  EXPECT_GT(total.shard.local_frames, 0u);
+}
+
 /// Satellite: kill a peer connection mid-run under a dense write load; the
 /// ARQ must retransmit over the re-dialed connection and the merged run must
 /// still check out.
@@ -999,9 +1050,7 @@ TEST(ProcessClusterTest, ReconnectMidRunRepairsViaArq) {
   for (ProcessId p = 0; p < 3; ++p) {
     const auto stats = cluster.fetch_stats(p);
     ASSERT_TRUE(stats.has_value());
-    total.reliable += stats->reliable;
-    total.tcp.reconnects += stats->tcp.reconnects;
-    total.tcp.sends_dropped += stats->tcp.sends_dropped;
+    total += *stats;
     auto run = cluster.fetch_log(p);
     ASSERT_TRUE(run.has_value());
     runs.push_back(std::move(*run));

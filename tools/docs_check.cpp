@@ -15,15 +15,19 @@
 //     CMakePresets.json;
 //   * every backtick-cited metric name resolves to a registered name in
 //     `dsm::metric` (src/dsm/telemetry/metrics.h), and — the reverse — every
-//     registered name has a row in docs/OBSERVABILITY.md's catalogue.
+//     registered name has a row in docs/OBSERVABILITY.md's catalogue and a
+//     producer: some file under src/ or tools/ other than metrics.h uses its
+//     constant.
 //
 // Usage: docs_check <repo_root> <optcm_binary> <build_dir>
 // Exit status: 0 iff every check passed; failures are listed one per line.
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -62,6 +66,8 @@ struct Checker {
   fs::path build;
   std::string presets_json;
   std::set<std::string> registered_metrics;  ///< names in dsm::metric
+  /// metric::kName constant -> "metric_name", as registered.
+  std::map<std::string, std::string> metric_constants;
   std::vector<std::string> failures;
 
   void fail(const fs::path& file, const std::string& what) {
@@ -99,11 +105,43 @@ struct Checker {
     const std::string header =
         read_file(repo / "src/dsm/telemetry/metrics.h");
     // inline constexpr char kName[] = "metric_name";
-    static const std::regex name_re(R"(constexpr char k\w+\[\]\s*=\s*"([a-z0-9_]+)\")");
+    static const std::regex name_re(
+        R"(constexpr char (k\w+)\[\]\s*=\s*"([a-z0-9_]+)\")");
     for (auto it =
              std::sregex_iterator(header.begin(), header.end(), name_re);
          it != std::sregex_iterator(); ++it) {
-      registered_metrics.insert((*it)[1].str());
+      metric_constants[(*it)[1].str()] = (*it)[2].str();
+      registered_metrics.insert((*it)[2].str());
+    }
+  }
+
+  /// Every registered name has a producer: its constant appears in some
+  /// file under src/ or tools/ (the CLI fills the checker's metric) other
+  /// than metrics.h, so a catalogue row cannot outlive the code that fills
+  /// it.
+  void check_metrics_produced() {
+    const fs::path header = repo / "src/dsm/telemetry/metrics.h";
+    std::set<std::string> identifiers;
+    for (const char* dir : {"src", "tools"}) {
+      for (const auto& entry : fs::recursive_directory_iterator(repo / dir)) {
+        if (!entry.is_regular_file() || entry.path() == header) continue;
+        std::string word;
+        for (const char ch : read_file(entry.path()) + '\n') {
+          if (std::isalnum(static_cast<unsigned char>(ch)) || ch == '_') {
+            word += ch;
+          } else if (!word.empty()) {
+            identifiers.insert(word);
+            word.clear();
+          }
+        }
+      }
+    }
+    for (const auto& [constant, name] : metric_constants) {
+      if (identifiers.count(constant) == 0) {
+        fail(header, "metric \"" + name + "\" (" + constant +
+                         ") is registered but nothing under src/ or tools/ "
+                         "produces it");
+      }
     }
   }
 
@@ -272,6 +310,7 @@ int main(int argc, char** argv) {
     ++checked;
   }
   c.check_catalogue_complete();
+  c.check_metrics_produced();
 
   for (const std::string& f : c.failures) {
     std::fprintf(stderr, "FAIL %s\n", f.c_str());

@@ -8,15 +8,18 @@
 
 #include "optcm_cli.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -292,17 +295,35 @@ struct CommonOptions {
   std::shared_ptr<const ObjectSchema> objects;
 };
 
+/// A decimal u64 and nothing else: no sign, no space, no trailing text.
+bool parse_u64(std::string_view text, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return !text.empty() && ec == std::errc{} && ptr == end;
+}
+
+/// "START:DUR" (µs) -> [start, end): DUR > 0 and START+DUR must fit.
+bool parse_window(std::string_view text, SimTime& start, SimTime& end) {
+  const auto colon = text.find(':');
+  std::uint64_t dur = 0;
+  if (colon == std::string_view::npos ||
+      !parse_u64(text.substr(0, colon), start) ||
+      !parse_u64(text.substr(colon + 1), dur) || dur == 0 ||
+      start > std::numeric_limits<SimTime>::max() - dur) {
+    return false;
+  }
+  end = start + dur;
+  return true;
+}
+
 /// "--partition=START:DUR" (µs): cut process 0 off from every other process
 /// during [START, START+DUR).
 bool parse_partition(const std::string& text, std::size_t n_procs,
                      FaultPlan& fault) {
-  unsigned long long start = 0;
-  unsigned long long dur = 0;
-  if (std::sscanf(text.c_str(), "%llu:%llu", &start, &dur) != 2 || dur == 0) {
-    return false;
-  }
-  fault.split({0}, n_procs, static_cast<SimTime>(start),
-              static_cast<SimTime>(start + dur));
+  SimTime start = 0;
+  SimTime end = 0;
+  if (!parse_window(text, start, end)) return false;
+  fault.split({0}, n_procs, start, end);
   return true;
 }
 
@@ -323,16 +344,16 @@ std::vector<std::string> split_commas(const std::string& text) {
 bool parse_crash(const std::string& text, std::size_t n_procs,
                  CrashPlan& plan) {
   for (const std::string& item : split_commas(text)) {
-    unsigned long long p = 0;
-    unsigned long long start = 0;
-    unsigned long long dur = 0;
-    if (std::sscanf(item.c_str(), "%llu@%llu:%llu", &p, &start, &dur) != 3 ||
-        dur == 0 || p >= n_procs) {
+    const auto at = item.find('@');
+    std::uint64_t p = 0;
+    SimTime start = 0;
+    SimTime end = 0;
+    if (at == std::string::npos ||
+        !parse_u64(std::string_view(item).substr(0, at), p) || p >= n_procs ||
+        !parse_window(std::string_view(item).substr(at + 1), start, end)) {
       return false;
     }
-    plan.events.push_back(CrashEvent{static_cast<ProcessId>(p),
-                                     static_cast<SimTime>(start),
-                                     static_cast<SimTime>(start + dur)});
+    plan.events.push_back(CrashEvent{static_cast<ProcessId>(p), start, end});
   }
   return plan.active();
 }
@@ -1224,25 +1245,7 @@ std::optional<Work> prepare_drive(const FlagValues& f) {
     NodeNetStats total;
     for (ProcessId p = 0; p < cluster.n_procs(); ++p) {
       const auto stats = cluster.fetch_stats(p);
-      if (stats) {
-        total.reliable += stats->reliable;
-        total.tcp.frames_out += stats->tcp.frames_out;
-        total.tcp.bytes_out += stats->tcp.bytes_out;
-        total.tcp.reconnects += stats->tcp.reconnects;
-        total.tcp.sends_dropped += stats->tcp.sends_dropped;
-        total.faults.forwarded += stats->faults.forwarded;
-        total.faults.dropped += stats->faults.dropped;
-        total.faults.duplicated += stats->faults.duplicated;
-        total.faults.corrupted += stats->faults.corrupted;
-        total.faults.reordered += stats->faults.reordered;
-        total.faults.delayed += stats->faults.delayed;
-        total.faults.throttled += stats->faults.throttled;
-        total.faults.blocked += stats->faults.blocked;
-        total.wal_write_errors += stats->wal_write_errors;
-        total.wal_write_retries += stats->wal_write_retries;
-        total.wal_fsync_errors += stats->wal_fsync_errors;
-        total.snapshot_failures += stats->snapshot_failures;
-      }
+      if (stats) total += *stats;
     }
     const bool clean_exit = cluster.shutdown();
 
@@ -1315,10 +1318,10 @@ std::optional<Work> prepare_drive(const FlagValues& f) {
       table.add("faults: delayed", total.faults.delayed);
       table.add("faults: blocked (partition)", total.faults.blocked);
       table.add("WAL write errors / retries",
-                std::to_string(total.wal_write_errors) + " / " +
-                    std::to_string(total.wal_write_retries));
-      table.add("WAL fsync errors", total.wal_fsync_errors);
-      table.add("snapshot spills skipped/failed", total.snapshot_failures);
+                std::to_string(total.wal.write_errors) + " / " +
+                    std::to_string(total.wal.write_retries));
+      table.add("WAL fsync errors", total.wal.fsync_errors);
+      table.add("snapshot spills skipped/failed", total.node.snapshot_failures);
       table.add("crashes (SIGKILL + respawn)", nemesis_out.pre_crash.size());
     }
     std::printf("%s", table.str().c_str());
