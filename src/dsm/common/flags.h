@@ -14,6 +14,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
@@ -24,6 +25,19 @@
 #include <vector>
 
 namespace dsm {
+
+/// A decimal u64 and nothing else: no sign, no space, no trailing text, no
+/// overflow.  Every number inside a structured flag value (--crash,
+/// --partition, --kill-conn, --kill-host, --nemesis) is read with it.
+[[nodiscard]] inline std::optional<std::uint64_t> parse_u64(
+    std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t out = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
 
 enum class FlagType { kSwitch, kInt, kReal, kText, kChoice };
 

@@ -4,9 +4,9 @@
 // The simulator's FaultPlan (dsm/sim/fault.h) can drop and duplicate
 // messages, but only inside the simulated Network.  FaultyTransport brings
 // the same seeded-splitmix64 determinism to the process tier: it is a
-// DatagramTransport decorator slotted between ReliableNode and TcpTransport
-// (ReliableNode registers itself as the sink of whatever transport it is
-// handed, so the shim composes without touching either side).  Faults are
+// DatagramTransport decorator slotted between a NodeStack's ARQ and the
+// TcpTransport (the stack attaches itself as the sink of whatever transport
+// it is handed, so the shim composes without touching either side).  Faults are
 // applied on the SEND side only — the frame never reaches the socket, or
 // reaches it mangled/late/twice — which keeps the receive path and the
 // control plane untouched.

@@ -4,15 +4,20 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <thread>
 #include <utility>
+
+#include "dsm/common/flags.h"
 
 namespace dsm {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 void fail(std::string* error, std::string text) {
   if (error != nullptr) *error = std::move(text);
@@ -26,16 +31,6 @@ void fail(std::string* error, std::string text) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string buf(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
 }
 
 [[nodiscard]] std::optional<double> parse_prob(std::string_view text) {
@@ -156,8 +151,8 @@ std::optional<NemesisPlan> NemesisPlan::parse(std::string_view spec,
           }
         }
       }
-      if (!a || !b || !ms || !d || *d == 0) {
-        fail(error, "bad partition (want A:B@MS+DUR)");
+      if (!a || !b || !ms || !d || *d == 0 || *ms > kMaxU64 - *d) {
+        fail(error, "bad partition (want A:B@MS+DUR, MS+DUR < 2^64)");
         return std::nullopt;
       }
       if (*a >= n_procs || *b >= n_procs || *a == *b) {
@@ -182,8 +177,10 @@ std::optional<NemesisPlan> NemesisPlan::parse(std::string_view spec,
           }
         }
       }
-      if (!a || !b || !ms || !g || !n || *n == 0) {
-        fail(error, "bad flap (want A:B@MS+GAPxCNT)");
+      // The last flap fires at MS + GAP*(CNT-1); it must fit in a u64.
+      if (!a || !b || !ms || !g || !n || *n == 0 ||
+          (*g != 0 && *n - 1 > (kMaxU64 - *ms) / *g)) {
+        fail(error, "bad flap (want A:B@MS+GAPxCNT, MS+GAP*(CNT-1) < 2^64)");
         return std::nullopt;
       }
       if (*a >= n_procs || *b >= n_procs || *a == *b) {

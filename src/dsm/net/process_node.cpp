@@ -66,9 +66,6 @@ ProcessNode::ProcessNode(ProcessNodeConfig config)
                  }),
       mux_(loop_, transport_, config_.shape.self),
       faulty_(loop_, mux_, config_.shape.self),
-      reliable_(loop_.queue(), faulty_, config_.shape.self, *this,
-                config_.arq),
-      endpoint_(reliable_),
       waker_(config_.shape.n_procs),
       waking_({&telemetry_.observe_through(recorder_), &waker_}) {
   telemetry_.set_clock([this] { return loop_.queue().now(); });
@@ -93,8 +90,8 @@ ProcessNode::ProcessNode(ProcessNodeConfig config)
         config_.shape.n_vars, *head);
     head = objects_.get();
   }
-  host_ = std::make_unique<ProtocolHost>(config_.shape, endpoint_, *head,
-                                         &telemetry_);
+  stack_ = std::make_unique<NodeStack>(loop_.queue(), faulty_, config_.shape,
+                                       config_.arq, *head, &telemetry_);
 }
 
 ProcessNode::~ProcessNode() {
@@ -117,7 +114,7 @@ void ProcessNode::run() {
       loop_.add_tick_hook([this] { wal_tick(); });
     }
   } else {
-    host_->start();
+    stack_->start();
   }
   loop_.run([this] { return shutdown_ && control_flushed(); });
 }
@@ -126,41 +123,26 @@ void ProcessNode::boot_durable() {
   state_ = StateDir::open(config_.state_dir);
   DSM_REQUIRE(state_.has_value() && "state dir must be creatable");
 
-  // 1. The latest spilled snapshot, if any: [u64 op count][u64 len][host
-  //    checkpoint][u64 len][ARQ snapshot].  A torn/corrupt/absent file means
-  //    "no snapshot" — the WAL alone still reconstructs the run log, and the
-  //    muted reconcile below rebuilds protocol state from the start.
+  // 1. The latest spilled snapshot, if any: [u64 op count] + the stack's
+  //    encoded checkpoint (host blob + ARQ state).  A torn/corrupt/absent
+  //    file means "no snapshot" — the WAL alone still reconstructs the run
+  //    log, and the muted reconcile below rebuilds protocol state from the
+  //    start.
   std::uint64_t snap_ops = 0;
-  std::vector<std::uint8_t> host_blob;
-  std::vector<std::uint8_t> arq_blob;
-  bool have_snap = false;
-  if (const auto snap = SnapshotFile::read(state_->snapshot_path())) {
+  const auto snap = SnapshotFile::read(state_->snapshot_path());
+  std::optional<NodeStack::Checkpoint> checkpoint;
+  if (snap) {
     ByteReader r(*snap);
     const auto ops = r.u64();
-    const auto hlen = r.u64();
-    std::optional<std::span<const std::uint8_t>> hb;
-    std::optional<std::span<const std::uint8_t>> ab;
-    if (hlen) hb = r.take(static_cast<std::size_t>(*hlen));
-    std::optional<std::uint64_t> alen;
-    if (hb) alen = r.u64();
-    if (alen) ab = r.take(static_cast<std::size_t>(*alen));
-    if (ops && hb && ab && r.exhausted()) {
+    if (ops) checkpoint = NodeStack::decode_checkpoint(r);
+    if (checkpoint && r.exhausted()) {
       snap_ops = *ops;
-      host_blob.assign(hb->begin(), hb->end());
-      arq_blob.assign(ab->begin(), ab->end());
-      have_snap = true;
+    } else {
+      checkpoint.reset();
     }
   }
 
-  // 2. ARQ state, then the epoch gap (see kArqEpochSkip).  Restore happens
-  //    before any send: the catch-up request below already rides fresh seqs.
-  if (have_snap) {
-    ByteReader ar(arq_blob);
-    DSM_REQUIRE(reliable_.restore(ar));
-  }
-  reliable_.skip_tx_sequences(kArqEpochSkip);
-
-  // 3. Replay the WAL through the recorder (history + events verbatim) and
+  // 2. Replay the WAL through the recorder (history + events verbatim) and
   //    preseed the dedup filter so live redeliveries of spilled events are
   //    suppressed.  A CRC-valid record that fails to decode is our own bug.
   WalOpenStats open_stats;
@@ -187,22 +169,20 @@ void ProcessNode::boot_durable() {
   if (snap_ops > replayed_local_ops_) snap_ops = replayed_local_ops_;
   node_stats_.wal_replayed = open_stats.records_recovered;
 
-  // 4. From here on, everything the recorder accepts is spilled.
+  // 3. From here on, everything the recorder accepts is spilled.
   wal_sink_ = std::make_unique<WalEventSink>(*wal_);
   wal_sink_->note_incarnation(incarnation_);
   recorder_.set_sink(wal_sink_.get());
 
-  // 5. Protocol stack: restore + catch-up when a snapshot exists, fresh
-  //    start otherwise.  The spill hook is NOT installed yet — the snapshot
-  //    must not be rewritten until the reconcile pass below has brought the
-  //    protocol state up to the WAL's op count.
-  if (have_snap) {
-    host_->start_restored(host_blob);
-  } else {
-    host_->start();
-  }
+  // 4. The stack: restore (ARQ, then protocol + recovery, then catch-up)
+  //    when a snapshot exists, fresh start otherwise, with the ARQ's tx
+  //    sequences moved past the epoch gap either way (see kArqEpochSkip).
+  //    The spill hook is NOT installed yet — the snapshot must not be
+  //    rewritten until the reconcile pass below has brought the protocol
+  //    state up to the WAL's op count.
+  stack_->start(checkpoint ? &*checkpoint : nullptr, kArqEpochSkip);
 
-  // 6. Muted reconcile: re-execute the local ops the WAL has beyond the
+  // 5. Muted reconcile: re-execute the local ops the WAL has beyond the
   //    snapshot (the kill-9 window is at most one mutation with the default
   //    policy).  Writes regenerate their WriteIds deterministically and
   //    re-broadcast on epoch-gapped ARQ seqs (peers' filters absorb the
@@ -215,19 +195,19 @@ void ProcessNode::boot_durable() {
          ++i) {
       const Operation& op = recorder_.history().op(locals[i]);
       if (op.is_write()) {
-        host_->protocol().write(op.var, op.value);
+        stack_->host().protocol().write(op.var, op.value);
       } else {
-        (void)host_->protocol().read(op.var);
+        (void)stack_->host().protocol().read(op.var);
       }
     }
     filter_->set_muted(false);
   }
 
-  // 7. Now the state is coherent: spill on every checkpoint from here on,
+  // 6. Now the state is coherent: spill on every checkpoint from here on,
   //    starting with one covering the reconciled state (and committing the
-  //    incarnation record batched in step 4).
-  host_->set_spill_hook([this] { spill(); });
-  host_->checkpoint();
+  //    incarnation record batched in step 3).
+  stack_->host().set_spill_hook([this] { spill(); });
+  stack_->host().checkpoint();
 }
 
 void ProcessNode::spill() {
@@ -248,14 +228,7 @@ void ProcessNode::spill() {
     // out here is exactly the degradation cover docs/DURABILITY.md asks for.
     ByteWriter w;
     w.u64(local_op_count());
-    const std::vector<std::uint8_t>& host_blob = host_->checkpoint_bytes();
-    w.u64(host_blob.size());
-    w.bytes(host_blob);
-    ByteWriter aw;
-    reliable_.snapshot(aw);
-    const std::vector<std::uint8_t> arq_blob = std::move(aw).take();
-    w.u64(arq_blob.size());
-    w.bytes(arq_blob);
+    stack_->encode_checkpoint(w);
     if (SnapshotFile::write(state_->snapshot_path(), w.buffer(), &io_hooks_)) {
       ++node_stats_.snapshot_writes;
     } else {
@@ -273,10 +246,6 @@ void ProcessNode::wal_tick() {
 
 std::uint64_t ProcessNode::local_op_count() const {
   return recorder_.history().local(config_.shape.self).size();
-}
-
-void ProcessNode::deliver(ProcessId from, std::span<const std::uint8_t> bytes) {
-  host_->deliver(from, bytes);
 }
 
 void ProcessNode::adopt_control(int fd, std::vector<std::uint8_t> residual) {
@@ -361,12 +330,12 @@ ControlMessage ProcessNode::handle_control(const ControlMessage& req) {
       break;
     case ControlOp::kFetchStats:
       rep.op = ControlOp::kStatsReply;
-      rep.stats.reliable = reliable_.stats();
+      rep.stats.reliable = stack_->reliable_stats();
       rep.stats.tcp = transport_.stats();
       rep.stats.faults = faulty_.stats();
       rep.stats.shard = mux_.stats();
       rep.stats.node = node_stats_;
-      rep.stats.node.dropped_while_down = host_->dropped_while_down();
+      rep.stats.node.dropped_while_down = stack_->host().dropped_while_down();
       if (wal_.has_value()) {
         rep.stats.wal = wal_->stats();
         rep.stats.node.wal_dirty = wal_->dirty() ? 1 : 0;
@@ -382,21 +351,21 @@ ControlMessage ProcessNode::handle_control(const ControlMessage& req) {
       }
       break;
     case ControlOp::kKillHost:
-      if (!host_->up()) {
+      if (!stack_->up()) {
         rep.op = ControlOp::kError;
         rep.text = "host already down";
       } else {
-        host_->kill();
+        stack_->kill();
         if (runner_ != nullptr) runner_->suspend();
         rep.op = ControlOp::kAck;
       }
       break;
     case ControlOp::kRestartHost:
-      if (host_->up()) {
+      if (stack_->up()) {
         rep.op = ControlOp::kError;
         rep.text = "host is up";
       } else {
-        host_->restart();
+        stack_->restart();
         if (runner_ != nullptr) runner_->resume();
         rep.op = ControlOp::kAck;
       }
@@ -425,12 +394,12 @@ void ProcessNode::start_run(const ControlMessage& req) {
   script_ = req.script;
   ScriptRunner::AfterOp after_op;
   if (config_.shape.recoverable) {
-    after_op = [this] { host_->note_mutation(); };
+    after_op = [this] { stack_->host().note_mutation(); };
   }
   runner_ = std::make_unique<ScriptRunner>(
       loop_.queue(), recorder_,
       [this]() -> CausalProtocol* {
-        return host_->up() ? &host_->protocol() : nullptr;
+        return stack_->up() ? &stack_->host().protocol() : nullptr;
       },
       config_.shape.self, script_, std::move(after_op));
   waker_.attach(config_.shape.self, runner_.get());
@@ -464,8 +433,7 @@ bool ProcessNode::stack_quiescent() const {
         faulty_.plan().link(config_.shape.self, static_cast<ProcessId>(p))
             .blocked;
   }
-  return host_->up() && host_->protocol().quiescent() &&
-         reliable_.quiescent_except(blocked) && mux_.flushed();
+  return stack_->quiescent(blocked) && mux_.flushed();
 }
 
 void ProcessNode::reply(ControlConn& conn, const ControlMessage& msg) {

@@ -1,19 +1,20 @@
 // optcm — ProcessNode: one protocol process as one OS process.
 //
-// The node assembles the exact per-process stack the other deployment tiers
-// use — ScriptRunner → CausalProtocol (inside a ProtocolHost, optionally
-// recoverable) → ReliableNode → transport — but with a TcpTransport on a
-// poll-driven NetLoop at the bottom instead of the simulator's virtual
-// network or ThreadCluster's in-memory mailboxes.  Because every layer above
-// the transport seam is byte-for-byte the same code, the observer-event log a
-// node records is directly comparable (sequence_str) with a simulator run of
-// the same workload.
+// The node hosts the same NodeStack (dsm/runtime/node_stack.h) that run_sim
+// hosts per simulated process — ARQ over a datagram transport, then a
+// ProtocolHost, killed and restarted as one crash unit — on a TcpTransport
+// driven by a poll-based NetLoop, with a FaultyTransport and a ShardMux in
+// between.  Above the stack sit the same ScriptRunner and observer chain as
+// in the simulator, so the observer-event log a node records is directly
+// comparable (sequence_str) with a simulator run of the same workload.
 //
 // A node is steered remotely: the cluster driver opens a control connection
 // through the node's ordinary listen port (Hello role = control) and speaks
 // the request/reply protocol in dsm/net/control.h — install a script, poll
-// for completion, fetch the recorded trace and stats, inject faults, shut
-// down.  run() blocks until a kShutdown has been received and acknowledged.
+// for completion, fetch the recorded trace and stats, inject faults, kill
+// and restart the stack in process, shut down.  run() blocks until a
+// kShutdown has been received and acknowledged.  With a state dir the node
+// also keeps a WAL and spills each checkpoint to a snapshot file.
 //
 // Everything runs on the single NetLoop thread: socket dispatch, ARQ timers,
 // script steps, and control handling interleave through one EventQueue, so
@@ -34,7 +35,7 @@
 #include "dsm/net/tcp_transport.h"
 #include "dsm/objects/object_store.h"
 #include "dsm/protocols/run_recorder.h"
-#include "dsm/runtime/protocol_host.h"
+#include "dsm/runtime/node_stack.h"
 #include "dsm/sim/reliable.h"
 #include "dsm/storage/state_dir.h"
 #include "dsm/storage/wal.h"
@@ -84,10 +85,10 @@ struct ProcessNodeConfig {
   RingMesh* mesh = nullptr;
 };
 
-class ProcessNode final : public MessageSink {
+class ProcessNode final {
  public:
   explicit ProcessNode(ProcessNodeConfig config);
-  ~ProcessNode() override;
+  ~ProcessNode();
 
   ProcessNode(const ProcessNode&) = delete;
   ProcessNode& operator=(const ProcessNode&) = delete;
@@ -96,15 +97,10 @@ class ProcessNode final : public MessageSink {
   /// been acknowledged (its reply flushed).
   void run();
 
-  // -- MessageSink: ARQ-deduplicated payloads land here ----------------------
-  void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override;
-
   // -- introspection (in-process tests) --------------------------------------
   [[nodiscard]] NetLoop& loop() noexcept { return loop_; }
   [[nodiscard]] TcpTransport& transport() noexcept { return transport_; }
   [[nodiscard]] FaultyTransport& faulty() noexcept { return faulty_; }
-  [[nodiscard]] ReliableNode& reliable() noexcept { return reliable_; }
-  [[nodiscard]] ProtocolHost& host() noexcept { return *host_; }
   [[nodiscard]] const RunRecorder& recorder() const noexcept {
     return recorder_;
   }
@@ -115,19 +111,6 @@ class ProcessNode final : public MessageSink {
   }
 
  private:
-  /// The protocol's transport-facing Endpoint, implemented over the ARQ.
-  class ArqEndpoint final : public Endpoint {
-   public:
-    explicit ArqEndpoint(ReliableNode& arq) : arq_(&arq) {}
-    void broadcast(Payload payload) override { arq_->broadcast(payload); }
-    void send(ProcessId to, Payload payload) override {
-      arq_->send(to, std::move(payload));
-    }
-
-   private:
-    ReliableNode* arq_;
-  };
-
   /// One adopted control connection (frame-assembled in, buffered out).
   struct ControlConn {
     int fd = -1;
@@ -157,7 +140,7 @@ class ProcessNode final : public MessageSink {
   /// install the spill hook.  Runs before the loop; see docs/DURABILITY.md.
   void boot_durable();
   /// Spill hook: commit the pending WAL batch, then atomically write the
-  /// snapshot file (op count + host checkpoint + ARQ state).
+  /// snapshot file ([u64 op count] + the stack's encoded checkpoint).
   void spill();
   /// Tick-edge group-commit barrier (config_.wal_group_commit): one fsync
   /// covering every WAL record appended during the tick.
@@ -172,13 +155,11 @@ class ProcessNode final : public MessageSink {
   /// Shard router above the sockets: co-located shards ride the ring mesh,
   /// remote peers the TcpTransport.  Without a mesh it forwards verbatim.
   ShardMux mux_;
-  /// Fault-injection shim between the ARQ and the mux: every outgoing ARQ
-  /// frame passes through it, faulted or not (inactive plan = verbatim
-  /// forward) — so nemesis faults hit ring and socket links alike.  The ARQ
-  /// attaches itself as the shim's sink.
+  /// Fault-injection shim between the stack's ARQ and the mux: every
+  /// outgoing ARQ frame passes through it, faulted or not (inactive plan =
+  /// verbatim forward) — so nemesis faults hit ring and socket links alike.
+  /// The stack attaches itself as the shim's sink.
   FaultyTransport faulty_;
-  ReliableNode reliable_;
-  ArqEndpoint endpoint_;
   /// Wakes the runner's parked awaits on every apply, teed in beside the
   /// telemetry tee by waking_; below filter_, so a suppressed echo wakes
   /// nothing.
@@ -192,7 +173,7 @@ class ProcessNode final : public MessageSink {
   /// Typed-object state (set iff shape.protocol_config.objects): outermost
   /// observer, answering the script's Observe steps.
   std::unique_ptr<ObjectStore> objects_;
-  std::unique_ptr<ProtocolHost> host_;
+  std::unique_ptr<NodeStack> stack_;
   Script script_;  ///< installed by kRun; runner_ points into it
   std::unique_ptr<ScriptRunner> runner_;
   std::map<int, ControlConn> controls_;

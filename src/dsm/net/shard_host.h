@@ -4,8 +4,8 @@
 // The host owns the RingMesh and runs one ProcessNode per shard on its own
 // thread, pinned to its own core.  Each shard keeps the full classic stack —
 // NetLoop, TcpTransport (with the co-located peers excluded), ShardMux,
-// FaultyTransport, ReliableNode, ProtocolHost — and its own listener, so the
-// cluster driver steers a sharded deployment exactly like a forked one: n
+// FaultyTransport, NodeStack (ARQ + ProtocolHost) — and its own listener, so
+// the cluster driver steers a sharded deployment exactly like a forked one: n
 // control ports, n nodes, identical wire protocol.  Only the transport
 // between co-located shards changes, from loopback TCP to SPSC rings.
 //

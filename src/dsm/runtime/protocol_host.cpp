@@ -50,6 +50,10 @@ void ProtocolHost::start() {
 void ProtocolHost::start_restored(std::span<const std::uint8_t> blob) {
   DSM_REQUIRE(shape_.recoverable);
   DSM_REQUIRE(up_);
+  rejoin(blob);
+}
+
+void ProtocolHost::rejoin(std::span<const std::uint8_t> blob) {
   ByteReader r(blob);
   DSM_REQUIRE(protocol_->restore(r));
   DSM_REQUIRE(recovery_->restore(r));
@@ -87,8 +91,10 @@ void ProtocolHost::checkpoint() {
   recovery_->snapshot(w);
   checkpoint_ = std::move(w).take();
   mutations_since_checkpoint_ = 0;
+  const std::size_t lower_bytes = on_checkpoint_ ? on_checkpoint_() : 0;
   if (telemetry_ != nullptr)
-    telemetry_->record_checkpoint(shape_.self, checkpoint_.size());
+    telemetry_->record_checkpoint(shape_.self,
+                                  checkpoint_.size() + lower_bytes);
   if (spill_ && ++checkpoints_since_spill_ >= shape_.durability.snapshot_every) {
     checkpoints_since_spill_ = 0;
     spill_();
@@ -117,12 +123,7 @@ void ProtocolHost::restart() {
   DSM_REQUIRE(!up_ && "restart() on a live host");
   if (telemetry_ != nullptr) telemetry_->record_restart(shape_.self);
   build();
-  ByteReader r(checkpoint_);
-  DSM_REQUIRE(protocol_->restore(r));
-  DSM_REQUIRE(recovery_->restore(r));
-  DSM_REQUIRE(r.exhausted());
-  recovery_->request_catch_up();
-  checkpoint();
+  rejoin(checkpoint_);
 }
 
 CausalProtocol& ProtocolHost::protocol() const {

@@ -1,12 +1,13 @@
 // optcm — the per-process protocol stack behind one transport-facing seam.
 //
-// Both real runtimes — the threaded ThreadCluster (in-memory mailboxes) and
-// the multi-process ProcessNode (TCP sockets) — host exactly the same thing
-// per process: a CausalProtocol built by the registry, optionally wrapped in
-// a RecoveryNode with synchronous checkpoints, fed decoded transport bytes
-// and reporting to an observer chain.  ProtocolHost is that stack, extracted
-// so the hosting logic (build order, checkpoint contents, kill/restart stat
-// accumulation, telemetry wiring) exists once.
+// A ProtocolHost holds a CausalProtocol built by the registry, optionally
+// wrapped in a RecoveryNode with synchronous checkpoints, fed decoded
+// transport bytes and reporting to an observer chain.  It owns the build
+// order, the checkpoint contents, kill/restart stat accumulation and the
+// telemetry wiring.  NodeStack (node_stack.h) puts the ARQ under it — that
+// pair is what the simulator and ProcessNode host per process — and the
+// threaded ThreadCluster hosts a bare ProtocolHost over its lossless
+// mailboxes.
 //
 // The delivery contract is MessageSink::deliver — the same interface the
 // mailbox drain loop, the ARQ layer, and the socket dispatch all speak.  A
@@ -15,7 +16,7 @@
 //
 // Thread-safety: none of its own — the host inherits the protocol's
 // confinement contract.  ThreadCluster calls it under the owning node's
-// mutex; ProcessNode calls it from its single event loop.
+// mutex; NodeStack calls it from its single dispatch context.
 
 #pragma once
 
@@ -107,6 +108,15 @@ class ProtocolHost final : public MessageSink {
   using SpillHook = std::function<void()>;
   void set_spill_hook(SpillHook hook) { spill_ = std::move(hook); }
 
+  /// Installed by a stack that checkpoints a lower layer beside the host
+  /// (NodeStack's ARQ): runs on every checkpoint, after the host's blob is
+  /// taken and before the spill hook, and returns the bytes it saved, which
+  /// the checkpoint telemetry counts with the host's.
+  using CheckpointHook = std::function<std::size_t()>;
+  void set_checkpoint_hook(CheckpointHook hook) {
+    on_checkpoint_ = std::move(hook);
+  }
+
   /// Destroy the live stack; its counters survive in the accumulators.
   void kill();
 
@@ -140,6 +150,9 @@ class ProtocolHost final : public MessageSink {
 
  private:
   void build();
+  /// Restore protocol + recovery state from `blob`, request catch-up, and
+  /// checkpoint.
+  void rejoin(std::span<const std::uint8_t> blob);
 
   Shape shape_;
   Endpoint* lower_;
@@ -151,6 +164,7 @@ class ProtocolHost final : public MessageSink {
   bool up_ = true;
   std::vector<std::uint8_t> checkpoint_;
   SpillHook spill_;
+  CheckpointHook on_checkpoint_;
   std::uint64_t mutations_since_checkpoint_ = 0;
   std::uint64_t checkpoints_since_spill_ = 0;
   ProtocolStats stats_acc_;  ///< counters of dead incarnations

@@ -22,7 +22,6 @@ ReliableNode::ReliableNode(EventQueue& queue, DatagramTransport& transport,
   DSM_REQUIRE(config_.min_rto <= config_.max_rto);
   DSM_REQUIRE(config_.rto > 0);
   for (PeerTx& peer : tx_) peer.rto = config_.rto;
-  transport.attach(self, *this);
 }
 
 ReliableNode::~ReliableNode() { *alive_ = false; }

@@ -113,14 +113,14 @@ class ReliableNode final : public MessageSink {
  public:
   using Config = ReliableConfig;
 
-  /// Registers itself as process `self`'s sink on `transport`.  `upper`
-  /// receives deduplicated payloads exactly once each.
+  /// Sends through `transport` as process `self`; `upper` receives
+  /// deduplicated payloads exactly once each.  The caller routes `self`'s
+  /// inbound frames into deliver() — by attaching this node to the
+  /// transport, or through a stack that outlives it (NodeStack).
   ///
   /// \pre `queue`, `transport` and `upper` outlive this node (timers capture
   ///      an aliveness token, so destruction before pending timers fire is
   ///      safe, but the references themselves must stay valid while alive).
-  /// \post this node owns `self`'s slot on the transport; constructing a
-  ///       second sink for the same process is an error.
   ReliableNode(EventQueue& queue, DatagramTransport& transport, ProcessId self,
                MessageSink& upper, Config config = {});
   ~ReliableNode();

@@ -1,7 +1,8 @@
 // optcm — the simulation harness: one protocol cluster, one workload, one
 // deterministic run.
 //
-// Wires n protocol instances to the simulated network, executes the
+// Hosts one NodeStack (dsm/runtime/node_stack.h) per process on the simulated
+// network — the same stack ProcessNode hosts on its sockets — executes the
 // per-process scripts as chained events, lets the system settle, and returns
 // the recorded run (history + event log + per-process stats).  Everything —
 // operation interleaving, message latencies, tie-breaking — is a pure
@@ -12,13 +13,14 @@
 // Fault modes (docs/FAULTS.md), in increasing order of hostility:
 //   * reliable network (default) — exactly the paper's Section 3.1 channels;
 //   * faulty datagrams (config.fault) — drops/duplicates/partitions, with the
-//     ARQ layer (dsm/sim/reliable.h) interposed to rebuild exactly-once;
-//   * crash/restart (config.crash) — processes lose their volatile state and
-//     in-flight traffic, reload their last synchronous checkpoint on restart,
-//     and anti-entropy catch-up (dsm/protocols/recovery.h) repairs the gap.
-//     Crash mode always stacks Network → ReliableNode → RecoveryNode →
-//     protocol, because a crashed receiver drops traffic even on an
-//     otherwise perfect network.
+//     stack's ARQ layer (dsm/sim/reliable.h) rebuilding exactly-once;
+//   * crash/restart (config.crash) — a CrashEvent kills a process's stack
+//     (protocol, recovery node and ARQ: all volatile state, and the traffic
+//     in flight to it) and restarts it from its last checkpoint, taken after
+//     every state-mutating event; anti-entropy catch-up
+//     (dsm/protocols/recovery.h) repairs the gap.  Crash mode always builds
+//     the ARQ and the recovery layer, because a crashed receiver drops
+//     traffic even on an otherwise perfect network.
 
 #pragma once
 

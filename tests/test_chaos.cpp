@@ -6,10 +6,12 @@
 // the simulator — plus an in-process nemesis partition schedule.
 
 #include <gtest/gtest.h>
+
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -192,6 +194,8 @@ TEST_F(FaultyPairTest, ArqSurvivesAHostileLinkExactlyOnce) {
   arq.rto = sim_ms(10);
   ReliableNode node0(loop_.queue(), *faulty_[0], 0, upper[0], arq);
   ReliableNode node1(loop_.queue(), *faulty_[1], 1, upper[1], arq);
+  faulty_[0]->attach(0, node0);
+  faulty_[1]->attach(1, node1);
 
   NetFaultPlan hostile;
   hostile.seed = 99;
@@ -347,6 +351,35 @@ TEST(Nemesis, RejectsMalformedSpecs) {
     EXPECT_FALSE(NemesisPlan::parse(spec, 3, &err).has_value()) << spec;
     EXPECT_FALSE(err.empty()) << spec;
   }
+}
+
+// Every number in a spec is a strict decimal u64: no sign (strtoull would
+// accept one and wrap), and no window whose end overflows — a wrapped heal
+// would land before its partition and never fire.
+TEST(Nemesis, RejectsSignsAndOverflowingWindows) {
+  const char* bad[] = {
+      "crash=0@-5",                              // wraps to 2^64-5 ms
+      "crash=0@+40",                             // explicit sign
+      "seed=-1",
+      "throttle=-5",
+      "partition=1:2@-5+10",                     // heal before start
+      "partition=1:2@18446744073709551610+10",   // MS+DUR overflows
+      "flap=0:1@18446744073709551615+1x2",       // MS+GAP overflows
+      "flap=0:1@1+9223372036854775808x3",        // GAP*(CNT-1) overflows
+  };
+  for (const char* spec : bad) {
+    std::string err;
+    EXPECT_FALSE(NemesisPlan::parse(spec, 3, &err).has_value()) << spec;
+    EXPECT_FALSE(err.empty()) << spec;
+  }
+  // The largest window that still fits keeps its heal after its start.
+  const auto edge =
+      NemesisPlan::parse("partition=1:2@18446744073709551605+10", 3, nullptr);
+  ASSERT_TRUE(edge.has_value());
+  const auto events = expand(*edge);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events.back().kind, NemesisEvent::Kind::kPartitionHeal);
+  EXPECT_EQ(events.back().at_ms, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Nemesis, ExpandIsSortedAndDeterministic) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +39,16 @@ const Row kRows[] = {
      "drive --script=h1 --spawn=3 --kill-conn=2:1@15@9 --dry-run"},
     {"cli_accept_kill_conn", 0, "",
      "drive --script=h1 --spawn=3 --kill-conn=2:1@15 --dry-run"},
+    {"cli_reject_kill_conn_negative_time", 2, "bad --kill-conn '0:1@-5'",
+     "drive --script=h1 --spawn=3 --kill-conn=0:1@-5 --dry-run"},
+    {"cli_reject_kill_conn_signed_time", 2, "bad --kill-conn '0:1@+7'",
+     "drive --script=h1 --spawn=3 --kill-conn=0:1@+7 --dry-run"},
+    {"cli_reject_kill_host_negative_time", 2, "bad --kill-host '1@-5'",
+     "drive --script=h1 --spawn=3 --respawn --kill-host=1@-5 --dry-run"},
+    {"cli_reject_kill_host_signed_node", 2, "bad --kill-host '+1'",
+     "drive --script=h1 --spawn=3 --respawn --kill-host=+1 --dry-run"},
+    {"cli_accept_kill_host_at", 0, "",
+     "drive --script=h1 --spawn=3 --respawn --kill-host=1@25 --dry-run"},
     {"cli_reject_kill_without_respawn", 2, "--kill-host needs --respawn",
      "drive --script=h1 --spawn=3 --kill-host=0 --dry-run"},
     {"cli_reject_state_dir_without_recoverable", 2,
@@ -57,6 +70,13 @@ const Row kRows[] = {
      "drive --script=h1 --spawn=3 --dry-run --nemesis=drop=1.5"},
     {"cli_reject_bad_nemesis_node", 2, "bad --nemesis",
      "drive --script=h1 --spawn=3 --dry-run --nemesis=partition=0:9@5+5"},
+    {"cli_reject_nemesis_negative_crash_time", 2, "bad --nemesis",
+     "drive --script=h1 --spawn=3 --dry-run --nemesis=crash=0@-5"},
+    {"cli_reject_nemesis_signed_crash_time", 2, "bad --nemesis",
+     "drive --script=h1 --spawn=3 --dry-run --nemesis=crash=0@+40"},
+    {"cli_reject_nemesis_partition_overflow", 2, "bad --nemesis",
+     "drive --script=h1 --spawn=3 --dry-run "
+     "--nemesis=partition=1:2@18446744073709551610+10"},
     {"cli_reject_nemesis_with_kill_host", 2,
      "--nemesis and --kill-host exclude each other",
      "drive --script=h1 --spawn=3 --respawn --kill-host=0 "
@@ -268,6 +288,34 @@ TEST_P(OptcmArgv, ExitCode) {
 
 INSTANTIATE_TEST_SUITE_P(Rows, OptcmArgv, ::testing::ValuesIn(kRows),
                          [](const auto& p) { return p.param.name; });
+
+// Crash mode's telemetry, pinned the way TelemetryGolden pins the plain run:
+// the CSV `optcm run --metrics-out` writes for Fig. 1 with p1 crashed over
+// [3 ms, 7 ms) must match tests/golden/h1_optp_crash_metrics.csv byte for
+// byte (checkpoint_bytes counts the ARQ state riding in each checkpoint).
+TEST(CliGolden, Fig1OptPCrashMetricsMatchGoldenFile) {
+  const std::string out_path =
+      ::testing::TempDir() + "optcm_h1_optp_crash_metrics.csv";
+  const std::string metrics_flag = "--metrics-out=" + out_path;
+  const char* argv[] = {"optcm", "run", "--protocol=optp", "--script=fig1",
+                        "--crash=1@3000:4000", metrics_flag.c_str()};
+  testing::internal::CaptureStdout();
+  const int rc = cli_main(static_cast<int>(std::size(argv)), argv);
+  (void)testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0);
+
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot read " << path;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  const std::string actual = slurp(out_path);
+  std::remove(out_path.c_str());
+  EXPECT_EQ(actual, slurp(std::string(OPTCM_SOURCE_DIR) +
+                          "/tests/golden/h1_optp_crash_metrics.csv"));
+}
 
 }  // namespace
 }  // namespace dsm::cli

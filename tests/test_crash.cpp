@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "dsm/protocols/recovery.h"
 #include "dsm/protocols/registry.h"
 #include "dsm/runtime/thread_cluster.h"
+#include "dsm/telemetry/telemetry.h"
 #include "dsm/workload/generator.h"
 #include "dsm/workload/sim_harness.h"
 
@@ -230,16 +232,18 @@ TEST_P(CrashSweep, SurvivingHistoryPassesEveryCheck) {
   }
 }
 
+const CrashParams kCrashGrid[] = {
+    {ProtocolKind::kOptP, 1, 0, 0.0, 21},
+    {ProtocolKind::kOptP, 2, 0, 0.2, 22},
+    {ProtocolKind::kOptP, 3, sim_ms(10), 0.1, 23},
+    {ProtocolKind::kOptP, 1, sim_ms(10), 0.0, 24},
+    {ProtocolKind::kAnbkh, 2, 0, 0.1, 25},
+    {ProtocolKind::kAnbkh, 1, sim_ms(10), 0.2, 26},
+    {ProtocolKind::kOptPWs, 2, sim_ms(8), 0.1, 27},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Grid, CrashSweep,
-    ::testing::Values(
-        CrashParams{ProtocolKind::kOptP, 1, 0, 0.0, 21},
-        CrashParams{ProtocolKind::kOptP, 2, 0, 0.2, 22},
-        CrashParams{ProtocolKind::kOptP, 3, sim_ms(10), 0.1, 23},
-        CrashParams{ProtocolKind::kOptP, 1, sim_ms(10), 0.0, 24},
-        CrashParams{ProtocolKind::kAnbkh, 2, 0, 0.1, 25},
-        CrashParams{ProtocolKind::kAnbkh, 1, sim_ms(10), 0.2, 26},
-        CrashParams{ProtocolKind::kOptPWs, 2, sim_ms(8), 0.1, 27}),
+    Grid, CrashSweep, ::testing::ValuesIn(kCrashGrid),
     [](const ::testing::TestParamInfo<CrashParams>& param_info) {
       std::string name = to_string(param_info.param.kind);
       for (auto& ch : name) {
@@ -247,6 +251,95 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_s" + std::to_string(param_info.param.seed);
     });
+
+// Crash mode's exact behaviour, pinned: every observer event in order, each
+// recovery episode, and every counter the run reports (with telemetry on,
+// the metrics CSV and the kept trace too), folded into one FNV-1a digest.
+// A refactor of the crash path must leave each digest unchanged.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string crash_run_fingerprint(const SimRunResult& r, std::size_t n_procs) {
+  std::ostringstream out;
+  for (ProcessId p = 0; p < n_procs; ++p) {
+    out << r.recorder->sequence_str(p) << '\n';
+  }
+  for (const RecoveryRecord& rec : r.recoveries) {
+    out << rec.proc << ' ' << rec.crashed_at << ' ' << rec.restarted_at << ' '
+        << rec.recovered_at << ' ' << rec.recovered << '\n';
+  }
+  for (const ProtocolStats& s : r.stats) {
+    out << s.writes_issued << ' ' << s.reads_issued << ' '
+        << s.messages_received << ' ' << s.remote_applies << ' '
+        << s.delayed_writes << ' ' << s.skipped_writes << ' '
+        << s.stale_discards << ' ' << s.peak_pending << '\n';
+  }
+  for_each_stat(r.reliable,
+                [&](const char*, std::uint64_t v) { out << v << ' '; });
+  const RecoveryStats& rs = r.recovery;
+  out << '\n' << rs.requests_sent << ' ' << rs.requests_received << ' '
+      << rs.replies_sent << ' ' << rs.replies_received << ' '
+      << rs.writes_served << ' ' << rs.writes_recovered << ' '
+      << rs.catch_up_bytes << '\n'
+      << r.net.messages_sent << ' ' << r.net.bytes_sent << ' '
+      << r.net.max_latency_seen << ' ' << r.faults.dropped << ' '
+      << r.faults.duplicated << ' ' << r.faults.partition_dropped << ' '
+      << r.faults.crash_dropped << ' ' << r.replay_suppressed << ' '
+      << r.end_time << ' ' << r.settled << '\n';
+  return out.str();
+}
+
+struct PinnedCrashRun {
+  CrashParams params;
+  double duplicate;
+  bool telemetry;
+  std::uint64_t digest;
+};
+
+const PinnedCrashRun kPinnedCrashRuns[] = {
+    {kCrashGrid[0], 0.0, false, 0x103BB6ED81E5013},
+    {kCrashGrid[1], 0.0, false, 0x920D547FEF84DEA4},
+    {kCrashGrid[2], 0.0, false, 0x8420FE1B9318384A},
+    {kCrashGrid[3], 0.0, false, 0x3109128291102144},
+    {kCrashGrid[4], 0.0, false, 0x6E107BD76301CD1F},
+    {kCrashGrid[5], 0.0, false, 0x8E899B05D471CCBD},
+    {kCrashGrid[6], 0.0, false, 0x61D0A8185AB49936},
+    // Crash + partition + drop (+ duplicates) with telemetry and a kept trace.
+    {{ProtocolKind::kOptP, 2, sim_ms(8), 0.15, 33}, 0.05, true,
+     0xEE8562A6B58F8B58},
+    {{ProtocolKind::kOptP, 3, sim_ms(10), 0.1, 23}, 0.0, true,
+     0xCD73575617A66081},
+    {{ProtocolKind::kAnbkh, 1, sim_ms(10), 0.2, 26}, 0.05, true,
+     0x68114F4A5CCE45C1},
+    {{ProtocolKind::kOptPWs, 2, sim_ms(8), 0.1, 27}, 0.0, true,
+     0x4CA3C51A56132683},
+};
+
+TEST(CrashMode, BehaviourMatchesPinnedDigests) {
+  for (const PinnedCrashRun& pin : kPinnedCrashRuns) {
+    const CrashParams& p = pin.params;
+    const UniformLatency latency(sim_us(100), sim_us(900), p.seed ^ 0xA0);
+    SimRunConfig cfg = crash_config(p, latency);
+    cfg.fault.duplicate = pin.duplicate;
+    RunTelemetry telemetry(cfg.n_procs, RunTelemetry::Trace::kKeep);
+    if (pin.telemetry) cfg.telemetry = &telemetry;
+    const auto result = run_sim(cfg, crash_workload(p.seed));
+    std::string fingerprint = crash_run_fingerprint(result, cfg.n_procs);
+    if (pin.telemetry) {
+      fingerprint += telemetry.metrics_csv() + telemetry.trace_csv();
+    }
+    EXPECT_EQ(fnv1a(fingerprint), pin.digest)
+        << std::hex << "0x" << fnv1a(fingerprint) << std::dec << " for "
+        << to_string(p.kind) << " seed " << p.seed << " telemetry "
+        << pin.telemetry;
+  }
+}
 
 TEST(CrashMode, BackToBackCrashesOfOneProcessRecoverEachTime) {
   CrashParams p{ProtocolKind::kOptP, 0, 0, 0.0, 31};

@@ -648,6 +648,8 @@ TEST_F(TransportPairTest, ReliableNodeRepairsAcrossReconnect) {
   arq.rto = sim_ms(10);  // repair quickly; reconnect_min is 2ms here
   ReliableNode node0(loop_.queue(), *transports_[0], 0, upper[0], arq);
   ReliableNode node1(loop_.queue(), *transports_[1], 1, upper[1], arq);
+  transports_[0]->attach(0, node0);
+  transports_[1]->attach(1, node1);
   start_both();
 
   constexpr std::size_t kMessages = 30;
@@ -1097,6 +1099,20 @@ TEST(ProcessClusterTest, KillAndRestartHostRecovers) {
   ASSERT_TRUE(cluster.kill_host(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   ASSERT_TRUE(cluster.restart_host(1));
+
+  // Then the writer.  A kill loses its ARQ with the stack, so the restart
+  // restores the ARQ from the last checkpoint — taken right after p0's last
+  // send, before any ACK — and retransmits what that checkpoint held unacked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto before_kill = cluster.fetch_stats(0);
+  ASSERT_TRUE(before_kill.has_value());
+  ASSERT_TRUE(cluster.kill_host(0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(cluster.restart_host(0));
+  const auto after_restart = cluster.fetch_stats(0);
+  ASSERT_TRUE(after_restart.has_value());
+  EXPECT_GE(after_restart->reliable.retransmissions,
+            before_kill->reliable.retransmissions + 1);
   ASSERT_TRUE(cluster.wait_done());
 
   std::vector<ImportedRun> runs;
@@ -1109,7 +1125,7 @@ TEST(ProcessClusterTest, KillAndRestartHostRecovers) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_TRUE(cluster.shutdown());
 
-  // p1's final read saw the last write despite the crash window.
+  // p1's final read saw the last write despite both crash windows.
   bool saw_last = false;
   for (const OpRef ref : runs[1].history.local(1)) {
     const Operation& op = runs[1].history.op(ref);

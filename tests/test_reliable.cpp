@@ -139,8 +139,10 @@ struct ArqFixture {
                                                latency_scale * 2, 5);
     net = std::make_unique<Network>(queue, *latency, 2);
     net->set_fault_plan(plan);
-    nodes.push_back(std::make_unique<ReliableNode>(queue, *net, 0, sinks[0]));
-    nodes.push_back(std::make_unique<ReliableNode>(queue, *net, 1, sinks[1]));
+    for (ProcessId p = 0; p < 2; ++p) {
+      nodes.push_back(std::make_unique<ReliableNode>(queue, *net, p, sinks[p]));
+      net->attach(p, *nodes[p]);
+    }
   }
   EventQueue queue;
   std::unique_ptr<UniformLatency> latency;
@@ -215,6 +217,7 @@ TEST(ReliableNode, BroadcastReachesAllPeersExactlyOnce) {
   std::vector<std::unique_ptr<ReliableNode>> nodes;
   for (ProcessId p = 0; p < 4; ++p) {
     nodes.push_back(std::make_unique<ReliableNode>(queue, net, p, sinks[p]));
+    net.attach(p, *nodes[p]);
   }
   for (int i = 0; i < 30; ++i) nodes[2]->broadcast(make_payload({static_cast<std::uint8_t>(i)}));
   queue.run();
@@ -241,6 +244,8 @@ TEST(ReliableNode, AdaptiveRtoConvergesTowardMeasuredRtt) {
   cfg.min_rto = sim_us(300);
   ReliableNode a(queue, net, 0, sinks[0], cfg);
   ReliableNode b(queue, net, 1, sinks[1], cfg);
+  net.attach(0, a);
+  net.attach(1, b);
 
   EXPECT_EQ(a.current_rto(1), sim_ms(50));  // pre-sample: the initial RTO
   for (int i = 0; i < 30; ++i) a.send(1, make_payload({1}));
@@ -289,6 +294,8 @@ TEST(ReliableNode, AbandonCallbackFiresWhenRetriesExhausted) {
   };
   ReliableNode a(queue, net, 0, sinks[0], cfg);
   ReliableNode b(queue, net, 1, sinks[1], cfg);
+  net.attach(0, a);
+  net.attach(1, b);
   a.send(1, make_payload({42}));
   queue.run();
 
@@ -321,6 +328,8 @@ TEST(ReliableNodeDeathTest, AbandonWithoutCallbackIsAHardError) {
         cfg.max_retries = 2;
         ReliableNode a(queue, net, 0, sinks[0], cfg);
         ReliableNode b(queue, net, 1, sinks[1], cfg);
+        net.attach(0, a);
+        net.attach(1, b);
         a.send(1, make_payload({42}));
         queue.run();
       },

@@ -8,7 +8,6 @@
 
 #include "optcm_cli.h"
 
-#include <charconv>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -295,24 +294,18 @@ struct CommonOptions {
   std::shared_ptr<const ObjectSchema> objects;
 };
 
-/// A decimal u64 and nothing else: no sign, no space, no trailing text.
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return !text.empty() && ec == std::errc{} && ptr == end;
-}
-
 /// "START:DUR" (µs) -> [start, end): DUR > 0 and START+DUR must fit.
 bool parse_window(std::string_view text, SimTime& start, SimTime& end) {
   const auto colon = text.find(':');
-  std::uint64_t dur = 0;
-  if (colon == std::string_view::npos ||
-      !parse_u64(text.substr(0, colon), start) ||
-      !parse_u64(text.substr(colon + 1), dur) || dur == 0 ||
-      start > std::numeric_limits<SimTime>::max() - dur) {
+  if (colon == std::string_view::npos) return false;
+  const auto from = parse_u64(text.substr(0, colon));
+  const auto dur = parse_u64(text.substr(colon + 1));
+  if (!from || !dur || *dur == 0 ||
+      *from > std::numeric_limits<SimTime>::max() - *dur) {
     return false;
   }
-  end = start + dur;
+  start = *from;
+  end = *from + *dur;
   return true;
 }
 
@@ -345,15 +338,15 @@ bool parse_crash(const std::string& text, std::size_t n_procs,
                  CrashPlan& plan) {
   for (const std::string& item : split_commas(text)) {
     const auto at = item.find('@');
-    std::uint64_t p = 0;
+    if (at == std::string::npos) return false;
+    const auto p = parse_u64(std::string_view(item).substr(0, at));
     SimTime start = 0;
     SimTime end = 0;
-    if (at == std::string::npos ||
-        !parse_u64(std::string_view(item).substr(0, at), p) || p >= n_procs ||
+    if (!p || *p >= n_procs ||
         !parse_window(std::string_view(item).substr(at + 1), start, end)) {
       return false;
     }
-    plan.events.push_back(CrashEvent{static_cast<ProcessId>(p), start, end});
+    plan.events.push_back(CrashEvent{static_cast<ProcessId>(*p), start, end});
   }
   return plan.active();
 }
@@ -1007,363 +1000,459 @@ std::optional<Work> prepare_serve(const FlagValues& f) {
   };
 }
 
-std::optional<Work> prepare_drive(const FlagValues& f) {
-  const ProtocolKind kind = *parse_protocol(f.text("protocol"));
-  const std::string script = f.has("script") ? f.text("script") : "h1";
-  const auto time_scale = f.num<std::uint64_t>("time-scale");
-  const bool compare_sim = f.has("compare-sim");
-  const bool want_respawn = f.has("respawn");
-  const bool wal_group_commit = f.has("wal-group-commit");
-  std::string state_dir = f.text("state-dir");
-  const FsyncPolicy fsync = *parse_fsync_policy(f.text("fsync"));
-  const auto shards_per_proc = f.num<std::size_t>("shards-per-proc");
+/// `optcm drive`'s validated command line.
+struct DriveRun {
+  ProtocolKind kind = ProtocolKind::kOptP;
+  std::string script;
+  std::vector<Script> scripts;
+  std::size_t n_vars = 0;
+  std::shared_ptr<const ObjectSchema> schema;
+  std::shared_ptr<const SubscriptionMap> subscription;
+  std::uint64_t time_scale = 1;
+  bool compare_sim = false;
+  bool recoverable = false;
+  bool respawn = false;
+  std::string state_dir;
+  FsyncPolicy fsync = FsyncPolicy::kEvery;
+  bool wal_group_commit = false;
+  std::size_t shards_per_proc = 1;
+  struct KillConn {
+    std::uint64_t from = 0;
+    std::uint64_t to = 0;
+    std::uint64_t at_ms = 0;
+  };
+  std::optional<KillConn> kill_conn;  ///< --kill-conn=P:Q@MS
+  struct KillHost {
+    std::uint64_t node = 0;
+    std::uint64_t at_ms = 30;
+  };
+  std::optional<KillHost> kill_host;  ///< --kill-host=N[@MS]
+  std::optional<NemesisPlan> nemesis;
+  bool nemesis_durable = false;  ///< the schedule crashes nodes or fails WALs
+};
 
-  const ScriptChoice choice = load_script(script);
-  const std::vector<Script>& scripts = choice.scripts;
-  const std::size_t n_vars = choice.n_vars;
-  const std::shared_ptr<const ObjectSchema>& schema = choice.schema;
-  if (f.num<std::size_t>("spawn") != scripts.size()) {
-    return reject("--spawn must be %zu for --script=%s", scripts.size(),
-                  script.c_str());
+/// "P:Q@MS" with P != Q, both < n.
+std::optional<DriveRun::KillConn> parse_kill_conn(std::string_view text,
+                                                  std::size_t n) {
+  const auto colon = text.find(':');
+  const auto at = text.find('@');
+  if (colon == std::string_view::npos || at == std::string_view::npos ||
+      at < colon) {
+    return std::nullopt;
   }
-  if (compare_sim && script != "h1" && script != "objects") {
+  const auto from = parse_u64(text.substr(0, colon));
+  const auto to = parse_u64(text.substr(colon + 1, at - colon - 1));
+  const auto at_ms = parse_u64(text.substr(at + 1));
+  if (!from || !to || !at_ms || *from >= n || *to >= n || *from == *to) {
+    return std::nullopt;
+  }
+  return DriveRun::KillConn{*from, *to, *at_ms};
+}
+
+/// "N" or "N@MS" with N < n.
+std::optional<DriveRun::KillHost> parse_kill_host(std::string_view text,
+                                                  std::size_t n) {
+  DriveRun::KillHost kill;
+  const auto at = text.find('@');
+  const auto node = parse_u64(text.substr(0, at));
+  if (!node || *node >= n) return std::nullopt;
+  kill.node = *node;
+  if (at != std::string_view::npos) {
+    const auto at_ms = parse_u64(text.substr(at + 1));
+    if (!at_ms) return std::nullopt;
+    kill.at_ms = *at_ms;
+  }
+  return kill;
+}
+
+/// A fresh directory under $TMPDIR (else /tmp), announced on stdout.
+bool make_temp_state_dir(std::string& dir) {
+  const char* tmp = std::getenv("TMPDIR");
+  std::string templ =
+      std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+      "/optcm-state-XXXXXX";
+  std::vector<char> buf(templ.begin(), templ.end());
+  buf.push_back('\0');
+  if (::mkdtemp(buf.data()) == nullptr) {
+    std::fprintf(stderr, "cannot create a temporary state dir\n");
+    return false;
+  }
+  dir = buf.data();
+  std::printf("state dir: %s\n", dir.c_str());
+  return true;
+}
+
+ProcessClusterConfig drive_cluster_config(const DriveRun& d) {
+  ProcessClusterConfig config;
+  config.shape.kind = d.kind;
+  config.shape.n_procs = d.scripts.size();
+  config.shape.n_vars = d.n_vars;
+  // Durable state needs the recoverable stack (replay filter + anti-entropy);
+  // the drive harness owns every node, so it is safe to imply the shape.
+  config.shape.recoverable = d.recoverable || !d.state_dir.empty();
+  // Forked without exec: the children inherit the map through the shared
+  // ProtocolConfig, so every node routes by the same subscription sets (and
+  // the same object schema).
+  config.shape.protocol_config.subscription = d.subscription;
+  config.shape.protocol_config.objects = d.schema;
+  config.state_dir = d.state_dir;
+  config.fsync = d.fsync;
+  config.wal_group_commit = d.wal_group_commit;
+  config.shards_per_proc = d.shards_per_proc;
+  if (d.nemesis) {
+    config.net_faults = d.nemesis->boot_plan();
+    config.storage_fail = d.nemesis->wal_fails;
+  }
+  return config;
+}
+
+/// Spawn the cluster, wait for the full mesh, and start the scripts.
+bool start_drive_cluster(ProcessCluster& cluster, const DriveRun& d) {
+  if (!cluster.spawn()) {
+    std::fprintf(stderr, "cluster spawn failed\n");
+    return false;
+  }
+  if (!cluster.wait_ready()) {
+    std::fprintf(stderr, "cluster never became fully connected\n");
+    return false;
+  }
+  if (d.shards_per_proc > 1) {
+    std::printf("cluster up: %zu shards packed %zu per process, ring mesh "
+                "inside, TCP between, on 127.0.0.1\n",
+                cluster.n_procs(), d.shards_per_proc);
+  } else {
+    std::printf("cluster up: %zu processes, full TCP mesh on 127.0.0.1\n",
+                cluster.n_procs());
+  }
+  if (!cluster.run(d.scripts, d.time_scale)) {
+    std::fprintf(stderr, "failed to start the scripted run\n");
+    return false;
+  }
+  return true;
+}
+
+bool drive_kill_conn(ProcessCluster& cluster, const DriveRun::KillConn& kill) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(kill.at_ms));
+  if (!cluster.kill_connection(static_cast<ProcessId>(kill.from),
+                               static_cast<ProcessId>(kill.to))) {
+    std::fprintf(stderr, "kill-conn request failed\n");
+    return false;
+  }
+  std::printf("dropped connection p%llu -> p%llu at +%llums\n",
+              static_cast<unsigned long long>(kill.from),
+              static_cast<unsigned long long>(kill.to),
+              static_cast<unsigned long long>(kill.at_ms));
+  return true;
+}
+
+/// The nemesis path: print the expanded schedule and play it.  Each crash
+/// archives the victim's pre-kill log in `out.pre_crash`.
+bool drive_nemesis(ProcessCluster& cluster, const DriveRun& d,
+                   NemesisOutcome& out) {
+  const auto timeline = expand(*d.nemesis);
+  std::printf("nemesis schedule (%zu events):\n%s", timeline.size(),
+              trace_str(timeline).c_str());
+  out = run_nemesis(cluster, *d.nemesis, d.scripts, d.time_scale);
+  if (!out.ok) {
+    std::fprintf(stderr, "nemesis failed: %s\n", out.error.c_str());
+    return false;
+  }
+  std::printf("nemesis schedule complete (%zu crash(es) archived)\n",
+              out.pre_crash.size());
+  return true;
+}
+
+/// The durable path: SIGKILL one node, respawn it from its state dir, and
+/// resume its script.  Its pre-kill log is archived in `crashes.pre_crash`.
+bool drive_kill_host(ProcessCluster& cluster, const DriveRun& d,
+                     NemesisOutcome& crashes) {
+  const DriveRun::KillHost& kill = *d.kill_host;
+  const auto node = static_cast<unsigned long long>(kill.node);
+  std::this_thread::sleep_for(std::chrono::milliseconds(kill.at_ms));
+  const auto victim = static_cast<ProcessId>(kill.node);
+  // Archive incarnation 1's view first: stitched against the respawned
+  // node's final log below, this exercises the multi-incarnation path.
+  auto pre_kill_log = cluster.fetch_log(victim);
+  if (!pre_kill_log) {
+    std::fprintf(stderr, "failed to fetch p%llu's pre-kill log\n", node);
+    return false;
+  }
+  crashes.pre_crash.emplace_back(victim, std::move(*pre_kill_log));
+  if (!cluster.kill_process(victim)) {
+    std::fprintf(stderr, "kill-host failed\n");
+    return false;
+  }
+  std::printf("kill -9 p%llu at +%llums\n", node,
+              static_cast<unsigned long long>(kill.at_ms));
+  if (!cluster.respawn_process(victim)) {
+    std::fprintf(stderr, "respawn failed\n");
+    return false;
+  }
+  if (!cluster.wait_ready()) {
+    std::fprintf(stderr, "respawned cluster never re-formed the mesh\n");
+    return false;
+  }
+  if (!cluster.wait_quiescent()) {
+    std::fprintf(stderr, "cluster never quiesced after the respawn\n");
+    return false;
+  }
+  if (!cluster.run_node(victim, d.scripts[victim], d.time_scale)) {
+    std::fprintf(stderr, "failed to resume p%llu's script\n", node);
+    return false;
+  }
+  std::printf(
+      "p%llu respawned from %s/node-%llu (snapshot + WAL replay + "
+      "anti-entropy) and resumed its script\n",
+      node, d.state_dir.c_str(), node);
+  return true;
+}
+
+/// Each crash (nemesis or --kill-host) archived the victim's pre-kill view;
+/// stitch the archived incarnations (oldest first) against the node's final
+/// log in `runs`.
+bool stitch_crashed_nodes(
+    std::vector<std::pair<ProcessId, ImportedRun>>& pre_crash,
+    std::vector<ImportedRun>& runs) {
+  std::map<ProcessId, std::vector<ImportedRun>> incarnations;
+  for (auto& [node, log] : pre_crash) {
+    incarnations[node].push_back(std::move(log));
+  }
+  for (auto& [node, logs] : incarnations) {
+    logs.push_back(std::move(runs[node]));
+    auto stitched = stitch_incarnations(logs);
+    if (!stitched) {
+      std::fprintf(stderr,
+                   "p%u's incarnation logs do not stitch (inconsistent op "
+                   "prefixes)\n",
+                   static_cast<unsigned>(node));
+      return false;
+    }
+    runs[node] = std::move(*stitched);
+  }
+  return true;
+}
+
+/// The compare-sim path: every node's observer-event sequence against the
+/// simulator's on the same scripts.  Prints each divergence and the verdict.
+bool matches_simulator(const DriveRun& d,
+                       const std::vector<ImportedRun>& runs) {
+  const ConstantLatency latency(sim_us(10));
+  SimRunConfig sim_config;
+  sim_config.kind = d.kind;
+  sim_config.n_procs = d.scripts.size();
+  sim_config.n_vars = d.n_vars;
+  sim_config.latency = &latency;
+  sim_config.protocol_config.subscription = d.subscription;
+  sim_config.protocol_config.objects = d.schema;
+  const auto sim = run_sim(sim_config, d.scripts);
+  bool equal = true;
+  for (ProcessId p = 0; p < runs.size(); ++p) {
+    const std::string net_seq = sequence_str(runs[p].events, p);
+    const std::string sim_seq = sim.recorder->sequence_str(p);
+    if (net_seq != sim_seq) {
+      equal = false;
+      std::printf("\np%u DIVERGES from the simulator:\n  net: %s\n  sim: %s\n",
+                  static_cast<unsigned>(p), net_seq.c_str(), sim_seq.c_str());
+    }
+  }
+  std::printf("\nobserver-event equivalence vs simulator: %s\n",
+              equal ? "byte-identical on every process"
+                    : "MISMATCH (see above)");
+  return equal;
+}
+
+int run_drive(DriveRun d) {
+  if ((d.respawn || d.nemesis_durable || d.wal_group_commit) &&
+      d.state_dir.empty() && !make_temp_state_dir(d.state_dir)) {
+    return 1;
+  }
+  ProcessCluster cluster(drive_cluster_config(d));
+  if (!start_drive_cluster(cluster, d)) return 1;
+  if (d.kill_conn && !drive_kill_conn(cluster, *d.kill_conn)) return 1;
+  NemesisOutcome crashes;
+  crashes.ok = true;
+  if (d.nemesis && !drive_nemesis(cluster, d, crashes)) return 1;
+  if (d.kill_host && !drive_kill_host(cluster, d, crashes)) return 1;
+  if (!cluster.wait_done()) {
+    std::fprintf(stderr, "run did not complete (last control error: %s)\n",
+                 std::string(to_string(cluster.last_error())).c_str());
+    return 1;
+  }
+
+  std::vector<ImportedRun> runs;
+  for (ProcessId p = 0; p < cluster.n_procs(); ++p) {
+    auto log = cluster.fetch_log(p);
+    if (!log) {
+      std::fprintf(stderr, "failed to fetch node %u's log\n",
+                   static_cast<unsigned>(p));
+      return 1;
+    }
+    runs.push_back(std::move(*log));
+  }
+  NodeNetStats total;
+  for (ProcessId p = 0; p < cluster.n_procs(); ++p) {
+    const auto stats = cluster.fetch_stats(p);
+    if (stats) total += *stats;
+  }
+  const bool clean_exit = cluster.shutdown();
+  if (!stitch_crashed_nodes(crashes.pre_crash, runs)) return 1;
+
+  const auto merged = merge_runs(runs);
+  if (!merged) {
+    std::fprintf(stderr, "per-node logs do not merge into a causal order\n");
+    return 1;
+  }
+  const auto audit = OptimalityAuditor::audit(merged->history, merged->events,
+                                              d.subscription.get());
+  const auto check = d.schema != nullptr
+                         ? SpecChecker::check(merged->history, *d.schema)
+                         : ConsistencyChecker::check(merged->history);
+
+  Table table({"metric", "value"});
+  table.add("script", d.script);
+  if (d.schema != nullptr) {
+    table.add("objects", d.schema->str());
+    table.add("linearizations explored", check.linearizations_explored);
+  }
+  if (d.subscription != nullptr) {
+    table.add("subscriptions", d.subscription->describe());
+  }
+  table.add("time scale", d.time_scale);
+  table.add("operations (merged)", merged->history.size());
+  table.add("events (merged)", merged->events.size());
+  table.add("TCP frames sent", total.tcp.frames_out);
+  table.add("TCP bytes sent", total.tcp.bytes_out);
+  table.add("TCP reconnects", total.tcp.reconnects);
+  table.add("sends dropped (link down)", total.tcp.sends_dropped);
+  table.add("ARQ retransmissions", total.reliable.retransmissions);
+  table.add("ARQ abandoned", total.reliable.abandoned);
+  table.add("delayed (Def. 3)", audit.total_delayed());
+  table.add("unnecessary delays", audit.total_unnecessary());
+  table.add("write-delay optimal run (Def. 5)",
+            audit.write_delay_optimal() ? "yes" : "NO");
+  table.add("safe", audit.safe() ? "yes" : "NO");
+  table.add("live", audit.live() ? "yes" : "NO");
+  table.add("causally consistent (Defs. 1-2)",
+            check.consistent() ? "yes" : "NO");
+  table.add("clean shutdown", clean_exit ? "yes" : "NO");
+  if (d.kill_host) {
+    table.add("kill -9 + respawn + stitch",
+              "p" + std::to_string(d.kill_host->node));
+  }
+  if (d.nemesis) {
+    table.add("faults: dropped", total.faults.dropped);
+    table.add("faults: duplicated", total.faults.duplicated);
+    table.add("faults: corrupted", total.faults.corrupted);
+    table.add("faults: reordered", total.faults.reordered);
+    table.add("faults: delayed", total.faults.delayed);
+    table.add("faults: blocked (partition)", total.faults.blocked);
+    table.add("WAL write errors / retries",
+              std::to_string(total.wal.write_errors) + " / " +
+                  std::to_string(total.wal.write_retries));
+    table.add("WAL fsync errors", total.wal.fsync_errors);
+    table.add("snapshot spills skipped/failed", total.node.snapshot_failures);
+    table.add("crashes (SIGKILL + respawn)", crashes.pre_crash.size());
+  }
+  std::printf("%s", table.str().c_str());
+
+  bool ok = check.consistent() && audit.safe() && audit.live() &&
+            total.reliable.abandoned == 0 && clean_exit;
+  if (d.compare_sim) ok = matches_simulator(d, runs) && ok;
+  if (d.kill_conn) {
+    std::printf("reconnects=%llu retransmissions=%llu (the dropped link was "
+                "re-dialed and repaired by the ARQ)\n",
+                static_cast<unsigned long long>(total.tcp.reconnects),
+                static_cast<unsigned long long>(
+                    total.reliable.retransmissions));
+  }
+  return ok ? 0 : 1;
+}
+
+std::optional<Work> prepare_drive(const FlagValues& f) {
+  DriveRun d;
+  d.kind = *parse_protocol(f.text("protocol"));
+  d.script = f.has("script") ? f.text("script") : "h1";
+  d.time_scale = f.num<std::uint64_t>("time-scale");
+  d.compare_sim = f.has("compare-sim");
+  d.recoverable = f.has("recoverable");
+  d.respawn = f.has("respawn");
+  d.wal_group_commit = f.has("wal-group-commit");
+  d.state_dir = f.text("state-dir");
+  d.fsync = *parse_fsync_policy(f.text("fsync"));
+  d.shards_per_proc = f.num<std::size_t>("shards-per-proc");
+
+  ScriptChoice choice = load_script(d.script);
+  d.scripts = std::move(choice.scripts);
+  d.n_vars = choice.n_vars;
+  d.schema = choice.schema;
+  const std::size_t n = d.scripts.size();
+  if (f.num<std::size_t>("spawn") != n) {
+    return reject("--spawn must be %zu for --script=%s", n, d.script.c_str());
+  }
+  if (d.compare_sim && d.script != "h1" && d.script != "objects") {
     return reject("--compare-sim only works with --script=h1 or "
                   "--script=objects (fig1/fig3 choreograph per-message "
                   "latency, which real sockets cannot reproduce)");
   }
-  if (schema != nullptr && !supports_objects(kind)) {
+  if (d.schema != nullptr && !supports_objects(d.kind)) {
     return reject("%s", kObjectsNeedProtocol);
   }
-  unsigned long long kc_from = 0;
-  unsigned long long kc_to = 0;
-  unsigned long long kc_at_ms = 0;
-  const bool want_kill = f.has("kill-conn");
-  if (want_kill) {
-    const std::string kill_conn = f.text("kill-conn");
-    int end = 0;  // characters parsed: all of them, or the text is malformed
-    if (std::sscanf(kill_conn.c_str(), "%llu:%llu@%llu%n", &kc_from, &kc_to,
-                    &kc_at_ms, &end) != 3 ||
-        static_cast<std::size_t>(end) != kill_conn.size() ||
-        kc_from >= scripts.size() || kc_to >= scripts.size() ||
-        kc_from == kc_to) {
-      return reject("bad --kill-conn '%s' (want P:Q@MS)", kill_conn.c_str());
+  if (f.has("kill-conn")) {
+    const std::string text = f.text("kill-conn");
+    d.kill_conn = parse_kill_conn(text, n);
+    if (!d.kill_conn) {
+      return reject("bad --kill-conn '%s' (want P:Q@MS)", text.c_str());
     }
   }
-  unsigned long long kh_node = 0;
-  unsigned long long kh_at_ms = 30;
-  const bool want_kill_host = f.has("kill-host");
-  if (want_kill_host) {
-    const std::string kill_host = f.text("kill-host");
-    int end = 0;  // characters parsed: all of them, or the text is malformed
-    if (std::sscanf(kill_host.c_str(), "%llu%n@%llu%n", &kh_node, &end,
-                    &kh_at_ms, &end) < 1 ||
-        static_cast<std::size_t>(end) != kill_host.size() ||
-        kh_node >= scripts.size()) {
+  if (f.has("kill-host")) {
+    const std::string text = f.text("kill-host");
+    d.kill_host = parse_kill_host(text, n);
+    if (!d.kill_host) {
       return reject("bad --kill-host '%s' (want N or N@MS, N < spawn)",
-                    kill_host.c_str());
+                    text.c_str());
     }
   }
-  std::optional<NemesisPlan> nemesis;
   if (f.has("nemesis")) {
     std::string error;
-    nemesis = NemesisPlan::parse(f.text("nemesis"), scripts.size(), &error);
-    if (!nemesis) return reject("bad --nemesis: %s", error.c_str());
+    d.nemesis = NemesisPlan::parse(f.text("nemesis"), n, &error);
+    if (!d.nemesis) return reject("bad --nemesis: %s", error.c_str());
   }
   // SIGKILLing a shard group would take out several nodes at once — that is
   // a different fault than the single-node crash these flags model.
-  if (shards_per_proc > 1 && (want_kill_host || want_respawn)) {
+  if (d.shards_per_proc > 1 && (d.kill_host || d.respawn)) {
     return reject("--shards-per-proc > 1 is incompatible with --kill-host/"
                   "--respawn (a SIGKILL would hit the whole shard group)");
   }
-  if (shards_per_proc > 1 && nemesis && nemesis->has_crashes()) {
+  if (d.shards_per_proc > 1 && d.nemesis && d.nemesis->has_crashes()) {
     return reject("--shards-per-proc > 1 is incompatible with nemesis crash "
                   "schedules (crashes SIGKILL whole processes)");
   }
   // Crashes need a respawn source and wal-fail needs a WAL: both imply
-  // durable state (a temp dir is made below when none was given), and group
+  // durable state (a temp dir is made when none was given), and group
   // commit is meaningless without a WAL to commit.
-  const bool nemesis_durable =
-      nemesis && (nemesis->has_crashes() || !nemesis->wal_fails.empty());
-  const bool durable = f.has("recoverable") || !state_dir.empty() ||
-                       want_kill_host || want_respawn || wal_group_commit ||
-                       nemesis_durable;
-  if (durable && (schema != nullptr || kind == ProtocolKind::kOptPSharded)) {
+  d.nemesis_durable = d.nemesis && (d.nemesis->has_crashes() ||
+                                    !d.nemesis->wal_fails.empty());
+  const bool durable = d.recoverable || !d.state_dir.empty() ||
+                       d.kill_host || d.respawn || d.wal_group_commit ||
+                       d.nemesis_durable;
+  if (durable &&
+      (d.schema != nullptr || d.kind == ProtocolKind::kOptPSharded)) {
     return reject(
         "%s keeps no durable state: drop --recoverable/--state-dir/"
         "--kill-host/--respawn/--wal-group-commit and nemesis crash/wal-fail "
         "entries",
-        schema != nullptr
+        d.schema != nullptr
             ? "--script=objects (catch-up redelivery carries no typed payload)"
             : "optp-sharded (no WAL/checkpoint seam to restore from)");
   }
-  std::shared_ptr<const SubscriptionMap> subscription;
-  if (!parse_subscription_flags(f, kind, scripts.size(), n_vars,
-                                subscription)) {
+  if (!parse_subscription_flags(f, d.kind, n, d.n_vars, d.subscription)) {
     return std::nullopt;
   }
-  if (subscription != nullptr && !scripts_within(scripts, *subscription)) {
+  if (d.subscription != nullptr &&
+      !scripts_within(d.scripts, *d.subscription)) {
     return std::nullopt;
   }
-
-  return [=]() mutable -> int {
-    if ((want_respawn || nemesis_durable || wal_group_commit) &&
-        state_dir.empty()) {
-      const char* tmp = std::getenv("TMPDIR");
-      std::string templ =
-          std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
-          "/optcm-state-XXXXXX";
-      std::vector<char> buf(templ.begin(), templ.end());
-      buf.push_back('\0');
-      if (::mkdtemp(buf.data()) == nullptr) {
-        std::fprintf(stderr, "cannot create a temporary state dir\n");
-        return 1;
-      }
-      state_dir = buf.data();
-      std::printf("state dir: %s\n", state_dir.c_str());
-    }
-
-    ProcessClusterConfig cluster_config;
-    cluster_config.shape.kind = kind;
-    cluster_config.shape.n_procs = scripts.size();
-    cluster_config.shape.n_vars = n_vars;
-    // Durable state needs the recoverable stack (replay filter + anti-entropy);
-    // the drive harness owns every node, so it is safe to imply the shape.
-    cluster_config.shape.recoverable =
-        f.has("recoverable") || !state_dir.empty();
-    // Forked without exec: the children inherit the map through the shared
-    // ProtocolConfig, so every node routes by the same subscription sets (and
-    // the same object schema).
-    cluster_config.shape.protocol_config.subscription = subscription;
-    cluster_config.shape.protocol_config.objects = schema;
-    cluster_config.state_dir = state_dir;
-    cluster_config.fsync = fsync;
-    cluster_config.wal_group_commit = wal_group_commit;
-    cluster_config.shards_per_proc = shards_per_proc;
-    if (nemesis) {
-      cluster_config.net_faults = nemesis->boot_plan();
-      cluster_config.storage_fail = nemesis->wal_fails;
-    }
-
-    ProcessCluster cluster(cluster_config);
-    if (!cluster.spawn()) {
-      std::fprintf(stderr, "cluster spawn failed\n");
-      return 1;
-    }
-    if (!cluster.wait_ready()) {
-      std::fprintf(stderr, "cluster never became fully connected\n");
-      return 1;
-    }
-    if (shards_per_proc > 1) {
-      std::printf("cluster up: %zu shards packed %zu per process, ring mesh "
-                  "inside, TCP between, on 127.0.0.1\n",
-                  cluster.n_procs(), shards_per_proc);
-    } else {
-      std::printf("cluster up: %zu processes, full TCP mesh on 127.0.0.1\n",
-                  cluster.n_procs());
-    }
-    if (!cluster.run(scripts, time_scale)) {
-      std::fprintf(stderr, "failed to start the scripted run\n");
-      return 1;
-    }
-    if (want_kill) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(kc_at_ms));
-      if (!cluster.kill_connection(static_cast<ProcessId>(kc_from),
-                                   static_cast<ProcessId>(kc_to))) {
-        std::fprintf(stderr, "kill-conn request failed\n");
-        return 1;
-      }
-      std::printf("dropped connection p%llu -> p%llu at +%llums\n", kc_from,
-                  kc_to, kc_at_ms);
-    }
-    NemesisOutcome nemesis_out;
-    nemesis_out.ok = true;
-    if (nemesis) {
-      const auto timeline = expand(*nemesis);
-      std::printf("nemesis schedule (%zu events):\n%s",
-                  timeline.size(), trace_str(timeline).c_str());
-      nemesis_out = run_nemesis(cluster, *nemesis, scripts, time_scale);
-      if (!nemesis_out.ok) {
-        std::fprintf(stderr, "nemesis failed: %s\n", nemesis_out.error.c_str());
-        return 1;
-      }
-      std::printf("nemesis schedule complete (%zu crash(es) archived)\n",
-                  nemesis_out.pre_crash.size());
-    }
-    if (want_kill_host) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(kh_at_ms));
-      const auto victim = static_cast<ProcessId>(kh_node);
-      // Archive incarnation 1's view first: stitched against the respawned
-      // node's final log below, this exercises the multi-incarnation path.
-      auto pre_kill_log = cluster.fetch_log(victim);
-      if (!pre_kill_log) {
-        std::fprintf(stderr, "failed to fetch p%llu's pre-kill log\n", kh_node);
-        return 1;
-      }
-      nemesis_out.pre_crash.emplace_back(victim, std::move(*pre_kill_log));
-      if (!cluster.kill_process(victim)) {
-        std::fprintf(stderr, "kill-host failed\n");
-        return 1;
-      }
-      std::printf("kill -9 p%llu at +%llums\n", kh_node, kh_at_ms);
-      if (!cluster.respawn_process(victim)) {
-        std::fprintf(stderr, "respawn failed\n");
-        return 1;
-      }
-      if (!cluster.wait_ready()) {
-        std::fprintf(stderr, "respawned cluster never re-formed the mesh\n");
-        return 1;
-      }
-      if (!cluster.wait_quiescent()) {
-        std::fprintf(stderr, "cluster never quiesced after the respawn\n");
-        return 1;
-      }
-      if (!cluster.run_node(victim, scripts[kh_node], time_scale)) {
-        std::fprintf(stderr, "failed to resume p%llu's script\n", kh_node);
-        return 1;
-      }
-      std::printf(
-          "p%llu respawned from %s/node-%llu (snapshot + WAL replay + "
-          "anti-entropy) and resumed its script\n",
-          kh_node, state_dir.c_str(), kh_node);
-    }
-    if (!cluster.wait_done()) {
-      std::fprintf(stderr, "run did not complete (last control error: %s)\n",
-                   std::string(to_string(cluster.last_error())).c_str());
-      return 1;
-    }
-
-    std::vector<ImportedRun> runs;
-    for (ProcessId p = 0; p < cluster.n_procs(); ++p) {
-      auto log = cluster.fetch_log(p);
-      if (!log) {
-        std::fprintf(stderr, "failed to fetch node %u's log\n",
-                     static_cast<unsigned>(p));
-        return 1;
-      }
-      runs.push_back(std::move(*log));
-    }
-    NodeNetStats total;
-    for (ProcessId p = 0; p < cluster.n_procs(); ++p) {
-      const auto stats = cluster.fetch_stats(p);
-      if (stats) total += *stats;
-    }
-    const bool clean_exit = cluster.shutdown();
-
-    // Each crash (nemesis or --kill-host) archived the victim's pre-kill
-    // view; stitch the archived incarnations (oldest first) against the
-    // node's final log.
-    std::map<ProcessId, std::vector<ImportedRun>> incarnations;
-    for (auto& [node, log] : nemesis_out.pre_crash) {
-      incarnations[node].push_back(std::move(log));
-    }
-    for (auto& [node, logs] : incarnations) {
-      logs.push_back(std::move(runs[node]));
-      auto stitched = stitch_incarnations(logs);
-      if (!stitched) {
-        std::fprintf(stderr,
-                     "p%u's incarnation logs do not stitch (inconsistent op "
-                     "prefixes)\n",
-                     static_cast<unsigned>(node));
-        return 1;
-      }
-      runs[node] = std::move(*stitched);
-    }
-
-    const auto merged = merge_runs(runs);
-    if (!merged) {
-      std::fprintf(stderr, "per-node logs do not merge into a causal order\n");
-      return 1;
-    }
-    const auto audit = OptimalityAuditor::audit(merged->history, merged->events,
-                                                subscription.get());
-    const auto check = schema != nullptr
-                           ? SpecChecker::check(merged->history, *schema)
-                           : ConsistencyChecker::check(merged->history);
-
-    Table table({"metric", "value"});
-    table.add("script", script);
-    if (schema != nullptr) {
-      table.add("objects", schema->str());
-      table.add("linearizations explored", check.linearizations_explored);
-    }
-    if (subscription != nullptr) {
-      table.add("subscriptions", subscription->describe());
-    }
-    table.add("time scale", time_scale);
-    table.add("operations (merged)", merged->history.size());
-    table.add("events (merged)", merged->events.size());
-    table.add("TCP frames sent", total.tcp.frames_out);
-    table.add("TCP bytes sent", total.tcp.bytes_out);
-    table.add("TCP reconnects", total.tcp.reconnects);
-    table.add("sends dropped (link down)", total.tcp.sends_dropped);
-    table.add("ARQ retransmissions", total.reliable.retransmissions);
-    table.add("ARQ abandoned", total.reliable.abandoned);
-    table.add("delayed (Def. 3)", audit.total_delayed());
-    table.add("unnecessary delays", audit.total_unnecessary());
-    table.add("write-delay optimal run (Def. 5)",
-              audit.write_delay_optimal() ? "yes" : "NO");
-    table.add("safe", audit.safe() ? "yes" : "NO");
-    table.add("live", audit.live() ? "yes" : "NO");
-    table.add("causally consistent (Defs. 1-2)",
-              check.consistent() ? "yes" : "NO");
-    table.add("clean shutdown", clean_exit ? "yes" : "NO");
-    if (want_kill_host) {
-      table.add("kill -9 + respawn + stitch", "p" + std::to_string(kh_node));
-    }
-    if (nemesis) {
-      table.add("faults: dropped", total.faults.dropped);
-      table.add("faults: duplicated", total.faults.duplicated);
-      table.add("faults: corrupted", total.faults.corrupted);
-      table.add("faults: reordered", total.faults.reordered);
-      table.add("faults: delayed", total.faults.delayed);
-      table.add("faults: blocked (partition)", total.faults.blocked);
-      table.add("WAL write errors / retries",
-                std::to_string(total.wal.write_errors) + " / " +
-                    std::to_string(total.wal.write_retries));
-      table.add("WAL fsync errors", total.wal.fsync_errors);
-      table.add("snapshot spills skipped/failed", total.node.snapshot_failures);
-      table.add("crashes (SIGKILL + respawn)", nemesis_out.pre_crash.size());
-    }
-    std::printf("%s", table.str().c_str());
-
-    bool ok = check.consistent() && audit.safe() && audit.live() &&
-              total.reliable.abandoned == 0 && clean_exit;
-
-    if (compare_sim) {
-      const ConstantLatency latency(sim_us(10));
-      SimRunConfig sim_config;
-      sim_config.kind = kind;
-      sim_config.n_procs = scripts.size();
-      sim_config.n_vars = n_vars;
-      sim_config.latency = &latency;
-      sim_config.protocol_config.subscription = subscription;
-      sim_config.protocol_config.objects = schema;
-      const auto sim = run_sim(sim_config, scripts);
-      bool equal = true;
-      for (ProcessId p = 0; p < cluster.n_procs(); ++p) {
-        const std::string net_seq = sequence_str(runs[p].events, p);
-        const std::string sim_seq = sim.recorder->sequence_str(p);
-        if (net_seq != sim_seq) {
-          equal = false;
-          std::printf(
-              "\np%u DIVERGES from the simulator:\n  net: %s\n  sim: %s\n",
-              static_cast<unsigned>(p), net_seq.c_str(), sim_seq.c_str());
-        }
-      }
-      std::printf("\nobserver-event equivalence vs simulator: %s\n",
-                  equal ? "byte-identical on every process"
-                        : "MISMATCH (see above)");
-      ok = ok && equal;
-    }
-    if (want_kill) {
-      std::printf("reconnects=%llu retransmissions=%llu (the dropped link was "
-                  "re-dialed and repaired by the ARQ)\n",
-                  static_cast<unsigned long long>(total.tcp.reconnects),
-                  static_cast<unsigned long long>(
-                      total.reliable.retransmissions));
-    }
-    return ok ? 0 : 1;
-  };
+  return [d = std::move(d)]() { return run_drive(d); };
 }
 
 struct Command {
