@@ -29,17 +29,6 @@ void emit_kv_s(std::string& out, const char* key, const char* v) {
   out += "\"";
 }
 
-const char* ev_kind_name(EvKind k) {
-  switch (k) {
-    case EvKind::kSend: return "send";
-    case EvKind::kReceipt: return "receipt";
-    case EvKind::kApply: return "apply";
-    case EvKind::kReturn: return "return";
-    case EvKind::kSkip: return "skip";
-  }
-  return "?";
-}
-
 // ----------------------------------------------------------------- parsing
 
 /// Flat-object parser for the exact schema this module emits.  Values are
@@ -238,7 +227,7 @@ std::string export_trace_jsonl(const GlobalHistory& history,
     out += ",";
     emit_kv(out, "at", e.at);
     out += ",";
-    emit_kv_s(out, "kind", ev_kind_name(e.kind));
+    emit_kv_s(out, "kind", to_string(e.kind));
     out += ",";
     emit_kv(out, "wproc", e.write.proc);
     out += ",";
@@ -317,36 +306,33 @@ std::optional<ImportedRun> import_trace_jsonl(std::string_view text) {
            !valid_opcode(static_cast<std::uint8_t>(*opcode_raw)))) {
         return std::nullopt;
       }
-      if (*kind == "write") {
-        const WriteId id =
-            spec_raw ? history->add_mutation(
-                           static_cast<ProcessId>(*proc),
-                           static_cast<VarId>(*var),
-                           static_cast<SpecId>(*spec_raw),
-                           static_cast<OpCode>(*opcode_raw), *value, *arg2)
-                     : history->add_write(static_cast<ProcessId>(*proc),
-                                          static_cast<VarId>(*var), *value);
-        // Import must reproduce the exported ids (program order guarantees
-        // it); a mismatch means the stream was reordered or corrupted.
-        if (id.proc != *wproc || id.seq != *wseq) return std::nullopt;
-      } else if (*kind == "read") {
-        if (spec_raw) {
+      Operation op;
+      op.proc = static_cast<ProcessId>(*proc);
+      op.var = static_cast<VarId>(*var);
+      op.value = *value;
+      op.write_id = WriteId{static_cast<ProcessId>(*wproc), *wseq};
+      if (*kind == "read") {
+        op.kind = OpKind::kRead;
+      } else if (*kind != "write") {
+        return std::nullopt;
+      }
+      if (spec_raw) {
+        // An accessor's exported value is the RETURNED value; the query
+        // operand rode in arg2 (Operation's accessor layout).
+        op.spec = static_cast<SpecId>(*spec_raw);
+        op.opcode = static_cast<OpCode>(*opcode_raw);
+        op.arg2 = *arg2;
+        if (is_mutation(op.opcode) != op.is_write()) return std::nullopt;
+        if (op.is_read()) {
           auto visible = obj->arr("visible");
           if (!visible) return std::nullopt;
-          // The exported value is the RETURNED value; the query operand rode
-          // in arg2 (mirrors Operation's accessor layout).
-          history->add_accessor(
-              static_cast<ProcessId>(*proc), static_cast<VarId>(*var),
-              static_cast<SpecId>(*spec_raw),
-              static_cast<OpCode>(*opcode_raw), *arg2, *value,
-              WriteId{static_cast<ProcessId>(*wproc), *wseq},
-              std::move(*visible));
-        } else {
-          history->add_read(static_cast<ProcessId>(*proc),
-                            static_cast<VarId>(*var), *value,
-                            WriteId{static_cast<ProcessId>(*wproc), *wseq});
+          op.visible = std::move(*visible);
         }
-      } else {
+      }
+      // Import must reproduce the exported ids (program order guarantees
+      // it); a mismatch means the stream was reordered or corrupted.
+      if (op.write_id.proc != *wproc ||
+          history->op(history->append(op)).write_id != op.write_id) {
         return std::nullopt;
       }
       continue;

@@ -16,6 +16,10 @@
 //
 // The parser accepts exactly this flat shape (it is not a general JSON
 // library); any deviation yields std::nullopt rather than a partial run.
+//
+// JSONL is the file format (optcm run --export / optcm replay).  A live
+// node ships its log in the binary record codec instead (run_recorder.h),
+// which ProcessCluster::fetch_log turns into the same ImportedRun.
 
 #pragma once
 

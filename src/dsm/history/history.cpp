@@ -37,7 +37,7 @@ GlobalHistory::GlobalHistory(std::size_t n_procs, std::size_t n_vars)
     : n_procs_(n_procs),
       n_vars_(n_vars),
       by_proc_(n_procs),
-      write_counts_(n_procs, 0) {
+      writes_by_(n_procs) {
   DSM_REQUIRE(n_procs >= 1);
   DSM_REQUIRE(n_vars >= 1);
 }
@@ -58,10 +58,10 @@ WriteId GlobalHistory::add_write(ProcessId p, VarId x, Value v) {
   op.kind = OpKind::kWrite;
   op.var = x;
   op.value = v;
-  op.write_id = WriteId{p, ++write_counts_[p]};
+  op.write_id = WriteId{p, writes_by_[p].size() + 1};
   const OpRef ref = push(op);
   writes_.push_back(ref);
-  write_index_.emplace(op.write_id, ref);
+  writes_by_[p].push_back(ref);
   return op.write_id;
 }
 
@@ -87,13 +87,13 @@ WriteId GlobalHistory::add_mutation(ProcessId p, VarId x, SpecId spec,
   op.kind = OpKind::kWrite;
   op.var = x;
   op.value = arg;
-  op.write_id = WriteId{p, ++write_counts_[p]};
+  op.write_id = WriteId{p, writes_by_[p].size() + 1};
   op.spec = spec;
   op.opcode = opcode;
   op.arg2 = arg2;
   const OpRef ref = push(std::move(op));
   writes_.push_back(ref);
-  write_index_.emplace(ops_[ref].write_id, ref);
+  writes_by_[p].push_back(ref);
   return ops_[ref].write_id;
 }
 
@@ -117,6 +117,20 @@ OpRef GlobalHistory::add_accessor(ProcessId p, VarId x, SpecId spec,
   return push(std::move(op));
 }
 
+OpRef GlobalHistory::append(const Operation& op) {
+  if (op.is_write()) {
+    (void)(op.spec == SpecId::kRegister
+               ? add_write(op.proc, op.var, op.value)
+               : add_mutation(op.proc, op.var, op.spec, op.opcode, op.value,
+                              op.arg2));
+    return writes_.back();
+  }
+  return op.spec == SpecId::kRegister
+             ? add_read(op.proc, op.var, op.value, op.write_id)
+             : add_accessor(op.proc, op.var, op.spec, op.opcode, op.arg2,
+                            op.value, op.write_id, op.visible);
+}
+
 const Operation& GlobalHistory::op(OpRef r) const {
   DSM_REQUIRE(r < ops_.size());
   return ops_[r];
@@ -128,14 +142,15 @@ std::span<const OpRef> GlobalHistory::local(ProcessId p) const {
 }
 
 std::optional<OpRef> GlobalHistory::find_write(WriteId w) const {
-  const auto it = write_index_.find(w);
-  if (it == write_index_.end()) return std::nullopt;
-  return it->second;
+  if (w.proc >= n_procs_ || w.seq == 0 || w.seq > writes_by_[w.proc].size()) {
+    return std::nullopt;
+  }
+  return writes_by_[w.proc][w.seq - 1];
 }
 
 SeqNo GlobalHistory::write_count(ProcessId p) const {
   DSM_REQUIRE(p < n_procs_);
-  return write_counts_[p];
+  return writes_by_[p].size();
 }
 
 std::string GlobalHistory::str() const {

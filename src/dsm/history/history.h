@@ -5,7 +5,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dsm/common/types.h"
@@ -44,6 +43,12 @@ class GlobalHistory {
                      Value arg, Value returned, WriteId reads_from,
                      std::vector<std::uint64_t> visible);
 
+  /// Re-record an operation copied from another history or decoded from a
+  /// log: the add_* call above that matches its kind and spec.  A write gets
+  /// its WriteId from program order, which callers may compare with the
+  /// copied one.  Returns the new op.
+  OpRef append(const Operation& op);
+
   [[nodiscard]] std::size_t n_procs() const noexcept { return n_procs_; }
   [[nodiscard]] std::size_t n_vars() const noexcept { return n_vars_; }
   [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }
@@ -54,7 +59,8 @@ class GlobalHistory {
   /// OpRefs of p's local history, in program order.
   [[nodiscard]] std::span<const OpRef> local(ProcessId p) const;
 
-  /// OpRef of the write with the given identity, if recorded.
+  /// OpRef of the write with the given identity, if recorded (never for
+  /// seq 0, a process ≥ n_procs(), or a seq past write_count()).
   [[nodiscard]] std::optional<OpRef> find_write(WriteId w) const;
 
   /// All writes in the history, in recording order.
@@ -74,8 +80,7 @@ class GlobalHistory {
   std::vector<Operation> ops_;                 // flattened, append order
   std::vector<std::vector<OpRef>> by_proc_;    // program order per process
   std::vector<OpRef> writes_;                  // all writes
-  std::unordered_map<WriteId, OpRef> write_index_;
-  std::vector<SeqNo> write_counts_;            // per process
+  std::vector<std::vector<OpRef>> writes_by_;  // per process, by seq − 1
 };
 
 }  // namespace dsm

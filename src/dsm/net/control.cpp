@@ -73,6 +73,9 @@ std::vector<std::uint8_t> encode_control(const ControlMessage& m) {
     case ControlOp::kKillConn:
       w.u32(m.peer);
       break;
+    case ControlOp::kFetchLog:
+      w.u64(m.cursor);
+      break;
     case ControlOp::kSetFaults:
       w.bytes(m.faults.encode());
       break;
@@ -81,6 +84,11 @@ std::vector<std::uint8_t> encode_control(const ControlMessage& m) {
       w.u8(m.flag ? 1 : 0);
       break;
     case ControlOp::kLogReply:
+      w.u64(m.cursor);
+      w.u8(m.flag ? 1 : 0);
+      w.u64(m.bytes.size());
+      w.bytes(m.bytes);
+      break;
     case ControlOp::kError:
       w.str(m.text);
       break;
@@ -89,7 +97,6 @@ std::vector<std::uint8_t> encode_control(const ControlMessage& m) {
       break;
     case ControlOp::kPing:
     case ControlOp::kQueryDone:
-    case ControlOp::kFetchLog:
     case ControlOp::kFetchStats:
     case ControlOp::kKillHost:
     case ControlOp::kRestartHost:
@@ -153,6 +160,9 @@ std::optional<ControlMessage> decode_control(
     case ControlOp::kKillConn:
       m.peer = r.u32().value_or(0);
       break;
+    case ControlOp::kFetchLog:
+      m.cursor = r.u64().value_or(0);
+      break;
     case ControlOp::kSetFaults: {
       auto plan = NetFaultPlan::decode(r.rest());
       if (!plan) return std::nullopt;
@@ -166,7 +176,16 @@ std::optional<ControlMessage> decode_control(
       m.flag = *flag == 1;
       break;
     }
-    case ControlOp::kLogReply:
+    case ControlOp::kLogReply: {
+      m.cursor = r.u64().value_or(0);
+      const std::uint8_t more = r.u8().value_or(2);
+      const auto records =
+          r.take(static_cast<std::size_t>(r.u64().value_or(0)));
+      if (!records || more > 1) return std::nullopt;
+      m.flag = more == 1;
+      m.bytes.assign(records->begin(), records->end());
+      break;
+    }
     case ControlOp::kError: {
       auto text = r.str();
       if (!text) return std::nullopt;
@@ -178,7 +197,6 @@ std::optional<ControlMessage> decode_control(
       break;
     case ControlOp::kPing:
     case ControlOp::kQueryDone:
-    case ControlOp::kFetchLog:
     case ControlOp::kFetchStats:
     case ControlOp::kKillHost:
     case ControlOp::kRestartHost:

@@ -14,9 +14,14 @@
 //                  multiplier and start it once the mesh is ready
 //   kQueryDone   → kDoneReply{done}: script finished AND protocol quiescent
 //                  AND ARQ fully acknowledged AND transport flushed
-//   kFetchLog    → kLogReply{text}: the node's recorded run as trace JSONL
-//                  (dsm/audit/trace_io.h) — history ops of this process plus
-//                  every observer event that occurred here
+//   kFetchLog{cursor} → kLogReply{cursor, flag, bytes}: the node's recorded
+//                  run log (history ops of this process plus every observer
+//                  event that occurred here) as the encoded records of
+//                  run_recorder.h — the chunk holding byte offset `cursor`,
+//                  from there to the chunk's end.  The reply's cursor is
+//                  the offset after it, `flag` is set while more follow;
+//                  start at 0 and repeat until `flag` is clear.  A cursor
+//                  past the end of the log → kError.
 //   kFetchStats  → kStatsReply{stats}: every counter of every node-tier
 //                  layer (NodeNetStats), walked from the field tables
 //   kKillConn    → kAck: drop the live TCP connection to `peer` (fault hook)
@@ -134,11 +139,13 @@ inline NodeNetStats& NodeNetStats::operator+=(
 /// messages, not a protocol family.
 struct ControlMessage {
   ControlOp op = ControlOp::kPing;
-  bool flag = false;               ///< kPong: ready; kDoneReply: done
+  bool flag = false;  ///< kPong: ready; kDoneReply: done; kLogReply: more
   std::uint64_t time_scale = 1;    ///< kRun
   Script script;                   ///< kRun
   ProcessId peer = 0;              ///< kKillConn
-  std::string text;                ///< kLogReply; kError: diagnostic
+  std::uint64_t cursor = 0;        ///< kFetchLog: log offset; kLogReply: next
+  std::vector<std::uint8_t> bytes; ///< kLogReply: encoded log records
+  std::string text;                ///< kError: diagnostic
   NodeNetStats stats;              ///< kStatsReply
   NetFaultPlan faults;             ///< kSetFaults
 };
@@ -146,9 +153,9 @@ struct ControlMessage {
 [[nodiscard]] std::vector<std::uint8_t> encode_control(const ControlMessage& m);
 
 /// The whole Control frame a node sends for reply `m`.  A reply too big for
-/// one frame (over kMaxFrameBytes, e.g. a long run's kLogReply) goes out as
-/// a kError naming the cap instead, so the driver's call fails like any
-/// other error and the node keeps running.
+/// one frame (over kMaxFrameBytes) goes out as a kError naming the cap
+/// instead, so the driver's call fails like any other error and the node
+/// keeps running.
 [[nodiscard]] std::vector<std::uint8_t> encode_control_reply(
     const ControlMessage& m);
 

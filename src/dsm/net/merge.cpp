@@ -76,23 +76,10 @@ class Merger {
     Cursor& c = cursors_[p];
     if (c.op >= local.size()) return false;
     const Operation& op = runs_[p].history.op(local[c.op]);
-    if (op.is_write()) {
-      if (op.spec != SpecId::kRegister) {
-        (void)merged_.history.add_mutation(p, op.var, op.spec, op.opcode,
-                                           op.value, op.arg2);
-      } else {
-        (void)merged_.history.add_write(p, op.var, op.value);
-      }
-    } else {
-      if (op.write_id.valid() && !write_known(op.write_id)) return false;
-      if (op.spec != SpecId::kRegister) {
-        (void)merged_.history.add_accessor(p, op.var, op.spec, op.opcode,
-                                           op.arg2, op.value, op.write_id,
-                                           op.visible);
-      } else {
-        (void)merged_.history.add_read(p, op.var, op.value, op.write_id);
-      }
+    if (op.is_read() && op.write_id.valid() && !write_known(op.write_id)) {
+      return false;
     }
+    (void)merged_.history.append(op);
     ++c.op;
     return true;
   }
@@ -172,20 +159,10 @@ std::optional<ImportedRun> stitch_incarnations(
     }
     for (const OpRef ref : base) {
       const Operation& op = longest->history.op(ref);
-      if (op.is_write()) {
-        // add_write assigns sequence numbers deterministically; a mismatch
-        // means the log's own write ids were not in program order.
-        const WriteId id =
-            op.spec != SpecId::kRegister
-                ? out.history.add_mutation(p, op.var, op.spec, op.opcode,
-                                           op.value, op.arg2)
-                : out.history.add_write(p, op.var, op.value);
-        if (id != op.write_id) return std::nullopt;
-      } else if (op.spec != SpecId::kRegister) {
-        (void)out.history.add_accessor(p, op.var, op.spec, op.opcode, op.arg2,
-                                       op.value, op.write_id, op.visible);
-      } else {
-        (void)out.history.add_read(p, op.var, op.value, op.write_id);
+      // Write ids follow program order; a mismatch means the log's own write
+      // ids were not in program order.
+      if (out.history.op(out.history.append(op)).write_id != op.write_id) {
+        return std::nullopt;
       }
     }
   }

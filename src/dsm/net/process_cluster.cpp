@@ -14,6 +14,7 @@
 
 #include "dsm/net/shard_host.h"
 #include "dsm/storage/state_dir.h"
+#include "dsm/storage/wal_sink.h"
 
 namespace dsm {
 
@@ -454,11 +455,19 @@ bool ProcessCluster::respawn_process(ProcessId node) {
 
 std::optional<ImportedRun> ProcessCluster::fetch_log(ProcessId node) {
   if (node >= controls_.size()) return std::nullopt;
+  RunRecorder log(config_.shape.n_procs, config_.shape.n_vars);
   ControlMessage req;
   req.op = ControlOp::kFetchLog;
-  const auto rep = call_node(node, req, /*idempotent=*/true);
-  if (!rep || rep->op != ControlOp::kLogReply) return std::nullopt;
-  return import_trace_jsonl(rep->text);
+  for (;;) {
+    const auto rep = call_node(node, req, /*idempotent=*/true);
+    if (!rep || rep->op != ControlOp::kLogReply ||
+        !replay_wal_record(rep->bytes, log, nullptr, nullptr)) {
+      return std::nullopt;
+    }
+    if (!rep->flag) return ImportedRun{log.history(), log.events()};
+    if (rep->cursor <= req.cursor) return std::nullopt;  // no progress
+    req.cursor = rep->cursor;
+  }
 }
 
 std::optional<NodeNetStats> ProcessCluster::fetch_stats(ProcessId node) {

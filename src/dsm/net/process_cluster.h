@@ -171,6 +171,8 @@ class ProcessCluster {
   [[nodiscard]] bool wait_quiescent(int timeout_ms = 60'000);
 
   // -- results ---------------------------------------------------------------
+  /// The node's recorded run, fetched chunk by chunk through the kFetchLog
+  /// cursor, so its size is not bounded by the control frame cap.
   [[nodiscard]] std::optional<ImportedRun> fetch_log(ProcessId node);
   [[nodiscard]] std::optional<NodeNetStats> fetch_stats(ProcessId node);
 

@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <utility>
 
-#include "dsm/audit/trace_io.h"
 #include "dsm/codec/codec.h"
 #include "dsm/common/contracts.h"
 #include "dsm/storage/snapshot_file.h"
@@ -146,19 +145,18 @@ void ProcessNode::boot_durable() {
   //    preseed the dedup filter so live redeliveries of spilled events are
   //    suppressed.  A CRC-valid record that fails to decode is our own bug.
   WalOpenStats open_stats;
-  WalReplayStats replay_stats;
+  std::uint64_t last_boot = 0;
   wal_ = Wal::open(
       state_->wal_path(),
       WalOptions{.fsync = config_.fsync,
                  .group_commit = config_.wal_group_commit,
                  .io = &io_hooks_},
-      [this, &replay_stats](std::span<const std::uint8_t> record) {
+      [this, &last_boot](std::span<const std::uint8_t> record) {
         DSM_REQUIRE(
-            replay_wal_record(record, recorder_, filter_.get(), &replay_stats));
+            replay_wal_record(record, recorder_, filter_.get(), &last_boot));
       },
       &open_stats);
   DSM_REQUIRE(wal_.has_value() && "WAL must be openable");
-  incarnation_ = replay_stats.last_incarnation + 1;
   replayed_local_ops_ = local_op_count();
   // The spill path keeps the invariant "the WAL covers every op the snapshot
   // claims" (it commits the WAL first and skips the snapshot when that commit
@@ -169,10 +167,10 @@ void ProcessNode::boot_durable() {
   if (snap_ops > replayed_local_ops_) snap_ops = replayed_local_ops_;
   node_stats_.wal_replayed = open_stats.records_recovered;
 
-  // 3. From here on, everything the recorder accepts is spilled.
-  wal_sink_ = std::make_unique<WalEventSink>(*wal_);
-  wal_sink_->note_incarnation(incarnation_);
-  recorder_.set_sink(wal_sink_.get());
+  // 3. From here on, everything the recorder logs is spilled: the replayed
+  //    prefix of its log is the WAL already, the rest starts with this boot.
+  wal_log_.emplace(*wal_, recorder_, recorder_.log_bytes());
+  recorder_.record_incarnation(last_boot + 1);  // boots count from 1
 
   // 4. The stack: restore (ARQ, then protocol + recovery, then catch-up)
   //    when a snapshot exists, fresh start otherwise, with the ARQ's tx
@@ -205,7 +203,7 @@ void ProcessNode::boot_durable() {
 
   // 6. Now the state is coherent: spill on every checkpoint from here on,
   //    starting with one covering the reconciled state (and committing the
-  //    incarnation record batched in step 3).
+  //    incarnation record logged in step 3).
   stack_->host().set_spill_hook([this] { spill(); });
   stack_->host().checkpoint();
 }
@@ -214,9 +212,10 @@ void ProcessNode::spill() {
   // WAL before snapshot: the on-disk invariant is "the WAL covers at least
   // every op the snapshot claims" — the reverse order could lose the batch
   // the snapshot's op count already counts.
-  const WalIoError werr = wal_sink_->commit();
+  const WalIoError werr = wal_log_->commit();
   if (werr == WalIoError::kWrite || werr == WalIoError::kNoSpace) {
-    // The batch was NOT appended (it stays pending; the next commit retries).
+    // The bytes were NOT appended (they stay uncommitted; the next commit
+    // retries them).
     // Writing a snapshot now would advance its op count past the WAL's
     // coverage — a crash before the retry lands would lose recorded events
     // that the restored protocol state already includes.  Skip this round;
@@ -325,8 +324,14 @@ ControlMessage ProcessNode::handle_control(const ControlMessage& req) {
       rep.flag = run_done();
       break;
     case ControlOp::kFetchLog:
-      rep.op = ControlOp::kLogReply;
-      rep.text = export_trace_jsonl(recorder_);
+      if (req.cursor > recorder_.log_bytes()) {
+        rep.op = ControlOp::kError;
+        rep.text = "cursor past the end of the log";
+      } else {
+        rep.op = ControlOp::kLogReply;
+        rep.cursor = recorder_.copy_chunk(req.cursor, rep.bytes);
+        rep.flag = rep.cursor < recorder_.log_bytes();
+      }
       break;
     case ControlOp::kFetchStats:
       rep.op = ControlOp::kStatsReply;

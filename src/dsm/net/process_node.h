@@ -97,18 +97,7 @@ class ProcessNode final {
   /// been acknowledged (its reply flushed).
   void run();
 
-  // -- introspection (in-process tests) --------------------------------------
-  [[nodiscard]] NetLoop& loop() noexcept { return loop_; }
   [[nodiscard]] TcpTransport& transport() noexcept { return transport_; }
-  [[nodiscard]] FaultyTransport& faulty() noexcept { return faulty_; }
-  [[nodiscard]] const RunRecorder& recorder() const noexcept {
-    return recorder_;
-  }
-  /// Boot counter from the durable state dir (1 on a fresh dir, +1 per boot);
-  /// 0 when the node runs without durability.
-  [[nodiscard]] std::uint64_t incarnation() const noexcept {
-    return incarnation_;
-  }
 
  private:
   /// One adopted control connection (frame-assembled in, buffered out).
@@ -139,7 +128,7 @@ class ProcessNode final {
   /// fresh), reconcile the ≤1-mutation gap between WAL and snapshot, and
   /// install the spill hook.  Runs before the loop; see docs/DURABILITY.md.
   void boot_durable();
-  /// Spill hook: commit the pending WAL batch, then atomically write the
+  /// Spill hook: commit the new log bytes to the WAL, then atomically write the
   /// snapshot file ([u64 op count] + the stack's encoded checkpoint).
   void spill();
   /// Tick-edge group-commit barrier (config_.wal_group_commit): one fsync
@@ -184,9 +173,10 @@ class ProcessNode final {
   FailpointIoHooks io_hooks_;
   std::optional<StateDir> state_;
   std::optional<Wal> wal_;
-  std::unique_ptr<WalEventSink> wal_sink_;
+  /// Commits the recorder's log to the WAL: the recorder's records are the
+  /// WAL's records.
+  std::optional<WalLogCommitter> wal_log_;
   std::uint64_t replayed_local_ops_ = 0;  ///< script resume index
-  std::uint64_t incarnation_ = 0;
   /// Counted here, reported with the layers' structs by kFetchStats.
   NodeStats node_stats_;
 };

@@ -187,7 +187,7 @@ bool RecoveryNode::restore(ByteReader& r) {
 
 // -- ReplayFilterObserver -----------------------------------------------------
 
-bool ReplayFilterObserver::first(std::uint8_t kind, ProcessId at, WriteId w) {
+bool ReplayFilterObserver::first(EvKind kind, ProcessId at, WriteId w) {
   const std::scoped_lock lock(mu_);
   const bool inserted = seen_.insert(Key{kind, at, w.proc, w.seq}).second;
   if (!inserted) ++suppressed_;
@@ -200,9 +200,10 @@ bool ReplayFilterObserver::muted() {
   return muted_;
 }
 
-void ReplayFilterObserver::preseed(std::uint8_t kind, ProcessId at, WriteId w) {
+void ReplayFilterObserver::preseed(const RunEvent& e) {
+  if (e.kind == EvKind::kReturn) return;
   const std::scoped_lock lock(mu_);
-  seen_.insert(Key{kind, at, w.proc, w.seq});
+  seen_.insert(Key{e.kind, e.at, e.write.proc, e.write.seq});
 }
 
 void ReplayFilterObserver::set_muted(bool muted) {
@@ -217,17 +218,21 @@ std::uint64_t ReplayFilterObserver::suppressed() const {
 
 void ReplayFilterObserver::on_send(ProcessId at, const WriteUpdate& m) {
   if (muted()) return;
-  if (first(0, at, WriteId{m.sender, m.write_seq})) target_->on_send(at, m);
+  if (first(EvKind::kSend, at, WriteId{m.sender, m.write_seq})) {
+    target_->on_send(at, m);
+  }
 }
 
 void ReplayFilterObserver::on_receipt(ProcessId at, const WriteUpdate& m) {
   if (muted()) return;
-  if (first(1, at, WriteId{m.sender, m.write_seq})) target_->on_receipt(at, m);
+  if (first(EvKind::kReceipt, at, WriteId{m.sender, m.write_seq})) {
+    target_->on_receipt(at, m);
+  }
 }
 
 void ReplayFilterObserver::on_apply(ProcessId at, WriteId w, bool delayed) {
   if (muted()) return;
-  if (first(2, at, w)) target_->on_apply(at, w, delayed);
+  if (first(EvKind::kApply, at, w)) target_->on_apply(at, w, delayed);
 }
 
 void ReplayFilterObserver::on_return(ProcessId at, VarId x, Value v,
@@ -240,7 +245,7 @@ void ReplayFilterObserver::on_skip(ProcessId at, WriteId w, WriteId by) {
   if (muted()) return;
   // Keyed on the skipped write only: a second skip of w (by a different
   // superseding write after redelivery) is still the same logical event.
-  if (first(3, at, w)) target_->on_skip(at, w, by);
+  if (first(EvKind::kSkip, at, w)) target_->on_skip(at, w, by);
 }
 
 }  // namespace dsm

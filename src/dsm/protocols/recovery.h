@@ -50,6 +50,7 @@
 
 #include "dsm/common/sink.h"
 #include "dsm/protocols/buffering.h"
+#include "dsm/protocols/run_recorder.h"
 
 namespace dsm {
 
@@ -179,8 +180,8 @@ class ReplayFilterObserver final : public ProtocolObserver {
   /// path replays spilled events into the recorder directly, then preseeds
   /// the filter so a live redelivery of the same (kind, at, write) — e.g. an
   /// ARQ retransmission whose ACK died with the process — is suppressed.
-  /// Kinds match the internal keying: 0 send, 1 receipt, 2 apply, 3 skip.
-  void preseed(std::uint8_t kind, ProcessId at, WriteId w);
+  /// Return events are never filtered, so they are not seeded either.
+  void preseed(const RunEvent& e);
 
   /// While muted, EVERY event (returns included) is dropped and counted as
   /// suppressed — used while re-executing already-spilled script operations
@@ -190,8 +191,8 @@ class ReplayFilterObserver final : public ProtocolObserver {
   [[nodiscard]] std::uint64_t suppressed() const;
 
  private:
-  using Key = std::tuple<std::uint8_t, ProcessId, ProcessId, SeqNo>;
-  [[nodiscard]] bool first(std::uint8_t kind, ProcessId at, WriteId w);
+  using Key = std::tuple<EvKind, ProcessId, ProcessId, SeqNo>;
+  [[nodiscard]] bool first(EvKind kind, ProcessId at, WriteId w);
   [[nodiscard]] bool muted();
 
   ProtocolObserver* target_;

@@ -9,6 +9,10 @@
 // and the figure renderers pretty-print the event log in the paper's
 // "receipt_3(w_2(x_2)b) <_3 …" style.
 //
+// The log is kept encoded (see RunRecorder below): the records a durable
+// node commits to its WAL and a driver fetches by cursor are the recorder's
+// own bytes, and events() decodes them on demand.
+//
 // Thread-safe: the threaded runtime appends from n node threads; a mutex
 // serializes appends (the simulator pays the uncontended-lock cost, which is
 // noise at simulation scale).
@@ -23,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "dsm/codec/codec.h"
 #include "dsm/history/history.h"
 #include "dsm/protocols/protocol.h"
 
@@ -58,24 +63,45 @@ struct RunEvent {
 [[nodiscard]] std::string sequence_str(std::span<const RunEvent> events,
                                        ProcessId p);
 
-/// Receiver side of the recorder's durability seam.  A RunRecorder tees every
-/// history record and observer event it accepts into an optional EventSink —
-/// the WAL-spilling sink in src/dsm/storage implements this to persist the
-/// run log, while the recorder itself stays the in-memory source of truth.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  /// History record: process p wrote v to x; `id` is the assigned WriteId.
-  virtual void accept_write(ProcessId p, VarId x, Value v, WriteId id) = 0;
-  /// History record: process p read v from x, served by `from`.
-  virtual void accept_read(ProcessId p, VarId x, Value v, WriteId from) = 0;
-  /// Observer event, with `order`/`time` already assigned.
-  virtual void accept_event(const RunEvent& e) = 0;
+/// One decoded record of a run log (the codec is described at RunRecorder).
+struct LogRecord {
+  enum class Kind : std::uint8_t { kOp, kEvent, kIncarnation };
+  Kind kind = Kind::kOp;
+  Operation op;            ///< kOp: as GlobalHistory stores it (po_index unset)
+  RunEvent event;          ///< kEvent: with its recorded order and time
+  std::uint64_t boot = 0;  ///< kIncarnation (RunRecorder::record_incarnation)
 };
 
+/// Decodes the record at the front of `r` into `out`; false on malformed
+/// bytes.  A chunk of a recorder's log, a WAL record and a kFetchLog reply
+/// are each a run of records: decode while r.remaining() > 0.
+[[nodiscard]] bool decode_log_record(ByteReader& r, LogRecord& out);
+
+/// The recorder keeps its log encoded: every history record and observer
+/// event is appended as one record of this codec (ByteWriter varints) into
+/// fixed-size chunks that never move, so an event costs ~20 B instead of a
+/// RunEvent with a heap-allocated clock.  The same bytes are what a durable
+/// node commits to its WAL (dsm/storage/wal_sink.h) and what kFetchLog
+/// ships by cursor; events() decodes them on demand.
+///
+/// Records, each tagged with a kind byte:
+///   kOp          u8(1)  u8(is_write) u32(p) u32(var) i64(value)
+///                u32(writer.proc) u64(writer.seq)      — register ops
+///   kEvent       u8(2)  u64(order) u64(time) u32(at) u8(kind)
+///                u32(write.proc) u64(write.seq) u32(other.proc)
+///                u64(other.seq) u32(var) i64(value) u8(delayed)
+///                u64_vec(clock)
+///   kIncarnation u8(3)  u64(boot)
+///   kTypedOp     u8(4)  the kOp fields, then u8(spec) u8(opcode)
+///                i64(arg2) u64_vec(visible)             — typed-object ops
+/// A record never straddles two chunks.  kTypedOp never reaches a WAL:
+/// typed objects and recoverable mode exclude each other.
 class RunRecorder final : public ProtocolObserver {
  public:
   using ClockFn = std::function<std::uint64_t()>;
+
+  /// Bytes per log chunk (a record longer than this gets a chunk of its own).
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
 
   /// `clock` supplies event timestamps; defaults to a constant 0 (pure
   /// logical order).
@@ -97,21 +123,16 @@ class RunRecorder final : public ProtocolObserver {
   void record_accessor(ProcessId p, VarId x, std::uint8_t spec,
                        std::uint8_t opcode, Value arg, Value returned,
                        WriteId from, std::vector<std::uint64_t> visible);
-
-  // -- durability seam -------------------------------------------------------
-  /// Tee every subsequent record/event into `sink` (nullptr detaches).  The
-  /// sink is invoked under the recorder's lock, so implementations must not
-  /// call back into the recorder.
-  void set_sink(EventSink* sink);
+  /// Log a process boot (incarnation counter); stitch and merge tooling
+  /// uses it to see restarts.  Not part of the history or the events.
+  void record_incarnation(std::uint64_t boot);
 
   /// Replay entry points: re-ingest a previously recorded run verbatim.
   /// History records regenerate the same WriteIds (add_write assigns seqs
   /// deterministically); events keep their recorded order/time, and
   /// `next_order_` advances past them so live recording resumes after the
-  /// replayed prefix.  Nothing is forwarded to the sink — the spilled log
-  /// already contains these.
-  void restore_write(ProcessId p, VarId x, Value v);
-  void restore_read(ProcessId p, VarId x, Value v, WriteId from);
+  /// replayed prefix.  Both append the same record the live path did.
+  void restore_op(const Operation& op);
   void restore_event(const RunEvent& e);
 
   // -- ProtocolObserver ----------------------------------------------------
@@ -121,11 +142,24 @@ class RunRecorder final : public ProtocolObserver {
   void on_return(ProcessId at, VarId x, Value v, WriteId from) override;
   void on_skip(ProcessId at, WriteId w, WriteId by) override;
 
+  // -- the encoded log ---------------------------------------------------------
+  /// Length of the log in bytes; every record ends at an offset ≤ this.
+  [[nodiscard]] std::uint64_t log_bytes() const;
+  /// Append the log's bytes from offset `from` to the end of the chunk that
+  /// holds it onto `out`, and return the offset after them (log_bytes() once
+  /// the log is drained).  0 and every offset returned are record
+  /// boundaries.  \pre from <= log_bytes()
+  std::uint64_t copy_chunk(std::uint64_t from,
+                           std::vector<std::uint8_t>& out) const;
+
   // -- results ---------------------------------------------------------------
   [[nodiscard]] const GlobalHistory& history() const noexcept { return history_; }
-  [[nodiscard]] const std::vector<RunEvent>& events() const noexcept {
-    return events_;
-  }
+  /// Every event, decoded from the log.  Decoding is incremental: a call
+  /// decodes only what was appended since the previous one.  Safe against
+  /// concurrent appends.  The next call that reads events (this one,
+  /// events_at, find, sequence_str) may extend the view, which invalidates
+  /// the reference returned here.
+  [[nodiscard]] const std::vector<RunEvent>& events() const;
 
   /// Events that occurred at process p, in their global observation order.
   [[nodiscard]] std::vector<RunEvent> events_at(ProcessId p) const;
@@ -139,14 +173,31 @@ class RunRecorder final : public ProtocolObserver {
   [[nodiscard]] std::string sequence_str(ProcessId p) const;
 
  private:
-  void push(RunEvent e);
+  struct Chunk {
+    std::uint64_t start = 0;          ///< log offset of bytes[0]
+    std::vector<std::uint8_t> bytes;  ///< capacity fixed at creation
+  };
+
+  /// Called under mu_: encode the newest history op / an event (with
+  /// `clock` standing in for e.clock), and append the record.
+  void log_last_op();
+  void log_event(const RunEvent& e, std::span<const std::uint64_t> clock);
+  /// Stamp order and time onto a live event, then log it (takes mu_).
+  void push(RunEvent e, std::span<const std::uint64_t> clock);
+  void append(std::span<const std::uint8_t> record);
+  /// Decode what was appended since the last call into view_ (under mu_).
+  void refresh_view() const;
+  [[nodiscard]] std::size_t chunk_of(std::uint64_t offset) const;
 
   mutable std::mutex mu_;
   GlobalHistory history_;
-  std::vector<RunEvent> events_;
   ClockFn clock_;
   std::uint64_t next_order_ = 0;
-  EventSink* sink_ = nullptr;
+  std::vector<Chunk> chunks_;
+  std::uint64_t log_bytes_ = 0;
+  std::vector<std::uint8_t> scratch_;  ///< the record being encoded
+  mutable std::vector<RunEvent> view_;
+  mutable std::uint64_t view_end_ = 0;  ///< log offset decoded into view_
 };
 
 }  // namespace dsm

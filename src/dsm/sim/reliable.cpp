@@ -56,9 +56,11 @@ void ReliableNode::broadcast(const Payload& payload) {
 
 void ReliableNode::transmit(ProcessId to, std::uint64_t seq,
                             const std::vector<std::uint8_t>& payload) {
-  // The DATA frame is re-encoded per peer by necessity (sequence numbers are
-  // per-channel); the application payload itself is never copied — it lives
-  // in the shared TxEntry until acked.
+  // The DATA frame is encoded per peer by necessity (sequence numbers are
+  // per-channel), and encode_frame copies the application payload into each
+  // fresh frame: a broadcast makes n−1 payload copies, and every
+  // retransmission one more.  The shared TxEntry keeps the original until
+  // acked.
   network_->send(self_, to,
                  make_payload(encode_frame(FrameType::kData, seq, payload)));
 }

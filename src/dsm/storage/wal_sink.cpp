@@ -1,154 +1,49 @@
 #include "dsm/storage/wal_sink.h"
 
 namespace dsm {
-namespace {
 
-enum : std::uint8_t { kOp = 1, kEvent = 2, kIncarnation = 3 };
-
-/// Filter key for an event kind, or -1 for kinds that are never filtered.
-int filter_kind(EvKind k) noexcept {
-  switch (k) {
-    case EvKind::kSend: return 0;
-    case EvKind::kReceipt: return 1;
-    case EvKind::kApply: return 2;
-    case EvKind::kSkip: return 3;
-    case EvKind::kReturn: return -1;
+WalIoError WalLogCommitter::commit() {
+  const std::uint64_t end = log_->log_bytes();
+  if (committed_ == end) return WalIoError::kNone;
+  record_.clear();
+  for (std::uint64_t at = committed_; at < end;) {
+    at = log_->copy_chunk(at, record_);
   }
-  return -1;
-}
-
-}  // namespace
-
-void WalEventSink::accept_write(ProcessId p, VarId x, Value v, WriteId id) {
-  batch_.u8(kOp);
-  batch_.u8(1);
-  batch_.u32(p);
-  batch_.u32(x);
-  batch_.i64(v);
-  batch_.u32(id.proc);
-  batch_.u64(id.seq);
-}
-
-void WalEventSink::accept_read(ProcessId p, VarId x, Value v, WriteId from) {
-  batch_.u8(kOp);
-  batch_.u8(0);
-  batch_.u32(p);
-  batch_.u32(x);
-  batch_.i64(v);
-  batch_.u32(from.proc);
-  batch_.u64(from.seq);
-}
-
-void WalEventSink::accept_event(const RunEvent& e) {
-  batch_.u8(kEvent);
-  batch_.u64(e.order);
-  batch_.u64(e.time);
-  batch_.u32(e.at);
-  batch_.u8(static_cast<std::uint8_t>(e.kind));
-  batch_.u32(e.write.proc);
-  batch_.u64(e.write.seq);
-  batch_.u32(e.other.proc);
-  batch_.u64(e.other.seq);
-  batch_.u32(e.var);
-  batch_.i64(e.value);
-  batch_.u8(e.delayed ? 1 : 0);
-  batch_.u64_vec(e.clock.components());
-}
-
-void WalEventSink::note_incarnation(std::uint64_t boot) {
-  batch_.u8(kIncarnation);
-  batch_.u64(boot);
-}
-
-WalIoError WalEventSink::commit() {
-  if (batch_.size() == 0) return WalIoError::kNone;
-  const WalIoError err = wal_->append(batch_.buffer());
-  if (err == WalIoError::kWrite || err == WalIoError::kNoSpace) {
-    // The record did not land; keep the batch pending so the next commit
-    // (or the snapshot-forcing degradation path) retries the same bytes.
-    return err;
+  const WalIoError err = wal_->append(record_);
+  // kWrite/kNoSpace: the record did not land; the bytes stay uncommitted so
+  // the next commit (or the snapshot-forcing degradation path) retries them.
+  if (err != WalIoError::kWrite && err != WalIoError::kNoSpace) {
+    committed_ += record_.size();
   }
-  batch_ = ByteWriter(std::move(batch_).take());  // keep capacity, clear
   return err;
 }
 
 bool replay_wal_record(std::span<const std::uint8_t> record,
                        RunRecorder& recorder, ReplayFilterObserver* filter,
-                       WalReplayStats* stats) {
+                       std::uint64_t* last_boot) {
+  const GlobalHistory& history = recorder.history();
   ByteReader r(record);
-  WalReplayStats local;
-  while (r.ok() && r.remaining() > 0) {
-    const auto tag = r.u8();
-    if (!tag) return false;
-    switch (*tag) {
-      case kOp: {
-        const auto is_write = r.u8();
-        const auto p = r.u32();
-        const auto x = r.u32();
-        const auto v = r.i64();
-        const auto wproc = r.u32();
-        const auto wseq = r.u64();
-        if (!is_write || !p || !x || !v || !wproc || !wseq) return false;
-        if (*is_write != 0) {
-          recorder.restore_write(*p, *x, *v);
-        } else {
-          recorder.restore_read(*p, *x, *v, WriteId{*wproc, *wseq});
-        }
-        ++local.ops;
-        break;
-      }
-      case kEvent: {
-        RunEvent e;
-        const auto order = r.u64();
-        const auto time = r.u64();
-        const auto at = r.u32();
-        const auto kind = r.u8();
-        const auto wproc = r.u32();
-        const auto wseq = r.u64();
-        const auto oproc = r.u32();
-        const auto oseq = r.u64();
-        const auto var = r.u32();
-        const auto value = r.i64();
-        const auto delayed = r.u8();
-        auto clock = r.u64_vec();
-        if (!order || !time || !at || !kind || !wproc || !wseq || !oproc ||
-            !oseq || !var || !value || !delayed || !clock) {
+  LogRecord rec;
+  while (r.remaining() > 0) {
+    if (!decode_log_record(r, rec)) return false;
+    switch (rec.kind) {
+      case LogRecord::Kind::kOp:
+        if (rec.op.proc >= history.n_procs() ||
+            rec.op.var >= history.n_vars()) {
           return false;
         }
-        if (*kind > static_cast<std::uint8_t>(EvKind::kSkip)) return false;
-        e.order = *order;
-        e.time = *time;
-        e.at = *at;
-        e.kind = static_cast<EvKind>(*kind);
-        e.write = WriteId{*wproc, *wseq};
-        e.other = WriteId{*oproc, *oseq};
-        e.var = *var;
-        e.value = *value;
-        e.delayed = *delayed != 0;
-        e.clock = VectorClock(std::move(*clock));
-        recorder.restore_event(e);
-        if (filter != nullptr) {
-          const int fk = filter_kind(e.kind);
-          if (fk >= 0) {
-            filter->preseed(static_cast<std::uint8_t>(fk), e.at, e.write);
-          }
-        }
-        ++local.events;
+        recorder.restore_op(rec.op);
         break;
-      }
-      case kIncarnation: {
-        const auto boot = r.u64();
-        if (!boot) return false;
-        ++local.incarnations;
-        local.last_incarnation = *boot;
+      case LogRecord::Kind::kEvent:
+        recorder.restore_event(rec.event);
+        if (filter != nullptr) filter->preseed(rec.event);
         break;
-      }
-      default:
-        return false;
+      case LogRecord::Kind::kIncarnation:
+        recorder.record_incarnation(rec.boot);
+        if (last_boot != nullptr) *last_boot = rec.boot;
+        break;
     }
   }
-  if (!r.ok()) return false;
-  if (stats != nullptr) *stats += local;
   return true;
 }
 

@@ -1,27 +1,18 @@
-// optcm — the WAL-spilling EventSink and its replay decoder.
+// optcm — the run log's WAL commit and its replay decoder.
 //
-// WalEventSink sits behind RunRecorder's durability seam: every history
-// record and observer event the recorder accepts is encoded (existing
-// ByteWriter codec style) into a pending batch, and commit() appends the
-// whole batch as ONE WAL record.  The caller commits at its checkpoint
-// points — after each protocol-visible mutation — so a record is the atomic
-// unit "one mutation plus the events it produced", and a torn WAL tail can
-// only ever lose whole mutations.
-//
-// Batch payload := sequence of sub-records, each tagged with a kind byte:
-//   kOp          u8(1)  u8(is_write) u32(p) u32(var) i64(value)
-//                u32(writer.proc) u64(writer.seq)
-//   kEvent       u8(2)  u64(order) u64(time) u32(at) u8(kind)
-//                u32(write.proc) u64(write.seq) u32(other.proc)
-//                u64(other.seq) u32(var) i64(value) u8(delayed)
-//                u64_vec(clock)
-//   kIncarnation u8(3)  u64(boot)   — appended once per process boot, after
-//                replay; stitch/merge tooling uses it to see restarts.
+// A RunRecorder keeps its log as encoded records (the codec documented in
+// run_recorder.h), so a durable node needs no second encoder: WalLogCommitter
+// appends the bytes the recorder logged since the previous commit as ONE WAL
+// record.  The caller commits at its checkpoint points — after each
+// protocol-visible mutation — so a record is the atomic unit "one mutation
+// plus the events it produced", and a torn WAL tail can only ever lose whole
+// mutations.  A process boot is logged as a kIncarnation record, after
+// replay; stitch/merge tooling uses it to see restarts.
 //
 // replay_wal_record() is the inverse: feed one recovered record back into a
-// RunRecorder (restore_* entry points) and optionally preseed a
-// ReplayFilterObserver so live redeliveries of already-spilled events are
-// suppressed after restart.
+// RunRecorder (restore_* entry points, which log the same bytes again) and
+// optionally preseed a ReplayFilterObserver so live redeliveries of
+// already-spilled events are suppressed after restart.
 
 #pragma once
 
@@ -29,61 +20,41 @@
 #include <span>
 #include <vector>
 
-#include "dsm/codec/codec.h"
 #include "dsm/protocols/recovery.h"
 #include "dsm/protocols/run_recorder.h"
 #include "dsm/storage/wal.h"
 
 namespace dsm {
 
-class WalEventSink final : public EventSink {
+class WalLogCommitter {
  public:
-  /// \pre `wal` outlives the sink.
-  explicit WalEventSink(Wal& wal) : wal_(&wal) {}
+  /// The log's first `committed` bytes (the replayed prefix) are already in
+  /// the WAL.  \pre `wal` and `log` outlive the committer.
+  WalLogCommitter(Wal& wal, const RunRecorder& log, std::uint64_t committed)
+      : wal_(&wal), log_(&log), committed_(committed) {}
 
-  // -- EventSink (called under the recorder's lock) --------------------------
-  void accept_write(ProcessId p, VarId x, Value v, WriteId id) override;
-  void accept_read(ProcessId p, VarId x, Value v, WriteId from) override;
-  void accept_event(const RunEvent& e) override;
-
-  /// Record a process boot (incarnation counter) in the pending batch.
-  void note_incarnation(std::uint64_t boot);
-
-  /// Append the pending batch as one WAL record (no-op when empty).
-  /// kWrite/kNoSpace → the batch stays pending (retry on the next commit);
-  /// kFsync → the batch is in the log, durability degraded (WAL dirty).
+  /// Append everything logged since the last commit as one WAL record (no-op
+  /// when nothing is new).  kWrite/kNoSpace → the bytes stay uncommitted and
+  /// the next commit retries them; kFsync → they are in the log, durability
+  /// degraded (WAL dirty).
   [[nodiscard]] WalIoError commit();
-
-  [[nodiscard]] bool pending() const noexcept { return batch_.size() != 0; }
 
  private:
   Wal* wal_;
-  ByteWriter batch_;
+  const RunRecorder* log_;
+  std::uint64_t committed_;
+  std::vector<std::uint8_t> record_;  ///< reused across commits
 };
 
-/// Per-record replay accounting (summed across records by the boot path).
-struct WalReplayStats {
-  std::uint64_t ops = 0;
-  std::uint64_t events = 0;
-  std::uint64_t incarnations = 0;
-  std::uint64_t last_incarnation = 0;
-
-  WalReplayStats& operator+=(const WalReplayStats& o) noexcept {
-    ops += o.ops;
-    events += o.events;
-    incarnations += o.incarnations;
-    if (o.incarnations != 0) last_incarnation = o.last_incarnation;
-    return *this;
-  }
-};
-
-/// Decodes one WAL record written by WalEventSink and re-ingests it:
-/// history ops via restore_write/restore_read, events via restore_event
-/// (plus a filter preseed for send/receipt/apply/skip kinds).  Returns false
-/// on a malformed record — the caller treats the log as corrupt from there.
+/// Decodes one WAL record — or any run of log records, such as a kFetchLog
+/// chunk — and re-ingests it: history ops via restore_op, events via
+/// restore_event (plus a filter preseed), boots via record_incarnation, and
+/// into `*last_boot` when given.  Returns false on a malformed record or an
+/// op outside the recorder's processes and variables — the caller treats
+/// the log as corrupt from there.
 [[nodiscard]] bool replay_wal_record(std::span<const std::uint8_t> record,
                                      RunRecorder& recorder,
                                      ReplayFilterObserver* filter,
-                                     WalReplayStats* stats);
+                                     std::uint64_t* last_boot);
 
 }  // namespace dsm

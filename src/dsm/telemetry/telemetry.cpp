@@ -1,5 +1,6 @@
 #include "dsm/telemetry/telemetry.h"
 
+#include <array>
 #include <unordered_map>
 #include <utility>
 
@@ -36,20 +37,19 @@ std::uint64_t meta_bytes(const WriteUpdate& m) {
 }  // namespace
 
 /// The observer tee: records protocol events, then forwards to downstream.
-/// Receipt times are kept per node: a node's events all arrive on its own
-/// thread of control, so no two threads touch the same map.
+/// Per-node state (receipt times, resolved metric handles) is touched only
+/// by that node's events, which all arrive on its own thread of control, so
+/// no two threads touch the same entry.
 class RunTelemetry::Tee final : public ProtocolObserver {
  public:
   Tee(RunTelemetry& t, ProtocolObserver& downstream)
-      : t_(t), down_(downstream), receipt_at_(t.n_procs()) {}
+      : t_(t), down_(downstream), nodes_(t.n_procs()) {}
 
   void on_send(ProcessId at, const WriteUpdate& m) override {
     const std::uint64_t meta = meta_bytes(m);
-    t_.metrics_.counter(at, metric::kUpdatesSent).add();
-    t_.metrics_.counter(at, metric::kMetaBytes).add(meta);
-    if (!m.sub_deps.empty()) {
-      t_.metrics_.counter(at, metric::kSubDepEntries).add(m.sub_deps.size());
-    }
+    counter(at, kSent).add();
+    counter(at, kMeta).add(meta);
+    if (!m.sub_deps.empty()) counter(at, kSubDeps).add(m.sub_deps.size());
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kSend, at, t_.now(),
                          WriteId{m.sender, m.write_seq}, m.var, m.value,
@@ -60,8 +60,8 @@ class RunTelemetry::Tee final : public ProtocolObserver {
 
   void on_receipt(ProcessId at, const WriteUpdate& m) override {
     const std::uint64_t now = t_.now();
-    t_.metrics_.counter(at, metric::kUpdatesReceived).add();
-    receipt_at_[at][WriteId{m.sender, m.write_seq}] = now;
+    counter(at, kReceived).add();
+    nodes_[at].receipt_at[WriteId{m.sender, m.write_seq}] = now;
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kReceive, at, now,
                          WriteId{m.sender, m.write_seq}, m.var, m.value,
@@ -72,21 +72,24 @@ class RunTelemetry::Tee final : public ProtocolObserver {
 
   void on_apply(ProcessId at, WriteId w, bool delayed) override {
     const std::uint64_t now = delayed || t_.trace_ ? t_.now() : 0;
-    t_.metrics_.counter(at, metric::kApplies).add();
+    Node& node = nodes_[at];
+    counter(at, kApplied).add();
     if (delayed) {
-      t_.metrics_.counter(at, metric::kAppliesDelayed).add();
+      counter(at, kDelayed).add();
       std::uint64_t received = now;
-      const auto it = receipt_at_[at].find(w);
-      if (it != receipt_at_[at].end()) {
+      const auto it = node.receipt_at.find(w);
+      if (it != node.receipt_at.end()) {
         received = it->second;
-        receipt_at_[at].erase(it);
+        node.receipt_at.erase(it);
       }
       // The write delay of Definition 3, measured on the harness clock:
       // buffered at receipt, applied once the enabling events occurred.
-      t_.metrics_.summary(at, metric::kApplyDelay)
-          .add(static_cast<double>(now - received));
+      if (node.apply_delay == nullptr) {
+        node.apply_delay = &t_.metrics_.summary(at, metric::kApplyDelay);
+      }
+      node.apply_delay->add(static_cast<double>(now - received));
     } else {
-      receipt_at_[at].erase(w);
+      node.receipt_at.erase(w);
     }
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kApply, at, now, w, 0, kBottom, delayed, 0,
@@ -96,7 +99,7 @@ class RunTelemetry::Tee final : public ProtocolObserver {
   }
 
   void on_return(ProcessId at, VarId x, Value v, WriteId from) override {
-    t_.metrics_.counter(at, metric::kReadsIssued).add();
+    counter(at, kReads).add();
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kRead, at, t_.now(), from, x, v,
                          /*delayed=*/false, 0, VectorClock{}});
@@ -105,10 +108,10 @@ class RunTelemetry::Tee final : public ProtocolObserver {
   }
 
   void on_skip(ProcessId at, WriteId w, WriteId by) override {
-    t_.metrics_.counter(at, metric::kSkips).add();
+    counter(at, kSkipped).add();
     // Skipped writes never apply, so their receipt entry would otherwise
     // linger; apply_delay_us deliberately measures applies only.
-    receipt_at_[at].erase(w);
+    nodes_[at].receipt_at.erase(w);
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kSkip, at, t_.now(), w, 0, kBottom,
                          /*delayed=*/false, by.seq, VectorClock{}});
@@ -117,10 +120,34 @@ class RunTelemetry::Tee final : public ProtocolObserver {
   }
 
  private:
+  /// The counters the tee bumps, by index into kCounterNames.
+  enum CounterIx : std::size_t {
+    kSent, kMeta, kSubDeps, kReceived, kApplied, kDelayed, kReads, kSkipped,
+    kCounterCount
+  };
+  static constexpr const char* kCounterNames[kCounterCount] = {
+      metric::kUpdatesSent,     metric::kMetaBytes, metric::kSubDepEntries,
+      metric::kUpdatesReceived, metric::kApplies,   metric::kAppliesDelayed,
+      metric::kReadsIssued,     metric::kSkips};
+
+  struct Node {
+    /// Resolved on first use, so a metric the run never bumps is never
+    /// registered — the registry holds exactly what it held before caching.
+    std::array<Counter*, kCounterCount> counters{};
+    Summary* apply_delay = nullptr;
+    /// Receipt time of each write received and not yet applied.
+    std::unordered_map<WriteId, std::uint64_t> receipt_at;
+  };
+
+  Counter& counter(ProcessId at, CounterIx ix) {
+    Counter*& c = nodes_[at].counters[ix];
+    if (c == nullptr) c = &t_.metrics_.counter(at, kCounterNames[ix]);
+    return *c;
+  }
+
   RunTelemetry& t_;
   ProtocolObserver& down_;
-  /// Per node: receipt time of each write received and not yet applied.
-  std::vector<std::unordered_map<WriteId, std::uint64_t>> receipt_at_;
+  std::vector<Node> nodes_;
 };
 
 /// Per-node buffer instrumentation: depth gauge + enabling-deficit summary.

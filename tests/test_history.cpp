@@ -59,6 +59,31 @@ TEST(GlobalHistory, FindWrite) {
   EXPECT_FALSE(h.find_write(kNoWrite).has_value());
 }
 
+// find_write indexes each process's writes by seq − 1; every id outside that
+// range is absent rather than an out-of-bounds read.
+TEST(GlobalHistory, FindWriteRejectsSeqZero) {
+  const GlobalHistory h = paper::make_h1_history();
+  EXPECT_FALSE(h.find_write(WriteId{1, 0}).has_value());
+  EXPECT_EQ(h.find_write(WriteId{1, 1}), kWb);
+}
+
+TEST(GlobalHistory, FindWriteRejectsProcessOutOfRange) {
+  const GlobalHistory h = paper::make_h1_history();
+  EXPECT_FALSE(h.find_write(WriteId{3, 1}).has_value());
+  EXPECT_FALSE(h.find_write(WriteId{~ProcessId{0}, 1}).has_value());
+}
+
+TEST(GlobalHistory, FindWriteRejectsSeqPastWriteCount) {
+  GlobalHistory h(2, 1);
+  EXPECT_FALSE(h.find_write(WriteId{0, 1}).has_value());  // no writes yet
+  (void)h.add_write(0, 0, 5);
+  h.add_read(0, 0, 5, WriteId{0, 1});  // reads take no seq
+  EXPECT_EQ(h.write_count(0), 1u);
+  EXPECT_TRUE(h.find_write(WriteId{0, 1}).has_value());
+  EXPECT_FALSE(h.find_write(WriteId{0, 2}).has_value());
+  EXPECT_FALSE(h.find_write(WriteId{1, 1}).has_value());
+}
+
 TEST(GlobalHistory, PaperStyleRendering) {
   const GlobalHistory h = paper::make_h1_history();
   const std::string s = h.str();

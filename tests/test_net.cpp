@@ -335,10 +335,19 @@ TEST(Control, EveryOpRoundTrips) {
   done.op = ControlOp::kDoneReply;
   done.flag = false;
   EXPECT_FALSE(roundtrip(done).flag);
+  ControlMessage fetch;
+  fetch.op = ControlOp::kFetchLog;
+  fetch.cursor = 70000;
+  EXPECT_EQ(roundtrip(fetch).cursor, 70000u);
   ControlMessage log;
   log.op = ControlOp::kLogReply;
-  log.text = "{\"type\":\"meta\",\"procs\":3,\"vars\":2}\n";
-  EXPECT_EQ(roundtrip(log).text, log.text);
+  log.cursor = 65536;
+  log.flag = true;
+  log.bytes = {0x03, 0x02, 0x00, 0xff};
+  const auto got = roundtrip(log);
+  EXPECT_EQ(got.cursor, log.cursor);
+  EXPECT_TRUE(got.flag);
+  EXPECT_EQ(got.bytes, log.bytes);
   ControlMessage err;
   err.op = ControlOp::kError;
   err.text = "boom";
@@ -413,12 +422,12 @@ TEST(Control, MalformedInputsRejected) {
 }
 
 TEST(Control, OversizedReplyBecomesErrorNamingTheCap) {
-  // A kLogReply whose text alone exceeds the 16 MiB frame cap: the node
-  // answers kError instead of aborting, so the driver's fetch_log fails
-  // like any other error.
+  // A kLogReply whose records alone exceed the 16 MiB frame cap: the node
+  // answers kError instead of aborting, so the driver's call fails like any
+  // other error.  (A node's chunks are far below the cap.)
   ControlMessage log;
   log.op = ControlOp::kLogReply;
-  log.text.assign(kMaxFrameBytes + 1, 'x');
+  log.bytes.assign(kMaxFrameBytes + 1, 0x5a);
   FrameAssembler rx;
   ASSERT_TRUE(rx.feed(encode_control_reply(log)));
   const auto frame = rx.next();
@@ -429,7 +438,7 @@ TEST(Control, OversizedReplyBecomesErrorNamingTheCap) {
   EXPECT_NE(rep->text.find(std::to_string(kMaxFrameBytes)), std::string::npos)
       << rep->text;
   // A reply that fits goes out unchanged.
-  log.text = "small";
+  log.bytes = {1, 2, 3};
   EXPECT_EQ(encode_control_reply(log),
             encode_frame(FrameKind::kControl, encode_control(log)));
 }

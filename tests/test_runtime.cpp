@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "dsm/audit/auditor.h"
 #include "dsm/common/rng.h"
@@ -151,6 +153,59 @@ TEST(ThreadCluster, LiveStabilityTrackerViaExtraObserver) {
   EXPECT_TRUE(tracker.is_stable(WriteId{1, 1}));
   EXPECT_EQ(tracker.frontier(), (VectorClock{{1, 1, 0}}));
   EXPECT_EQ(tracker.unstable_count(), 0u);
+}
+
+/// The recorder's log is appended from every node thread while a reader
+/// decodes it through events(): the reader's view only ever grows by a
+/// prefix-preserving append (run under the tsan preset via the sanitize
+/// label).
+TEST(ThreadCluster, EventsReaderRacesNodeAppends) {
+  ThreadCluster::Config cfg;
+  cfg.n_procs = 3;
+  cfg.n_vars = 2;
+  cfg.max_jitter_us = 50;
+  ThreadCluster cluster(cfg);
+  std::atomic<bool> stop{false};
+  std::size_t views = 0;
+  std::size_t last_size = 0;
+  std::uint64_t last_order_sum = 0;
+  std::thread reader([&] {
+    while (!stop.load()) {
+      const auto& events = cluster.recorder().events();
+      EXPECT_GE(events.size(), last_size);
+      std::uint64_t order_sum = 0;
+      for (std::size_t i = 0; i < last_size; ++i) order_sum += events[i].order;
+      EXPECT_EQ(order_sum, last_order_sum);  // the old prefix is unchanged
+      for (std::size_t i = last_size; i < events.size(); ++i) {
+        order_sum += events[i].order;
+      }
+      last_size = events.size();
+      last_order_sum = order_sum;
+      ++views;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (ProcessId p = 0; p < 3; ++p) {
+    writers.emplace_back([&cluster, p] {
+      for (int i = 0; i < 300; ++i) {
+        cluster.write(p, static_cast<VarId>(i % 2), i);
+        (void)cluster.read(p, static_cast<VarId>((i + 1) % 2));
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  const bool quiescent = cluster.await_quiescence(5000ms);
+  stop = true;
+  reader.join();
+  ASSERT_TRUE(quiescent);
+  EXPECT_GT(views, 0u);
+  // 900 writes: a send and a local apply each, a receipt and an apply at
+  // two peers; 900 reads: a return each.
+  const auto& events = cluster.recorder().events();
+  EXPECT_EQ(events.size(), 900u * 6 + 900u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].order, i);
+  }
 }
 
 TEST(ThreadCluster, ShutdownIsIdempotent) {

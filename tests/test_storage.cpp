@@ -1,7 +1,7 @@
 // optcm — storage subsystem tests: WAL framing and crash recovery (torn
 // tails truncated at every byte offset, a bit-flip corruption fuzz over the
 // tail record), fsync accounting per policy, atomic snapshot files, the
-// per-node state-dir layout, and the WalEventSink spill → replay roundtrip
+// per-node state-dir layout, and the recorder-log commit → replay roundtrip
 // back into a RunRecorder.
 
 #include <sys/stat.h>
@@ -14,6 +14,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -353,19 +354,21 @@ TEST(WalSinkTest, RecorderTeesLiveRecordsButNotRestores) {
   auto wal = Wal::open(tmp.file("wal.log"),
                        WalOptions{.fsync = FsyncPolicy::kNone}, {});
   ASSERT_TRUE(wal.has_value());
-  WalEventSink sink(*wal);
   RunRecorder rec(2, 1);
-  rec.set_sink(&sink);
+  Operation replayed;
+  replayed.proc = 0;
+  replayed.var = 0;
+  replayed.value = 7;
+  rec.restore_op(replayed);  // a replayed prefix is already in the WAL
+  WalLogCommitter log(*wal, rec, rec.log_bytes());
+  EXPECT_EQ(log.commit(), WalIoError::kNone);  // nothing new: no record
+  EXPECT_EQ(wal->stats().appends, 0u);
 
-  rec.restore_write(0, 0, 7);  // replayed history never re-spills
-  EXPECT_FALSE(sink.pending());
-  (void)rec.record_write(1, 0, 9);  // live history does
-  EXPECT_TRUE(sink.pending());
-
-  EXPECT_EQ(sink.commit(), WalIoError::kNone);
-  EXPECT_FALSE(sink.pending());
+  (void)rec.record_write(1, 0, 9);  // live history is committed
+  rec.on_apply(0, WriteId{1, 1}, false);
+  EXPECT_EQ(log.commit(), WalIoError::kNone);
   EXPECT_EQ(wal->stats().appends, 1u);
-  EXPECT_EQ(sink.commit(), WalIoError::kNone);  // empty batch: no record
+  EXPECT_EQ(log.commit(), WalIoError::kNone);  // empty batch: no record
   EXPECT_EQ(wal->stats().appends, 1u);
 }
 
@@ -385,29 +388,25 @@ TEST(WalSinkTest, SpillReplayRoundtripThroughRecorder) {
     auto wal =
         Wal::open(path, WalOptions{.fsync = FsyncPolicy::kEvery}, {});
     ASSERT_TRUE(wal.has_value());
-    WalEventSink sink(*wal);
-    sink.note_incarnation(3);
-    sink.accept_write(0, 0, 7, w);
-    sink.accept_event(spilled);
-    sink.accept_read(1, 0, 7, w);
-    ASSERT_EQ(sink.commit(), WalIoError::kNone);
+    RunRecorder source(2, 1);
+    source.record_incarnation(3);
+    (void)source.record_write(0, 0, 7);
+    source.restore_event(spilled);
+    source.record_read(1, 0, ReadResult{7, w});
+    WalLogCommitter log(*wal, source, 0);
+    ASSERT_EQ(log.commit(), WalIoError::kNone);
   }
 
   RunRecorder rec(2, 1);
   ReplayFilterObserver filter(rec);
-  WalReplayStats total;
+  std::uint64_t last_boot = 0;
   auto wal = Wal::open(path, WalOptions{.fsync = FsyncPolicy::kNone},
                        [&](std::span<const std::uint8_t> record) {
-                         WalReplayStats s;
-                         EXPECT_TRUE(
-                             replay_wal_record(record, rec, &filter, &s));
-                         total += s;
+                         EXPECT_TRUE(replay_wal_record(record, rec, &filter,
+                                                       &last_boot));
                        });
   ASSERT_TRUE(wal.has_value());
-  EXPECT_EQ(total.ops, 2u);
-  EXPECT_EQ(total.events, 1u);
-  EXPECT_EQ(total.incarnations, 1u);
-  EXPECT_EQ(total.last_incarnation, 3u);
+  EXPECT_EQ(last_boot, 3u);
 
   // History restored verbatim, with the same deterministic WriteId.
   ASSERT_EQ(rec.history().local(0).size(), 1u);
@@ -437,6 +436,74 @@ TEST(WalSinkTest, SpillReplayRoundtripThroughRecorder) {
   filter.on_apply(1, w, true);
   EXPECT_EQ(filter.suppressed(), 1u);
   EXPECT_EQ(rec.events().size(), 1u);
+}
+
+/// Converts a hex string to bytes (fixture helper).
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// One WAL record exactly as the WalEventSink that preceded the encoded
+/// recorder log wrote it: an incarnation, a write, its send and a delayed
+/// receipt + apply at p1, a read with its return, a read of ⊥, and a skip.
+/// It must replay to the same run — and the recorder, logging the replayed
+/// records again, must produce the same bytes: the on-disk format is the
+/// recorder's own.
+TEST(WalSinkTest, RecordFromTheEventSinkEraReplaysToTheSameRunAndBytes) {
+  const auto record = from_hex(
+      "0302010100010e00010200dc0b000000010000010e00030100000201a81401010001"
+      "0000010e00030100000202a91401020001000000ffffffffffffffffff0101000100"
+      "01010e000102048c15010300010000010e000001000200ffffffffffffffffff0100"
+      "000207b81702040001010200ffffffffffffffffff010000");
+  ASSERT_EQ(record.size(), 126u);
+  RunRecorder rec(3, 2);
+  std::uint64_t last_boot = 0;
+  ASSERT_TRUE(replay_wal_record(record, rec, nullptr, &last_boot));
+  EXPECT_EQ(last_boot, 2u);
+
+  const WriteId w{0, 1};
+  GlobalHistory want(3, 2);
+  EXPECT_EQ(want.add_write(0, 1, 7), w);
+  want.add_read(1, 1, 7, w);
+  want.add_read(2, 0, kBottom, kNoWrite);
+  EXPECT_TRUE(std::ranges::equal(rec.history().all_ops(), want.all_ops()));
+
+  const auto& events = rec.events();
+  ASSERT_EQ(events.size(), 5u);
+  const auto expect_event = [&](std::size_t i, std::uint64_t order,
+                                std::uint64_t time, ProcessId at, EvKind kind,
+                                WriteId other, Value value, bool delayed,
+                                std::vector<std::uint64_t> clock) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    const RunEvent& e = events[i];
+    EXPECT_EQ(e.order, order);
+    EXPECT_EQ(e.time, time);
+    EXPECT_EQ(e.at, at);
+    EXPECT_EQ(e.kind, kind);
+    EXPECT_EQ(e.write, w);
+    EXPECT_EQ(e.other, other);
+    EXPECT_EQ(e.value, value);
+    EXPECT_EQ(e.delayed, delayed);
+    EXPECT_TRUE(std::ranges::equal(e.clock.components(), clock));
+  };
+  expect_event(0, 0, 1500, 0, EvKind::kSend, kNoWrite, 7, false, {1, 0, 0});
+  expect_event(1, 1, 2600, 1, EvKind::kReceipt, kNoWrite, 7, false,
+               {1, 0, 0});
+  expect_event(2, 2, 2601, 1, EvKind::kApply, kNoWrite, kBottom, true, {});
+  expect_event(3, 4, 2700, 1, EvKind::kReturn, kNoWrite, 7, false, {});
+  expect_event(4, 7, 3000, 2, EvKind::kSkip, WriteId{1, 2}, kBottom, false,
+               {});
+  EXPECT_EQ(events[0].var, 1u);
+  EXPECT_EQ(events[3].var, 1u);
+
+  std::vector<std::uint8_t> logged;
+  EXPECT_EQ(rec.copy_chunk(0, logged), rec.log_bytes());
+  EXPECT_EQ(logged, record);
 }
 
 TEST(WalSinkTest, MalformedRecordIsRejected) {

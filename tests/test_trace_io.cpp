@@ -189,7 +189,8 @@ TEST(TraceIo, PartialTypedFieldsRejected) {
         << line;
   }
   // spec 0 must ship key-less (the register byte-compatibility rule), and an
-  // unknown spec or opcode rejects outright.
+  // unknown spec or opcode, or an opcode of the other kind (an accessor on a
+  // write line, a mutation on a read line), rejects outright.
   const char* bad_values[] = {
       "{\"type\":\"op\",\"proc\":0,\"kind\":\"write\",\"var\":0,\"value\":1,"
       "\"wproc\":0,\"wseq\":1,\"spec\":0,\"opcode\":0,\"arg2\":0}\n",
@@ -197,6 +198,11 @@ TEST(TraceIo, PartialTypedFieldsRejected) {
       "\"wproc\":0,\"wseq\":1,\"spec\":9,\"opcode\":2,\"arg2\":0}\n",
       "{\"type\":\"op\",\"proc\":0,\"kind\":\"write\",\"var\":0,\"value\":1,"
       "\"wproc\":0,\"wseq\":1,\"spec\":1,\"opcode\":42,\"arg2\":0}\n",
+      "{\"type\":\"op\",\"proc\":0,\"kind\":\"write\",\"var\":0,\"value\":1,"
+      "\"wproc\":0,\"wseq\":1,\"spec\":1,\"opcode\":4,\"arg2\":0}\n",
+      "{\"type\":\"op\",\"proc\":0,\"kind\":\"read\",\"var\":0,\"value\":1,"
+      "\"wproc\":0,\"wseq\":0,\"spec\":1,\"opcode\":2,\"arg2\":0,"
+      "\"visible\":[]}\n",
   };
   for (const char* line : bad_values) {
     EXPECT_FALSE(import_trace_jsonl(std::string(meta) + line).has_value())
