@@ -32,6 +32,11 @@ ReliableConfig net_reliable_defaults() {
   config.rto = sim_ms(20);
   config.min_rto = sim_ms(5);
   config.max_rto = sim_ms(250);
+  // Hold each ACK for up to 1 ms — far above a loopback hop, so it rides the
+  // node's next DATA frame to that peer instead of costing the peer a
+  // wake-up of its own; far below min_rto, so a held ACK never provokes a
+  // retransmission.
+  config.ack_delay = sim_ms(1);
   return config;
 }
 

@@ -21,15 +21,17 @@ ReliableNode::ReliableNode(EventQueue& queue, DatagramTransport& transport,
   DSM_REQUIRE(config_.min_rto > 0);
   DSM_REQUIRE(config_.min_rto <= config_.max_rto);
   DSM_REQUIRE(config_.rto > 0);
+  DSM_REQUIRE(config_.ack_delay < config_.min_rto &&
+              "a held ACK alone must never provoke a retransmission");
   for (PeerTx& peer : tx_) peer.rto = config_.rto;
 }
 
 ReliableNode::~ReliableNode() { *alive_ = false; }
 
-std::vector<std::uint8_t> ReliableNode::encode_frame(
-    FrameType type, std::uint64_t seq, std::span<const std::uint8_t> payload) {
+std::vector<std::uint8_t> ReliableNode::encode_data(
+    std::uint64_t seq, std::span<const std::uint8_t> payload) {
   ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(static_cast<std::uint8_t>(FrameType::kData));
   w.u64(seq);
   w.bytes(payload);
   return std::move(w).take();
@@ -57,12 +59,13 @@ void ReliableNode::broadcast(const Payload& payload) {
 void ReliableNode::transmit(ProcessId to, std::uint64_t seq,
                             const std::vector<std::uint8_t>& payload) {
   // The DATA frame is encoded per peer by necessity (sequence numbers are
-  // per-channel), and encode_frame copies the application payload into each
+  // per-channel), and encode_data copies the application payload into each
   // fresh frame: a broadcast makes n−1 payload copies, and every
   // retransmission one more.  The shared TxEntry keeps the original until
-  // acked.
-  network_->send(self_, to,
-                 make_payload(encode_frame(FrameType::kData, seq, payload)));
+  // acked.  Held ACKs to `to` go first, so the transport batches them with
+  // this frame into one write and the peer reads both at once.
+  flush_acks(to);
+  network_->send(self_, to, make_payload(encode_data(seq, payload)));
 }
 
 SimTime ReliableNode::jitter(ProcessId to, std::uint64_t seq,
@@ -137,41 +140,65 @@ void ReliableNode::on_ack(ProcessId from, std::uint64_t seq) {
   peer.unacked.erase(it);
 }
 
+void ReliableNode::flush_acks(ProcessId to) {
+  PeerRx& peer = rx_[to];
+  if (peer.pending_acks.empty()) return;
+  queue_->cancel(peer.ack_timer);  // a no-op unless the timer is pending
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(FrameType::kAck));
+  for (const std::uint64_t seq : peer.pending_acks) w.u64(seq);
+  peer.pending_acks.clear();
+  ++stats_.acks_sent;
+  network_->send(self_, to, make_payload(std::move(w).take()));
+}
+
+void ReliableNode::on_data(ProcessId from, std::uint64_t seq,
+                           std::span<const std::uint8_t> payload) {
+  // Always (re-)ACK: the original ACK may have been lost.
+  PeerRx& peer = rx_[from];
+  peer.pending_acks.push_back(seq);
+  if (config_.ack_delay == 0) {
+    flush_acks(from);
+  } else if (peer.pending_acks.size() == 1) {
+    peer.ack_timer = queue_->schedule_after(
+        config_.ack_delay, [this, alive = alive_, from] {
+          if (*alive) flush_acks(from);
+        });
+  }
+
+  if (peer.saw(seq)) {
+    ++stats_.duplicates_suppressed;
+    return;
+  }
+  peer.mark(seq);
+  ++stats_.delivered;
+  upper_->deliver(from, payload);
+}
+
 void ReliableNode::deliver(ProcessId from, std::span<const std::uint8_t> bytes) {
   ByteReader r{bytes};
   const auto type = r.u8();
-  const auto seq = r.u64();
-  if (!type || !seq || *type > static_cast<std::uint8_t>(FrameType::kAck)) {
-    // A frame this class did not produce.  The simulator's network cannot
-    // corrupt bytes, but a real socket peer can say anything; dropping (and
-    // counting) is the only safe response — aborting would hand a remote
-    // byte stream a kill switch.
-    ++stats_.malformed_dropped;
-    return;
-  }
-
-  switch (static_cast<FrameType>(*type)) {
-    case FrameType::kData: {
-      // Always (re-)ACK: the original ACK may have been lost.
-      ++stats_.acks_sent;
-      network_->send(self_, from,
-                     make_payload(encode_frame(FrameType::kAck, *seq, {})));
-
-      PeerRx& peer = rx_[from];
-      if (peer.saw(*seq)) {
-        ++stats_.duplicates_suppressed;
-        return;
-      }
-      peer.mark(*seq);
-      ++stats_.delivered;
-      upper_->deliver(from, r.rest());
+  if (type == static_cast<std::uint8_t>(FrameType::kData)) {
+    if (const auto seq = r.u64()) {
+      on_data(from, *seq, r.rest());
       return;
     }
-    case FrameType::kAck: {
-      on_ack(from, *seq);
+  } else if (type == static_cast<std::uint8_t>(FrameType::kAck) &&
+             r.remaining() > 0) {
+    // Validate the whole list before retiring anything from it.
+    ByteReader check = r;
+    while (check.remaining() > 0 && check.u64()) {
+    }
+    if (check.exhausted()) {
+      while (r.remaining() > 0) on_ack(from, *r.u64());
       return;
     }
   }
+  // A frame this class did not produce.  The simulator's network cannot
+  // corrupt bytes, but a real socket peer can say anything; dropping (and
+  // counting) is the only safe response — aborting would hand a remote byte
+  // stream a kill switch.
+  ++stats_.malformed_dropped;
 }
 
 SimTime ReliableNode::current_rto(ProcessId to) const {

@@ -9,8 +9,15 @@
 //     by the sender until acknowledged; a retransmission timer resends it
 //     until the ACK lands (at-least-once);
 //   * the receiver delivers a sequence number at most once — a compact
-//     watermark-plus-set dedup — and (re-)ACKs every DATA frame it sees
-//     (exactly-once upward);
+//     watermark-plus-set dedup — and acknowledges every DATA frame it sees,
+//     duplicates included (exactly-once upward);
+//   * acknowledgements may be HELD, after TCP's delayed ACK (RFC 1122
+//     §4.2.3.2): with `ack_delay` > 0 each DATA frame's seq joins a
+//     per-peer pending list, which goes out as one ACK frame just ahead of
+//     the next DATA frame to that peer — the transport batches both into one
+//     write — or, failing that, when a per-peer timer fires `ack_delay`
+//     after the first pending seq.  `ack_delay` = 0 (the default, and the
+//     simulator's setting) ACKs each DATA frame at once;
 //   * channels stay NON-FIFO on purpose: a fresh sequence number is
 //     delivered upward immediately even if earlier ones are still missing.
 //     The DSM protocols order applies themselves; imposing FIFO here would
@@ -31,9 +38,12 @@
 // abandonment means the simulation (or its fault plan) is broken.  Install
 // `on_abandon` to turn it into a callback instead (tests of the alarm path).
 //
-// Wire format: one byte frame type (DATA/ACK), varint sequence number, then
-// the raw payload (DATA only).  ACKs are never retransmitted — a lost ACK
-// just provokes one more retransmission, which the dedup absorbs.
+// Wire format: one byte frame type, then for DATA a varint sequence number
+// and the raw payload, for ACK one or more varint sequence numbers up to the
+// end of the frame (a one-seq ACK is [0x01][seq]).  ACKs are never
+// retransmitted — a lost ACK just provokes one more retransmission, which
+// the dedup absorbs.  Held ACKs are volatile for the same reason: a crash
+// loses them like ACK frames lost in flight, and no checkpoint carries them.
 //
 // For crash/recovery the node checkpoints: snapshot() serializes sequence
 // numbers, unacked payloads, RTT estimator state, and the receive dedup
@@ -92,6 +102,10 @@ struct ReliableConfig {
   SimTime max_rto = sim_ms(200);  ///< upper clamp, also the backoff cap
   std::size_t max_retries = 10'000;
   std::uint64_t jitter_seed = 0x1E77;  ///< deterministic retransmit jitter
+  /// How long an ACK may wait for a DATA frame to the same peer to ride
+  /// ahead of.  0 ACKs every DATA frame at once.  Must stay below min_rto,
+  /// so a held ACK alone never provokes a retransmission.
+  SimTime ack_delay = 0;
   /// Called instead of aborting when a payload exhausts max_retries.  The
   /// default (unset) hard-fails via DSM_REQUIRE: silent message loss would
   /// invalidate every liveness claim downstream.
@@ -146,13 +160,15 @@ class ReliableNode final : public MessageSink {
 
   // -- MessageSink (frames arriving from the network) ------------------------
 
-  /// Handles one raw frame from the network: DATA frames are ACKed and, if
-  /// their sequence number is new, delivered upward; duplicate DATA is
-  /// suppressed (and re-ACKed); ACK frames retire the tx entry and feed the
-  /// RTT estimator (Karn's rule: only never-retransmitted packets sample).
-  /// A frame this class never produced (bad type byte, truncated varint) is
-  /// dropped and counted in stats().malformed_dropped — over real sockets a
-  /// peer can say anything, so garbage must not be able to abort the node.
+  /// Handles one raw frame from the network: DATA frames are ACKed (at
+  /// once, or held per config.ack_delay) and, if their sequence number is
+  /// new, delivered upward; duplicate DATA is suppressed (and re-ACKed);
+  /// each seq an ACK frame lists retires its tx entry and feeds the RTT
+  /// estimator (Karn's rule: only never-retransmitted packets sample).  A
+  /// frame this class never produced (bad type byte, truncated varint, an
+  /// ACK listing no seq) is dropped whole and counted in
+  /// stats().malformed_dropped — over real sockets a peer can say anything,
+  /// so garbage must not be able to abort the node.
   void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override;
 
   // -- checkpoint / restore --------------------------------------------------
@@ -218,6 +234,8 @@ class ReliableNode final : public MessageSink {
   struct PeerRx {
     std::uint64_t watermark = 0;            ///< all seq <= watermark seen
     std::set<std::uint64_t> seen_above;     ///< seen seqs > watermark
+    std::vector<std::uint64_t> pending_acks;  ///< received, not yet ACKed
+    EventQueue::Handle ack_timer;           ///< armed while acks are held
     [[nodiscard]] bool saw(std::uint64_t seq) const {
       return seq <= watermark || seen_above.count(seq) != 0;
     }
@@ -233,15 +251,18 @@ class ReliableNode final : public MessageSink {
                 const std::vector<std::uint8_t>& payload);
   void arm_timer(ProcessId to, std::uint64_t seq, std::size_t attempt,
                  SimTime interval);
+  void on_data(ProcessId from, std::uint64_t seq,
+               std::span<const std::uint8_t> payload);
   void on_ack(ProcessId from, std::uint64_t seq);
+  /// Send `to`'s pending ACKs as one frame and disarm its ACK timer.
+  void flush_acks(ProcessId to);
   void sample_rtt(PeerTx& peer, SimTime rtt);
   [[nodiscard]] SimTime clamp_rto(double rto_us) const;
   [[nodiscard]] SimTime jitter(ProcessId to, std::uint64_t seq,
                                std::size_t attempt, SimTime interval) const;
 
-  static std::vector<std::uint8_t> encode_frame(FrameType type,
-                                                std::uint64_t seq,
-                                                std::span<const std::uint8_t> payload);
+  static std::vector<std::uint8_t> encode_data(
+      std::uint64_t seq, std::span<const std::uint8_t> payload);
 
   EventQueue* queue_;
   DatagramTransport* network_;

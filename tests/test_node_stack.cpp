@@ -39,10 +39,10 @@ ProtocolHost::Shape recoverable_shape(ProcessId self) {
 
 /// Two recoverable stacks with ARQ on a 100 µs simulated network.
 struct StackPair {
-  StackPair() {
+  explicit StackPair(const ReliableConfig& arq = {}) {
     for (ProcessId p = 0; p < 2; ++p) {
       stacks.push_back(std::make_unique<NodeStack>(
-          queue, net, recoverable_shape(p), ReliableConfig{}, observer));
+          queue, net, recoverable_shape(p), arq, observer));
     }
     for (auto& stack : stacks) stack->start();
   }
@@ -99,6 +99,32 @@ TEST(NodeStack, RestartRetransmitsWhatWasUnackedAtTheCheckpoint) {
   EXPECT_EQ(pair.stacks[1]->reliable_stats().duplicates_suppressed, 1u);
   EXPECT_EQ(pair.observer.receipts[1], 1u);
   EXPECT_EQ(pair.stacks[0]->reliable_stats().data_sent, 2u);  // + catch-up
+}
+
+TEST(NodeStack, AcksHeldAtAKillAreRepairedByThePeersRetransmission) {
+  ReliableConfig arq;
+  arq.ack_delay = sim_us(300);
+  StackPair pair(arq);
+  pair.write(0, 5);
+  pair.queue.run_until(sim_us(150));  // p1 has the write; its ACK is held
+  EXPECT_EQ(pair.observer.receipts[1], 1u);
+  EXPECT_EQ(pair.stacks[1]->reliable_stats().acks_sent, 0u);
+
+  // The held ACK dies with p1, which restarts from the checkpoint its
+  // receipt took: the dedup there already holds the write's seq.
+  pair.stacks[1]->kill();
+  pair.stacks[1]->restart();
+  pair.queue.run_until(sim_ms(20));
+
+  // p0's RTO retransmitted; p1 suppressed the copy, ACKed it, and p0's
+  // channel drained.  The write was delivered upward once.
+  EXPECT_GE(pair.stacks[0]->reliable_stats().retransmissions, 1u);
+  EXPECT_EQ(pair.stacks[1]->reliable_stats().duplicates_suppressed, 1u);
+  EXPECT_GE(pair.stacks[1]->reliable_stats().acks_sent, 1u);
+  EXPECT_TRUE(pair.stacks[0]->quiescent());
+  EXPECT_TRUE(pair.stacks[1]->quiescent());
+  EXPECT_EQ(pair.observer.receipts[1], 1u);
+  EXPECT_EQ(pair.stacks[1]->host().protocol().peek(0).value, 5);
 }
 
 TEST(NodeStack, DecodeRejectsTruncatedFraming) {

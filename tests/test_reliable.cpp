@@ -134,13 +134,15 @@ class CollectingSink final : public MessageSink {
 };
 
 struct ArqFixture {
-  explicit ArqFixture(FaultPlan plan, SimTime latency_scale = 100) {
+  explicit ArqFixture(FaultPlan plan, SimTime latency_scale = 100,
+                      const ReliableConfig& config = {}) {
     latency = std::make_unique<UniformLatency>(latency_scale / 2,
                                                latency_scale * 2, 5);
     net = std::make_unique<Network>(queue, *latency, 2);
     net->set_fault_plan(plan);
     for (ProcessId p = 0; p < 2; ++p) {
-      nodes.push_back(std::make_unique<ReliableNode>(queue, *net, p, sinks[p]));
+      nodes.push_back(
+          std::make_unique<ReliableNode>(queue, *net, p, sinks[p], config));
       net->attach(p, *nodes[p]);
     }
   }
@@ -336,20 +338,205 @@ TEST(ReliableNodeDeathTest, AbandonWithoutCallbackIsAHardError) {
       "ARQ abandoned a payload");
 }
 
+TEST(ReliableNodeDeathTest, AckDelayMustStayBelowMinRto) {
+  EventQueue queue;
+  const ConstantLatency latency(50);
+  Network net(queue, latency, 2);
+  CollectingSink sink;
+  ReliableConfig cfg;
+  cfg.ack_delay = cfg.min_rto;
+  EXPECT_DEATH(ReliableNode(queue, net, 0, sink, cfg), "held ACK");
+}
+
+// ------------------------------------------------ frames on the wire -------
+
+/// Records every frame a node sends, stamped with the send time, and
+/// delivers none: each test feeds the node's inbound side by hand.
+class CapturingTransport final : public DatagramTransport {
+ public:
+  struct Frame {
+    ProcessId to;
+    SimTime at;
+    std::vector<std::uint8_t> bytes;
+  };
+  explicit CapturingTransport(const EventQueue& queue) : queue_(&queue) {}
+  void attach(ProcessId, MessageSink&) override {}
+  void send(ProcessId, ProcessId to, Payload payload) override {
+    sent.push_back(Frame{to, queue_->now(), *payload});
+  }
+  [[nodiscard]] std::size_t n_procs() const override { return 2; }
+
+  std::vector<Frame> sent;
+
+ private:
+  const EventQueue* queue_;
+};
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// A DATA frame: [0x00][varint seq][payload].  Seqs below 128 are one byte.
+Bytes data_frame(std::uint8_t seq, std::uint8_t payload) {
+  return {0x00, seq, payload};
+}
+
+/// A held-ACK configuration for nodes on a CapturingTransport.
+ReliableConfig held_acks() {
+  ReliableConfig cfg;
+  cfg.ack_delay = sim_us(300);
+  return cfg;
+}
+
+TEST(ReliableNode, DefaultConfigAcksEachDataFrameBeforeDelivering) {
+  // ack_delay = 0: one [0x01][seq] frame per DATA frame, duplicates
+  // included, already handed to the transport when the payload goes up.
+  EventQueue queue;
+  CapturingTransport wire(queue);
+  struct AckCheckingSink final : MessageSink {
+    void deliver(ProcessId, std::span<const std::uint8_t>) override {
+      frames_sent_at_delivery.push_back(wire->sent.size());
+    }
+    const CapturingTransport* wire;
+    std::vector<std::size_t> frames_sent_at_delivery;
+  } sink;
+  sink.wire = &wire;
+  ReliableNode node(queue, wire, 1, sink);
+
+  node.deliver(0, data_frame(1, 0xA1));
+  node.deliver(0, data_frame(2, 0xA2));
+  node.deliver(0, data_frame(1, 0xA1));  // duplicate: re-ACKed, not delivered
+
+  ASSERT_EQ(wire.sent.size(), 3u);
+  EXPECT_EQ(wire.sent[0].bytes, (Bytes{0x01, 1}));
+  EXPECT_EQ(wire.sent[1].bytes, (Bytes{0x01, 2}));
+  EXPECT_EQ(wire.sent[2].bytes, (Bytes{0x01, 1}));
+  for (const auto& frame : wire.sent) EXPECT_EQ(frame.to, 0u);
+  EXPECT_EQ(sink.frames_sent_at_delivery, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(node.stats().acks_sent, 3u);
+  EXPECT_EQ(node.stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(queue.pending(), 0u);  // no ACK timer
+}
+
+TEST(ReliableNode, HeldAcksRideJustAheadOfTheNextDataFrame) {
+  EventQueue queue;
+  CapturingTransport wire(queue);
+  CollectingSink sink;
+  ReliableNode node(queue, wire, 1, sink, held_acks());
+
+  const std::size_t before = queue.pending();
+  node.deliver(0, data_frame(1, 0xA1));
+  node.deliver(0, data_frame(2, 0xA2));
+  EXPECT_TRUE(wire.sent.empty());
+  EXPECT_EQ(sink.received.size(), 2u);  // delivery never waits for the ACK
+  EXPECT_EQ(queue.pending(), before + 1);  // one ACK timer for the peer
+
+  node.send(0, make_payload({0xB1}));
+  ASSERT_EQ(wire.sent.size(), 2u);
+  EXPECT_EQ(wire.sent[0].bytes, (Bytes{0x01, 1, 2}));
+  EXPECT_EQ(wire.sent[1].bytes, (Bytes{0x00, 1, 0xB1}));
+  EXPECT_EQ(node.stats().acks_sent, 1u);
+
+  // The flush cancelled the ACK timer; what is left is the DATA frame's
+  // retransmission timer, so nothing more goes out before it is due.
+  EXPECT_EQ(queue.pending(), before + 1);
+  queue.run_until(node.current_rto(0) - 1);
+  EXPECT_EQ(wire.sent.size(), 2u);
+}
+
+TEST(ReliableNode, LoneHeldAckGoesOutAckDelayAfterTheFirstPendingSeq) {
+  EventQueue queue;
+  CapturingTransport wire(queue);
+  CollectingSink sink;
+  const ReliableConfig cfg = held_acks();
+  ReliableNode node(queue, wire, 1, sink, cfg);
+
+  queue.schedule_at(100, [&] { node.deliver(0, data_frame(1, 0xA1)); });
+  queue.schedule_at(250, [&] { node.deliver(0, data_frame(3, 0xA3)); });
+  queue.schedule_at(260, [&] { node.deliver(0, data_frame(1, 0xA1)); });
+  queue.run_until(100 + cfg.ack_delay - 1);
+  EXPECT_TRUE(wire.sent.empty());
+
+  queue.run();
+  ASSERT_EQ(wire.sent.size(), 1u);
+  EXPECT_EQ(wire.sent[0].at, 100 + cfg.ack_delay);
+  EXPECT_EQ(wire.sent[0].to, 0u);
+  EXPECT_EQ(wire.sent[0].bytes, (Bytes{0x01, 1, 3, 1}));
+  EXPECT_EQ(sink.received.size(), 2u);
+  EXPECT_EQ(queue.pending(), 0u);
+}
+
+TEST(ReliableNode, OneAckFrameRetiresSeveralUnackedEntries) {
+  EventQueue queue;
+  CapturingTransport wire(queue);
+  CollectingSink sink;
+  ReliableNode node(queue, wire, 0, sink, held_acks());
+  for (std::uint8_t i = 0; i < 3; ++i) node.send(1, make_payload({i}));
+  EXPECT_FALSE(node.quiescent());
+
+  node.deliver(1, Bytes{0x01, 3, 1, 2});
+  EXPECT_TRUE(node.quiescent());
+  EXPECT_EQ(node.stats().rtt_samples, 3u);
+  EXPECT_EQ(node.stats().malformed_dropped, 0u);
+}
+
+TEST(ReliableNode, MalformedFramesAreDroppedAndCounted) {
+  EventQueue queue;
+  CapturingTransport wire(queue);
+  CollectingSink sink;
+  ReliableNode node(queue, wire, 0, sink);
+  node.send(1, make_payload({7}));
+  node.send(1, make_payload({8}));
+
+  const Bytes garbage[] = {
+      {},                // no type byte
+      {0x02, 1},         // unknown type
+      {0x00},            // DATA without a seq
+      {0x00, 0x80},      // DATA with a truncated seq
+      {0x01},            // ACK listing no seq
+      {0x01, 0x80},      // ACK whose only seq is truncated
+      {0x01, 1, 0x82},   // valid seq 1, then a truncated one: nothing retires
+  };
+  for (const Bytes& frame : garbage) node.deliver(1, frame);
+
+  EXPECT_EQ(node.stats().malformed_dropped, std::size(garbage));
+  EXPECT_EQ(node.stats().rtt_samples, 0u);
+  EXPECT_FALSE(node.quiescent());
+  EXPECT_TRUE(sink.received.empty());
+  EXPECT_EQ(node.stats().acks_sent, 0u);
+  EXPECT_EQ(wire.sent.size(), 2u);  // just the two DATA frames
+
+  node.deliver(1, Bytes{0x01, 1, 2});
+  EXPECT_TRUE(node.quiescent());
+  EXPECT_EQ(node.stats().malformed_dropped, std::size(garbage));
+}
+
 // --------------------------- combined drop + duplicate + reorder stress -----
 
-class ArqStress : public ::testing::TestWithParam<std::uint64_t> {};
+struct StressParams {
+  std::uint64_t seed;
+  SimTime ack_delay = 0;
+};
+
+// Rows with immediate ACKs print as their bare seed, the suite's original
+// parameter, so their test names stay put.
+void PrintTo(const StressParams& p, std::ostream* os) {
+  *os << p.seed;
+  if (p.ack_delay > 0) *os << "_ack_delay_" << p.ack_delay;
+}
+
+class ArqStress : public ::testing::TestWithParam<StressParams> {};
 
 TEST_P(ArqStress, ExactlyOnceBothWaysUnderCombinedFaults) {
   // High drop + high duplication + wide latency spread (channels are
   // non-FIFO): the exactly-once contract must hold in both directions and
   // the channel must go quiescent with nothing abandoned.
-  const std::uint64_t seed = GetParam();
+  const std::uint64_t seed = GetParam().seed;
   FaultPlan plan;
   plan.drop = 0.5;
   plan.duplicate = 0.5;
   plan.seed = seed;
-  ArqFixture fx(plan, /*latency_scale=*/400);
+  ReliableConfig config;
+  config.ack_delay = GetParam().ack_delay;
+  ArqFixture fx(plan, /*latency_scale=*/400, config);
 
   constexpr int kMessages = 300;
   for (int i = 0; i < kMessages; ++i) {
@@ -360,7 +547,7 @@ TEST_P(ArqStress, ExactlyOnceBothWaysUnderCombinedFaults) {
   }
   fx.queue.run();
 
-  for (int receiver = 0; receiver < 2; ++receiver) {
+  for (std::size_t receiver = 0; receiver < 2; ++receiver) {
     const auto& sink = fx.sinks[receiver];
     const auto& sender = *fx.nodes[receiver == 0 ? 1 : 0];
     ASSERT_EQ(sink.received.size(), static_cast<std::size_t>(kMessages))
@@ -374,12 +561,23 @@ TEST_P(ArqStress, ExactlyOnceBothWaysUnderCombinedFaults) {
     EXPECT_EQ(values.size(), static_cast<std::size_t>(kMessages));
     EXPECT_EQ(sender.stats().abandoned, 0u);
     EXPECT_TRUE(sender.quiescent());
+    if (config.ack_delay > 0) {
+      // Held ACKs coalesce: fewer ACK frames than DATA frames arrived.
+      const ReliableStats& rx = fx.nodes[receiver]->stats();
+      EXPECT_LT(rx.acks_sent, rx.delivered + rx.duplicates_suppressed);
+    }
   }
   EXPECT_GT(fx.net->fault_stats().dropped, 0u);
   EXPECT_GT(fx.net->fault_stats().duplicated, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ArqStress, ::testing::Values(11, 12, 13, 14, 15));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ArqStress,
+    ::testing::Values(StressParams{11}, StressParams{12}, StressParams{13},
+                      StressParams{14}, StressParams{15},
+                      StressParams{11, sim_us(300)},
+                      StressParams{12, sim_us(300)},
+                      StressParams{13, sim_us(300)}));
 
 // ------------------------------------- end-to-end protocol over loss -------
 
@@ -388,12 +586,14 @@ struct LossyParams {
   double drop;
   double duplicate;
   std::uint64_t seed;
+  SimTime ack_delay = 0;
 };
 
 // Names the row in the test name; gtest's default byte dump would include
 // the struct's indeterminate padding and change from build to build.
 void PrintTo(const LossyParams& p, std::ostream* os) {
   *os << "drop=" << p.drop << " dup=" << p.duplicate;
+  if (p.ack_delay > 0) *os << " ack_delay=" << p.ack_delay;
 }
 
 class LossySweep : public ::testing::TestWithParam<LossyParams> {};
@@ -418,6 +618,7 @@ TEST_P(LossySweep, ProtocolCorrectOverFaultyNetwork) {
   cfg.fault.duplicate = p.duplicate;
   cfg.fault.seed = p.seed ^ 0xFA;
   cfg.arq.rto = sim_ms(3);
+  cfg.arq.ack_delay = p.ack_delay;
   // The token circulates forever; cap it so the post-workload queue drains
   // (grants keep the ARQ layer non-quiescent otherwise).
   cfg.protocol_config.token_max_rounds = 2000;
@@ -444,13 +645,18 @@ INSTANTIATE_TEST_SUITE_P(
                       LossyParams{ProtocolKind::kOptP, 0.4, 0.2, 2},
                       LossyParams{ProtocolKind::kAnbkh, 0.2, 0.1, 3},
                       LossyParams{ProtocolKind::kOptPWs, 0.3, 0.1, 4},
-                      LossyParams{ProtocolKind::kTokenWs, 0.2, 0.1, 5}),
+                      LossyParams{ProtocolKind::kTokenWs, 0.2, 0.1, 5},
+                      LossyParams{ProtocolKind::kOptP, 0.3, 0.2, 6, sim_us(300)},
+                      LossyParams{ProtocolKind::kAnbkh, 0.2, 0.1, 7,
+                                  sim_us(300)}),
     [](const ::testing::TestParamInfo<LossyParams>& param_info) {
       std::string name = to_string(param_info.param.kind);
       for (auto& ch : name) {
         if (ch == '-') ch = '_';
       }
-      return name + "_s" + std::to_string(param_info.param.seed);
+      name += "_s" + std::to_string(param_info.param.seed);
+      if (param_info.param.ack_delay > 0) name += "_held_acks";
+      return name;
     });
 
 }  // namespace
