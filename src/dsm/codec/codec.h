@@ -18,6 +18,14 @@
 
 namespace dsm {
 
+/// Bytes ByteWriter::u64 spends on `v` (LEB128): lets an encoder size its
+/// buffer exactly before it writes.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 /// Append-only byte buffer with varint primitives.
 class ByteWriter {
  public:

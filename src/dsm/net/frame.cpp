@@ -23,7 +23,7 @@ bool FrameAssembler::feed(std::span<const std::uint8_t> bytes) {
   return true;
 }
 
-std::optional<Frame> FrameAssembler::next() {
+std::optional<FrameView> FrameAssembler::next() {
   if (poisoned()) return std::nullopt;
   if (buf_.size() - pos_ < 4) return std::nullopt;
   std::uint32_t len = 0;
@@ -42,12 +42,9 @@ std::optional<Frame> FrameAssembler::next() {
     return std::nullopt;
   }
   if (buf_.size() - pos_ < 4 + std::size_t{len}) return std::nullopt;
-  Frame f;
-  f.kind = buf_[pos_ + 4];
-  f.body.assign(buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 5),
-                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4 + len));
+  const std::uint8_t* frame = buf_.data() + pos_;
   pos_ += 4 + len;
-  return f;
+  return FrameView{frame[4], {frame + 5, std::size_t{len} - 1}};
 }
 
 std::vector<std::uint8_t> FrameAssembler::take_residual() {

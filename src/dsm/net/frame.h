@@ -17,6 +17,12 @@
 // with a typed FrameError instead of allocating unbounded memory or
 // desynchronizing — the connection owner counts the error and closes the
 // socket.  Bodies are handed onward as spans; nothing here interprets them.
+//
+// Reassembly copies nothing: next() returns a FrameView whose body points
+// into the assembler's own buffer.  The view lives until the next feed(),
+// next() or take_residual() on that assembler — long enough for a
+// connection owner to dispatch the frame, and a sink that keeps the bytes
+// must copy them.
 
 #pragma once
 
@@ -49,10 +55,11 @@ enum class FrameError : std::uint8_t {
   kEmpty,     ///< length == 0 (no kind byte)
 };
 
-/// One reassembled frame.
-struct Frame {
+/// One reassembled frame, viewed in place in its assembler's buffer: valid
+/// until the next feed(), next() or take_residual() on that assembler.
+struct FrameView {
   std::uint8_t kind = 0;
-  std::vector<std::uint8_t> body;
+  std::span<const std::uint8_t> body;
 };
 
 /// Incremental reassembler for one byte-stream direction.  Feed whatever the
@@ -66,8 +73,9 @@ class FrameAssembler {
   /// (already-extracted frames stay retrievable via next()).
   bool feed(std::span<const std::uint8_t> bytes);
 
-  /// Pop the next complete frame, if any.
-  [[nodiscard]] std::optional<Frame> next();
+  /// Pop the next complete frame, if any.  The view's body invalidates the
+  /// previous view's (see FrameView).
+  [[nodiscard]] std::optional<FrameView> next();
 
   [[nodiscard]] FrameError error() const noexcept { return error_; }
   [[nodiscard]] bool poisoned() const noexcept {

@@ -172,7 +172,7 @@ void TcpTransport::on_conn_ready(int fd, NetLoop::Ready ready) {
     // Connected: introduce ourselves, then wait for the peer's Hello.
     conn.phase = Phase::kAwaitHello;
     loop_->set_want_write(fd, false);
-    enqueue(conn, OutChunk{encode_hello(HelloRole::kPeer), nullptr});
+    enqueue(conn, OutChunk{{}, 0, encode_hello(HelloRole::kPeer)});
     flush(conn);
     return;
   }
@@ -204,7 +204,7 @@ void TcpTransport::on_conn_readable(Conn& conn) {
     (void)conn.rx.feed({buf, static_cast<std::size_t>(n)});
     const int fd = conn.fd;
     while (auto frame = conn.rx.next()) {
-      if (!handle_frame(conn, std::move(*frame))) return;
+      if (!handle_frame(conn, *frame)) return;
       // A control Hello hands the fd away; the Conn is gone.
       if (conns_.find(fd) == conns_.end()) return;
     }
@@ -217,7 +217,7 @@ void TcpTransport::on_conn_readable(Conn& conn) {
   }
 }
 
-bool TcpTransport::handle_frame(Conn& conn, Frame frame) {
+bool TcpTransport::handle_frame(Conn& conn, const FrameView& frame) {
   ++stats_.frames_in;
 
   if (conn.phase == Phase::kAwaitHello) {
@@ -240,7 +240,7 @@ bool TcpTransport::handle_frame(Conn& conn, Frame frame) {
   return true;
 }
 
-bool TcpTransport::handle_hello(Conn& conn, const Frame& frame) {
+bool TcpTransport::handle_hello(Conn& conn, const FrameView& frame) {
   ByteReader r(frame.body);
   const auto magic = r.u32();
   const auto version = r.u8();
@@ -291,7 +291,7 @@ bool TcpTransport::handle_hello(Conn& conn, const Frame& frame) {
     }
     conn.peer = peer;
     peer_fd_[peer] = conn.fd;
-    enqueue(conn, OutChunk{encode_hello(HelloRole::kPeer), nullptr});
+    enqueue(conn, OutChunk{{}, 0, encode_hello(HelloRole::kPeer)});
   }
   established(conn);
   return true;
@@ -336,25 +336,19 @@ void TcpTransport::send(ProcessId from, ProcessId to, Payload payload) {
     return;
   }
   const auto head = frame_header(FrameKind::kData, payload->size());
-  OutChunk chunk;
-  chunk.head.assign(head.begin(), head.end());
-  chunk.payload = std::move(payload);  // shared, never copied
   // Enqueue only: the NetLoop tick hook flushes every frame queued this tick
-  // in one writev per peer (end-to-end batching, docs/PERF.md).
-  enqueue(*conn, std::move(chunk));
+  // in one writev per peer (end-to-end batching, docs/PERF.md).  The payload
+  // is shared, never copied.
+  enqueue(*conn, OutChunk{head, static_cast<std::uint8_t>(head.size()),
+                          std::move(payload)});
 }
 
 void TcpTransport::flush_all() {
-  // flush() can drop a conn (conn_lost erases from conns_), so walk by fd
-  // snapshot and re-look each one up.
-  std::vector<int> pending;
-  pending.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) {
-    if (!conn->out.empty()) pending.push_back(fd);
-  }
-  for (const int fd : pending) {
-    const auto it = conns_.find(fd);
-    if (it != conns_.end()) flush(*it->second);
+  // flush() can drop its own conn (conn_lost erases it from conns_, and
+  // nothing else), so step past it before flushing.
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    Conn& conn = *it++->second;
+    if (!conn.out.empty()) flush(conn);
   }
 }
 
@@ -377,17 +371,17 @@ void TcpTransport::flush(Conn& conn) {
     std::size_t off = conn.out_offset;  // applies to the first chunk only
     for (const OutChunk& chunk : conn.out) {
       if (frames == kWritevMaxFrames) break;
-      if (off < chunk.head.size()) {
+      if (off < chunk.head_len) {
         iov[iovcnt].iov_base =
             const_cast<std::uint8_t*>(chunk.head.data() + off);
-        iov[iovcnt].iov_len = chunk.head.size() - off;
+        iov[iovcnt].iov_len = chunk.head_len - off;
         chain_bytes += iov[iovcnt].iov_len;
         ++iovcnt;
         off = 0;
       } else {
-        off -= chunk.head.size();
+        off -= chunk.head_len;
       }
-      if (chunk.payload != nullptr && off < chunk.payload->size()) {
+      if (off < chunk.payload->size()) {
         iov[iovcnt].iov_base =
             const_cast<std::uint8_t*>(chunk.payload->data() + off);
         iov[iovcnt].iov_len = chunk.payload->size() - off;
@@ -478,8 +472,8 @@ std::vector<std::uint8_t> encode_hello_frame(HelloRole role, ProcessId sender,
   return encode_frame(FrameKind::kHello, std::move(w).take());
 }
 
-std::vector<std::uint8_t> TcpTransport::encode_hello(HelloRole role) const {
-  return encode_hello_frame(role, config_.self, n_procs());
+Payload TcpTransport::encode_hello(HelloRole role) const {
+  return make_payload(encode_hello_frame(role, config_.self, n_procs()));
 }
 
 }  // namespace dsm

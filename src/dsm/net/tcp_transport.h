@@ -18,10 +18,10 @@
 // incarnation.  Frames from a peer are delivered verbatim to the attach()ed
 // MessageSink from the NetLoop's dispatch context.
 //
-// Encode-once fan-out: an out-queue entry is a 5-byte frame header plus the
-// refcounted Payload (types.h) — broadcasting to n−1 peers queues the SAME
-// byte buffer n−1 times and writev() sends header+payload without ever
-// copying the payload.
+// Encode-once fan-out: an out-queue entry is a 5-byte frame header, held
+// inline, plus the refcounted Payload (types.h) — broadcasting to n−1 peers
+// queues the SAME byte buffer n−1 times and writev() sends header+payload
+// without ever copying the payload or allocating a header.
 //
 // End-to-end batching (docs/PERF.md): send() only enqueues.  The transport
 // registers a NetLoop tick hook, and at each tick edge every frame queued
@@ -38,6 +38,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -175,11 +176,14 @@ class TcpTransport final : public DatagramTransport {
  private:
   enum class Phase : std::uint8_t { kConnecting, kAwaitHello, kEstablished };
 
+  /// One queued frame: a data frame's header inline, then its shared body.
+  /// A Hello travels as a whole pre-framed payload with no inline header.
   struct OutChunk {
-    std::vector<std::uint8_t> head;  ///< frame header (+ inline body, if any)
-    Payload payload;                 ///< shared fan-out body; may be null
+    std::array<std::uint8_t, 5> head{};  ///< frame_header(), if head_len
+    std::uint8_t head_len = 0;           ///< 5 for data frames, else 0
+    Payload payload;                     ///< shared fan-out body
     [[nodiscard]] std::size_t size() const noexcept {
-      return head.size() + (payload ? payload->size() : 0);
+      return head_len + payload->size();
     }
   };
 
@@ -208,13 +212,13 @@ class TcpTransport final : public DatagramTransport {
   void on_conn_readable(Conn& conn);
   void on_conn_writable(Conn& conn);
   /// Returns false when the frame poisoned the connection (caller closes).
-  bool handle_frame(Conn& conn, Frame frame);
-  bool handle_hello(Conn& conn, const Frame& frame);
+  bool handle_frame(Conn& conn, const FrameView& frame);
+  bool handle_hello(Conn& conn, const FrameView& frame);
   void established(Conn& conn);
   void conn_lost(Conn& conn, bool count_as_drop);
   void enqueue(Conn& conn, OutChunk chunk);
   void flush(Conn& conn);
-  [[nodiscard]] std::vector<std::uint8_t> encode_hello(HelloRole role) const;
+  [[nodiscard]] Payload encode_hello(HelloRole role) const;
   [[nodiscard]] Conn* conn_of(ProcessId peer);
   [[nodiscard]] const Conn* conn_of(ProcessId peer) const;
 

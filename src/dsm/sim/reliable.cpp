@@ -30,7 +30,9 @@ ReliableNode::~ReliableNode() { *alive_ = false; }
 
 std::vector<std::uint8_t> ReliableNode::encode_data(
     std::uint64_t seq, std::span<const std::uint8_t> payload) {
-  ByteWriter w;
+  std::vector<std::uint8_t> frame;
+  frame.reserve(1 + varint_size(seq) + payload.size());
+  ByteWriter w(std::move(frame));
   w.u8(static_cast<std::uint8_t>(FrameType::kData));
   w.u64(seq);
   w.bytes(payload);
@@ -43,10 +45,10 @@ void ReliableNode::send(ProcessId to, Payload payload) {
   DSM_REQUIRE(payload != nullptr);
   PeerTx& peer = tx_[to];
   const std::uint64_t seq = peer.next_seq++;
-  peer.unacked.emplace(seq,
-                       TxEntry{std::move(payload), queue_->now(), false});
+  const TxEntry& entry = peer.window.emplace_back(
+      TxEntry{seq, std::move(payload), queue_->now(), false});
   ++stats_.data_sent;
-  transmit(to, seq, *peer.unacked.at(seq).payload);
+  transmit(to, seq, *entry.payload);
   arm_timer(to, seq, 0, peer.rto);
 }
 
@@ -88,11 +90,11 @@ void ReliableNode::arm_timer(ProcessId to, std::uint64_t seq,
   queue_->schedule_after(
       wait, [this, alive = alive_, to, seq, attempt, interval] {
         if (!*alive) return;  // node crashed/destroyed; timer is stale
-        const auto it = tx_[to].unacked.find(seq);
-        if (it == tx_[to].unacked.end()) return;  // acked meanwhile
+        TxEntry* entry = unacked(tx_[to], seq);
+        if (entry == nullptr) return;  // acked meanwhile
         if (attempt >= config_.max_retries) {
           ++stats_.abandoned;
-          tx_[to].unacked.erase(it);
+          retire(tx_[to], *entry);
           if (config_.on_abandon) {
             config_.on_abandon(to, seq);
             return;
@@ -102,8 +104,8 @@ void ReliableNode::arm_timer(ProcessId to, std::uint64_t seq,
                       "channel can no longer claim exactly-once delivery");
         }
         ++stats_.retransmissions;
-        it->second.retransmitted = true;  // Karn: disqualify from RTT sampling
-        transmit(to, seq, *it->second.payload);
+        entry->retransmitted = true;  // Karn: disqualify from RTT sampling
+        transmit(to, seq, *entry->payload);
         // Exponential backoff capped at max_rto.
         const SimTime next = std::min(interval * 2, config_.max_rto);
         arm_timer(to, seq, attempt + 1, next);
@@ -130,21 +132,42 @@ void ReliableNode::sample_rtt(PeerTx& peer, SimTime rtt) {
   ++stats_.rtt_samples;
 }
 
+ReliableNode::TxEntry* ReliableNode::unacked(PeerTx& peer, std::uint64_t seq) {
+  const auto it = std::lower_bound(
+      peer.window.begin(), peer.window.end(), seq,
+      [](const TxEntry& e, std::uint64_t s) { return e.seq < s; });
+  if (it == peer.window.end() || it->seq != seq || it->payload == nullptr) {
+    return nullptr;
+  }
+  return &*it;
+}
+
+void ReliableNode::retire(PeerTx& peer, TxEntry& entry) {
+  entry.payload.reset();
+  while (!peer.window.empty() && peer.window.front().payload == nullptr) {
+    peer.window.pop_front();
+  }
+}
+
 void ReliableNode::on_ack(ProcessId from, std::uint64_t seq) {
   PeerTx& peer = tx_[from];
-  const auto it = peer.unacked.find(seq);
-  if (it == peer.unacked.end()) return;  // duplicate ACK
-  if (!it->second.retransmitted) {
-    sample_rtt(peer, queue_->now() - it->second.first_sent);
+  TxEntry* entry = unacked(peer, seq);
+  if (entry == nullptr) return;  // duplicate ACK
+  if (!entry->retransmitted) {
+    sample_rtt(peer, queue_->now() - entry->first_sent);
   }
-  peer.unacked.erase(it);
+  retire(peer, *entry);
 }
 
 void ReliableNode::flush_acks(ProcessId to) {
   PeerRx& peer = rx_[to];
   if (peer.pending_acks.empty()) return;
   queue_->cancel(peer.ack_timer);  // a no-op unless the timer is pending
-  ByteWriter w;
+  std::size_t size = 1;
+  for (const std::uint64_t seq : peer.pending_acks) size += varint_size(seq);
+  std::vector<std::uint8_t> frame;
+  frame.reserve(size);
+  ByteWriter w(std::move(frame));
   w.u8(static_cast<std::uint8_t>(FrameType::kAck));
   for (const std::uint64_t seq : peer.pending_acks) w.u64(seq);
   peer.pending_acks.clear();
@@ -208,7 +231,7 @@ SimTime ReliableNode::current_rto(ProcessId to) const {
 
 bool ReliableNode::quiescent() const noexcept {
   for (const auto& peer : tx_) {
-    if (!peer.unacked.empty()) return false;
+    if (!peer.window.empty()) return false;
   }
   return true;
 }
@@ -217,7 +240,7 @@ bool ReliableNode::quiescent_except(
     const std::vector<bool>& excluded) const noexcept {
   for (std::size_t p = 0; p < tx_.size(); ++p) {
     if (p < excluded.size() && excluded[p]) continue;
-    if (!tx_[p].unacked.empty()) return false;
+    if (!tx_[p].window.empty()) return false;
   }
   return true;
 }
@@ -230,9 +253,12 @@ void ReliableNode::snapshot(ByteWriter& w) const {
   w.u64(tx_.size());
   for (const PeerTx& peer : tx_) {
     w.u64(peer.next_seq);
-    w.u64(peer.unacked.size());
-    for (const auto& [seq, entry] : peer.unacked) {
-      w.u64(seq);
+    w.u64(static_cast<std::uint64_t>(
+        std::count_if(peer.window.begin(), peer.window.end(),
+                      [](const TxEntry& e) { return e.payload != nullptr; })));
+    for (const TxEntry& entry : peer.window) {
+      if (entry.payload == nullptr) continue;
+      w.u64(entry.seq);
       w.u64(entry.payload->size());
       w.bytes(*entry.payload);
     }
@@ -257,19 +283,19 @@ bool ReliableNode::restore(ByteReader& r) {
     const auto count = r.u64();
     if (!next_seq || !count) return false;
     peer.next_seq = *next_seq;
-    peer.unacked.clear();
+    peer.window.clear();
     for (std::uint64_t i = 0; i < *count; ++i) {
       const auto seq = r.u64();
       const auto len = r.u64();
       if (!seq || !len) return false;
+      // snapshot() writes each window in ascending seq order.
+      if (!peer.window.empty() && *seq <= peer.window.back().seq) return false;
       const auto raw = r.take(static_cast<std::size_t>(*len));
       if (!raw) return false;
       // Restored payloads count as retransmitted: their original send time
       // is gone, so Karn's rule disqualifies them from RTT sampling.
-      peer.unacked.emplace(
-          *seq,
-          TxEntry{make_payload({raw->begin(), raw->end()}), queue_->now(),
-                  true});
+      peer.window.push_back(TxEntry{
+          *seq, make_payload({raw->begin(), raw->end()}), queue_->now(), true});
     }
     const auto have = r.u8();
     const auto srtt = r.u64();
@@ -292,10 +318,10 @@ bool ReliableNode::restore(ByteReader& r) {
   // peers may never have seen it, and the pre-crash timers died with the old
   // node instance.
   for (ProcessId to = 0; to < tx_.size(); ++to) {
-    for (const auto& [seq, entry] : tx_[to].unacked) {
+    for (const TxEntry& entry : tx_[to].window) {
       ++stats_.retransmissions;
-      transmit(to, seq, *entry.payload);
-      arm_timer(to, seq, 0, tx_[to].rto);
+      transmit(to, entry.seq, *entry.payload);
+      arm_timer(to, entry.seq, 0, tx_[to].rto);
     }
   }
   return true;

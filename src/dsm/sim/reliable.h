@@ -45,6 +45,15 @@
 // the dedup absorbs.  Held ACKs are volatile for the same reason: a crash
 // loses them like ACK frames lost in flight, and no checkpoint carries them.
 //
+// The tx window of a channel is a deque of entries in ascending seq order:
+// send appends (seqs only grow), an ACK marks its entry retired and pops the
+// retired prefix, and a lookup is a binary search.  Entries carry their own
+// seq, so an epoch gap (skip_tx_sequences) costs nothing per skipped seq.
+// The window is walked in the same ascending order a seq-keyed map would be,
+// so snapshot bytes and the restore-time retransmission order are what they
+// were when the window was a std::map.  The receiver's in-order seqs only
+// move its watermark; the set holds just the seqs that arrived early.
+//
 // For crash/recovery the node checkpoints: snapshot() serializes sequence
 // numbers, unacked payloads, RTT estimator state, and the receive dedup
 // state; restore() reloads them on a FRESH node (same wiring) and
@@ -56,8 +65,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -218,13 +227,18 @@ class ReliableNode final : public MessageSink {
   enum class FrameType : std::uint8_t { kData = 0, kAck = 1 };
 
   struct TxEntry {
-    Payload payload;            ///< shared with broadcast siblings
+    std::uint64_t seq = 0;
+    Payload payload;            ///< shared with broadcast siblings; null once
+                                ///< retired (acked or abandoned)
     SimTime first_sent = 0;     ///< for the RTT sample
     bool retransmitted = false; ///< Karn: retransmitted packets never sample
   };
   struct PeerTx {
     std::uint64_t next_seq = 1;
-    std::map<std::uint64_t, TxEntry> unacked;  // seq -> entry
+    /// Sent, not yet acked, in ascending seq order.  Retired entries behind
+    /// a live one wait for it; the front entry is always live, so the
+    /// channel is drained iff the window is empty.
+    std::deque<TxEntry> window;
     // RFC 6298 estimator (microseconds, as doubles for the EWMAs).
     bool have_rtt = false;
     double srtt = 0.0;
@@ -240,12 +254,22 @@ class ReliableNode final : public MessageSink {
       return seq <= watermark || seen_above.count(seq) != 0;
     }
     void mark(std::uint64_t seq) {
-      seen_above.insert(seq);
-      while (seen_above.count(watermark + 1) != 0) {
-        seen_above.erase(++watermark);
+      if (seq != watermark + 1) {
+        seen_above.insert(seq);
+        return;
+      }
+      ++watermark;
+      while (!seen_above.empty() && *seen_above.begin() == watermark + 1) {
+        seen_above.erase(seen_above.begin());
+        ++watermark;
       }
     }
   };
+
+  /// `peer`'s live entry for `seq`, or null (acked, abandoned, never sent).
+  [[nodiscard]] static TxEntry* unacked(PeerTx& peer, std::uint64_t seq);
+  /// Retire `entry` and pop the retired prefix of `peer`'s window.
+  static void retire(PeerTx& peer, TxEntry& entry);
 
   void transmit(ProcessId to, std::uint64_t seq,
                 const std::vector<std::uint8_t>& payload);

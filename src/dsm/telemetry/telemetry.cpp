@@ -1,25 +1,16 @@
 #include "dsm/telemetry/telemetry.h"
 
 #include <array>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
+#include "dsm/codec/codec.h"
 #include "dsm/common/contracts.h"
 
 namespace dsm {
 
 namespace {
-
-// LEB128 size of one varint — mirrors codec.h's encoding so the piggybacked
-// metadata accounting matches what actually goes on the wire.
-std::uint64_t varint_size(std::uint64_t v) {
-  std::uint64_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
 
 // Encoded size of the causal metadata a WriteUpdate piggybacks beyond the
 // operation itself: the vector clock plus the writing-semantics run counter.
@@ -61,7 +52,7 @@ class RunTelemetry::Tee final : public ProtocolObserver {
   void on_receipt(ProcessId at, const WriteUpdate& m) override {
     const std::uint64_t now = t_.now();
     counter(at, kReceived).add();
-    nodes_[at].receipt_at[WriteId{m.sender, m.write_seq}] = now;
+    nodes_[at].receive(WriteId{m.sender, m.write_seq}, now);
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kReceive, at, now,
                          WriteId{m.sender, m.write_seq}, m.var, m.value,
@@ -74,22 +65,15 @@ class RunTelemetry::Tee final : public ProtocolObserver {
     const std::uint64_t now = delayed || t_.trace_ ? t_.now() : 0;
     Node& node = nodes_[at];
     counter(at, kApplied).add();
+    const std::optional<std::uint64_t> received = node.take_receipt(w);
     if (delayed) {
       counter(at, kDelayed).add();
-      std::uint64_t received = now;
-      const auto it = node.receipt_at.find(w);
-      if (it != node.receipt_at.end()) {
-        received = it->second;
-        node.receipt_at.erase(it);
-      }
       // The write delay of Definition 3, measured on the harness clock:
       // buffered at receipt, applied once the enabling events occurred.
       if (node.apply_delay == nullptr) {
         node.apply_delay = &t_.metrics_.summary(at, metric::kApplyDelay);
       }
-      node.apply_delay->add(static_cast<double>(now - received));
-    } else {
-      node.receipt_at.erase(w);
+      node.apply_delay->add(static_cast<double>(now - received.value_or(now)));
     }
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kApply, at, now, w, 0, kBottom, delayed, 0,
@@ -111,7 +95,7 @@ class RunTelemetry::Tee final : public ProtocolObserver {
     counter(at, kSkipped).add();
     // Skipped writes never apply, so their receipt entry would otherwise
     // linger; apply_delay_us deliberately measures applies only.
-    nodes_[at].receipt_at.erase(w);
+    (void)nodes_[at].take_receipt(w);
     if (t_.trace_) {
       t_.trace_->accept({TraceKind::kSkip, at, t_.now(), w, 0, kBottom,
                          /*delayed=*/false, by.seq, VectorClock{}});
@@ -135,8 +119,36 @@ class RunTelemetry::Tee final : public ProtocolObserver {
     /// registered — the registry holds exactly what it held before caching.
     std::array<Counter*, kCounterCount> counters{};
     Summary* apply_delay = nullptr;
-    /// Receipt time of each write received and not yet applied.
+    /// Receipt time of each write received and not yet applied or skipped.
+    /// The latest receipt sits in a slot; the next receipt spills it to the
+    /// map.  A write applied on receipt, the usual case, leaves the slot
+    /// before that, so the map holds only writes that were buffered.
+    struct Receipt {
+      WriteId w;
+      std::uint64_t at = 0;
+    };
+    std::optional<Receipt> latest;
     std::unordered_map<WriteId, std::uint64_t> receipt_at;
+
+    void receive(WriteId w, std::uint64_t at) {
+      if (latest && latest->w != w) receipt_at[latest->w] = latest->at;
+      latest = Receipt{w, at};
+    }
+    /// The receipt time recorded for `w`, now forgotten.
+    std::optional<std::uint64_t> take_receipt(WriteId w) {
+      std::optional<std::uint64_t> at;
+      if (!receipt_at.empty()) {
+        if (const auto it = receipt_at.find(w); it != receipt_at.end()) {
+          at = it->second;
+          receipt_at.erase(it);
+        }
+      }
+      if (latest && latest->w == w) {
+        at = latest->at;  // newer than any spilled receipt of w
+        latest.reset();
+      }
+      return at;
+    }
   };
 
   Counter& counter(ProcessId at, CounterIx ix) {

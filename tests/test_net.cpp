@@ -63,6 +63,11 @@ std::vector<std::uint8_t> bytes_of(std::string_view s) {
   return {s.begin(), s.end()};
 }
 
+/// A frame view's body as a buffer the assertions can compare.
+std::vector<std::uint8_t> bytes_of(std::span<const std::uint8_t> body) {
+  return {body.begin(), body.end()};
+}
+
 // ------------------------------------------------------- FrameAssembler ---
 
 TEST(Frame, RoundTripSingleFrame) {
@@ -73,7 +78,7 @@ TEST(Frame, RoundTripSingleFrame) {
   const auto f = rx.next();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->kind, static_cast<std::uint8_t>(FrameKind::kData));
-  EXPECT_EQ(f->body, body);
+  EXPECT_EQ(bytes_of(f->body), body);
   EXPECT_FALSE(rx.next().has_value());
   EXPECT_FALSE(rx.poisoned());
 }
@@ -89,7 +94,7 @@ TEST(Frame, ByteAtATimeFeedReassembles) {
   ASSERT_TRUE(rx.feed(std::span(&wire.back(), 1)));
   const auto f = rx.next();
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->body, body);
+  EXPECT_EQ(bytes_of(f->body), body);
 }
 
 TEST(Frame, MultipleFramesPerFeed) {
@@ -104,7 +109,7 @@ TEST(Frame, MultipleFramesPerFeed) {
   for (int i = 0; i < 5; ++i) {
     const auto f = rx.next();
     ASSERT_TRUE(f.has_value()) << i;
-    EXPECT_EQ(f->body, bytes_of("msg" + std::to_string(i)));
+    EXPECT_EQ(bytes_of(f->body), bytes_of("msg" + std::to_string(i)));
   }
   EXPECT_FALSE(rx.next().has_value());
 }
@@ -171,7 +176,7 @@ TEST(Frame, RandomChunkingNeverChangesTheFrameStream) {
       off += n;
       while (const auto f = rx.next()) {
         ASSERT_LT(decoded, bodies.size());
-        EXPECT_EQ(f->body, bodies[decoded]);
+        EXPECT_EQ(bytes_of(f->body), bodies[decoded]);
         ++decoded;
       }
     }
@@ -211,7 +216,7 @@ TEST(Frame, PayloadCorruptionIsTheUpperLayersProblem) {
   const auto f = rx.next();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->body.size(), body.size());
-  EXPECT_NE(f->body, body);
+  EXPECT_NE(bytes_of(f->body), body);
   EXPECT_FALSE(rx.poisoned());
 }
 
@@ -267,6 +272,84 @@ TEST(Frame, RandomGarbageStreamsTerminate) {
     }
     // Each frame costs at least a 4-byte header + 1 body byte.
     EXPECT_LE(frames, wire.size() / 5);
+  }
+}
+
+/// Every frame `wire` yields when fed in two parts split at `split`, as
+/// (kind, body copy) pairs, each copied before the next call to next().
+std::vector<std::pair<std::uint8_t, std::vector<std::uint8_t>>> frames_split_at(
+    FrameAssembler& rx, std::span<const std::uint8_t> wire, std::size_t split) {
+  std::vector<std::pair<std::uint8_t, std::vector<std::uint8_t>>> out;
+  for (const auto part : {wire.first(split), wire.subspan(split)}) {
+    if (!rx.feed(part)) break;
+    while (const auto f = rx.next()) {
+      out.emplace_back(f->kind, bytes_of(f->body));
+    }
+  }
+  return out;
+}
+
+TEST(Frame, ViewsCarryTheSameKindsAndBodiesAtEverySplitPoint) {
+  const std::vector<std::pair<FrameKind, std::vector<std::uint8_t>>> sent = {
+      {FrameKind::kHello, bytes_of("hi")},
+      {FrameKind::kData, {}},
+      {FrameKind::kData, bytes_of("a data frame")},
+      {FrameKind::kControl, std::vector<std::uint8_t>(300, 0xC3)},
+      {FrameKind::kData, bytes_of("z")},
+  };
+  std::vector<std::uint8_t> wire;
+  for (const auto& [kind, body] : sent) {
+    const auto one = encode_frame(kind, body);
+    wire.insert(wire.end(), one.begin(), one.end());
+  }
+  for (std::size_t split = 0; split <= wire.size(); ++split) {
+    FrameAssembler rx;
+    const auto got = frames_split_at(rx, wire, split);
+    ASSERT_EQ(got.size(), sent.size()) << "split " << split;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      EXPECT_EQ(got[i].first, static_cast<std::uint8_t>(sent[i].first));
+      EXPECT_EQ(got[i].second, sent[i].second) << "split " << split;
+    }
+    EXPECT_FALSE(rx.poisoned());
+  }
+}
+
+TEST(Frame, PoisonYieldsTheSameFramesAtEverySplitPoint) {
+  auto wire = encode_frame(FrameKind::kData, bytes_of("ok"));
+  const std::vector<std::uint8_t> zero_len = {0, 0, 0, 0, 42};
+  wire.insert(wire.end(), zero_len.begin(), zero_len.end());
+  const auto trailing = encode_frame(FrameKind::kData, bytes_of("never seen"));
+  wire.insert(wire.end(), trailing.begin(), trailing.end());
+  for (std::size_t split = 0; split <= wire.size(); ++split) {
+    FrameAssembler rx;
+    const auto got = frames_split_at(rx, wire, split);
+    ASSERT_EQ(got.size(), 1u) << "split " << split;
+    EXPECT_EQ(got[0].second, bytes_of("ok"));
+    EXPECT_TRUE(rx.poisoned());
+    EXPECT_EQ(rx.error(), FrameError::kEmpty);
+    EXPECT_FALSE(rx.next().has_value());
+  }
+}
+
+TEST(Frame, ResidualAfterAControlHelloAtEverySplitPoint) {
+  // A control client pipelines its first request behind the Hello: once the
+  // Hello has been popped, the residual is exactly the bytes fed after it.
+  const auto hello = encode_hello_frame(HelloRole::kControl, 0, 3);
+  const auto request = encode_frame(FrameKind::kControl, bytes_of("request"));
+  std::vector<std::uint8_t> wire = hello;
+  wire.insert(wire.end(), request.begin(), request.end());
+  for (std::size_t split = hello.size(); split <= wire.size(); ++split) {
+    FrameAssembler rx;
+    ASSERT_TRUE(rx.feed(std::span(wire).first(split)));
+    const auto f = rx.next();
+    ASSERT_TRUE(f.has_value()) << "split " << split;
+    EXPECT_EQ(f->kind, static_cast<std::uint8_t>(FrameKind::kHello));
+    EXPECT_EQ(bytes_of(f->body),
+              std::vector<std::uint8_t>(hello.begin() + 5, hello.end()));
+    const auto residual = std::span(wire).subspan(hello.size(),
+                                                  split - hello.size());
+    EXPECT_EQ(rx.take_residual(), bytes_of(residual));
+    EXPECT_FALSE(rx.next().has_value());
   }
 }
 

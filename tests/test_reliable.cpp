@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
 #include <set>
 
 #include "dsm/audit/auditor.h"
+#include "dsm/common/rng.h"
 #include "dsm/history/checker.h"
 #include "dsm/sim/reliable.h"
 #include "dsm/workload/generator.h"
@@ -507,6 +511,192 @@ TEST(ReliableNode, MalformedFramesAreDroppedAndCounted) {
   node.deliver(1, Bytes{0x01, 1, 2});
   EXPECT_TRUE(node.quiescent());
   EXPECT_EQ(node.stats().malformed_dropped, std::size(garbage));
+}
+
+// ------------------------------------------ tx window vs a map model -----
+
+/// Three processes' wire: records every frame it is handed, delivers none.
+class RecordingWire final : public DatagramTransport {
+ public:
+  void attach(ProcessId, MessageSink&) override {}
+  void send(ProcessId, ProcessId to, Payload payload) override {
+    sent.emplace_back(to, *payload);
+  }
+  [[nodiscard]] std::size_t n_procs() const override { return 3; }
+
+  std::vector<std::pair<ProcessId, Bytes>> sent;
+};
+
+/// One DATA frame as the node sent it.
+struct SentData {
+  ProcessId to;
+  std::uint64_t seq;
+  Bytes payload;
+  friend bool operator==(const SentData&, const SentData&) = default;
+};
+
+SentData parse_data(const std::pair<ProcessId, Bytes>& frame) {
+  ByteReader r(frame.second);
+  EXPECT_EQ(r.u8(), std::optional<std::uint8_t>{0});
+  const auto seq = r.u64();
+  EXPECT_TRUE(seq.has_value());
+  const auto rest = r.rest();
+  return {frame.first, seq.value_or(0), Bytes(rest.begin(), rest.end())};
+}
+
+/// The tx windows of node 0 kept as seq-keyed maps: the reference every
+/// walk of the window (snapshot, restore) must match entry for entry.
+struct WindowModel {
+  std::vector<std::uint64_t> next_seq = std::vector<std::uint64_t>(3, 1);
+  std::vector<std::map<std::uint64_t, Bytes>> unacked =
+      std::vector<std::map<std::uint64_t, Bytes>>(3);
+
+  /// What restore() must retransmit, in order.
+  [[nodiscard]] std::vector<SentData> in_order() const {
+    std::vector<SentData> out;
+    for (ProcessId to = 0; to < 3; ++to) {
+      for (const auto& [seq, payload] : unacked[to]) {
+        out.push_back({to, seq, payload});
+      }
+    }
+    return out;
+  }
+
+  /// `snapshot` with every tx window re-encoded from the model, and the
+  /// RTT and rx sections copied: equal to `snapshot` iff the node's windows
+  /// hold what the model holds, in the model's order.
+  [[nodiscard]] Bytes expected_snapshot(const Bytes& snapshot) const {
+    ByteReader r(snapshot);
+    ByteWriter w;
+    const auto n = r.u64();
+    EXPECT_EQ(n, std::optional<std::uint64_t>{3});
+    w.u64(3);
+    for (ProcessId to = 0; to < 3; ++to) {
+      (void)r.u64();  // next_seq
+      const auto count = r.u64();
+      for (std::uint64_t i = 0; i < count.value_or(0); ++i) {
+        (void)r.u64();  // seq
+        (void)r.take(static_cast<std::size_t>(r.u64().value_or(0)));
+      }
+      w.u64(next_seq[to]);
+      w.u64(unacked[to].size());
+      for (const auto& [seq, payload] : unacked[to]) {
+        w.u64(seq);
+        w.u64(payload.size());
+        w.bytes(payload);
+      }
+      w.u8(r.u8().value_or(0));  // have_rtt, srtt, rttvar, rto
+      for (int field = 0; field < 3; ++field) w.u64(r.u64().value_or(0));
+    }
+    EXPECT_TRUE(r.ok());
+    w.bytes(r.rest());  // rx dedup state
+    return std::move(w).take();
+  }
+};
+
+Bytes snapshot_of(const ReliableNode& node) {
+  ByteWriter w;
+  node.snapshot(w);
+  return std::move(w).take();
+}
+
+// Random send / ack / retransmit / abandon / snapshot / restore sequences,
+// with an epoch gap of 10⁶ seqs halfway: the window must hold exactly what
+// a seq-keyed map would, so snapshot bytes and restore's retransmission
+// order stay what they were when the window was one.
+TEST(ReliableNode, TxWindowMatchesASeqKeyedMapModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue queue;
+    RecordingWire wire;
+    CollectingSink sink;
+    WindowModel model;
+    WindowModel abandoned;  // entries given up on, by the same keys
+    ReliableConfig cfg;
+    cfg.max_retries = 3;
+    cfg.on_abandon = [&](ProcessId to, std::uint64_t seq) {
+      const auto it = model.unacked[to].find(seq);
+      ASSERT_NE(it, model.unacked[to].end()) << "abandoned seq " << seq;
+      abandoned.unacked[to].insert(model.unacked[to].extract(it));
+    };
+    auto node = std::make_unique<ReliableNode>(queue, wire, 0, sink, cfg);
+    std::uint64_t restores = 0;
+    for (int step = 0; step < 3000; ++step) {
+      if (step == 1500) {
+        node->skip_tx_sequences(1'000'000);
+        for (std::uint64_t& next : model.next_seq) next += 1'000'000;
+      }
+      const std::uint64_t op = rng.below(100);
+      if (op < 45) {
+        const auto to = static_cast<ProcessId>(1 + rng.below(2));
+        const Bytes payload{static_cast<std::uint8_t>(step),
+                            static_cast<std::uint8_t>(step >> 8)};
+        wire.sent.clear();
+        node->send(to, make_payload(payload));
+        const std::uint64_t seq = model.next_seq[to]++;
+        model.unacked[to][seq] = payload;
+        ASSERT_EQ(wire.sent.size(), 1u);
+        EXPECT_EQ(parse_data(wire.sent[0]), (SentData{to, seq, payload}));
+      } else if (op < 80) {
+        // Ack a few seqs of one peer: live ones anywhere in the window,
+        // and now and then one already retired or never sent.
+        const auto from = static_cast<ProcessId>(1 + rng.below(2));
+        ByteWriter ack;
+        ack.u8(1);
+        const std::uint64_t k = 1 + rng.below(4);
+        for (std::uint64_t i = 0; i < k; ++i) {
+          std::uint64_t seq = 1 + rng.below(model.next_seq[from] + 2);
+          if (!model.unacked[from].empty() && rng.below(4) != 0) {
+            auto it = model.unacked[from].begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 rng.below(model.unacked[from].size())));
+            seq = it->first;
+          }
+          ack.u64(seq);
+          model.unacked[from].erase(seq);
+        }
+        node->deliver(from, ack.buffer());
+      } else if (op < 92) {
+        // Let RTO timers fire: every retransmission is an entry that was
+        // live when it went out, byte for byte; entries out of retries are
+        // abandoned, possibly after a retransmission in the same stretch.
+        wire.sent.clear();
+        queue.run_until(queue.now() + rng.below(sim_ms(30)));
+        for (const auto& frame : wire.sent) {
+          const SentData d = parse_data(frame);
+          auto it = model.unacked[d.to].find(d.seq);
+          if (it == model.unacked[d.to].end()) {
+            it = abandoned.unacked[d.to].find(d.seq);
+            ASSERT_NE(it, abandoned.unacked[d.to].end()) << "seq " << d.seq;
+          }
+          EXPECT_EQ(d.payload, it->second);
+        }
+      } else if (op < 97) {
+        const Bytes snap = snapshot_of(*node);
+        ASSERT_EQ(snap, model.expected_snapshot(snap));
+      } else {
+        // Crash and restore: the fresh node retransmits every window in
+        // (peer, seq) order and snapshots the same bytes it restored.
+        const Bytes snap = snapshot_of(*node);
+        wire.sent.clear();
+        auto fresh = std::make_unique<ReliableNode>(queue, wire, 0, sink, cfg);
+        ByteReader r(snap);
+        ASSERT_TRUE(fresh->restore(r));
+        node = std::move(fresh);
+        std::vector<SentData> resent;
+        for (const auto& frame : wire.sent) resent.push_back(parse_data(frame));
+        EXPECT_EQ(resent, model.in_order());
+        EXPECT_EQ(snapshot_of(*node), snap);
+        ++restores;
+      }
+      ASSERT_EQ(node->quiescent(),
+                model.unacked[1].empty() && model.unacked[2].empty());
+    }
+    EXPECT_FALSE(abandoned.in_order().empty());
+    EXPECT_GT(restores, 0u);
+    EXPECT_GT(model.next_seq[1], 1'000'000u);
+  }
 }
 
 // --------------------------- combined drop + duplicate + reorder stress -----

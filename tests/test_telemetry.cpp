@@ -13,8 +13,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "dsm/common/rng.h"
 #include "dsm/runtime/thread_cluster.h"
 #include "dsm/telemetry/telemetry.h"
 #include "dsm/workload/generator.h"
@@ -411,6 +413,59 @@ TEST(TelemetryGolden, Fig1OptPMetricsMatchGoldenFile) {
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(actual, buf.str());
+}
+
+// ---------------------------------------------------------------------------
+// The tee's receipt bookkeeping against the plain receipt-time map it keeps
+// in a slot and a spill map: apply_delay_us must read the same for writes
+// buffered out of order, duplicate receipts, skips, immediate applies and
+// applies with no receipt on record.
+
+TEST(TelemetryTee, ApplyDelayMatchesAReceiptTimeMapModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    RunTelemetry telemetry(2);
+    std::uint64_t clock = 0;
+    telemetry.set_clock([&clock] { return clock; });
+    ProtocolObserver downstream;
+    ProtocolObserver& tee = telemetry.observe_through(downstream);
+    std::unordered_map<WriteId, std::uint64_t> receipt_at;
+    Summary want;
+    Rng rng(seed);
+    for (int step = 0; step < 5000; ++step) {
+      clock += rng.below(50);
+      const WriteId w{1, 1 + rng.below(24)};
+      const std::uint64_t op = rng.below(10);
+      if (op < 5) {
+        WriteUpdate m;
+        m.sender = w.proc;
+        m.write_seq = w.seq;
+        tee.on_receipt(0, m);
+        receipt_at[w] = clock;
+      } else if (op < 9) {
+        const bool delayed = rng.below(2) == 0;
+        tee.on_apply(0, w, delayed);
+        const auto it = receipt_at.find(w);
+        if (delayed) {
+          want.add(static_cast<double>(
+              clock - (it == receipt_at.end() ? clock : it->second)));
+        }
+        if (it != receipt_at.end()) receipt_at.erase(it);
+      } else {
+        tee.on_skip(0, w, WriteId{1, w.seq + 1});
+        receipt_at.erase(w);
+      }
+    }
+    const Summary& got = telemetry.metrics().summary(0, metric::kApplyDelay);
+    ASSERT_EQ(got.count(), want.count());
+    ASSERT_GT(want.count(), 0u);
+    EXPECT_EQ(got.total(), want.total());
+    const auto n = static_cast<double>(want.count());
+    for (std::size_t k = 1; k <= want.count(); ++k) {
+      const double q = static_cast<double>(k) / n;
+      ASSERT_EQ(got.quantile(q), want.quantile(q)) << "rank " << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,13 +4,24 @@
 #
 #   cmake -B build -S . && cmake --build build -j
 #   tools/regen_results.sh [build_dir]
+#   tools/regen_results.sh --check [build_dir]
 #
 # repro_* benches reproduce the paper's exact artifacts (Part A of
 # EXPERIMENTS.md); exp_* benches are the quantitative sweeps (Part B/D).
 # Every bench is seeded and deterministic, so these files only change when
 # the code's behavior does — diffs in them belong in the PR that caused them.
+#
+# --check regenerates the two text files into a temp dir instead, compares
+# them byte for byte with results/, and exits 1 on any difference.  It
+# writes nothing under results/ and skips the wall-clock BENCH_*.json files
+# and the equivalence drives below.
 set -eu
 
+check=false
+if [ "${1:-}" = "--check" ]; then
+  check=true
+  shift
+fi
 build="${1:-build}"
 if [ ! -d "$build/bench" ]; then
   echo "error: $build/bench not found; build first (see header)" >&2
@@ -28,12 +39,35 @@ run_group() {
   echo "wrote $out"
 }
 
-run_group results/repro_outputs.txt \
-  repro_table1 repro_table2 repro_fig1_fig2 repro_fig3_fig6 repro_fig7
+repro_benches="repro_table1 repro_table2 repro_fig1_fig2 repro_fig3_fig6
+  repro_fig7"
+exp_benches="exp_delays exp_false_causality exp_buffering exp_metadata exp_ws
+  exp_loss exp_partial exp_crash"
 
-run_group results/exp_outputs.txt \
-  exp_delays exp_false_causality exp_buffering exp_metadata exp_ws \
-  exp_loss exp_partial exp_crash
+if $check; then
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' EXIT
+  # Word splitting of the bench lists is intended.
+  # shellcheck disable=SC2086
+  run_group "$tmp/repro_outputs.txt" $repro_benches
+  # shellcheck disable=SC2086
+  run_group "$tmp/exp_outputs.txt" $exp_benches
+  status=0
+  for name in repro_outputs.txt exp_outputs.txt; do
+    if cmp "$tmp/$name" "results/$name"; then
+      echo "byte-identical: results/$name"
+    else
+      echo "differs: results/$name" >&2
+      status=1
+    fi
+  done
+  exit "$status"
+fi
+
+# shellcheck disable=SC2086
+run_group results/repro_outputs.txt $repro_benches
+# shellcheck disable=SC2086
+run_group results/exp_outputs.txt $exp_benches
 
 # The hot-path baseline (docs/PERF.md): measured drain/broadcast numbers in
 # machine-readable form.  Wall-clock figures vary with the host; the structural
