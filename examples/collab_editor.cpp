@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "dsm/history/checker.h"
-#include "dsm/runtime/causal_memory.h"
+#include "dsm/net/causal_memory.h"
 
 namespace {
 

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "dsm/history/checker.h"
-#include "dsm/runtime/causal_memory.h"
+#include "dsm/net/causal_memory.h"
 
 int main() {
   using namespace dsm;

@@ -1,7 +1,7 @@
 // optcm — byte-level encoding primitives.
 //
 // All inter-process messages travel as byte buffers, in the simulator as well
-// as over the threaded transport, so the codec is exercised on every message
+// as over the ring mesh and TCP, so the codec is exercised on every message
 // hop.  Integers use LEB128 varints (clock components are mostly small);
 // values use zig-zag varints.  Decoding is defensive: a truncated or
 // malformed buffer yields an error instead of UB, and the decoder never reads

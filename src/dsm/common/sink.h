@@ -1,7 +1,7 @@
 // optcm — the transport-agnostic receiver interface.
 //
-// Both transports (the deterministic simulator's Network and the threaded
-// runtime's mailboxes) push received byte payloads into a MessageSink; the
+// Every transport (the deterministic simulator's Network, the TcpTransport
+// and the RingMesh) pushes received byte payloads into a MessageSink; the
 // ARQ layer and the recovery layer implement it so they can be stacked
 // between the transport and a protocol.  Lives in common/ because it is the
 // one interface the transport layers and the protocol-side adapters share.

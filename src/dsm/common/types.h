@@ -54,8 +54,8 @@ inline constexpr WriteId kNoWrite{};
 /// every receiver (and to ARQ retransmission queues and in-flight simulator
 /// events) instead of copying bytes per destination; sharing is safe because
 /// the contents are const and shared_ptr refcounting is atomic, so payloads
-/// may cross threads (ThreadCluster mailboxes) without synchronization
-/// beyond the handoff itself.
+/// may cross threads (RingMesh rings) without synchronization beyond the
+/// handoff itself.
 using Payload = std::shared_ptr<const std::vector<std::uint8_t>>;
 
 /// Seal an encoded buffer into a shareable payload.

@@ -68,34 +68,20 @@ ProcessNode::ProcessNode(ProcessNodeConfig config)
                      .listen_fd = config_.listen_fd,
                      .local_peers = co_located_shards(config_),
                  }),
-      mux_(loop_, transport_, config_.shape.self),
+      mux_(loop_, &transport_, config_.shape.self, config_.mesh),
       faulty_(loop_, mux_, config_.shape.self),
       waker_(config_.shape.n_procs),
-      waking_({&telemetry_.observe_through(recorder_), &waker_}) {
+      chain_(recorder_, config_.shape.n_procs, config_.shape.n_vars,
+             {.telemetry = &telemetry_,
+              .beside = {&waker_},
+              .replay_filter = config_.shape.recoverable,
+              .objects = config_.shape.protocol_config.objects}) {
   telemetry_.set_clock([this] { return loop_.queue().now(); });
-  if (config_.mesh != nullptr) mux_.set_mesh(config_.mesh);
   DSM_REQUIRE(!durable() || config_.shape.recoverable);
   faulty_.set_plan(config_.net_faults);
   for (const StorageFailpoint& fp : config_.storage_fail) io_hooks_.add(fp);
-  ProtocolObserver* head = &waking_;
-  if (config_.shape.recoverable) {
-    filter_ = std::make_unique<ReplayFilterObserver>(waking_);
-    head = filter_.get();
-  }
-  if (config_.shape.protocol_config.objects != nullptr) {
-    // Typed objects: the store is outermost so it stashes each mutation's
-    // payload at send/receipt before the apply reaches it.  Catch-up
-    // redelivery arrives without that stash, so recoverable mode and typed
-    // schemas are mutually exclusive (the CLI rejects the combination).
-    DSM_REQUIRE(!config_.shape.recoverable &&
-                "typed objects are not supported in recoverable mode");
-    objects_ = std::make_unique<ObjectStore>(
-        config_.shape.protocol_config.objects, config_.shape.n_procs,
-        config_.shape.n_vars, *head);
-    head = objects_.get();
-  }
   stack_ = std::make_unique<NodeStack>(loop_.queue(), faulty_, config_.shape,
-                                       config_.arq, *head, &telemetry_);
+                                       config_.arq, chain_.head(), &telemetry_);
 }
 
 ProcessNode::~ProcessNode() {
@@ -158,7 +144,7 @@ void ProcessNode::boot_durable() {
                  .io = &io_hooks_},
       [this, &last_boot](std::span<const std::uint8_t> record) {
         DSM_REQUIRE(
-            replay_wal_record(record, recorder_, filter_.get(), &last_boot));
+            replay_wal_record(record, recorder_, chain_.filter(), &last_boot));
       },
       &open_stats);
   DSM_REQUIRE(wal_.has_value() && "WAL must be openable");
@@ -193,7 +179,7 @@ void ProcessNode::boot_durable() {
   //    of this is re-recorded.
   const auto locals = recorder_.history().local(config_.shape.self);
   if (snap_ops < locals.size()) {
-    filter_->set_muted(true);
+    chain_.filter()->set_muted(true);
     for (std::size_t i = static_cast<std::size_t>(snap_ops); i < locals.size();
          ++i) {
       const Operation& op = recorder_.history().op(locals[i]);
@@ -203,7 +189,7 @@ void ProcessNode::boot_durable() {
         (void)stack_->host().protocol().read(op.var);
       }
     }
-    filter_->set_muted(false);
+    chain_.filter()->set_muted(false);
   }
 
   // 6. Now the state is coherent: spill on every checkpoint from here on,
@@ -414,7 +400,7 @@ void ProcessNode::start_run(const ControlMessage& req) {
       config_.shape.self, script_, std::move(after_op));
   waker_.attach(config_.shape.self, runner_.get());
   runner_->set_telemetry(&telemetry_);
-  runner_->set_objects(objects_.get());
+  runner_->set_objects(chain_.objects());
   runner_->set_time_scale(req.time_scale);
   // Durable restart: the first replayed_local_ops_ steps already executed in
   // a previous incarnation (an op is in the WAL iff its step completed — the

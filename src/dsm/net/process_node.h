@@ -33,9 +33,9 @@
 #include "dsm/net/control.h"
 #include "dsm/net/ring_mesh.h"
 #include "dsm/net/tcp_transport.h"
-#include "dsm/objects/object_store.h"
 #include "dsm/protocols/run_recorder.h"
 #include "dsm/runtime/node_stack.h"
+#include "dsm/runtime/observer_chain.h"
 #include "dsm/sim/reliable.h"
 #include "dsm/storage/state_dir.h"
 #include "dsm/storage/wal.h"
@@ -149,19 +149,14 @@ class ProcessNode final {
   /// verbatim forward) — so nemesis faults hit ring and socket links alike.
   /// The stack attaches itself as the shim's sink.
   FaultyTransport faulty_;
-  /// Wakes the runner's parked awaits on every apply, teed in beside the
-  /// telemetry tee by waking_; below filter_, so a suppressed echo wakes
-  /// nothing.
+  /// Wakes the runner's parked awaits on every apply: the chain's fanout
+  /// link, below its replay filter, so a suppressed echo wakes nothing.
   AwaitWaker waker_;
-  FanoutObserver waking_;
-  /// Recoverable mode: event dedup between waking_ and the protocol — crash
-  /// recovery legitimately redelivers updates (catch-up + ARQ retransmission)
-  /// and a respawned peer may re-broadcast a reconciled write; the filter
-  /// keeps the recorded trace free of the echo on every node.
-  std::unique_ptr<ReplayFilterObserver> filter_;
-  /// Typed-object state (set iff shape.protocol_config.objects): outermost
-  /// observer, answering the script's Observe steps.
-  std::unique_ptr<ObjectStore> objects_;
+  /// recorder ← telemetry tee ← waker fanout ← replay filter (recoverable
+  /// mode: crash recovery legitimately redelivers updates, and a respawned
+  /// peer may re-broadcast a reconciled write) ← object store (typed
+  /// schemas, answering the script's Observe steps).
+  ObserverChain chain_;
   std::unique_ptr<NodeStack> stack_;
   Script script_;  ///< installed by kRun; runner_ points into it
   std::unique_ptr<ScriptRunner> runner_;

@@ -106,12 +106,6 @@ bool RingMesh::outbound_empty(ProcessId self) const {
   return true;
 }
 
-void RingMesh::close() {
-  for (auto& ring : rings_) {
-    if (ring) ring->close();
-  }
-}
-
 // -- ShardMux -----------------------------------------------------------------
 
 void ShardMux::start() {
@@ -166,14 +160,14 @@ void ShardMux::drain() {
 }
 
 bool ShardMux::flushed() const {
-  if (!tcp_->flushed()) return false;
+  if (tcp_ != nullptr && !tcp_->flushed()) return false;
   return mesh_ == nullptr || mesh_->outbound_empty(self_);
 }
 
 bool ShardMux::fully_connected() const {
   // TcpTransport already discounts config_.local_peers, so its notion of
   // "fully connected" is exactly "every socket peer up".
-  return tcp_->fully_connected();
+  return tcp_ == nullptr || tcp_->fully_connected();
 }
 
 }  // namespace dsm

@@ -31,6 +31,7 @@
 #include <optional>
 #include <vector>
 
+#include "dsm/common/contracts.h"
 #include "dsm/common/stat_fields.h"
 #include "dsm/common/transport.h"
 #include "dsm/net/tcp_transport.h"
@@ -64,8 +65,8 @@ class RingMesh {
     return p >= base_ && p < base_ + count_;
   }
 
-  /// Producer side (shard `from`'s loop thread only).  False = ring full or
-  /// closed; the caller counts the drop.  Rings `to`'s eventfd only when `to`
+  /// Producer side (shard `from`'s loop thread only).  False = ring full;
+  /// the caller counts the drop.  Rings `to`'s eventfd only when `to`
   /// has ARMED its doorbell (it does just before sleeping, see arm()) and no
   /// producer has already rung it since — so while the consumer keeps up the
   /// hot path is push + fence + one relaxed load, zero syscalls.
@@ -94,9 +95,6 @@ class RingMesh {
   /// True when every ring PRODUCED by `self` is empty (the shard's outbound
   /// in-flight window; the quiescence barrier checks it).
   [[nodiscard]] bool outbound_empty(ProcessId self) const;
-
-  /// Refuse further posts on every ring (shutdown; queued messages drain).
-  void close();
 
  private:
   [[nodiscard]] std::size_t ring_index(ProcessId from, ProcessId to) const;
@@ -145,30 +143,33 @@ static_assert(covers_every_field<ShardStats>());
 /// The routing DatagramTransport: co-located destinations ride the mesh,
 /// remote ones the wrapped TcpTransport.  With no mesh attached it is a
 /// transparent pass-through (the non-sharded ProcessNode pays one branch).
+/// A null `tcp` means every peer is co-located (CausalMemory: one mesh, no
+/// sockets); the mesh must then host every process.
 class ShardMux final : public DatagramTransport {
  public:
-  ShardMux(NetLoop& loop, TcpTransport& tcp, ProcessId self)
-      : loop_(&loop), tcp_(&tcp), self_(self) {}
+  ShardMux(NetLoop& loop, TcpTransport* tcp, ProcessId self, RingMesh* mesh)
+      : loop_(&loop), tcp_(tcp), self_(self), mesh_(mesh) {
+    DSM_REQUIRE(tcp_ != nullptr || (mesh_ != nullptr && mesh_->base() == 0));
+  }
   ~ShardMux() override {
     *alive_ = false;
     if (started_ && mesh_ != nullptr)
       loop_->unwatch(mesh_->doorbell_fd(self_));
   }
 
-  void set_mesh(RingMesh* mesh) { mesh_ = mesh; }
-  [[nodiscard]] bool meshed() const noexcept { return mesh_ != nullptr; }
-
   /// Watch the doorbell and register the tick-edge drain.  Call after
-  /// attach() and tcp.start(), on the owning loop thread.
+  /// attach() and tcp->start(), on the owning loop thread.
   void start();
 
   // -- DatagramTransport -----------------------------------------------------
   void attach(ProcessId p, MessageSink& sink) override {
     sink_ = &sink;
-    tcp_->attach(p, sink);
+    if (tcp_ != nullptr) tcp_->attach(p, sink);
   }
   void send(ProcessId from, ProcessId to, Payload payload) override;
-  [[nodiscard]] std::size_t n_procs() const override { return tcp_->n_procs(); }
+  [[nodiscard]] std::size_t n_procs() const override {
+    return tcp_ != nullptr ? tcp_->n_procs() : mesh_->count();
+  }
 
   // -- runtime state ---------------------------------------------------------
   /// Socket out-queues drained AND our outbound rings empty.
@@ -182,10 +183,10 @@ class ShardMux final : public DatagramTransport {
   void drain();
 
   NetLoop* loop_;
-  TcpTransport* tcp_;
+  TcpTransport* tcp_;  ///< null: every peer is on the mesh
   ProcessId self_;
   ShardStats stats_;
-  RingMesh* mesh_ = nullptr;
+  RingMesh* mesh_;  ///< null: no co-located shards
   MessageSink* sink_ = nullptr;
   bool started_ = false;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -53,8 +53,6 @@ void ShardHost::run() {
         });
   }
   for (auto& t : threads) t.join();
-  // All shards are shut down; nobody produces or consumes any more.
-  mesh.close();
 }
 
 }  // namespace dsm

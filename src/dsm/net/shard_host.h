@@ -10,8 +10,6 @@
 // between co-located shards changes, from loopback TCP to SPSC rings.
 //
 // run() blocks until every shard has acknowledged its control kShutdown.
-// The mesh is closed (rings refuse new posts) only after every node has
-// returned, so shutdown never races a draining ring.
 
 #pragma once
 

@@ -19,9 +19,9 @@
 // schema-less run pays only the stash bookkeeping when a store is attached
 // at all; runs without a schema attach no store and pay nothing.
 //
-// Thread-safety: all methods take an internal mutex.  The threaded and
-// process tiers call in from per-node threads; observe()/visible_counts()
-// may be called from app threads.
+// Thread-safety: all methods take an internal mutex.  CausalMemory calls in
+// from its replica threads; observe()/visible_counts() may be called from
+// app threads.
 
 #pragma once
 

@@ -7,7 +7,7 @@
 //   * CausalProtocol  — the per-process protocol state machine.  Transport-
 //     agnostic: it talks to the world through an Endpoint (broadcast bytes)
 //     and reports its events to a ProtocolObserver.  The same protocol code
-//     runs inside the deterministic simulator and on real threads.
+//     runs inside the deterministic simulator, on threads and over sockets.
 //   * ProtocolObserver — receives send/receipt/apply/return/skip events in
 //     the exact order the protocol produces them.  The run recorder, the
 //     optimality auditor and the figure renderers are all observers.
@@ -17,8 +17,8 @@
 //     event had not yet occurred).
 //
 // Concurrency contract: a CausalProtocol instance is confined to one logical
-// thread of control.  The simulator guarantees this by construction; the
-// threaded runtime serializes calls with a per-node mutex.
+// thread of control.  The simulator guarantees this by construction;
+// ProcessNode and CausalMemory run each stack on its own loop thread.
 
 #pragma once
 
@@ -177,8 +177,8 @@ struct ProtocolStats {
 ///
 /// Thread-safety (applies to every method unless noted): an instance is
 /// confined to one logical thread of control.  The simulator guarantees this
-/// by construction (one event at a time); the threaded runtime serializes
-/// all calls through a per-node mutex.  No method is safe to call
+/// by construction (one event at a time); ProcessNode and CausalMemory call
+/// it only from the owning stack's loop thread.  No method is safe to call
 /// concurrently with another on the same instance.
 class CausalProtocol {
  public:

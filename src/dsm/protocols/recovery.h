@@ -78,8 +78,8 @@ struct RecoveryStats {
 /// Write-logging and anti-entropy interposer for one process.
 ///
 /// Thread-safety: none of its own — it inherits the protocol's confinement
-/// contract.  The simulator calls it from the event loop; the threaded
-/// cluster calls it under the owning node's mutex.  It must be wired
+/// contract: it is called from the owning stack's dispatch context (the
+/// simulator's event loop, or a NetLoop thread).  It must be wired
 /// (set_protocol) before the first deliver().
 class RecoveryNode final : public Endpoint, public MessageSink {
  public:
@@ -165,7 +165,7 @@ class RecoveryNode final : public Endpoint, public MessageSink {
 /// (every read is a distinct operation).
 ///
 /// Thread-safe (an internal mutex guards the seen-set), so the same filter
-/// serves the single-threaded simulator and the threaded cluster.
+/// serves the single-threaded simulator and CausalMemory's replica threads.
 class ReplayFilterObserver final : public ProtocolObserver {
  public:
   explicit ReplayFilterObserver(ProtocolObserver& target) : target_(&target) {}

@@ -13,7 +13,7 @@
 // node commits to its WAL and a driver fetches by cursor are the recorder's
 // own bytes, and events() decodes them on demand.
 //
-// Thread-safe: the threaded runtime appends from n node threads; a mutex
+// Thread-safe: CausalMemory appends from n replica threads; a mutex
 // serializes appends (the simulator pays the uncontended-lock cost, which is
 // noise at simulation scale).
 
@@ -39,7 +39,7 @@ enum class EvKind : std::uint8_t { kSend, kReceipt, kApply, kReturn, kSkip };
 
 struct RunEvent {
   std::uint64_t order = 0;  ///< global sequence number (total order of observation)
-  std::uint64_t time = 0;   ///< caller clock (sim µs or steady-clock ns)
+  std::uint64_t time = 0;   ///< caller clock (µs: simulated or wall-clock)
   ProcessId at = 0;         ///< process where the event occurred
   EvKind kind = EvKind::kSend;
   WriteId write;            ///< subject write (send/receipt/apply/skip)

@@ -126,6 +126,19 @@ ReliableStats NodeStack::reliable_stats() const {
   return s;
 }
 
+void NodeStack::fold_live(RunTelemetry& telemetry) const {
+  if (!up()) return;
+  if (const RecoveryNode* rec = host_.recovery()) {
+    telemetry.fold_recovery(self_, rec->stats());
+  }
+  if (arq_ != nullptr) {
+    telemetry.fold_reliable(self_, arq_->stats());
+    for (ProcessId to = 0; to < n_procs_; ++to) {
+      if (to != self_) telemetry.sample_rto(self_, arq_->current_rto(to));
+    }
+  }
+}
+
 bool NodeStack::quiescent(const std::vector<bool>& excluded) const {
   return host_.up() && host_.protocol().quiescent() &&
          (arq_ == nullptr || arq_->quiescent_except(excluded));

@@ -1,9 +1,10 @@
-// optcm — NodeStack: the per-process crash unit of the simulator and the
-// process tier.
+// optcm — NodeStack: the per-process crash unit of every host: the
+// simulator, the process tier and CausalMemory.
 //
 // An optional ReliableNode (the ARQ) under a ProtocolHost, on a
 // DatagramTransport: the simulated Network in run_sim, FaultyTransport →
-// ShardMux → TcpTransport in ProcessNode.  Crash handling exists once, here:
+// ShardMux → TcpTransport in ProcessNode, FaultyTransport → ShardMux →
+// RingMesh in CausalMemory.  Crash handling exists once, here:
 //
 //   * kill() destroys protocol, recovery node and ARQ — all volatile state.
 //     Frames reaching a down stack are dropped and counted
@@ -15,9 +16,9 @@
 //     instant; encode_checkpoint/decode_checkpoint frame it as
 //     [u64 len][host][u64 len][ARQ] — the body of a durable node's snapshot.
 //
-// The ARQ is present when the link can lose frames: always over TCP, and in
-// the simulator under a fault or crash plan.  Without it the stack forwards
-// straight to the host.
+// The ARQ is present when the link can lose frames: always on a NetLoop
+// (TCP, or a ring mesh whose full ring drops), and in the simulator under a
+// fault or crash plan.  Without it the stack forwards straight to the host.
 //
 // Thread-safety: none — one dispatch context (the simulator's event loop or
 // the NetLoop) drives the transport, the ARQ timers and the host.
@@ -89,6 +90,10 @@ class NodeStack final : public MessageSink, private Endpoint {
   [[nodiscard]] const ReliableNode* arq() const noexcept { return arq_.get(); }
   /// ARQ counters summed across incarnations.
   [[nodiscard]] ReliableStats reliable_stats() const;
+  /// Fold the live incarnation's recovery and ARQ counters, and one RTO
+  /// sample per peer, into `telemetry` at the end of a run (a dead
+  /// incarnation was folded at its kill).  No-op while down.
+  void fold_live(RunTelemetry& telemetry) const;
   /// Up, the protocol idle, and every ARQ channel drained except those to
   /// peers flagged in `excluded` (see ReliableNode::quiescent_except).
   [[nodiscard]] bool quiescent(const std::vector<bool>& excluded = {}) const;

@@ -4,19 +4,18 @@
 // wrapped in a RecoveryNode with synchronous checkpoints, fed decoded
 // transport bytes and reporting to an observer chain.  It owns the build
 // order, the checkpoint contents, kill/restart stat accumulation and the
-// telemetry wiring.  NodeStack (node_stack.h) puts the ARQ under it — that
-// pair is what the simulator and ProcessNode host per process — and the
-// threaded ThreadCluster hosts a bare ProtocolHost over its lossless
-// mailboxes.
+// telemetry wiring.  Its one user is NodeStack (node_stack.h), which puts
+// the ARQ under it — the pair every host runs per process: the simulator,
+// ProcessNode and CausalMemory.
 //
 // The delivery contract is MessageSink::deliver — the same interface the
-// mailbox drain loop, the ARQ layer, and the socket dispatch all speak.  A
-// message delivered while the host is down (killed, awaiting restart) is
-// dropped and counted, like traffic to a crashed OS process.
+// ARQ layer and the transports speak.  A message delivered while the host
+// is down (killed, awaiting restart) is dropped and counted, like traffic
+// to a crashed OS process.
 //
 // Thread-safety: none of its own — the host inherits the protocol's
-// confinement contract.  ThreadCluster calls it under the owning node's
-// mutex; NodeStack calls it from its single dispatch context.
+// confinement contract; NodeStack calls it from its single dispatch
+// context.
 
 #pragma once
 
@@ -38,8 +37,8 @@ class RunTelemetry;
 /// discipline of the crash-recovery layer corresponds to the defaults
 /// (checkpoint on every mutation, spill on every checkpoint); larger
 /// intervals trade recovery granularity for speed.  Owned by ProtocolHost so
-/// the thread and process tiers share one scheduling code path instead of
-/// ad-hoc checkpoint calls at every mutation site.
+/// every host shares one scheduling code path instead of ad-hoc checkpoint
+/// calls at every mutation site.
 struct DurabilityPolicy {
   std::uint64_t checkpoint_every = 1;  ///< mutations per in-memory checkpoint
   std::uint64_t snapshot_every = 1;    ///< checkpoints per spill-hook firing
@@ -60,7 +59,7 @@ class ProtocolHost final : public MessageSink {
     DurabilityPolicy durability;  ///< recoverable mode only
   };
 
-  /// `lower` is the transport-facing Endpoint (mailbox poster, ARQ node, …)
+  /// `lower` is the transport-facing Endpoint (the NodeStack)
   /// and `observer` the head of the observer chain; both must outlive the
   /// host.  `telemetry` may be null.
   ProtocolHost(const Shape& shape, Endpoint& lower, ProtocolObserver& observer,

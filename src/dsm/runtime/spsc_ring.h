@@ -13,11 +13,10 @@
 // indices grow monotonically (wrap handled by the mask) so full/empty are
 // distinguishable without a dead slot: full ⇔ tail − head == capacity.
 //
-// The ring itself never blocks.  Waiting is layered on top with RingDoorbell,
-// a C++20 atomic wait/notify sequence counter: the producer rings after every
-// push, the consumer snapshots the sequence BEFORE its drain pass and parks
-// on that snapshot — a push landing between the drain and the wait bumps the
-// sequence, so the wait returns immediately and no wakeup is ever lost.
+// The ring itself never blocks.  Waiting is layered on top by RingMesh
+// (dsm/net/ring_mesh.h): the consumer arms an eventfd doorbell, drains once
+// more, then sleeps in poll(); a producer rings only an armed doorbell, so
+// no wakeup is lost and a consumer that keeps up costs no syscall.
 //
 // close() is a producer-or-owner-side shutdown flag; the consumer observes it
 // only after a drain pass finds every slot empty, so close never drops
@@ -111,35 +110,6 @@ class SpscRing {
 
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};  ///< producer
   std::uint64_t head_cache_ = 0;  ///< producer's view of head_
-};
-
-/// Lost-wakeup-free parking spot for a ring consumer (or a set of rings
-/// sharing one consumer thread).  Usage:
-///
-///   producer:  ring.try_push(v);  doorbell.ring();
-///   consumer:  for (;;) { auto seen = doorbell.epoch();
-///                         if (drain_everything()) continue;
-///                         doorbell.wait(seen); }
-///
-/// The epoch snapshot happens before the drain, so a ring() between the
-/// drain and the wait makes wait() return immediately.
-class RingDoorbell {
- public:
-  void ring() noexcept {
-    seq_.fetch_add(1, std::memory_order_release);
-    seq_.notify_all();
-  }
-
-  [[nodiscard]] std::uint32_t epoch() const noexcept {
-    return seq_.load(std::memory_order_acquire);
-  }
-
-  /// Blocks until the epoch differs from `seen` (returns immediately when it
-  /// already does).
-  void wait(std::uint32_t seen) const noexcept { seq_.wait(seen); }
-
- private:
-  std::atomic<std::uint32_t> seq_{0};
 };
 
 }  // namespace dsm

@@ -130,8 +130,7 @@ struct ReliableConfig {
 ///
 /// Thread-safety: none — single-threaded by design.  Every method runs on
 /// one dispatch context: the simulator's event loop, or the net event loop
-/// (whose EventQueue is driven by wall-clock time); the threaded cluster
-/// does not use this class (its mailboxes are lossless).
+/// (whose EventQueue is driven by wall-clock time).
 class ReliableNode final : public MessageSink {
  public:
   using Config = ReliableConfig;

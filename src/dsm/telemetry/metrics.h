@@ -6,10 +6,10 @@
 //   * Zero overhead when disabled.  Nothing in the hot protocol paths touches
 //     the registry unless a RunTelemetry was attached to the run; the hooks
 //     compile down to a null-pointer check.
-//   * Safe under the threaded runtime.  Counter and Gauge are lock-free
-//     atomics; Summary handles are created under the registry mutex and each
-//     is then confined to its owning node (the same per-node mutex discipline
-//     ThreadCluster already enforces for the protocol instance itself).
+//   * Safe when nodes record from their own threads.  Counter and Gauge are
+//     lock-free atomics; Summary handles are created under the registry
+//     mutex and each is then confined to its owning node's thread (the same
+//     confinement CausalMemory's replica loops keep for the protocol itself).
 //   * Deterministic output.  csv() renders families and scopes in sorted
 //     order, so two runs with the same seed produce byte-identical files —
 //     the repo-wide reproducibility invariant extends to telemetry.

@@ -284,9 +284,9 @@ void RunTelemetry::fold_recovery(ProcessId p, const RecoveryStats& rec) {
   metrics_.counter(p, metric::kRecoveryBytes).add(rec.catch_up_bytes);
 }
 
-std::string RunTelemetry::chrome_trace(double ts_scale) const {
+std::string RunTelemetry::chrome_trace() const {
   const auto events = trace().events();
-  return export_chrome_trace(events, ts_scale);
+  return export_chrome_trace(events);
 }
 
 std::string RunTelemetry::trace_csv() const {

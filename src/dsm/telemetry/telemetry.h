@@ -19,10 +19,10 @@
 // reset the clock hook when the run ends, so reading exports afterwards is
 // safe even though the harness clock is gone).
 //
-// Thread-safety: every recording entry point is safe under the threaded
-// runtime's discipline — counters/gauges are atomic, per-node summaries and
-// receipt times are only touched from their node's thread of control (under
-// the node mutex), and the trace buffer is mutex-guarded.  Exports are meant
+// Thread-safety: every recording entry point is safe when each node records
+// from its own thread (CausalMemory's replica loops) — counters/gauges are
+// atomic, per-node summaries and receipt times are only touched from their
+// node's thread of control, and the trace buffer is mutex-guarded.  Exports are meant
 // for after the run has quiesced.
 
 #pragma once
@@ -47,8 +47,9 @@ namespace dsm {
 
 class RunTelemetry {
  public:
-  /// Harness clock: simulated µs under run_sim, ns since cluster epoch under
-  /// ThreadCluster.  Must be callable from any thread that records events.
+  /// Harness clock in µs: simulated time under run_sim, the loop's wall
+  /// clock in ProcessNode, µs since construction in CausalMemory.  Must be
+  /// callable from any thread that records events.
   using ClockFn = std::function<std::uint64_t()>;
 
   /// Whether the run keeps a trace beside its metrics.  Only a caller that
@@ -111,7 +112,7 @@ class RunTelemetry {
   // ---- exports (call after the run has quiesced; traces need keeps_trace())
 
   [[nodiscard]] std::string metrics_csv() const { return metrics_.csv(); }
-  [[nodiscard]] std::string chrome_trace(double ts_scale = 1.0) const;
+  [[nodiscard]] std::string chrome_trace() const;
   [[nodiscard]] std::string trace_csv() const;
 
   [[nodiscard]] std::size_t n_procs() const noexcept {

@@ -90,8 +90,7 @@ std::string event_args(const TraceEvent& e) {
 
 }  // namespace
 
-std::string export_chrome_trace(std::span<const TraceEvent> events,
-                                double ts_scale) {
+std::string export_chrome_trace(std::span<const TraceEvent> events) {
   std::string out = "[";
   bool first = true;
   const auto emit = [&](const std::string& obj) {
@@ -113,7 +112,7 @@ std::string export_chrome_trace(std::span<const TraceEvent> events,
   // the write delay of Definition 3 as a visible duration.
   std::map<std::pair<ProcessId, WriteId>, std::uint64_t> receipt_at;
   for (const TraceEvent& e : events) {
-    const double ts = static_cast<double>(e.time) * ts_scale;
+    const double ts = static_cast<double>(e.time);
     const std::string common = "\"pid\":" + std::to_string(e.at) +
                                ",\"tid\":0,\"args\":" + event_args(e);
     if (e.kind == TraceKind::kReceive)
@@ -121,7 +120,7 @@ std::string export_chrome_trace(std::span<const TraceEvent> events,
     if (e.kind == TraceKind::kApply && e.delayed) {
       const auto it = receipt_at.find({e.at, e.write});
       if (it != receipt_at.end()) {
-        const double start = static_cast<double>(it->second) * ts_scale;
+        const double start = static_cast<double>(it->second);
         emit("{\"name\":\"" + json_escape(event_label(e)) +
              "\",\"ph\":\"X\",\"ts\":" + ts_str(start) +
              ",\"dur\":" + ts_str(ts - start) + "," + common + "}");

@@ -13,9 +13,9 @@
 //     paper's write delay, Definition 3, made visible on a timeline).
 //   * export_trace_csv — one row per event for ad-hoc plotting.
 //
-// Timestamps are whatever clock the harness supplies (simulated microseconds
-// under run_sim, wall-clock nanoseconds under ThreadCluster); the exporters
-// take a scale factor to map them onto the trace format's microseconds.
+// Timestamps are the harness clock, in microseconds in every harness
+// (simulated under run_sim, wall-clock in ProcessNode and CausalMemory) —
+// the trace format's own unit.
 
 #pragma once
 
@@ -50,7 +50,7 @@ enum class TraceKind : std::uint8_t {
 struct TraceEvent {
   TraceKind kind = TraceKind::kSend;
   ProcessId at = 0;          ///< process where the event happened
-  std::uint64_t time = 0;    ///< harness clock (µs in sim, ns on threads)
+  std::uint64_t time = 0;    ///< harness clock (µs)
   WriteId write;             ///< send/receive/apply/skip/read(from)/write
   VarId var = 0;             ///< send/receive/read/write
   Value value = kBottom;     ///< send/receive/read/write
@@ -59,8 +59,8 @@ struct TraceEvent {
   VectorClock clock;         ///< piggybacked vector (send/receive); may be empty
 };
 
-/// Retains events in emission order.  Thread-safe append (the threaded
-/// runtime records from every node); events() is meant for after the run
+/// Retains events in emission order.  Thread-safe append (CausalMemory
+/// records from every replica thread); events() is meant for after the run
 /// has quiesced.
 class TraceBuffer {
  public:
@@ -88,12 +88,11 @@ class TraceBuffer {
 
 /// Render a retained trace as a Chrome trace_event JSON array (the "JSON
 /// Array Format": a top-level list of event objects; viewers accept it
-/// directly).  `ts_scale` maps TraceEvent::time onto microseconds (1.0 for
-/// the simulator, 1e-3 for ThreadCluster's nanoseconds).  Delayed applies are
-/// emitted as duration ("X") slices from the matching receive when one exists
-/// earlier in the buffer; everything else is an instant ("i") event.
+/// directly).  Delayed applies are emitted as duration ("X") slices from the
+/// matching receive when one exists earlier in the buffer; everything else
+/// is an instant ("i") event.
 [[nodiscard]] std::string export_chrome_trace(
-    std::span<const TraceEvent> events, double ts_scale = 1.0);
+    std::span<const TraceEvent> events);
 
 /// Compact CSV: kind,proc,time,write,var,value,delayed,bytes,clock.
 [[nodiscard]] std::string export_trace_csv(std::span<const TraceEvent> events);

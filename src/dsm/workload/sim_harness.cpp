@@ -7,6 +7,7 @@
 
 #include "dsm/common/contracts.h"
 #include "dsm/runtime/node_stack.h"
+#include "dsm/runtime/observer_chain.h"
 #include "dsm/sim/event_queue.h"
 #include "dsm/telemetry/telemetry.h"
 #include "dsm/workload/script_runner.h"
@@ -35,10 +36,6 @@ SimRunResult run_sim(const SimRunConfig& config,
   DSM_REQUIRE(scripts.size() == config.n_procs);
   const bool crashes = config.crash.active();
   config.crash.validate(config.n_procs);
-  // Typed objects are not supported with crash/restart: a restarted process's
-  // catch-up applies arrive without their typed payload stash, so the store
-  // could not replay them.  The CLI rejects the combination up front.
-  DSM_REQUIRE(!crashes || config.protocol_config.objects == nullptr);
 
   EventQueue queue;
   Network net(queue, *config.latency, config.n_procs);
@@ -50,37 +47,18 @@ SimRunResult run_sim(const SimRunConfig& config,
   auto recorder = std::make_unique<RunRecorder>(
       config.n_procs, config.n_vars, [&queue] { return queue.now(); });
 
-  // Telemetry (optional): protocol events tee through the RunTelemetry
-  // observer into the recorder, stamped with simulated time.
+  // Telemetry (optional) is stamped with simulated time.  Parked awaits wake
+  // on the applies at their process.  Crash mode adds the replay filter: a
+  // write can legitimately reach a process twice (catch-up reply + ARQ
+  // retransmission whose ACK died with the crash).
   RunTelemetry* const tel = config.telemetry;
-  ProtocolObserver* observer = recorder.get();
-  if (tel != nullptr) {
-    tel->set_clock([&queue] { return queue.now(); });
-    observer = &tel->observe_through(*recorder);
-  }
-
-  // Parked awaits wake on the applies at their process.
+  if (tel != nullptr) tel->set_clock([&queue] { return queue.now(); });
   AwaitWaker waker(config.n_procs);
-  FanoutObserver waking({observer, &waker});
-  observer = &waking;
-
-  // Crash mode: a write can legitimately reach a process twice (catch-up
-  // reply + ARQ retransmission whose ACK died with the crash); record each
-  // event once.  The filter sits above telemetry and the await waker so they
-  // also see the deduplicated stream.
-  std::optional<ReplayFilterObserver> filter;
-  if (crashes) observer = &filter.emplace(waking);
-
-  // Typed-object runs interpose the ObjectStore outermost: it stashes each
-  // mutation's typed payload at send/receipt and replays it on apply, before
-  // forwarding every event unchanged to telemetry/recorder.
-  std::unique_ptr<ObjectStore> objects;
-  if (config.protocol_config.objects != nullptr) {
-    objects = std::make_unique<ObjectStore>(config.protocol_config.objects,
-                                            config.n_procs, config.n_vars,
-                                            *observer);
-    observer = objects.get();
-  }
+  ObserverChain chain(*recorder, config.n_procs, config.n_vars,
+                      {.telemetry = tel,
+                       .beside = {&waker},
+                       .replay_filter = crashes,
+                       .objects = config.protocol_config.objects});
 
   // One NodeStack per process.  The ARQ goes in whenever the link can lose
   // frames: under a fault plan, and under a crash plan, where a crashed
@@ -95,7 +73,7 @@ SimRunResult run_sim(const SimRunConfig& config,
                                     config.protocol_config, crashes,
                                     DurabilityPolicy{}};
     stacks.push_back(
-        std::make_unique<NodeStack>(queue, net, shape, arq, *observer, tel));
+        std::make_unique<NodeStack>(queue, net, shape, arq, chain.head(), tel));
   }
   for (auto& stack : stacks) stack->start();
 
@@ -112,7 +90,7 @@ SimRunResult run_sim(const SimRunConfig& config,
         },
         p, scripts[p], std::move(after_op), &issued);
     runners.back().set_telemetry(tel);
-    runners.back().set_objects(objects.get());
+    runners.back().set_objects(chain.objects());
     waker.attach(p, &runners.back());
   }
   for (auto& r : runners) r.begin();
@@ -192,31 +170,23 @@ SimRunResult run_sim(const SimRunConfig& config,
   result.end_time = queue.now();
   result.net = net.stats();
   result.faults = net.fault_stats();
-  if (filter) result.replay_suppressed = filter->suppressed();
+  if (const ReplayFilterObserver* filter = chain.filter()) {
+    result.replay_suppressed = filter->suppressed();
+  }
   result.stats.reserve(config.n_procs);
   for (ProcessId p = 0; p < config.n_procs; ++p) {
     const NodeStack& stack = *stacks[p];
     result.stats.push_back(stack.host().stats());
     result.reliable += stack.reliable_stats();
     result.recovery += stack.host().recovery_stats();
-    // Dead incarnations were folded at their kill; fold the live one.
-    if (tel == nullptr || !stack.up()) continue;
-    if (const RecoveryNode* rec = stack.host().recovery()) {
-      tel->fold_recovery(p, rec->stats());
-    }
-    if (const ReliableNode* node = stack.arq()) {
-      tel->fold_reliable(p, node->stats());
-      for (ProcessId to = 0; to < config.n_procs; ++to) {
-        if (to != p) tel->sample_rto(p, node->current_rto(to));
-      }
-    }
+    if (tel != nullptr) stack.fold_live(*tel);
   }
   if (tel != nullptr) {
     tel->fold_network(result.net, result.faults);
     tel->set_clock({});  // the queue dies with this frame
   }
   result.recorder = std::move(recorder);
-  result.objects = std::move(objects);
+  result.objects = chain.take_objects();
   return result;
 }
 

@@ -1,7 +1,7 @@
 // Crash/recovery tests: protocol checkpoints (snapshot/restore), the sim
 // harness's crash mode (checkpoint + anti-entropy catch-up, Theorems 4/5
 // under crashes and partitions), determinism with faults enabled, and the
-// threaded cluster's kill()/restart() path.
+// kill()/restart() path of CausalMemory's replica threads.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +15,9 @@
 #include "dsm/codec/codec.h"
 #include "dsm/common/rng.h"
 #include "dsm/history/checker.h"
+#include "dsm/net/causal_memory.h"
 #include "dsm/protocols/recovery.h"
 #include "dsm/protocols/registry.h"
-#include "dsm/runtime/thread_cluster.h"
 #include "dsm/telemetry/telemetry.h"
 #include "dsm/workload/generator.h"
 #include "dsm/workload/sim_harness.h"
@@ -413,17 +413,17 @@ TEST(CrashModeDeathTest, TokenProtocolIsRejected) {
   EXPECT_DEATH(run_token_under_crash_plan(), "class-P");
 }
 
-// --------------------------------------------- threaded kill()/restart() ---
+// ----------------------------------------- CausalMemory kill()/restart() ---
 
-TEST(ThreadClusterRecovery, KilledProcessCatchesUpAfterRestart) {
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 3;
-  cfg.n_vars = 2;
+TEST(CausalMemoryRecovery, KilledProcessCatchesUpAfterRestart) {
+  CausalMemory::Options cfg;
+  cfg.replicas = 3;
+  cfg.capacity = 2;
   cfg.recoverable = true;
-  ThreadCluster cluster(cfg);
+  CausalMemory cluster(cfg);
 
   cluster.write(0, 0, 1);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
 
   cluster.kill(1);
   EXPECT_FALSE(cluster.alive(1));
@@ -434,7 +434,7 @@ TEST(ThreadClusterRecovery, KilledProcessCatchesUpAfterRestart) {
 
   cluster.restart(1);
   EXPECT_TRUE(cluster.alive(1));
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   EXPECT_EQ(cluster.peek(1, 0).value, 2);
   EXPECT_EQ(cluster.peek(1, 1).value, 3);
   EXPECT_GT(cluster.recovery_stats().writes_recovered, 0u);
@@ -446,15 +446,15 @@ TEST(ThreadClusterRecovery, KilledProcessCatchesUpAfterRestart) {
   EXPECT_TRUE(audit.live());
 }
 
-TEST(ThreadClusterRecovery, ConcurrentTrafficAroundKillRestartStaysCorrect) {
-  ThreadCluster::Config cfg;
-  cfg.kind = ProtocolKind::kOptP;
-  cfg.n_procs = 4;
-  cfg.n_vars = 4;
+TEST(CausalMemoryRecovery, ConcurrentTrafficAroundKillRestartStaysCorrect) {
+  CausalMemory::Options cfg;
+  cfg.protocol = ProtocolKind::kOptP;
+  cfg.replicas = 4;
+  cfg.capacity = 4;
   cfg.max_jitter_us = 200;
   cfg.seed = 7;
   cfg.recoverable = true;
-  ThreadCluster cluster(cfg);
+  CausalMemory cluster(cfg);
 
   // Clients hammer p0/p2/p3 while p1 is killed mid-run and restarted.
   std::vector<std::thread> clients;
@@ -477,11 +477,11 @@ TEST(ThreadClusterRecovery, ConcurrentTrafficAroundKillRestartStaysCorrect) {
   std::this_thread::sleep_for(5ms);
   cluster.restart(1);
   for (auto& t : clients) t.join();
-  ASSERT_TRUE(cluster.await_quiescence(10'000ms));
+  ASSERT_TRUE(cluster.sync(10'000ms));
   // Quiescent ⇒ p1 has applied every client write, so this write causally
   // dominates all of them and must become the final value everywhere.
   cluster.write(1, 0, 4242);
-  ASSERT_TRUE(cluster.await_quiescence(10'000ms));
+  ASSERT_TRUE(cluster.sync(10'000ms));
 
   const auto check = ConsistencyChecker::check(cluster.recorder().history());
   EXPECT_TRUE(check.consistent())
@@ -495,32 +495,32 @@ TEST(ThreadClusterRecovery, ConcurrentTrafficAroundKillRestartStaysCorrect) {
   }
 }
 
-TEST(ThreadClusterRecovery, StatsAccumulateAcrossIncarnations) {
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 2;
-  cfg.n_vars = 1;
+TEST(CausalMemoryRecovery, StatsAccumulateAcrossIncarnations) {
+  CausalMemory::Options cfg;
+  cfg.replicas = 2;
+  cfg.capacity = 1;
   cfg.recoverable = true;
-  ThreadCluster cluster(cfg);
+  CausalMemory cluster(cfg);
   cluster.write(1, 0, 1);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   const auto before = cluster.stats(1);
   cluster.kill(1);
   cluster.restart(1);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   cluster.write(1, 0, 2);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   const auto after = cluster.stats(1);
   EXPECT_GE(after.writes_issued, before.writes_issued + 1);
 }
 
 void build_recoverable_token_cluster() {
-  ThreadCluster::Config cfg;
-  cfg.kind = ProtocolKind::kTokenWs;
+  CausalMemory::Options cfg;
+  cfg.protocol = ProtocolKind::kTokenWs;
   cfg.recoverable = true;
-  ThreadCluster cluster(cfg);
+  CausalMemory cluster(cfg);
 }
 
-TEST(ThreadClusterRecoveryDeathTest, TokenProtocolIsRejected) {
+TEST(CausalMemoryRecoveryDeathTest, TokenProtocolIsRejected) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(build_recoverable_token_cluster(), "class-P");
 }

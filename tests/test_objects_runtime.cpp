@@ -1,7 +1,7 @@
 // Integration tests for typed objects across the runtime tiers
 // (docs/OBJECTS.md): the simulated harness with generated mixed workloads,
-// the deterministic objects demo with its forced accessor returns, the
-// threaded cluster's mutate/observe API, and the CausalMemory facade.
+// the deterministic objects demo with its forced accessor returns, and
+// CausalMemory's mutate/observe API, by id and through sessions.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,7 @@
 
 #include "dsm/objects/spec.h"
 #include "dsm/objects/spec_checker.h"
-#include "dsm/runtime/causal_memory.h"
-#include "dsm/runtime/thread_cluster.h"
+#include "dsm/net/causal_memory.h"
 #include "dsm/workload/generator.h"
 #include "dsm/workload/objects_demo.h"
 #include "dsm/workload/sim_harness.h"
@@ -105,22 +104,22 @@ TEST(ObjectsSim, DemoScriptForcesEveryAccessorReturn) {
   }
 }
 
-// -------------------------------------------------------- thread cluster --
+// ---------------------------------------------------------- CausalMemory --
 
-TEST(ObjectsThreadCluster, TypedOpsConvergeAcrossReplicas) {
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 3;
-  cfg.n_vars = 2;
-  cfg.protocol_config.objects = shared_schema("counter", cfg.n_vars);
-  ThreadCluster cluster(cfg);
+TEST(ObjectsCausalMemory, TypedOpsConvergeAcrossReplicas) {
+  CausalMemory::Options cfg;
+  cfg.replicas = 3;
+  cfg.capacity = 2;
+  cfg.protocol_config.objects = shared_schema("counter", cfg.capacity);
+  CausalMemory cluster(cfg);
 
   EXPECT_EQ(cluster.mutate(0, 0, SpecId::kCounter, OpCode::kInc, 5), 5);
   // mutate returns the post-state at the issuer, so p1's result depends on
   // whether p0's inc has reached it: wait, so that it has.
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   EXPECT_EQ(cluster.mutate(1, 0, SpecId::kCounter, OpCode::kInc, 2), 7);
   EXPECT_EQ(cluster.mutate(2, 1, SpecId::kCounter, OpCode::kDec, 4), -4);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
 
   ASSERT_NE(cluster.objects(), nullptr);
   for (ProcessId p = 0; p < 3; ++p) {
@@ -134,35 +133,33 @@ TEST(ObjectsThreadCluster, TypedOpsConvergeAcrossReplicas) {
   EXPECT_TRUE(check.consistent());
 }
 
-TEST(ObjectsThreadCluster, ObserveSeesOwnMutationImmediately) {
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 2;
-  cfg.n_vars = 1;
-  cfg.protocol_config.objects = shared_schema("set", cfg.n_vars);
-  ThreadCluster cluster(cfg);
+TEST(ObjectsCausalMemory, ObserveSeesOwnMutationImmediately) {
+  CausalMemory::Options cfg;
+  cfg.replicas = 2;
+  cfg.capacity = 1;
+  cfg.protocol_config.objects = shared_schema("set", cfg.capacity);
+  CausalMemory cluster(cfg);
   cluster.mutate(0, 0, SpecId::kSet, OpCode::kAdd, 7);
   // Read-your-writes: no quiescence needed at the issuer.
   EXPECT_EQ(cluster.observe(0, 0, SpecId::kSet, OpCode::kContains, 7), 1);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   EXPECT_EQ(cluster.observe(1, 0, SpecId::kSet, OpCode::kContains, 7), 1);
 }
 
-TEST(ObjectsThreadCluster, CasOutcomeIsReportedLocally) {
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 2;
-  cfg.n_vars = 1;
-  cfg.protocol_config.objects = shared_schema("cas-register", cfg.n_vars);
-  ThreadCluster cluster(cfg);
+TEST(ObjectsCausalMemory, CasOutcomeIsReportedLocally) {
+  CausalMemory::Options cfg;
+  cfg.replicas = 2;
+  cfg.capacity = 1;
+  cfg.protocol_config.objects = shared_schema("cas-register", cfg.capacity);
+  CausalMemory cluster(cfg);
   cluster.mutate(0, 0, SpecId::kCasRegister, OpCode::kWrite, 3);
   EXPECT_EQ(cluster.mutate(0, 0, SpecId::kCasRegister, OpCode::kCas, 3, 9), 1);
   EXPECT_EQ(cluster.mutate(0, 0, SpecId::kCasRegister, OpCode::kCas, 3, 11),
             0);  // stale expect
   EXPECT_EQ(cluster.observe(0, 0, SpecId::kCasRegister, OpCode::kRead), 9);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   EXPECT_EQ(cluster.observe(1, 0, SpecId::kCasRegister, OpCode::kRead), 9);
 }
-
-// ---------------------------------------------------------- CausalMemory --
 
 TEST(ObjectsCausalMemory, SessionsShareTypedState) {
   CausalMemory::Options options;

@@ -1,5 +1,6 @@
-// Integration tests for the threaded deployment: real concurrency, jitter,
-// and the same checker/auditor machinery applied to threaded runs.
+// Integration tests for CausalMemory, the in-process runtime: real
+// concurrency, jitter, and the same checker/auditor machinery applied to its
+// runs.
 
 #include <gtest/gtest.h>
 
@@ -8,42 +9,43 @@
 #include <vector>
 
 #include "dsm/audit/auditor.h"
+#include "dsm/audit/stability.h"
 #include "dsm/common/rng.h"
 #include "dsm/history/checker.h"
-#include "dsm/runtime/causal_memory.h"
-#include "dsm/runtime/thread_cluster.h"
+#include "dsm/net/causal_memory.h"
+#include "dsm/telemetry/telemetry.h"
 
 namespace dsm {
 namespace {
 
 using namespace std::chrono_literals;
 
-TEST(ThreadCluster, WritePropagatesToAllReplicas) {
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 3;
-  cfg.n_vars = 2;
-  ThreadCluster cluster(cfg);
+TEST(CausalMemory, WritePropagatesToAllReplicas) {
+  CausalMemory::Options cfg;
+  cfg.replicas = 3;
+  cfg.capacity = 2;
+  CausalMemory cluster(cfg);
   cluster.write(0, 0, 42);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   for (ProcessId p = 0; p < 3; ++p) {
     EXPECT_EQ(cluster.peek(p, 0).value, 42);
   }
 }
 
-TEST(ThreadCluster, ReadYourOwnWritesImmediately) {
-  ThreadCluster::Config cfg;
-  ThreadCluster cluster(cfg);
+TEST(CausalMemory, ReadYourOwnWritesImmediately) {
+  CausalMemory::Options cfg;
+  CausalMemory cluster(cfg);
   cluster.write(1, 0, 7);
   EXPECT_EQ(cluster.read(1, 0).value, 7);  // no quiescence needed
 }
 
-TEST(ThreadCluster, CausalChainAcrossReplicas) {
+TEST(CausalMemory, CausalChainAcrossReplicas) {
   // p0 writes x; p1 reads it and writes y; p2 must never see y without x.
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 3;
-  cfg.n_vars = 2;
+  CausalMemory::Options cfg;
+  cfg.replicas = 3;
+  cfg.capacity = 2;
   cfg.max_jitter_us = 300;
-  ThreadCluster cluster(cfg);
+  CausalMemory cluster(cfg);
 
   cluster.write(0, 0, 1);
   // Wait until p1 sees x, read (establishing ↦ro), then write y.
@@ -60,7 +62,7 @@ TEST(ThreadCluster, CausalChainAcrossReplicas) {
     }
     std::this_thread::sleep_for(100us);
   }
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   EXPECT_EQ(cluster.peek(2, 1).value, 2);
 }
 
@@ -73,20 +75,20 @@ class ThreadedStress : public ::testing::TestWithParam<StressParams> {};
 
 TEST_P(ThreadedStress, ConcurrentRunIsConsistentSafeAndLive) {
   const auto [kind, seed] = GetParam();
-  ThreadCluster::Config cfg;
-  cfg.kind = kind;
-  cfg.n_procs = 4;
-  cfg.n_vars = 4;
+  CausalMemory::Options cfg;
+  cfg.protocol = kind;
+  cfg.replicas = 4;
+  cfg.capacity = 4;
   cfg.max_jitter_us = 400;
   cfg.seed = seed;
   if (kind == ProtocolKind::kTokenWs) {
-    // The threaded token circulates until its cap; quiescence (in-flight = 0)
-    // is reached only after the cap.  With ~200µs average jitter per hop the
-    // cap lands well after the ~10ms workload, and the post-cap drain stays
-    // inside the await timeout.
+    // The token circulates until its cap; quiescence (every ARQ window
+    // drained) is reached only after the cap.  With ~200µs average jitter
+    // per hop the cap lands well after the ~10ms workload, and the post-cap
+    // drain stays inside the await timeout.
     cfg.protocol_config.token_max_rounds = 3'000;
   }
-  ThreadCluster cluster(cfg);
+  CausalMemory cluster(cfg);
 
   // Four client threads, each issuing a random mix against its own replica.
   std::vector<std::thread> clients;
@@ -106,7 +108,7 @@ TEST_P(ThreadedStress, ConcurrentRunIsConsistentSafeAndLive) {
     });
   }
   for (auto& t : clients) t.join();
-  ASSERT_TRUE(cluster.await_quiescence(10'000ms)) << to_string(kind);
+  ASSERT_TRUE(cluster.sync(10'000ms)) << to_string(kind);
 
   // The full verification stack applies to the threaded run.
   const auto check = ConsistencyChecker::check(cluster.recorder().history());
@@ -137,17 +139,17 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_s" + std::to_string(param_info.param.seed);
     });
 
-TEST(ThreadCluster, LiveStabilityTrackerViaExtraObserver) {
+TEST(CausalMemory, LiveStabilityTrackerViaExtraObserver) {
   StabilityTracker tracker(3);
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 3;
-  cfg.n_vars = 2;
+  CausalMemory::Options cfg;
+  cfg.replicas = 3;
+  cfg.capacity = 2;
   cfg.extra_observers = {&tracker};
-  ThreadCluster cluster(cfg);
+  CausalMemory cluster(cfg);
 
   cluster.write(0, 0, 1);
   cluster.write(1, 1, 2);
-  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  ASSERT_TRUE(cluster.sync(5000ms));
   // Once quiescent, both writes are applied everywhere: stable.
   EXPECT_TRUE(tracker.is_stable(WriteId{0, 1}));
   EXPECT_TRUE(tracker.is_stable(WriteId{1, 1}));
@@ -159,12 +161,12 @@ TEST(ThreadCluster, LiveStabilityTrackerViaExtraObserver) {
 /// decodes it through events(): the reader's view only ever grows by a
 /// prefix-preserving append (run under the tsan preset via the sanitize
 /// label).
-TEST(ThreadCluster, EventsReaderRacesNodeAppends) {
-  ThreadCluster::Config cfg;
-  cfg.n_procs = 3;
-  cfg.n_vars = 2;
+TEST(CausalMemory, EventsReaderRacesNodeAppends) {
+  CausalMemory::Options cfg;
+  cfg.replicas = 3;
+  cfg.capacity = 2;
   cfg.max_jitter_us = 50;
-  ThreadCluster cluster(cfg);
+  CausalMemory cluster(cfg);
   std::atomic<bool> stop{false};
   std::size_t views = 0;
   std::size_t last_size = 0;
@@ -194,7 +196,7 @@ TEST(ThreadCluster, EventsReaderRacesNodeAppends) {
     });
   }
   for (auto& t : writers) t.join();
-  const bool quiescent = cluster.await_quiescence(5000ms);
+  const bool quiescent = cluster.sync(5000ms);
   stop = true;
   reader.join();
   ASSERT_TRUE(quiescent);
@@ -208,15 +210,61 @@ TEST(ThreadCluster, EventsReaderRacesNodeAppends) {
   }
 }
 
-TEST(ThreadCluster, ShutdownIsIdempotent) {
-  ThreadCluster::Config cfg;
-  ThreadCluster cluster(cfg);
+TEST(CausalMemory, ShutdownIsIdempotent) {
+  CausalMemory::Options cfg;
+  CausalMemory cluster(cfg);
   cluster.write(0, 0, 1);
   cluster.shutdown();
   cluster.shutdown();  // no crash, no deadlock
 }
 
-// ------------------------------------------------------------ CausalMemory --
+/// Stalls the loop thread of process `at` once, on its first receipt.
+class StallOnFirstReceipt final : public ProtocolObserver {
+ public:
+  StallOnFirstReceipt(ProcessId at, std::chrono::milliseconds stall)
+      : at_(at), stall_(stall) {}
+  void on_receipt(ProcessId at, const WriteUpdate& /*m*/) override {
+    if (at == at_ && !stalled_.exchange(true)) {
+      std::this_thread::sleep_for(stall_);
+    }
+  }
+
+ private:
+  ProcessId at_;
+  std::chrono::milliseconds stall_;
+  std::atomic<bool> stalled_{false};
+};
+
+/// p1's loop stalls while p0 writes more frames than the p0→p1 ring holds:
+/// the mesh drops what does not fit, p1 acks nothing while stalled, and the
+/// ARQ repairs every loss once p1 drains again.
+TEST(CausalMemory, FullRingIsRepairedByTheArq) {
+  constexpr int kWrites = 6000;
+  RunTelemetry telemetry(3);
+  StallOnFirstReceipt stall(1, 300ms);
+  CausalMemory::Options cfg;
+  cfg.replicas = 3;
+  cfg.capacity = 2;
+  cfg.extra_observers = {&stall};
+  cfg.telemetry = &telemetry;
+  CausalMemory mem(cfg);
+  for (int i = 1; i <= kWrites; ++i) mem.write(0, 0, i);
+  ASSERT_TRUE(mem.sync(30'000ms));
+  EXPECT_EQ(mem.read(1, 0).value, kWrites);
+  mem.shutdown();
+
+  EXPECT_GT(telemetry.metrics().counter_total(metric::kArqRetransmissions), 0u);
+  EXPECT_EQ(mem.peek(1, 0).value, kWrites);
+  const auto check = ConsistencyChecker::check(mem.recorder().history());
+  EXPECT_TRUE(check.consistent())
+      << (check.violations.empty() ? "" : check.violations[0].detail);
+  const auto audit = OptimalityAuditor::audit(mem.recorder());
+  EXPECT_TRUE(audit.safe());
+  EXPECT_TRUE(audit.live());
+  EXPECT_EQ(audit.total_unnecessary(), 0u);
+}
+
+// ---------------------------------------------------------- named sessions --
 
 CausalMemory::Options mem_options(std::size_t replicas, std::size_t capacity,
                                   std::uint32_t jitter_us = 0) {

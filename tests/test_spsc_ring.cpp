@@ -1,15 +1,20 @@
 // SpscRing unit + concurrency suite: wrap-around arithmetic, the full/empty
-// boundaries, shutdown drain, and a two-thread stress run with the doorbell
-// protocol (run under the tsan preset; the ring is the shard runtime's only
-// lock-free component, so this is where a memory-ordering bug would show).
+// boundaries, shutdown drain, and a two-thread stress run with RingMesh's
+// doorbell protocol (run under the tsan preset; the ring is the runtime's
+// only lock-free component, so this is where a memory-ordering bug would
+// show).
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "dsm/net/ring_mesh.h"
 #include "dsm/runtime/spsc_ring.h"
 
 namespace dsm {
@@ -114,52 +119,58 @@ TEST(SpscRing, MovesPayloadsWithoutCopy) {
   EXPECT_EQ(**out, 42);
 }
 
-// Two-thread stress with the doorbell parking protocol — exactly the shape
-// the ThreadCluster delivery loop uses.  The consumer must see every value
-// in order with no losses and no stalls (a lost doorbell wakeup would hang
-// this test; the 30 s gtest timeout via ctest catches that).
+/// Takes what a RingMesh drain hands over and checks it arrives in order.
+class OrderedSink final : public MessageSink {
+ public:
+  void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override {
+    std::uint64_t v = 0;
+    in_order = in_order && from == 0 && bytes.size() == sizeof v;
+    if (bytes.size() == sizeof v) std::memcpy(&v, bytes.data(), sizeof v);
+    in_order = in_order && v == next;
+    ++next;
+  }
+  std::uint64_t next = 0;
+  bool in_order = true;
+};
+
+// Two-thread stress with RingMesh's parking protocol — the one every shard
+// loop runs: drain, arm the doorbell, drain once more, then sleep in poll()
+// on the eventfd.  The consumer must see every value in order with no
+// losses and no stalls: a lost wakeup leaves a poll to time out.
 TEST(SpscRing, ThreadedStressWithDoorbell) {
   constexpr std::uint64_t kItems = 200'000;
-  SpscRing<std::uint64_t> ring(1024);
-  RingDoorbell bell;
+  RingMesh mesh(0, 2, 1024);
+  std::atomic<bool> stalled{false};
 
   std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kItems;) {
-      std::uint64_t v = i;
-      if (ring.try_push(v)) {
-        ++i;
-        bell.ring();
-      } else {
+    for (std::uint64_t i = 0; i < kItems; ++i) {
+      std::vector<std::uint8_t> bytes(sizeof i);
+      std::memcpy(bytes.data(), &i, sizeof i);
+      const Payload payload = make_payload(std::move(bytes));
+      while (!mesh.post(0, 1, payload)) {
+        if (stalled.load()) return;  // the consumer gave up
         std::this_thread::yield();
       }
     }
-    ring.close();
-    bell.ring();
   });
 
-  std::uint64_t expected = 0;
-  for (;;) {
-    const std::uint32_t seen = bell.epoch();
-    bool any = false;
-    while (auto v = ring.try_pop()) {
-      ASSERT_EQ(*v, expected);
-      ++expected;
-      any = true;
-    }
-    if (any) continue;
-    if (ring.closed()) {
-      // close() is release-ordered after the producer's final push, so one
-      // more drain pass after observing it cannot miss anything.
-      while (auto v = ring.try_pop()) {
-        ASSERT_EQ(*v, expected);
-        ++expected;
-      }
+  OrderedSink sink;
+  while (sink.next < kItems) {
+    if (mesh.drain(1, sink) > 0) continue;
+    mesh.arm(1);
+    if (mesh.drain(1, sink) > 0) continue;
+    pollfd doorbell{mesh.doorbell_fd(1), POLLIN, 0};
+    if (::poll(&doorbell, 1, 10'000) != 1) {
+      stalled = true;
       break;
     }
-    bell.wait(seen);
+    mesh.acknowledge(1);
   }
   producer.join();
-  EXPECT_EQ(expected, kItems);
+  EXPECT_FALSE(stalled.load())
+      << "a post found the doorbell unarmed while the consumer slept";
+  EXPECT_TRUE(sink.in_order);
+  EXPECT_EQ(sink.next, kItems);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the telemetry layer (src/dsm/telemetry): registry aggregation,
-// the observer tee on simulated and threaded runs, the Chrome-trace/CSV
+// the observer tee on simulated and CausalMemory runs, the Chrome-trace/CSV
 // exporters, and a golden-file pin of the Ĥ₁/Figure-1 metrics.
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "dsm/common/rng.h"
-#include "dsm/runtime/thread_cluster.h"
+#include "dsm/net/causal_memory.h"
 #include "dsm/telemetry/telemetry.h"
 #include "dsm/workload/generator.h"
 #include "dsm/workload/paper_examples.h"
@@ -469,21 +469,21 @@ TEST(TelemetryTee, ApplyDelayMatchesAReceiptTimeMapModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Threaded cluster: the tee is thread-safe and per-node ordering holds.
+// CausalMemory: the tee is thread-safe and per-node ordering holds.
 
 TEST(TelemetryCluster, PerNodeEventTimesAreMonotone) {
   constexpr std::size_t kProcs = 4;
   constexpr int kOpsPerProc = 40;
   RunTelemetry telemetry(kProcs, RunTelemetry::Trace::kKeep);
   {
-    ThreadCluster::Config config;
-    config.kind = ProtocolKind::kOptP;
-    config.n_procs = kProcs;
-    config.n_vars = 4;
+    CausalMemory::Options config;
+    config.protocol = ProtocolKind::kOptP;
+    config.replicas = kProcs;
+    config.capacity = 4;
     config.max_jitter_us = 150;
     config.seed = 5;
     config.telemetry = &telemetry;
-    ThreadCluster cluster(config);
+    CausalMemory cluster(config);
 
     std::vector<std::thread> clients;
     for (ProcessId p = 0; p < kProcs; ++p) {
@@ -497,7 +497,7 @@ TEST(TelemetryCluster, PerNodeEventTimesAreMonotone) {
       });
     }
     for (auto& c : clients) c.join();
-    ASSERT_TRUE(cluster.await_quiescence(std::chrono::seconds(30)));
+    ASSERT_TRUE(cluster.sync(std::chrono::seconds(30)));
     cluster.shutdown();
   }
 
@@ -509,7 +509,7 @@ TEST(TelemetryCluster, PerNodeEventTimesAreMonotone) {
   EXPECT_EQ(reg.counter_total(metric::kReadsIssued), kProcs * kOpsPerProc);
 
   // Per-node trace order: each node's events carry non-decreasing times
-  // (events from one node are recorded under its mutex, in program order).
+  // (events from one node are recorded on its loop thread, in program order).
   const auto events = telemetry.trace().events();
   std::vector<std::uint64_t> last(kProcs, 0);
   for (const TraceEvent& e : events) {
@@ -518,8 +518,8 @@ TEST(TelemetryCluster, PerNodeEventTimesAreMonotone) {
     last[e.at] = e.time;
   }
 
-  // The ns clock detached at shutdown; exports still work afterwards.
-  const std::string json = telemetry.chrome_trace(1e-3);
+  // The clock detached at shutdown; exports still work afterwards.
+  const std::string json = telemetry.chrome_trace();
   JsonValue root;
   EXPECT_TRUE(JsonParser(json).parse(root));
 }

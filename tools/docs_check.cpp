@@ -17,7 +17,11 @@
 //     `dsm::metric` (src/dsm/telemetry/metrics.h), and — the reverse — every
 //     registered name has a row in docs/OBSERVABILITY.md's catalogue and a
 //     producer: some file under src/ or tools/ other than metrics.h uses its
-//     constant.
+//     constant;
+//   * every backtick-cited repo path under src/, tests/, tools/, examples/,
+//     procbench/ or docs/ that README, DESIGN, EXPERIMENTS or docs/ cites
+//     exists (`dir/name.{h,cpp}` names one file per alternative).  The
+//     history files (CHANGES, ROADMAP, ISSUE) cite what has since gone.
 //
 // Usage: docs_check <repo_root> <optcm_binary> <build_dir>
 // Exit status: 0 iff every check passed; failures are listed one per line.
@@ -180,6 +184,41 @@ struct Checker {
     }
   }
 
+  // -- cited paths -----------------------------------------------------------
+
+  /// `a/{x,y}/b.{h,cpp}` -> every combination; a name without braces maps to
+  /// itself.
+  static std::vector<std::string> expand_braces(const std::string& name) {
+    const auto open = name.find('{');
+    const auto close = name.find('}', open);
+    if (open == std::string::npos || close == std::string::npos) return {name};
+    std::vector<std::string> out;
+    std::istringstream alternatives(name.substr(open + 1, close - open - 1));
+    std::string alt;
+    while (std::getline(alternatives, alt, ',')) {
+      for (std::string& tail : expand_braces(name.substr(close + 1))) {
+        out.push_back(name.substr(0, open) + alt + tail);
+      }
+    }
+    return out;
+  }
+
+  /// A code span that starts with a repo path names a file or directory
+  /// that must exist (up to the first space or `:line` suffix).  bench/ is
+  /// not a root here: docs cite its binaries, which live in the build tree.
+  void check_cited_paths(const fs::path& md, const std::string& text) {
+    static const std::regex path_re(
+        R"(`((?:src|tests|tools|examples|procbench|docs)/[^`\s:*]*)[^`]*`)");
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), path_re);
+         it != std::sregex_iterator(); ++it) {
+      for (const std::string& path : expand_braces((*it)[1].str())) {
+        if (!fs::exists(repo / path)) {
+          fail(md, "cites missing path \"" + path + "\"");
+        }
+      }
+    }
+  }
+
   // -- fenced code-block commands --------------------------------------------
 
   void check_command(const fs::path& md, const std::string& raw) {
@@ -307,6 +346,11 @@ int main(int argc, char** argv) {
     c.check_links(md, text);
     c.check_code_blocks(md, text);
     c.check_metric_citations(md, text);
+    const std::string name = md.filename().string();
+    if (md.parent_path().filename() == "docs" || name == "README.md" ||
+        name == "DESIGN.md" || name == "EXPERIMENTS.md") {
+      c.check_cited_paths(md, text);
+    }
     ++checked;
   }
   c.check_catalogue_complete();
