@@ -30,7 +30,10 @@ struct CausalMemory::Replica {
     DSM_REQUIRE(wake_fd >= 0 && "eventfd");
     faulty.set_plan(jitter);
     loop.watch(wake_fd, [this](NetLoop::Ready) { run_posted(); });
+    // The ARQ's tick edge after the mux's arm + drain, whose deliveries may
+    // send: each peer's batch then goes into its ring in the same tick.
     mux.start();
+    loop.add_tick_hook([this] { stack.tick(); });
   }
   ~Replica() { ::close(wake_fd); }
 

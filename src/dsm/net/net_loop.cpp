@@ -66,8 +66,11 @@ void NetLoop::poll_once(SimTime max_wait) {
 
   const int n = ::ppoll(pfds_.data(), static_cast<nfds_t>(pfds_.size()),
                         &timeout, nullptr);
-  // Stamp this tick's callbacks with the time the loop woke.
-  service_queue();
+  // Stamp this tick's callbacks with the time the loop woke (clamped at the
+  // earliest due timer, so now() never passes a pending event), and read
+  // before firing: after a stall past an RTO, the ACK already waiting in the
+  // socket retires its entry before the overdue timer can resend it.
+  queue_.advance_to(wall_now());
   if (n > 0) {
     for (const pollfd& p : pfds_) {
       if (p.revents == 0) continue;

@@ -7,14 +7,24 @@
 // time instead:
 //
 //   each wakeup:  t := µs since loop epoch
-//                 queue.run_until(t)       — fire every timer now due
 //                 queue.advance_to(t)      — reconcile now() with the wall
+//                 fd callbacks             — read what is ready
+//                 queue.run_until(t)       — then fire every timer now due
 //   poll timeout: next_at() − now() in µs, capped (so late-registered work
 //                 and signals are noticed).
 //
 // The clock is reconciled as soon as the poll returns, before any fd
 // callback runs, so a callback stamps receipts, applies and ARQ RTT samples
-// with the time it woke, not the time the loop went to sleep.
+// with the time it woke, not the time the loop went to sleep.  advance_to
+// clamps at the earliest pending timer, so now() never passes an event that
+// has not fired: in a pass that wakes late, past a due timer, every
+// callback stamps that timer's due time instead, up to the length of the
+// stall early.  Callbacks run before the timers: after a stall longer than
+// an RTO, the ACK already waiting in the socket retires its tx entry, and
+// the overdue retransmission timer then finds nothing to resend.  That ACK
+// samples an RTT that ends at the overdue timer's due time, at most about
+// one RTO: the RTO grows after a stall instead of resending, and a stall
+// longer than that RTO adds no more to it.
 //
 // So an RTO armed for "now + 5ms" fires within timer slack of 5 real
 // milliseconds, and the identical ReliableNode/ScriptRunner code runs over

@@ -96,8 +96,14 @@ void ProcessNode::run() {
       [this](int fd, std::vector<std::uint8_t> residual) {
         adopt_control(fd, std::move(residual));
       });
-  transport_.start();
+  // Tick hooks run in registration order.  The mux's arm + drain first: it
+  // delivers ring frames, which may send.  Then the ARQ's edge, which hands
+  // each peer's batch to the mux (ring peers) or the TCP out-queues, and
+  // then the TCP flush, so a batch leaves in the writev of the tick that
+  // formed it.
   mux_.start();
+  loop_.add_tick_hook([this] { stack_->tick(); });
+  transport_.start();
   if (durable()) {
     boot_durable();
     if (config_.wal_group_commit) {

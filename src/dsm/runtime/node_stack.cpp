@@ -52,6 +52,10 @@ void NodeStack::start(const Checkpoint* from, std::uint64_t tx_epoch_skip) {
   }
 }
 
+void NodeStack::tick() {
+  if (arq_ != nullptr) arq_->flush();
+}
+
 void NodeStack::deliver(ProcessId from, std::span<const std::uint8_t> bytes) {
   // Without a live ARQ the frame goes to the host: it is the protocol's own
   // bytes when this link has no ARQ, and when the stack is down the host

@@ -16,6 +16,11 @@
 //     instant; encode_checkpoint/decode_checkpoint frame it as
 //     [u64 len][host][u64 len][ARQ] — the body of a durable node's snapshot.
 //
+// A host whose event loop has a tick edge calls tick() there: the ARQ then
+// sends one DATA frame per peer per tick, however many payloads the tick
+// produced.  The simulator has no tick edge, and its stacks send each
+// payload at once.
+//
 // The ARQ is present when the link can lose frames: always on a NetLoop
 // (TCP, or a ring mesh whose full ring drops), and in the simulator under a
 // fault or crash plan.  Without it the stack forwards straight to the host.
@@ -64,6 +69,12 @@ class NodeStack final : public MessageSink, private Endpoint {
   /// first (ReliableNode::skip_tx_sequences): a durable boot passes a gap so
   /// its sends never reuse a sequence number the previous incarnation spent.
   void start(const Checkpoint* from = nullptr, std::uint64_t tx_epoch_skip = 0);
+
+  /// The tick edge of a host whose loop has one (a NetLoop tick hook,
+  /// registered ahead of the transport's flush): the ARQ transmits each
+  /// peer's open batch as one frame (ReliableNode::flush).  A stack that is
+  /// never ticked — the simulator's — sends each payload at once.
+  void tick();
 
   // -- MessageSink: frames from the transport --------------------------------
   void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override;

@@ -17,10 +17,6 @@
 // (dsm/net/ring_mesh.h): the consumer arms an eventfd doorbell, drains once
 // more, then sleeps in poll(); a producer rings only an armed doorbell, so
 // no wakeup is lost and a consumer that keeps up costs no syscall.
-//
-// close() is a producer-or-owner-side shutdown flag; the consumer observes it
-// only after a drain pass finds every slot empty, so close never drops
-// queued work ("shutdown drain" in tests/test_spsc_ring.cpp).
 
 #pragma once
 
@@ -59,10 +55,9 @@ class SpscRing {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
-  /// Producer side.  False when the ring is full or closed; the value is NOT
-  /// consumed on failure (the caller may retry or divert to an overflow).
+  /// Producer side.  False when the ring is full; the value is NOT consumed
+  /// on failure (the caller may retry or divert to an overflow).
   [[nodiscard]] bool try_push(T& value) {
-    if (closed_.load(std::memory_order_acquire)) return false;
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ >= capacity()) {
       head_cache_ = head_.load(std::memory_order_acquire);
@@ -73,8 +68,7 @@ class SpscRing {
     return true;
   }
 
-  /// Consumer side.  std::nullopt when empty (NOT when closed — a closed
-  /// ring still pops until drained).
+  /// Consumer side.  std::nullopt when empty.
   [[nodiscard]] std::optional<T> try_pop() {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
@@ -84,12 +78,6 @@ class SpscRing {
     std::optional<T> value(std::move(slots_[head & mask_]));
     head_.store(head + 1, std::memory_order_release);
     return value;
-  }
-
-  /// Refuse further pushes.  Queued values stay poppable (shutdown drain).
-  void close() noexcept { closed_.store(true, std::memory_order_release); }
-  [[nodiscard]] bool closed() const noexcept {
-    return closed_.load(std::memory_order_acquire);
   }
 
   /// Approximate (racy by nature): exact when called from either endpoint.
@@ -103,7 +91,6 @@ class SpscRing {
  private:
   std::vector<T> slots_;
   std::size_t mask_ = 0;
-  std::atomic<bool> closed_{false};
 
   alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};  ///< consumer
   std::uint64_t tail_cache_ = 0;  ///< consumer's view of tail_

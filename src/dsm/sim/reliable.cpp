@@ -28,15 +28,59 @@ ReliableNode::ReliableNode(EventQueue& queue, DatagramTransport& transport,
 
 ReliableNode::~ReliableNode() { *alive_ = false; }
 
-std::vector<std::uint8_t> ReliableNode::encode_data(
-    std::uint64_t seq, std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(1 + varint_size(seq) + payload.size());
-  ByteWriter w(std::move(frame));
-  w.u8(static_cast<std::uint8_t>(FrameType::kData));
-  w.u64(seq);
-  w.bytes(payload);
-  return std::move(w).take();
+namespace {
+
+/// Calls `fn` with each payload of a DATA (`batch` false) or BATCH frame,
+/// in order, given `body`: the bytes after the frame's seq.  False when a
+/// batch is malformed — no payload, a truncated length prefix, or a payload
+/// running past the end of the frame.
+template <typename Fn>
+bool for_each_payload(bool batch, ByteReader body, Fn&& fn) {
+  if (!batch) {
+    fn(body.rest());
+    return true;
+  }
+  if (body.remaining() == 0) return false;
+  while (body.remaining() > 0) {
+    const auto len = body.u64();
+    if (!len) return false;
+    const auto payload = body.take(static_cast<std::size_t>(*len));
+    if (!payload) return false;
+    fn(*payload);
+  }
+  return true;
+}
+
+}  // namespace
+
+ReliableNode::TxEntry& ReliableNode::seal(PeerTx& peer, SimTime now,
+                                          bool retransmitted) {
+  TxEntry& entry = peer.window.emplace_back(
+      TxEntry{peer.open_seq, nullptr, now,
+              static_cast<std::uint32_t>(peer.open.size()), retransmitted});
+  if (entry.payloads == 1) {
+    entry.body = std::move(peer.open.front());
+  } else {
+    std::vector<std::uint8_t> body;
+    body.reserve(peer.open_bytes);
+    ByteWriter w(std::move(body));
+    for (const Payload& payload : peer.open) {
+      w.u64(payload->size());
+      w.bytes(*payload);
+    }
+    entry.body = make_payload(std::move(w).take());
+  }
+  peer.open.clear();
+  peer.open_bytes = 0;
+  return entry;
+}
+
+void ReliableNode::send_open(ProcessId to) {
+  PeerTx& peer = tx_[to];
+  --open_batches_;
+  const TxEntry& entry = seal(peer, queue_->now(), false);
+  transmit(to, entry);
+  arm_timer(to, entry.seq, 0, peer.rto);
 }
 
 void ReliableNode::send(ProcessId to, Payload payload) {
@@ -44,12 +88,18 @@ void ReliableNode::send(ProcessId to, Payload payload) {
   DSM_REQUIRE(to != self_);
   DSM_REQUIRE(payload != nullptr);
   PeerTx& peer = tx_[to];
-  const std::uint64_t seq = peer.next_seq++;
-  const TxEntry& entry = peer.window.emplace_back(
-      TxEntry{seq, std::move(payload), queue_->now(), false});
+  const std::size_t bytes = varint_size(payload->size()) + payload->size();
+  if (!peer.open.empty() && peer.open_bytes + bytes > kMaxBatchBytes) {
+    send_open(to);
+  }
+  if (peer.open.empty()) {
+    peer.open_seq = peer.next_seq++;
+    ++open_batches_;
+  }
+  peer.open.push_back(std::move(payload));
+  peer.open_bytes += bytes;
   ++stats_.data_sent;
-  transmit(to, seq, *entry.payload);
-  arm_timer(to, seq, 0, peer.rto);
+  if (!tick_driven_) send_open(to);
 }
 
 void ReliableNode::broadcast(const Payload& payload) {
@@ -58,16 +108,29 @@ void ReliableNode::broadcast(const Payload& payload) {
   }
 }
 
-void ReliableNode::transmit(ProcessId to, std::uint64_t seq,
-                            const std::vector<std::uint8_t>& payload) {
-  // The DATA frame is encoded per peer by necessity (sequence numbers are
-  // per-channel), and encode_data copies the application payload into each
-  // fresh frame: a broadcast makes n−1 payload copies, and every
-  // retransmission one more.  The shared TxEntry keeps the original until
-  // acked.  Held ACKs to `to` go first, so the transport batches them with
+void ReliableNode::flush() {
+  tick_driven_ = true;
+  if (open_batches_ == 0) return;  // most loop passes: nothing was sent
+  for (ProcessId to = 0; to < tx_.size(); ++to) {
+    if (!tx_[to].open.empty()) send_open(to);
+  }
+}
+
+void ReliableNode::transmit(ProcessId to, const TxEntry& entry) {
+  // The frame is encoded per peer by necessity (sequence numbers are
+  // per-channel), and copies the entry's body: a broadcast makes n−1 copies
+  // of the payload, and every retransmission one more, byte for byte the
+  // same.  Held ACKs to `to` go first, so the transport batches them with
   // this frame into one write and the peer reads both at once.
   flush_acks(to);
-  network_->send(self_, to, make_payload(encode_data(seq, payload)));
+  std::vector<std::uint8_t> frame;
+  frame.reserve(1 + varint_size(entry.seq) + entry.body->size());
+  ByteWriter w(std::move(frame));
+  w.u8(static_cast<std::uint8_t>(entry.payloads > 1 ? FrameType::kBatch
+                                                   : FrameType::kData));
+  w.u64(entry.seq);
+  w.bytes(*entry.body);
+  network_->send(self_, to, make_payload(std::move(w).take()));
 }
 
 SimTime ReliableNode::jitter(ProcessId to, std::uint64_t seq,
@@ -105,7 +168,7 @@ void ReliableNode::arm_timer(ProcessId to, std::uint64_t seq,
         }
         ++stats_.retransmissions;
         entry->retransmitted = true;  // Karn: disqualify from RTT sampling
-        transmit(to, seq, *entry->payload);
+        transmit(to, *entry);
         // Exponential backoff capped at max_rto.
         const SimTime next = std::min(interval * 2, config_.max_rto);
         arm_timer(to, seq, attempt + 1, next);
@@ -136,15 +199,15 @@ ReliableNode::TxEntry* ReliableNode::unacked(PeerTx& peer, std::uint64_t seq) {
   const auto it = std::lower_bound(
       peer.window.begin(), peer.window.end(), seq,
       [](const TxEntry& e, std::uint64_t s) { return e.seq < s; });
-  if (it == peer.window.end() || it->seq != seq || it->payload == nullptr) {
+  if (it == peer.window.end() || it->seq != seq || it->body == nullptr) {
     return nullptr;
   }
   return &*it;
 }
 
 void ReliableNode::retire(PeerTx& peer, TxEntry& entry) {
-  entry.payload.reset();
-  while (!peer.window.empty() && peer.window.front().payload == nullptr) {
+  entry.body.reset();
+  while (!peer.window.empty() && peer.window.front().body == nullptr) {
     peer.window.pop_front();
   }
 }
@@ -175,8 +238,8 @@ void ReliableNode::flush_acks(ProcessId to) {
   network_->send(self_, to, make_payload(std::move(w).take()));
 }
 
-void ReliableNode::on_data(ProcessId from, std::uint64_t seq,
-                           std::span<const std::uint8_t> payload) {
+void ReliableNode::on_data(ProcessId from, std::uint64_t seq, FrameType type,
+                           ByteReader body) {
   // Always (re-)ACK: the original ACK may have been lost.
   PeerRx& peer = rx_[from];
   peer.pending_acks.push_back(seq);
@@ -194,8 +257,11 @@ void ReliableNode::on_data(ProcessId from, std::uint64_t seq,
     return;
   }
   peer.mark(seq);
-  ++stats_.delivered;
-  upper_->deliver(from, payload);
+  (void)for_each_payload(type == FrameType::kBatch, body,
+                         [&](std::span<const std::uint8_t> payload) {
+                           ++stats_.delivered;
+                           upper_->deliver(from, payload);
+                         });
 }
 
 void ReliableNode::deliver(ProcessId from, std::span<const std::uint8_t> bytes) {
@@ -203,7 +269,15 @@ void ReliableNode::deliver(ProcessId from, std::span<const std::uint8_t> bytes) 
   const auto type = r.u8();
   if (type == static_cast<std::uint8_t>(FrameType::kData)) {
     if (const auto seq = r.u64()) {
-      on_data(from, *seq, r.rest());
+      on_data(from, *seq, FrameType::kData, r);
+      return;
+    }
+  } else if (type == static_cast<std::uint8_t>(FrameType::kBatch)) {
+    // Validate the whole batch before acknowledging or delivering any of it.
+    const auto seq = r.u64();
+    const auto skip = [](std::span<const std::uint8_t>) {};
+    if (seq && for_each_payload(true, r, skip)) {
+      on_data(from, *seq, FrameType::kBatch, r);
       return;
     }
   } else if (type == static_cast<std::uint8_t>(FrameType::kAck) &&
@@ -230,17 +304,15 @@ SimTime ReliableNode::current_rto(ProcessId to) const {
 }
 
 bool ReliableNode::quiescent() const noexcept {
-  for (const auto& peer : tx_) {
-    if (!peer.window.empty()) return false;
-  }
-  return true;
+  return std::all_of(tx_.begin(), tx_.end(),
+                     [](const PeerTx& peer) { return peer.drained(); });
 }
 
 bool ReliableNode::quiescent_except(
     const std::vector<bool>& excluded) const noexcept {
   for (std::size_t p = 0; p < tx_.size(); ++p) {
     if (p < excluded.size() && excluded[p]) continue;
-    if (!tx_[p].window.empty()) return false;
+    if (!tx_[p].drained()) return false;
   }
   return true;
 }
@@ -250,18 +322,30 @@ void ReliableNode::skip_tx_sequences(std::uint64_t skip) noexcept {
 }
 
 void ReliableNode::snapshot(ByteWriter& w) const {
+  // One (seq, payload) pair per payload, in ascending seq order: the live
+  // entries' payloads, then the open batch's.
+  const auto put = [&w](std::uint64_t seq,
+                        std::span<const std::uint8_t> payload) {
+    w.u64(seq);
+    w.u64(payload.size());
+    w.bytes(payload);
+  };
   w.u64(tx_.size());
   for (const PeerTx& peer : tx_) {
     w.u64(peer.next_seq);
-    w.u64(static_cast<std::uint64_t>(
-        std::count_if(peer.window.begin(), peer.window.end(),
-                      [](const TxEntry& e) { return e.payload != nullptr; })));
+    std::uint64_t count = peer.open.size();
     for (const TxEntry& entry : peer.window) {
-      if (entry.payload == nullptr) continue;
-      w.u64(entry.seq);
-      w.u64(entry.payload->size());
-      w.bytes(*entry.payload);
+      if (entry.body != nullptr) count += entry.payloads;
     }
+    w.u64(count);
+    for (const TxEntry& entry : peer.window) {
+      if (entry.body == nullptr) continue;
+      (void)for_each_payload(entry.payloads > 1, ByteReader(*entry.body),
+                             [&](std::span<const std::uint8_t> payload) {
+                               put(entry.seq, payload);
+                             });
+    }
+    for (const Payload& payload : peer.open) put(peer.open_seq, *payload);
     w.u8(peer.have_rtt ? 1 : 0);
     w.u64(std::bit_cast<std::uint64_t>(peer.srtt));
     w.u64(std::bit_cast<std::uint64_t>(peer.rttvar));
@@ -278,25 +362,38 @@ void ReliableNode::snapshot(ByteWriter& w) const {
 bool ReliableNode::restore(ByteReader& r) {
   const auto n = r.u64();
   if (!n || *n != tx_.size()) return false;
+  open_batches_ = 0;  // every open batch is replaced below
   for (PeerTx& peer : tx_) {
     const auto next_seq = r.u64();
     const auto count = r.u64();
     if (!next_seq || !count) return false;
     peer.next_seq = *next_seq;
     peer.window.clear();
+    peer.open.clear();
+    peer.open_bytes = 0;
+    // Consecutive pairs under one seq are one batch, and seqs never fall
+    // (snapshot() writes each window in ascending seq order).  Restored
+    // entries count as retransmitted: their original send time is gone, so
+    // Karn's rule disqualifies them from RTT sampling.
     for (std::uint64_t i = 0; i < *count; ++i) {
       const auto seq = r.u64();
       const auto len = r.u64();
       if (!seq || !len) return false;
-      // snapshot() writes each window in ascending seq order.
-      if (!peer.window.empty() && *seq <= peer.window.back().seq) return false;
       const auto raw = r.take(static_cast<std::size_t>(*len));
       if (!raw) return false;
-      // Restored payloads count as retransmitted: their original send time
-      // is gone, so Karn's rule disqualifies them from RTT sampling.
-      peer.window.push_back(TxEntry{
-          *seq, make_payload({raw->begin(), raw->end()}), queue_->now(), true});
+      if (!peer.open.empty() && *seq != peer.open_seq) {
+        seal(peer, queue_->now(), true);
+      }
+      if (peer.open.empty()) {
+        if (!peer.window.empty() && *seq <= peer.window.back().seq) {
+          return false;
+        }
+        peer.open_seq = *seq;
+      }
+      peer.open.push_back(make_payload({raw->begin(), raw->end()}));
+      peer.open_bytes += varint_size(raw->size()) + raw->size();
     }
+    if (!peer.open.empty()) seal(peer, queue_->now(), true);
     const auto have = r.u8();
     const auto srtt = r.u64();
     const auto rttvar = r.u64();
@@ -320,7 +417,7 @@ bool ReliableNode::restore(ByteReader& r) {
   for (ProcessId to = 0; to < tx_.size(); ++to) {
     for (const TxEntry& entry : tx_[to].window) {
       ++stats_.retransmissions;
-      transmit(to, entry.seq, *entry.payload);
+      transmit(to, entry);
       arm_timer(to, entry.seq, 0, tx_[to].rto);
     }
   }

@@ -5,9 +5,9 @@
 // ever be delivered."  This substrate *builds* that assumption from a lossy,
 // duplicating network (see fault.h) with a classic per-channel ARQ:
 //
-//   * every payload gets a per-(sender→receiver) sequence number and is kept
-//     by the sender until acknowledged; a retransmission timer resends it
-//     until the ACK lands (at-least-once);
+//   * every payload is kept by the sender until acknowledged, under a
+//     per-(sender→receiver) sequence number; a retransmission timer resends
+//     it until the ACK lands (at-least-once);
 //   * the receiver delivers a sequence number at most once — a compact
 //     watermark-plus-set dedup — and acknowledges every DATA frame it sees,
 //     duplicates included (exactly-once upward);
@@ -22,6 +22,19 @@
 //     delivered upward immediately even if earlier ones are still missing.
 //     The DSM protocols order applies themselves; imposing FIFO here would
 //     silently hand ANBKH ordering it did not pay for.
+//
+// THE TICK EDGE.  A host whose event loop has a tick edge (the NetLoop hosts:
+// ProcessNode, ShardHost, CausalMemory) calls flush() there, ahead of the
+// transport's own flush.  From its first flush() on, the node is
+// tick-driven: send() appends the payload to its peer's OPEN batch, which
+// holds one fresh seq, and flush() transmits each open batch as one DATA
+// frame with one tx-window entry and one RTO timer.  A burst of k sends to a
+// peer within one tick costs one frame, not k.  A batch that would pass
+// kMaxBatchBytes is transmitted at once and the payload opens the next seq.
+// A node that never sees a tick edge (the simulator's) transmits every send
+// at once, as a batch of one.  Either way the payload joins the tx window in
+// send(), so a checkpoint taken before the tick edge covers it.  A
+// transmitted entry is immutable: a retransmission resends its bytes.
 //
 // The retransmission timeout is ADAPTIVE per peer, after RFC 6298: smoothed
 // RTT and RTT variance from ACK round-trips (SRTT ← 7/8·SRTT + 1/8·R,
@@ -38,21 +51,33 @@
 // abandonment means the simulation (or its fault plan) is broken.  Install
 // `on_abandon` to turn it into a callback instead (tests of the alarm path).
 //
-// Wire format: one byte frame type, then for DATA a varint sequence number
-// and the raw payload, for ACK one or more varint sequence numbers up to the
-// end of the frame (a one-seq ACK is [0x01][seq]).  ACKs are never
-// retransmitted — a lost ACK just provokes one more retransmission, which
-// the dedup absorbs.  Held ACKs are volatile for the same reason: a crash
-// loses them like ACK frames lost in flight, and no checkpoint carries them.
+// Wire format: one byte frame type, then
+//   DATA  [0x00][varint seq][payload]                  — a batch of one;
+//   BATCH [0x02][varint seq]([varint len][payload])+   — two or more, in
+//                                                        send order;
+//   ACK   [0x01]([varint seq])+                        — a one-seq ACK is
+//                                                        [0x01][seq].
+// A batch of one is the DATA frame, so a node that never batches (the
+// simulator's) keeps the wire bytes its pinned outputs were made with.  The
+// receiver dedupes a BATCH frame's one seq and delivers its payloads upward
+// in order.  A dropped or corrupted frame takes its whole batch with it, and
+// the ARQ resends it whole; a duplicated one is suppressed whole.  So
+// ReliableStats counts payloads in data_sent and delivered, and frames (or
+// tx entries) everywhere else.  ACKs are never retransmitted — a lost ACK
+// just provokes one more retransmission, which the dedup absorbs.  Held ACKs
+// are volatile for the same reason: a crash loses them like ACK frames lost
+// in flight, and no checkpoint carries them.
 //
-// The tx window of a channel is a deque of entries in ascending seq order:
+// The tx window of a channel is a deque of transmitted entries in ascending
+// seq order, plus the open batch (the highest seq, not yet on the wire):
 // send appends (seqs only grow), an ACK marks its entry retired and pops the
 // retired prefix, and a lookup is a binary search.  Entries carry their own
 // seq, so an epoch gap (skip_tx_sequences) costs nothing per skipped seq.
-// The window is walked in the same ascending order a seq-keyed map would be,
-// so snapshot bytes and the restore-time retransmission order are what they
-// were when the window was a std::map.  The receiver's in-order seqs only
-// move its watermark; the set holds just the seqs that arrived early.
+// Snapshots walk the window in ascending seq order, one (seq, payload) pair
+// per payload, so a window of single-payload entries snapshots the bytes a
+// seq-keyed map of payloads would, which the pinned crash digests read.  The
+// receiver's in-order seqs only move its watermark; the set holds just the
+// seqs that arrived early.
 //
 // For crash/recovery the node checkpoints: snapshot() serializes sequence
 // numbers, unacked payloads, RTT estimator state, and the receive dedup
@@ -79,14 +104,18 @@
 
 namespace dsm {
 
+/// What the ARQ did.  Payload counts and frame counts differ once the node
+/// batches: data_sent and delivered count payloads, every other field
+/// counts frames (a retransmitted batch is one retransmission).
 struct ReliableStats {
-  std::uint64_t data_sent = 0;        ///< first transmissions
-  std::uint64_t retransmissions = 0;
-  std::uint64_t acks_sent = 0;
+  std::uint64_t data_sent = 0;        ///< payloads sent (first sends)
+  std::uint64_t retransmissions = 0;  ///< DATA frames resent
+  std::uint64_t acks_sent = 0;        ///< ACK frames
   std::uint64_t delivered = 0;        ///< payloads handed to the upper layer
-  std::uint64_t duplicates_suppressed = 0;
-  std::uint64_t abandoned = 0;        ///< gave up after max_retries (bug alarm)
-  std::uint64_t rtt_samples = 0;      ///< ACKs that updated the RTT estimator
+  std::uint64_t duplicates_suppressed = 0;  ///< DATA frames seen before
+  std::uint64_t abandoned = 0;        ///< tx entries given up after
+                                      ///< max_retries (bug alarm)
+  std::uint64_t rtt_samples = 0;      ///< ACKed entries that sampled the RTT
   std::uint64_t malformed_dropped = 0;  ///< frames this class never produced
 
   static const StatField<ReliableStats> kFields[];
@@ -150,33 +179,46 @@ class ReliableNode final : public MessageSink {
   ReliableNode(const ReliableNode&) = delete;
   ReliableNode& operator=(const ReliableNode&) = delete;
 
+  /// Largest batch body (payloads and their length prefixes) a tick-driven
+  /// node lets a send grow: far below the transport's frame cap, and far
+  /// above a tick's burst of protocol messages.
+  static constexpr std::size_t kMaxBatchBytes = 64 * 1024;
+
   // -- sending (the upper layer's Endpoint calls these) ---------------------
 
   /// Queues `payload` for exactly-once delivery to `to`.
   ///
   /// \pre `to` is a valid process id on the network and `to != self`.
-  /// \post the payload has a fresh per-channel sequence number, a DATA
-  ///       frame is in flight, and a retransmission timer is armed; the
-  ///       payload is retained (by refcount, not copy) until the matching
-  ///       ACK arrives.
+  /// \post the payload is in `to`'s tx window, under a per-channel sequence
+  ///       number, until the matching ACK arrives.  Unless the node is
+  ///       tick-driven (see flush()), its DATA frame is in flight and a
+  ///       retransmission timer is armed.
   void send(ProcessId to, Payload payload);
 
   /// send() to every other process (the paper's broadcast primitive,
   /// footnote 5: fan-out unicast over reliable channels).  Every per-peer
-  /// retransmission queue shares the one payload buffer.
+  /// batch shares the one payload buffer until the tick edge encodes it.
   void broadcast(const Payload& payload);
+
+  /// The tick edge: transmit each peer's open batch as one DATA frame and
+  /// arm its retransmission timer.  The first call makes the node
+  /// tick-driven: from then on send() leaves its payload in the peer's open
+  /// batch until the next flush().  A loop calls it twice per pass, mostly
+  /// with nothing sent, so with no batch open it costs one compare.
+  void flush();
 
   // -- MessageSink (frames arriving from the network) ------------------------
 
-  /// Handles one raw frame from the network: DATA frames are ACKed (at
-  /// once, or held per config.ack_delay) and, if their sequence number is
-  /// new, delivered upward; duplicate DATA is suppressed (and re-ACKed);
-  /// each seq an ACK frame lists retires its tx entry and feeds the RTT
-  /// estimator (Karn's rule: only never-retransmitted packets sample).  A
-  /// frame this class never produced (bad type byte, truncated varint, an
-  /// ACK listing no seq) is dropped whole and counted in
-  /// stats().malformed_dropped — over real sockets a peer can say anything,
-  /// so garbage must not be able to abort the node.
+  /// Handles one raw frame from the network: DATA and BATCH frames are
+  /// ACKed (at once, or held per config.ack_delay) and, if their sequence
+  /// number is new, their payloads are delivered upward in order; a
+  /// duplicate is suppressed (and re-ACKed); each seq an ACK frame lists
+  /// retires its tx entry and feeds the RTT estimator (Karn's rule: only
+  /// never-retransmitted packets sample).  A frame this class never
+  /// produced (bad type byte, truncated varint, an ACK listing no seq, a
+  /// batch with no payload or one running past the frame's end) is dropped
+  /// whole and counted in stats().malformed_dropped — over real sockets a
+  /// peer can say anything, so garbage must not be able to abort the node.
   void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override;
 
   // -- checkpoint / restore --------------------------------------------------
@@ -210,7 +252,8 @@ class ReliableNode final : public MessageSink {
   /// \pre `to` is a valid process id.
   [[nodiscard]] SimTime current_rto(ProcessId to) const;
 
-  /// True when every sent payload has been acknowledged.
+  /// True when every sent payload has been acknowledged (an open batch
+  /// counts as unacknowledged).
   [[nodiscard]] bool quiescent() const noexcept;
 
   /// quiescent(), ignoring channels to peers flagged in `excluded`
@@ -223,26 +266,37 @@ class ReliableNode final : public MessageSink {
       const std::vector<bool>& excluded) const noexcept;
 
  private:
-  enum class FrameType : std::uint8_t { kData = 0, kAck = 1 };
+  enum class FrameType : std::uint8_t { kData = 0, kAck = 1, kBatch = 2 };
 
   struct TxEntry {
     std::uint64_t seq = 0;
-    Payload payload;            ///< shared with broadcast siblings; null once
-                                ///< retired (acked or abandoned)
+    /// The frame body after [type][seq]: a batch of one's payload (shared
+    /// with broadcast siblings), or a batch's length-prefixed payloads.
+    /// Null once retired (acked or abandoned).
+    Payload body;
     SimTime first_sent = 0;     ///< for the RTT sample
+    std::uint32_t payloads = 1; ///< > 1: a BATCH frame
     bool retransmitted = false; ///< Karn: retransmitted packets never sample
   };
   struct PeerTx {
     std::uint64_t next_seq = 1;
-    /// Sent, not yet acked, in ascending seq order.  Retired entries behind
-    /// a live one wait for it; the front entry is always live, so the
-    /// channel is drained iff the window is empty.
+    /// Transmitted, not yet acked, in ascending seq order.  Retired entries
+    /// behind a live one wait for it; the front entry is always live.
     std::deque<TxEntry> window;
+    /// The open batch: payloads sent under `open_seq` (above every seq in
+    /// `window`) and not yet transmitted.  Its storage is reused from tick
+    /// to tick.
+    std::uint64_t open_seq = 0;
+    std::vector<Payload> open;
+    std::size_t open_bytes = 0;  ///< batch body size: payloads + prefixes
     // RFC 6298 estimator (microseconds, as doubles for the EWMAs).
     bool have_rtt = false;
     double srtt = 0.0;
     double rttvar = 0.0;
     SimTime rto = 0;  ///< current RTO; initialized from config
+    [[nodiscard]] bool drained() const {
+      return window.empty() && open.empty();
+    }
   };
   struct PeerRx {
     std::uint64_t watermark = 0;            ///< all seq <= watermark seen
@@ -270,12 +324,16 @@ class ReliableNode final : public MessageSink {
   /// Retire `entry` and pop the retired prefix of `peer`'s window.
   static void retire(PeerTx& peer, TxEntry& entry);
 
-  void transmit(ProcessId to, std::uint64_t seq,
-                const std::vector<std::uint8_t>& payload);
+  /// Move `peer`'s open batch into the window as an entry sent at `now`
+  /// (encoding a batch's body once), and empty the batch.
+  static TxEntry& seal(PeerTx& peer, SimTime now, bool retransmitted);
+  /// seal() `to`'s open batch, transmit it and arm its RTO timer.
+  void send_open(ProcessId to);
+  void transmit(ProcessId to, const TxEntry& entry);
   void arm_timer(ProcessId to, std::uint64_t seq, std::size_t attempt,
                  SimTime interval);
-  void on_data(ProcessId from, std::uint64_t seq,
-               std::span<const std::uint8_t> payload);
+  void on_data(ProcessId from, std::uint64_t seq, FrameType type,
+               ByteReader body);
   void on_ack(ProcessId from, std::uint64_t seq);
   /// Send `to`'s pending ACKs as one frame and disarm its ACK timer.
   void flush_acks(ProcessId to);
@@ -283,9 +341,6 @@ class ReliableNode final : public MessageSink {
   [[nodiscard]] SimTime clamp_rto(double rto_us) const;
   [[nodiscard]] SimTime jitter(ProcessId to, std::uint64_t seq,
                                std::size_t attempt, SimTime interval) const;
-
-  static std::vector<std::uint8_t> encode_data(
-      std::uint64_t seq, std::span<const std::uint8_t> payload);
 
   EventQueue* queue_;
   DatagramTransport* network_;
@@ -295,6 +350,8 @@ class ReliableNode final : public MessageSink {
   std::vector<PeerTx> tx_;
   std::vector<PeerRx> rx_;
   ReliableStats stats_;
+  bool tick_driven_ = false;  ///< set by the first flush()
+  std::size_t open_batches_ = 0;  ///< peers whose open batch is non-empty
   /// Outstanding timer lambdas check this token: when the node is destroyed
   /// (crash path) the events already in the queue become no-ops instead of
   /// touching freed memory.

@@ -197,15 +197,9 @@ const TraceBuffer& RunTelemetry::trace() const {
   return *trace_;
 }
 
-void RunTelemetry::set_clock(ClockFn clock) {
-  std::lock_guard lock(clock_mu_);
-  clock_ = std::move(clock);
-}
+void RunTelemetry::set_clock(ClockFn clock) { clock_ = std::move(clock); }
 
-std::uint64_t RunTelemetry::now() const {
-  std::lock_guard lock(clock_mu_);
-  return clock_ ? clock_() : 0;
-}
+std::uint64_t RunTelemetry::now() const { return clock_ ? clock_() : 0; }
 
 ProtocolObserver& RunTelemetry::observe_through(ProtocolObserver& downstream) {
   tee_ = std::make_unique<Tee>(*this, downstream);

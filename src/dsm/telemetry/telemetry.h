@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,8 +62,12 @@ class RunTelemetry {
   RunTelemetry(const RunTelemetry&) = delete;
   RunTelemetry& operator=(const RunTelemetry&) = delete;
 
-  /// Install (or clear, with {}) the timestamp source.  Harnesses install
-  /// their clock before events flow and clear it when the run ends.
+  /// Install (or clear, with {}) the timestamp source.
+  ///
+  /// \pre no thread is recording events: a harness installs its clock
+  ///      before any event flows and clears it only after every thread that
+  ///      records has stopped.  now() reads the clock without a lock, so a
+  ///      swap racing a recording thread is a data race.
   void set_clock(ClockFn clock);
 
   /// Current timestamp (0 when no clock is installed).
@@ -125,7 +128,6 @@ class RunTelemetry {
 
   MetricsRegistry metrics_;
   std::unique_ptr<TraceBuffer> trace_;  ///< null unless Trace::kKeep
-  mutable std::mutex clock_mu_;
   ClockFn clock_;
   std::unique_ptr<Tee> tee_;
   std::vector<std::unique_ptr<NodeInstr>> instr_;

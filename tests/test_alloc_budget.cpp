@@ -2,8 +2,9 @@
 // the global operator new so it can count every allocation, then checks:
 //
 //   * a replicated write on three node stacks (TCP on one NetLoop, the ARQ
-//     with held ACKs, the telemetry tee and the run recorder) costs the
-//     cluster at most kWriteBudget allocations, warm-up excluded;
+//     with held ACKs and its tick edge, the telemetry tee and the run
+//     recorder) costs the cluster at most kWriteBudget allocations, warm-up
+//     excluded, and 600 single-write hops at most kHopsBudget;
 //   * steady-state frame reassembly, in-order ARQ dedupe and the tee's
 //     receipt bookkeeping allocate nothing at all;
 //   * an epoch gap in the ARQ's tx sequences leaves its window's heap
@@ -77,11 +78,22 @@ std::int64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed);
 }
 
-/// Heap allocations a replicated write may cost the three nodes together.
-/// What remains per write: the payload buffers and their Payload handles,
-/// each DATA frame's buffer and handle, the RTO timer closures, the held-ACK
-/// timers, the decoded clock vectors and the run log's growth.
-constexpr double kWriteBudget = 12.0;
+/// Heap allocations a replicated write may cost the three nodes together,
+/// in bursts of 32 writes per node (measured 4.53).  What remains per write:
+/// the payload buffers and their Payload handles, the decoded clock vectors
+/// and the run log's growth.  Each node's burst leaves as one DATA frame per
+/// peer, so the frame buffers and handles, the batch bodies, the RTO timer
+/// closures and the held-ACK timers are shared by the burst.
+constexpr double kWriteBudget = 5.0;
+
+/// Heap allocations 600 single-write hops may cost the three nodes together.
+/// When every payload had a DATA frame of its own they cost 9864 (16.44 per
+/// hop) in every run on an idle host, and a batch of one is that frame.  A
+/// loaded host adds a stray one now and then; one more allocation per hop
+/// would read 10464.  With one write in flight, every ACK goes out on its
+/// held-ACK timer.
+constexpr std::size_t kHops = 600;
+constexpr std::uint64_t kHopsBudget = 9900;
 
 struct NullSink final : MessageSink {
   std::uint64_t frames = 0;
@@ -126,7 +138,7 @@ constexpr std::size_t kVars = 8;
 /// One process's layers, as a node process stacks them.
 struct Node {
   Node(NetLoop& loop, ProcessId self, std::vector<std::string> peers,
-       int listen_fd)
+       int listen_fd, const ReliableConfig& arq)
       : telemetry(kProcs),
         recorder(kProcs, kVars, [&loop] { return loop.queue().now(); }),
         counter(recorder),
@@ -140,9 +152,11 @@ struct Node {
     shape.n_procs = kProcs;
     shape.n_vars = kVars;
     stack = std::make_unique<NodeStack>(loop.queue(), transport, shape,
-                                        net_reliable_defaults(),
-                                        telemetry.observe_through(counter),
+                                        arq, telemetry.observe_through(counter),
                                         &telemetry);
+    // The ARQ's tick edge, registered ahead of the transport's flush (the
+    // cluster starts the transports after building every node).
+    loop.add_tick_hook([this] { stack->tick(); });
   }
 
   /// The script runner's write step.
@@ -162,7 +176,7 @@ struct Node {
 
 class Cluster {
  public:
-  Cluster() {
+  explicit Cluster(const ReliableConfig& arq = net_reliable_defaults()) {
     std::vector<std::string> peers(kProcs);
     std::vector<int> fds(kProcs);
     for (std::size_t p = 0; p < kProcs; ++p) {
@@ -171,7 +185,7 @@ class Cluster {
     }
     for (std::size_t p = 0; p < kProcs; ++p) {
       nodes_.push_back(std::make_unique<Node>(
-          loop_, static_cast<ProcessId>(p), peers, fds[p]));
+          loop_, static_cast<ProcessId>(p), peers, fds[p], arq));
     }
     for (auto& node : nodes_) node->transport.start();
     pump([this] {
@@ -201,6 +215,19 @@ class Cluster {
       if (!pump([this] { return settled(); })) return 0;
     }
     return writes;
+  }
+
+  /// `hops` writes with one in flight, as procbench's proc-chain workload
+  /// runs: node h mod 3 writes hop h once hop h − 1 is applied everywhere
+  /// and every ARQ channel is acknowledged.  Returns the writes issued.
+  std::uint64_t run_chain(std::size_t hops) {
+    for (std::size_t h = 0; h < hops; ++h) {
+      nodes_[h % kProcs]->write(static_cast<VarId>(h % kVars),
+                                static_cast<Value>(++value_));
+      ++expected_applies_;
+      if (!pump([this] { return settled(); })) return 0;
+    }
+    return hops;
   }
 
   bool settled() {
@@ -243,6 +270,27 @@ TEST(AllocBudget, ReplicatedWriteOnThreeNodeStacks) {
   std::printf("allocations per replicated write: %.2f (%llu writes)\n",
               per_write, static_cast<unsigned long long>(writes));
   EXPECT_LE(per_write, kWriteBudget);
+}
+
+TEST(AllocBudget, SingleWriteHopKeepsTodaysFrame) {
+  // One write in flight: every tick-edge batch carries one payload, so the
+  // ARQ sends the plain DATA frame it sent before batching, and a hop must
+  // not allocate more than it did then.  The RTO is raised to 1 s so that
+  // a loaded host's stalls provoke no retransmission to count.
+  ReliableConfig arq = net_reliable_defaults();
+  arq.rto = arq.min_rto = sim_s(1);
+  arq.max_rto = sim_s(2);
+  Cluster cluster(arq);
+  ASSERT_GT(cluster.run_chain(96), 0u) << "warm-up never settled";
+  const std::uint64_t before = allocs();
+  const std::uint64_t writes = cluster.run_chain(kHops);
+  const std::uint64_t spent = allocs() - before;
+  ASSERT_GT(writes, 0u) << "a measured hop never settled";
+  const double per_write =
+      static_cast<double>(spent) / static_cast<double>(writes);
+  std::printf("allocations per single-write hop: %.2f (%llu writes)\n",
+              per_write, static_cast<unsigned long long>(writes));
+  EXPECT_LE(spent, kHopsBudget);
 }
 
 TEST(AllocBudget, FrameReassemblyAllocatesNothing) {

@@ -587,6 +587,59 @@ TEST(NetLoop, SubMillisecondTimersSleepMicroseconds) {
   EXPECT_LT(best, std::chrono::milliseconds(10));
 }
 
+TEST(NetLoop, ReadyAckIsReadBeforeAnOverdueRtoFires) {
+  // A stall longer than the RTO: the loop wakes with the ACK that retires
+  // the entry already in its pipe and the RTO timer overdue.  The loop reads
+  // first, so the timer finds the entry retired and resends nothing.
+  NetLoop loop;
+  struct Wire final : DatagramTransport {
+    void attach(ProcessId, MessageSink&) override {}
+    void send(ProcessId, ProcessId, Payload) override { ++frames; }
+    [[nodiscard]] std::size_t n_procs() const override { return 2; }
+    std::size_t frames = 0;
+  } wire;
+  struct Upper final : MessageSink {
+    void deliver(ProcessId, std::span<const std::uint8_t>) override {}
+  } upper;
+  const ReliableConfig cfg = net_reliable_defaults();
+  ReliableNode node(loop.queue(), wire, 0, upper, cfg);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  loop.watch(fds[0], [&](NetLoop::Ready) {
+    std::uint8_t buf[16];
+    const ssize_t n = ::read(fds[0], buf, sizeof buf);
+    if (n > 0) node.deliver(1, {buf, static_cast<std::size_t>(n)});
+  });
+  bool stall = false;
+  loop.add_tick_hook([&] {
+    if (!stall) return;
+    stall = false;
+    // Well past the initial RTO plus its jitter (at most a quarter of it).
+    std::this_thread::sleep_for(std::chrono::microseconds(2 * cfg.rto));
+  });
+  loop.poll_once(0);  // bring the loop's clock up to the wall
+
+  node.send(1, make_payload({7}));  // seq 1, its RTO timer armed
+  const std::uint8_t ack[] = {0x01, 1};
+  ASSERT_EQ(::write(fds[1], ack, sizeof ack), 2);
+  stall = true;
+  loop.poll_once(sim_ms(50));  // stalls in its pre-poll edge, wakes late
+
+  EXPECT_FALSE(stall);
+  EXPECT_TRUE(node.quiescent());
+  EXPECT_EQ(node.stats().retransmissions, 0u);
+  EXPECT_EQ(wire.frames, 1u);
+  // The ACK's RTT sample ends at the overdue timer's due time, rto plus its
+  // jitter (at most a quarter of rto), not at the wake 2·rto or more after
+  // the send.  A first sample r sets the RTO to r + 4·(r/2) = 3r.
+  EXPECT_EQ(node.stats().rtt_samples, 1u);
+  EXPECT_GE(node.current_rto(1), 3 * cfg.rto);
+  EXPECT_LE(node.current_rto(1), 3 * cfg.rto + 3 * cfg.rto / 4);
+  loop.unwatch(fds[0]);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
 TEST(NetLoop, CallbackSeesTheTimeTheLoopWoke) {
   // After an idle sleep of at least 2 ms, a callback's clock reads no
   // earlier than the wall time at which the peer wrote.

@@ -6,6 +6,7 @@
 #include <stdlib.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -125,6 +126,45 @@ TEST(NodeStack, AcksHeldAtAKillAreRepairedByThePeersRetransmission) {
   EXPECT_TRUE(pair.stacks[1]->quiescent());
   EXPECT_EQ(pair.observer.receipts[1], 1u);
   EXPECT_EQ(pair.stacks[1]->host().protocol().peek(0).value, 5);
+}
+
+TEST(NodeStack, KillWithAnOpenBatchRestartsAndDeliversItOnce) {
+  StackPair pair;
+  // A tick edge every 200 µs, as a NetLoop host has one per pass; the first,
+  // at time 0, makes both ARQs tick-driven.
+  std::function<void()> tick = [&] {
+    for (auto& stack : pair.stacks) stack->tick();
+    if (pair.queue.now() < sim_ms(50)) {
+      pair.queue.schedule_after(sim_us(200), tick);
+    }
+  };
+  tick();
+  // Three writes in one tick: one open batch to p1, in each checkpoint.
+  for (Value v = 1; v <= 3; ++v) pair.write(0, v);
+  ASSERT_NE(pair.stacks[0]->arq(), nullptr);
+  EXPECT_EQ(pair.stacks[0]->arq()->stats().data_sent, 3u);
+  EXPECT_FALSE(pair.stacks[0]->quiescent());
+
+  // Killed before the tick edge: nothing of the batch reached the wire.
+  pair.stacks[0]->kill();
+  pair.queue.run_until(sim_ms(1));
+  EXPECT_EQ(pair.observer.receipts[1], 0u);
+
+  // The restored ARQ resends the batch as one frame; p1 gets every payload
+  // once, in order, and the last write wins.
+  pair.stacks[0]->restart();
+  ASSERT_NE(pair.stacks[0]->arq(), nullptr);
+  EXPECT_EQ(pair.stacks[0]->arq()->stats().retransmissions, 1u);
+  pair.queue.run_until(sim_ms(60));
+  EXPECT_EQ(pair.observer.receipts[1], 3u);
+  // Every payload p0 sent (the three writes and its catch-up request)
+  // reached p1 exactly once.
+  EXPECT_EQ(pair.stacks[1]->reliable_stats().delivered,
+            pair.stacks[0]->reliable_stats().data_sent);
+  EXPECT_EQ(pair.stacks[1]->reliable_stats().duplicates_suppressed, 0u);
+  EXPECT_EQ(pair.stacks[1]->host().protocol().peek(0).value, 3);
+  EXPECT_TRUE(pair.stacks[0]->quiescent());
+  EXPECT_TRUE(pair.stacks[1]->quiescent());
 }
 
 TEST(NodeStack, DecodeRejectsTruncatedFraming) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -492,12 +494,19 @@ TEST(ReliableNode, MalformedFramesAreDroppedAndCounted) {
 
   const Bytes garbage[] = {
       {},                // no type byte
-      {0x02, 1},         // unknown type
+      {0x03, 1},         // unknown type
       {0x00},            // DATA without a seq
       {0x00, 0x80},      // DATA with a truncated seq
       {0x01},            // ACK listing no seq
       {0x01, 0x80},      // ACK whose only seq is truncated
       {0x01, 1, 0x82},   // valid seq 1, then a truncated one: nothing retires
+      {0x02, 0x80},      // BATCH with a truncated seq
+      {0x02, 1},         // BATCH carrying no payload
+      {0x02, 1, 0x80},   // BATCH whose length prefix is truncated
+      {0x02, 1, 2, 0xA1},  // BATCH whose payload runs past the frame end
+      // A whole first payload, then one running past the end: neither is
+      // delivered, and the seq is not acknowledged.
+      {0x02, 1, 1, 0xA1, 3, 0xA2},
   };
   for (const Bytes& frame : garbage) node.deliver(1, frame);
 
@@ -527,44 +536,82 @@ class RecordingWire final : public DatagramTransport {
   std::vector<std::pair<ProcessId, Bytes>> sent;
 };
 
-/// One DATA frame as the node sent it.
+/// One DATA or BATCH frame as the node sent it.
 struct SentData {
   ProcessId to;
   std::uint64_t seq;
-  Bytes payload;
+  std::vector<Bytes> payloads;
   friend bool operator==(const SentData&, const SentData&) = default;
 };
 
 SentData parse_data(const std::pair<ProcessId, Bytes>& frame) {
   ByteReader r(frame.second);
-  EXPECT_EQ(r.u8(), std::optional<std::uint8_t>{0});
+  const auto type = r.u8();
   const auto seq = r.u64();
   EXPECT_TRUE(seq.has_value());
-  const auto rest = r.rest();
-  return {frame.first, seq.value_or(0), Bytes(rest.begin(), rest.end())};
+  SentData d{frame.first, seq.value_or(0), {}};
+  if (type == std::optional<std::uint8_t>{0}) {
+    const auto rest = r.rest();
+    d.payloads.emplace_back(rest.begin(), rest.end());
+    return d;
+  }
+  EXPECT_EQ(type, std::optional<std::uint8_t>{2});
+  while (r.remaining() > 0) {
+    const auto payload = r.take(static_cast<std::size_t>(r.u64().value_or(0)));
+    EXPECT_TRUE(payload.has_value());
+    if (!payload) break;
+    d.payloads.emplace_back(payload->begin(), payload->end());
+  }
+  EXPECT_GE(d.payloads.size(), 2u) << "a batch of one is a DATA frame";
+  return d;
 }
 
-/// The tx windows of node 0 kept as seq-keyed maps: the reference every
-/// walk of the window (snapshot, restore) must match entry for entry.
+/// The tx windows of node 0 kept as seq-keyed maps of payload lists, plus
+/// each peer's open batch: the reference every walk of the window
+/// (snapshot, restore) must match entry for entry.
 struct WindowModel {
+  using Entries = std::map<std::uint64_t, std::vector<Bytes>>;
   std::vector<std::uint64_t> next_seq = std::vector<std::uint64_t>(3, 1);
-  std::vector<std::map<std::uint64_t, Bytes>> unacked =
-      std::vector<std::map<std::uint64_t, Bytes>>(3);
+  std::vector<Entries> unacked = std::vector<Entries>(3);
+  /// Sent under one seq, not yet transmitted (tick-driven nodes only).
+  std::vector<std::optional<std::pair<std::uint64_t, std::vector<Bytes>>>>
+      open = decltype(open)(3);
 
-  /// What restore() must retransmit, in order.
+  void send(ProcessId to, const Bytes& payload, bool batched) {
+    if (!open[to]) open[to].emplace(next_seq[to]++, std::vector<Bytes>{});
+    open[to]->second.push_back(payload);
+    if (!batched) transmit(to);
+  }
+  /// The open batch of `to` goes on the wire; what the node must send.
+  std::optional<SentData> transmit(ProcessId to) {
+    if (!open[to]) return std::nullopt;
+    auto [seq, payloads] = std::move(*open[to]);
+    open[to].reset();
+    unacked[to][seq] = payloads;
+    return SentData{to, seq, std::move(payloads)};
+  }
+
+  [[nodiscard]] bool drained(ProcessId to) const {
+    return unacked[to].empty() && !open[to];
+  }
+
+  /// What restore() must retransmit, in order: every window, open batches
+  /// included.
   [[nodiscard]] std::vector<SentData> in_order() const {
     std::vector<SentData> out;
     for (ProcessId to = 0; to < 3; ++to) {
-      for (const auto& [seq, payload] : unacked[to]) {
-        out.push_back({to, seq, payload});
+      for (const auto& [seq, payloads] : unacked[to]) {
+        out.push_back({to, seq, payloads});
       }
+      if (open[to]) out.push_back({to, open[to]->first, open[to]->second});
     }
     return out;
   }
 
-  /// `snapshot` with every tx window re-encoded from the model, and the
-  /// RTT and rx sections copied: equal to `snapshot` iff the node's windows
-  /// hold what the model holds, in the model's order.
+  /// `snapshot` with every tx window re-encoded from the model, one
+  /// (seq, payload) pair per payload, and the RTT and rx sections copied:
+  /// equal to `snapshot` iff the node's windows hold what the model holds,
+  /// in the model's order.
   [[nodiscard]] Bytes expected_snapshot(const Bytes& snapshot) const {
     ByteReader r(snapshot);
     ByteWriter w;
@@ -579,11 +626,19 @@ struct WindowModel {
         (void)r.take(static_cast<std::size_t>(r.u64().value_or(0)));
       }
       w.u64(next_seq[to]);
-      w.u64(unacked[to].size());
-      for (const auto& [seq, payload] : unacked[to]) {
+      const std::vector<SentData> entries = in_order();
+      std::vector<std::pair<std::uint64_t, const Bytes*>> pairs;
+      for (const SentData& entry : entries) {
+        if (entry.to != to) continue;
+        for (const Bytes& payload : entry.payloads) {
+          pairs.emplace_back(entry.seq, &payload);
+        }
+      }
+      w.u64(pairs.size());
+      for (const auto& [seq, payload] : pairs) {
         w.u64(seq);
-        w.u64(payload.size());
-        w.bytes(payload);
+        w.u64(payload->size());
+        w.bytes(*payload);
       }
       w.u8(r.u8().value_or(0));  // have_rtt, srtt, rttvar, rto
       for (int field = 0; field < 3; ++field) w.u64(r.u64().value_or(0));
@@ -600,103 +655,166 @@ Bytes snapshot_of(const ReliableNode& node) {
   return std::move(w).take();
 }
 
-// Random send / ack / retransmit / abandon / snapshot / restore sequences,
-// with an epoch gap of 10⁶ seqs halfway: the window must hold exactly what
-// a seq-keyed map would, so snapshot bytes and restore's retransmission
-// order stay what they were when the window was one.
+// Random send / tick / ack / retransmit / abandon / snapshot / restore
+// sequences, with an epoch gap of 10⁶ seqs halfway: the window must hold
+// exactly what a seq-keyed map would, so snapshot bytes and restore's
+// retransmission order stay what they were when the window was one.  Run
+// once sending at once and once tick-driven, where sends between two ticks
+// to one peer are one entry holding a payload list.
 TEST(ReliableNode, TxWindowMatchesASeqKeyedMapModel) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    SCOPED_TRACE(seed);
-    Rng rng(seed);
-    EventQueue queue;
-    RecordingWire wire;
-    CollectingSink sink;
-    WindowModel model;
-    WindowModel abandoned;  // entries given up on, by the same keys
-    ReliableConfig cfg;
-    cfg.max_retries = 3;
-    cfg.on_abandon = [&](ProcessId to, std::uint64_t seq) {
-      const auto it = model.unacked[to].find(seq);
-      ASSERT_NE(it, model.unacked[to].end()) << "abandoned seq " << seq;
-      abandoned.unacked[to].insert(model.unacked[to].extract(it));
-    };
-    auto node = std::make_unique<ReliableNode>(queue, wire, 0, sink, cfg);
-    std::uint64_t restores = 0;
-    for (int step = 0; step < 3000; ++step) {
-      if (step == 1500) {
-        node->skip_tx_sequences(1'000'000);
-        for (std::uint64_t& next : model.next_seq) next += 1'000'000;
-      }
-      const std::uint64_t op = rng.below(100);
-      if (op < 45) {
-        const auto to = static_cast<ProcessId>(1 + rng.below(2));
-        const Bytes payload{static_cast<std::uint8_t>(step),
-                            static_cast<std::uint8_t>(step >> 8)};
-        wire.sent.clear();
-        node->send(to, make_payload(payload));
-        const std::uint64_t seq = model.next_seq[to]++;
-        model.unacked[to][seq] = payload;
-        ASSERT_EQ(wire.sent.size(), 1u);
-        EXPECT_EQ(parse_data(wire.sent[0]), (SentData{to, seq, payload}));
-      } else if (op < 80) {
-        // Ack a few seqs of one peer: live ones anywhere in the window,
-        // and now and then one already retired or never sent.
-        const auto from = static_cast<ProcessId>(1 + rng.below(2));
-        ByteWriter ack;
-        ack.u8(1);
-        const std::uint64_t k = 1 + rng.below(4);
-        for (std::uint64_t i = 0; i < k; ++i) {
-          std::uint64_t seq = 1 + rng.below(model.next_seq[from] + 2);
-          if (!model.unacked[from].empty() && rng.below(4) != 0) {
-            auto it = model.unacked[from].begin();
-            std::advance(it, static_cast<std::ptrdiff_t>(
-                                 rng.below(model.unacked[from].size())));
-            seq = it->first;
-          }
-          ack.u64(seq);
-          model.unacked[from].erase(seq);
+  for (const bool batched : {false, true}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      SCOPED_TRACE(testing::Message() << "batched " << batched << " seed "
+                                      << seed);
+      Rng rng(seed);
+      EventQueue queue;
+      RecordingWire wire;
+      CollectingSink sink;
+      WindowModel model;
+      WindowModel abandoned;  // entries given up on, by the same keys
+      ReliableConfig cfg;
+      cfg.max_retries = 3;
+      cfg.on_abandon = [&](ProcessId to, std::uint64_t seq) {
+        const auto it = model.unacked[to].find(seq);
+        ASSERT_NE(it, model.unacked[to].end()) << "abandoned seq " << seq;
+        abandoned.unacked[to].insert(model.unacked[to].extract(it));
+      };
+      const auto fresh_node = [&] {
+        auto node = std::make_unique<ReliableNode>(queue, wire, 0, sink, cfg);
+        if (batched) node->flush();  // a tick edge: tick-driven from now on
+        return node;
+      };
+      auto node = fresh_node();
+      std::uint64_t restores = 0;
+      std::size_t widest = 0;
+      for (int step = 0; step < 3000; ++step) {
+        if (step == 1500) {
+          node->skip_tx_sequences(1'000'000);
+          for (std::uint64_t& next : model.next_seq) next += 1'000'000;
         }
-        node->deliver(from, ack.buffer());
-      } else if (op < 92) {
-        // Let RTO timers fire: every retransmission is an entry that was
-        // live when it went out, byte for byte; entries out of retries are
-        // abandoned, possibly after a retransmission in the same stretch.
-        wire.sent.clear();
-        queue.run_until(queue.now() + rng.below(sim_ms(30)));
-        for (const auto& frame : wire.sent) {
-          const SentData d = parse_data(frame);
-          auto it = model.unacked[d.to].find(d.seq);
-          if (it == model.unacked[d.to].end()) {
-            it = abandoned.unacked[d.to].find(d.seq);
-            ASSERT_NE(it, abandoned.unacked[d.to].end()) << "seq " << d.seq;
+        const std::uint64_t op = rng.below(100);
+        if (op < 45) {
+          const auto to = static_cast<ProcessId>(1 + rng.below(2));
+          const Bytes payload{static_cast<std::uint8_t>(step),
+                              static_cast<std::uint8_t>(step >> 8)};
+          wire.sent.clear();
+          node->send(to, make_payload(payload));
+          model.send(to, payload, batched);
+          if (batched) {
+            EXPECT_TRUE(wire.sent.empty()) << "a send waits for the tick";
+          } else {
+            ASSERT_EQ(wire.sent.size(), 1u);
+            const auto& [seq, payloads] = *model.unacked[to].rbegin();
+            EXPECT_EQ(parse_data(wire.sent[0]), (SentData{to, seq, payloads}));
           }
-          EXPECT_EQ(d.payload, it->second);
+        } else if (op < 55 && batched) {
+          // The tick edge: one frame per peer with an open batch, in peer
+          // order, carrying the batch's payloads in send order.
+          wire.sent.clear();
+          node->flush();
+          std::vector<SentData> expected;
+          for (ProcessId to = 1; to < 3; ++to) {
+            if (model.open[to]) {
+              widest = std::max(widest, model.open[to]->second.size());
+            }
+            if (auto d = model.transmit(to)) expected.push_back(std::move(*d));
+          }
+          std::vector<SentData> sent;
+          for (const auto& frame : wire.sent) sent.push_back(parse_data(frame));
+          EXPECT_EQ(sent, expected);
+        } else if (op < 55) {
+          // Sends go out at once: no tick edge.
+        } else if (op < 80) {
+          // Ack a few seqs of one peer: live ones anywhere in the window,
+          // and now and then one already retired, never sent, or still in
+          // the open batch (which an ACK must not retire).
+          const auto from = static_cast<ProcessId>(1 + rng.below(2));
+          ByteWriter ack;
+          ack.u8(1);
+          const std::uint64_t k = 1 + rng.below(4);
+          for (std::uint64_t i = 0; i < k; ++i) {
+            std::uint64_t seq = 1 + rng.below(model.next_seq[from] + 2);
+            if (!model.unacked[from].empty() && rng.below(4) != 0) {
+              auto it = model.unacked[from].begin();
+              std::advance(it, static_cast<std::ptrdiff_t>(
+                                   rng.below(model.unacked[from].size())));
+              seq = it->first;
+            }
+            ack.u64(seq);
+            model.unacked[from].erase(seq);
+          }
+          node->deliver(from, ack.buffer());
+        } else if (op < 90) {
+          // Let RTO timers fire: every retransmission is an entry that was
+          // live when it went out, byte for byte; entries out of retries are
+          // abandoned, possibly after a retransmission in the same stretch.
+          wire.sent.clear();
+          queue.run_until(queue.now() + rng.below(sim_ms(30)));
+          for (const auto& frame : wire.sent) {
+            const SentData d = parse_data(frame);
+            auto it = model.unacked[d.to].find(d.seq);
+            if (it == model.unacked[d.to].end()) {
+              it = abandoned.unacked[d.to].find(d.seq);
+              ASSERT_NE(it, abandoned.unacked[d.to].end()) << "seq " << d.seq;
+            }
+            EXPECT_EQ(d.payloads, it->second);
+          }
+        } else if (op < 96) {
+          const Bytes snap = snapshot_of(*node);
+          ASSERT_EQ(snap, model.expected_snapshot(snap));
+        } else {
+          // Crash and restore: the fresh node retransmits every window in
+          // (peer, seq) order, an open batch as one frame of its own, and
+          // snapshots the same bytes it restored.
+          const Bytes snap = snapshot_of(*node);
+          wire.sent.clear();
+          auto fresh = fresh_node();
+          ByteReader r(snap);
+          ASSERT_TRUE(fresh->restore(r));
+          node = std::move(fresh);
+          std::vector<SentData> resent;
+          for (const auto& frame : wire.sent) {
+            resent.push_back(parse_data(frame));
+          }
+          EXPECT_EQ(resent, model.in_order());
+          for (ProcessId to = 1; to < 3; ++to) (void)model.transmit(to);
+          EXPECT_EQ(snapshot_of(*node), snap);
+          ++restores;
         }
-      } else if (op < 97) {
-        const Bytes snap = snapshot_of(*node);
-        ASSERT_EQ(snap, model.expected_snapshot(snap));
-      } else {
-        // Crash and restore: the fresh node retransmits every window in
-        // (peer, seq) order and snapshots the same bytes it restored.
-        const Bytes snap = snapshot_of(*node);
-        wire.sent.clear();
-        auto fresh = std::make_unique<ReliableNode>(queue, wire, 0, sink, cfg);
-        ByteReader r(snap);
-        ASSERT_TRUE(fresh->restore(r));
-        node = std::move(fresh);
-        std::vector<SentData> resent;
-        for (const auto& frame : wire.sent) resent.push_back(parse_data(frame));
-        EXPECT_EQ(resent, model.in_order());
-        EXPECT_EQ(snapshot_of(*node), snap);
-        ++restores;
+        ASSERT_EQ(node->quiescent(), model.drained(1) && model.drained(2));
       }
-      ASSERT_EQ(node->quiescent(),
-                model.unacked[1].empty() && model.unacked[2].empty());
+      EXPECT_FALSE(abandoned.in_order().empty());
+      EXPECT_GT(restores, 0u);
+      EXPECT_GT(model.next_seq[1], 1'000'000u);
+      if (batched) {
+        EXPECT_GE(widest, 3u) << "no multi-payload batch formed";
+      }
     }
-    EXPECT_FALSE(abandoned.in_order().empty());
-    EXPECT_GT(restores, 0u);
-    EXPECT_GT(model.next_seq[1], 1'000'000u);
   }
+}
+
+TEST(ReliableNode, ABatchAtTheByteCapLeavesAndTheNextSendOpensANewSeq) {
+  EventQueue queue;
+  RecordingWire wire;
+  CollectingSink sink;
+  ReliableNode node(queue, wire, 0, sink);
+  node.flush();  // a tick edge: tick-driven from now on
+  // Each 1000-byte payload takes 1002 batch bytes with its length prefix.
+  constexpr std::size_t kSize = 1000;
+  constexpr std::size_t kFit = ReliableNode::kMaxBatchBytes / (kSize + 2);
+  std::vector<Bytes> payloads;
+  for (std::size_t i = 0; i <= kFit; ++i) {
+    payloads.emplace_back(kSize, static_cast<std::uint8_t>(i));
+    node.send(1, make_payload(payloads.back()));
+  }
+  // The send that would have passed the cap sent the full batch at once.
+  ASSERT_EQ(wire.sent.size(), 1u);
+  EXPECT_EQ(parse_data(wire.sent[0]),
+            (SentData{1, 1, {payloads.begin(), payloads.end() - 1}}));
+  node.flush();
+  ASSERT_EQ(wire.sent.size(), 2u);
+  EXPECT_EQ(parse_data(wire.sent[1]), (SentData{1, 2, {payloads.back()}}));
+  EXPECT_EQ(node.stats().data_sent, kFit + 1);
 }
 
 // --------------------------- combined drop + duplicate + reorder stress -----
@@ -704,6 +822,7 @@ TEST(ReliableNode, TxWindowMatchesASeqKeyedMapModel) {
 struct StressParams {
   std::uint64_t seed;
   SimTime ack_delay = 0;
+  SimTime tick = 0;  ///< > 0: tick-driven nodes, a tick edge this often
 };
 
 // Rows with immediate ACKs print as their bare seed, the suite's original
@@ -711,6 +830,7 @@ struct StressParams {
 void PrintTo(const StressParams& p, std::ostream* os) {
   *os << p.seed;
   if (p.ack_delay > 0) *os << "_ack_delay_" << p.ack_delay;
+  if (p.tick > 0) *os << "_tick_" << p.tick;
 }
 
 class ArqStress : public ::testing::TestWithParam<StressParams> {};
@@ -726,14 +846,38 @@ TEST_P(ArqStress, ExactlyOnceBothWaysUnderCombinedFaults) {
   plan.seed = seed;
   ReliableConfig config;
   config.ack_delay = GetParam().ack_delay;
+  const SimTime tick = GetParam().tick;
   ArqFixture fx(plan, /*latency_scale=*/400, config);
 
   constexpr int kMessages = 300;
-  for (int i = 0; i < kMessages; ++i) {
+  const auto send_both = [&fx](int i) {
     const auto lo = static_cast<std::uint8_t>(i);
     const auto hi = static_cast<std::uint8_t>(i >> 8);
     fx.nodes[0]->send(1, make_payload({lo, hi}));
     fx.nodes[1]->send(0, make_payload({lo, hi}));
+  };
+  // Tick-driven rows: a send every 20 µs, a tick edge every `tick` µs, so
+  // each tick sends a batch of several payloads; batch_of[i] is the tick
+  // whose batch carries payload i.
+  std::vector<std::uint64_t> batch_of(kMessages, 0);
+  std::uint64_t ticks = 0;
+  std::function<void()> tick_edge = [&] {
+    ++ticks;
+    for (auto& node : fx.nodes) node->flush();
+    if (fx.queue.now() < kMessages * sim_us(20)) {
+      fx.queue.schedule_after(tick, tick_edge);
+    }
+  };
+  if (tick == 0) {
+    for (int i = 0; i < kMessages; ++i) send_both(i);
+  } else {
+    fx.queue.schedule_at(0, tick_edge);
+    for (int i = 0; i < kMessages; ++i) {
+      fx.queue.schedule_at(static_cast<SimTime>(i) * sim_us(20), [&, i] {
+        batch_of[static_cast<std::size_t>(i)] = ticks;
+        send_both(i);
+      });
+    }
   }
   fx.queue.run();
 
@@ -749,6 +893,28 @@ TEST_P(ArqStress, ExactlyOnceBothWaysUnderCombinedFaults) {
     }
     // No payload delivered upward twice, none missing.
     EXPECT_EQ(values.size(), static_cast<std::size_t>(kMessages));
+    if (tick > 0) {
+      // Each batch reached the receiver once, whole and in send order: its
+      // payloads are one run of consecutive values.  Batches themselves
+      // may arrive in any order (the channel is not FIFO).
+      std::set<std::uint64_t> batches_done;
+      std::size_t runs = 0;
+      int prev = -1;
+      for (const auto& [from, bytes] : sink.received) {
+        const int value = bytes[0] | bytes[1] << 8;
+        const std::uint64_t batch = batch_of[static_cast<std::size_t>(value)];
+        if (prev >= 0 && batch == batch_of[static_cast<std::size_t>(prev)]) {
+          EXPECT_EQ(value, prev + 1) << "inside batch " << batch;
+        } else {
+          EXPECT_TRUE(batches_done.insert(batch).second)
+              << "batch " << batch << " split";
+          ++runs;
+        }
+        prev = value;
+      }
+      EXPECT_LT(runs, static_cast<std::size_t>(kMessages) / 2)
+          << "batches should carry several payloads each";
+    }
     EXPECT_EQ(sender.stats().abandoned, 0u);
     EXPECT_TRUE(sender.quiescent());
     if (config.ack_delay > 0) {
@@ -767,7 +933,10 @@ INSTANTIATE_TEST_SUITE_P(
                       StressParams{14}, StressParams{15},
                       StressParams{11, sim_us(300)},
                       StressParams{12, sim_us(300)},
-                      StressParams{13, sim_us(300)}));
+                      StressParams{13, sim_us(300)},
+                      StressParams{11, 0, sim_us(100)},
+                      StressParams{12, 0, sim_us(100)},
+                      StressParams{13, sim_us(300), sim_us(100)}));
 
 // ------------------------------------- end-to-end protocol over loss -------
 
@@ -818,6 +987,8 @@ TEST_P(LossySweep, ProtocolCorrectOverFaultyNetwork) {
   EXPECT_GT(result.faults.dropped, 0u);
   EXPECT_GT(result.reliable.retransmissions, 0u);
   EXPECT_EQ(result.reliable.abandoned, 0u);
+  // Exactly once: every payload sent was delivered upward once.
+  EXPECT_EQ(result.reliable.delivered, result.reliable.data_sent);
 
   EXPECT_TRUE(
       ConsistencyChecker::check(result.recorder->history()).consistent());
