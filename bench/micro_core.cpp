@@ -1,7 +1,7 @@
 // micro_core — google-benchmark microbenchmarks of the hot paths (M1 in
-// DESIGN.md): vector-clock algebra, codec round-trips, the ↦co oracle, the
-// consistency checker, protocol op latency, drain machinery and end-to-end
-// simulation throughput.
+// DESIGN.md): vector-clock algebra, codec round-trips, run-log appends, the
+// ↦co oracle, the consistency checker, protocol op latency, drain machinery
+// and end-to-end simulation throughput.
 //
 // `micro_core --bench-json <path>` additionally writes the BENCH_core.json
 // baseline (docs/PERF.md): protocol op throughput, before/after apply
@@ -10,8 +10,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "dsm/codec/message.h"
 #include "dsm/history/checker.h"
 #include "dsm/protocols/optp.h"
+#include "dsm/protocols/run_recorder.h"
 #include "dsm/vc/vector_clock.h"
 #include "dsm/workload/generator.h"
 #include "dsm/workload/sim_harness.h"
@@ -90,6 +93,60 @@ void BM_WriteUpdateDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WriteUpdateDecode)->Arg(4)->Arg(16)->Arg(64);
+
+// ------------------------------------------------------------- recorder
+
+/// One record appended to a node's run log (RunRecorder), in ns per event:
+/// a send or a receipt carrying an n-component clock, an apply, and a
+/// register write (its history record).  Values are proc-rounds shaped:
+/// small clock entries and write seqs, µs timestamps.  The recorder is
+/// replaced every 2^12 events, off the clock, so its log and history stay
+/// cache-sized and the allocator's large-block policy stays out of it.
+void BM_RecorderEvent(benchmark::State& state) {
+  enum Kind : std::int64_t { kSend, kReceipt, kApply, kRegisterOp };
+  static constexpr const char* kNames[] = {"send", "receipt", "apply",
+                                           "register op"};
+  const auto kind = static_cast<Kind>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  WriteUpdate m;
+  m.sender = 1;
+  m.var = 5;
+  m.value = 7342;
+  m.write_seq = 912;
+  m.clock = VectorClock(n);
+  for (std::size_t i = 0; i < n; ++i) m.clock[i] = 900 + 3 * i;
+  std::uint64_t now = 1'700'000;
+  const auto fresh = [&now, n] {
+    return std::make_unique<RunRecorder>(std::max<std::size_t>(n, 3), 16,
+                                         [&now] { return now += 3; });
+  };
+  auto rec = fresh();
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    switch (kind) {
+      case kSend: rec->on_send(0, m); break;
+      case kReceipt: rec->on_receipt(2, m); break;
+      case kApply: rec->on_apply(2, WriteId{1, m.write_seq}, false); break;
+      case kRegisterOp: rec->record_write(0, 5, 7342); break;
+    }
+    benchmark::DoNotOptimize(rec.get());
+    benchmark::ClobberMemory();
+    if (++events % (1u << 12) == 0) {
+      state.PauseTiming();
+      rec = fresh();
+      state.ResumeTiming();
+    }
+  }
+  state.SetLabel(kind <= kReceipt ? std::string(kNames[kind]) + " n=" +
+                                        std::to_string(n)
+                                  : kNames[kind]);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RecorderEvent)
+    ->ArgNames({"kind", "n"})
+    ->Args({0, 3})->Args({0, 16})->Args({0, 64})
+    ->Args({1, 3})->Args({1, 16})->Args({1, 64})
+    ->Args({2, 0})->Args({3, 0});
 
 // -------------------------------------------------- history / checker -----
 

@@ -1,5 +1,9 @@
 #include "dsm/codec/codec.h"
 
+#include <algorithm>
+
+#include "dsm/common/contracts.h"
+
 namespace dsm {
 
 namespace {
@@ -8,32 +12,40 @@ namespace {
 constexpr std::uint64_t kMaxContainer = 1ULL << 24;
 }  // namespace
 
-void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
+const std::vector<std::uint8_t>& ByteWriter::buffer() {
+  DSM_REQUIRE(!bounded_);
+  buf_.resize(size());  // shrinking never moves the storage
+  end_ = cur_;
+  return buf_;
+}
 
-void ByteWriter::u64(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
+std::vector<std::uint8_t> ByteWriter::take() && {
+  DSM_REQUIRE(!bounded_);
+  buf_.resize(size());
+  begin_ = cur_ = end_ = nullptr;
+  return std::move(buf_);
+}
+
+void ByteWriter::grow(std::size_t n) {
+  DSM_REQUIRE(!bounded_ && "bounded ByteWriter: the encode exceeds its bound");
+  // Grown vectors start at kMinBytes and double, so a small message costs
+  // one allocation.  Of the capacity, expose (zero-fill) up to twice what is
+  // written, not all of it at once: a large reserved buffer is not touched
+  // beyond what it will hold.
+  constexpr std::size_t kMinBytes = 64;
+  const std::size_t len = size();
+  if (buf_.capacity() - len < n) {
+    buf_.reserve(std::max({len + n, 2 * buf_.capacity(), kMinBytes}));
   }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  buf_.resize(std::min(buf_.capacity(), len + std::max({n, len, kMinBytes})));
+  begin_ = buf_.data();
+  cur_ = begin_ + len;
+  end_ = begin_ + buf_.size();
 }
 
-void ByteWriter::u32(std::uint32_t v) { u64(v); }
-
-void ByteWriter::i64(std::int64_t v) { u64(zigzag_encode(v)); }
-
-void ByteWriter::str(std::string_view s) {
-  u64(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::u64_vec(std::span<const std::uint64_t> v) {
-  u64(v.size());
-  for (const auto x : v) u64(x);
-}
-
-void ByteWriter::bytes(std::span<const std::uint8_t> raw) {
-  buf_.insert(buf_.end(), raw.begin(), raw.end());
+void ByteWriter::varint_slow(std::uint64_t v) {
+  room(varint_size(v));
+  cur_ = put_varint(cur_, v);
 }
 
 std::span<const std::uint8_t> ByteReader::rest() noexcept {

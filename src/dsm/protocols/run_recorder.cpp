@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <utility>
 
 #include "dsm/codec/codec.h"
@@ -80,6 +82,21 @@ void encode_event(ByteWriter& w, const RunEvent& e,
   w.u64_vec(clock);
 }
 
+// Worst-case encoded sizes, field by field as encode_op / encode_event
+// write them.  A bound that fell short would trip the bounded ByteWriter's
+// contract check, never write past the buffer.
+constexpr std::size_t kIncarnationBound = 1 + kMaxVarintBytes;
+
+std::size_t op_bound(const Operation& op) {
+  constexpr std::size_t kRegister = 2 + 3 * kMaxVarint32Bytes + 2 * kMaxVarintBytes;
+  if (op.spec == SpecId::kRegister) return kRegister;
+  return kRegister + 2 + (2 + op.visible.size()) * kMaxVarintBytes;
+}
+
+std::size_t event_bound(std::span<const std::uint64_t> clock) {
+  return 3 + 4 * kMaxVarint32Bytes + (6 + clock.size()) * kMaxVarintBytes;
+}
+
 /// Decode failures surface through r.ok(), checked once at the end.
 bool decode_op(ByteReader& r, bool typed, Operation& op) {
   const std::uint8_t is_write = r.u8().value_or(2);
@@ -129,16 +146,6 @@ bool decode_event(ByteReader& r, RunEvent& e) {
   return r.ok();
 }
 
-/// Encode one record into `scratch`, reusing its capacity.
-template <class Encode>
-std::span<const std::uint8_t> encode_into(std::vector<std::uint8_t>& scratch,
-                                          Encode&& encode) {
-  ByteWriter w(std::move(scratch));
-  encode(w);
-  scratch = std::move(w).take();
-  return scratch;
-}
-
 }  // namespace
 
 bool decode_log_record(ByteReader& r, LogRecord& out) {
@@ -165,29 +172,44 @@ bool decode_log_record(ByteReader& r, LogRecord& out) {
 RunRecorder::RunRecorder(std::size_t n_procs, std::size_t n_vars, ClockFn clock)
     : history_(n_procs, n_vars), clock_(std::move(clock)) {}
 
-void RunRecorder::append(std::span<const std::uint8_t> record) {
-  if (chunks_.empty() || chunks_.back().bytes.capacity() -
-                                 chunks_.back().bytes.size() <
-                             record.size()) {
+template <class Encode>
+void RunRecorder::append(std::size_t bound, Encode&& encode) {
+  if (!chunks_.empty() && chunks_.back().spare() >= bound) {
+    Chunk& chunk = chunks_.back();
+    ByteWriter w(std::span<std::uint8_t>(chunk.data.get() + chunk.size, bound));
+    encode(w);
+    chunk.size += w.size();
+    log_bytes_ += w.size();
+    return;
+  }
+  // The record may not fit what is left of the open chunk: encode it aside,
+  // then place it by its actual size, so where a chunk closes depends only
+  // on the records' actual sizes.
+  if (stage_.size() < bound) stage_.resize(bound);
+  ByteWriter w(std::span<std::uint8_t>(stage_.data(), bound));
+  encode(w);
+  const std::size_t size = w.size();
+  if (chunks_.empty() || chunks_.back().spare() < size) {
     Chunk& chunk = chunks_.emplace_back();
     chunk.start = log_bytes_;
-    chunk.bytes.reserve(std::max(kChunkBytes, record.size()));
+    chunk.capacity = std::max(kChunkBytes, size);
+    chunk.data = std::make_unique_for_overwrite<std::uint8_t[]>(chunk.capacity);
   }
-  std::vector<std::uint8_t>& bytes = chunks_.back().bytes;
-  bytes.insert(bytes.end(), record.begin(), record.end());
-  log_bytes_ += record.size();
+  Chunk& chunk = chunks_.back();
+  std::memcpy(chunk.data.get() + chunk.size, stage_.data(), size);
+  chunk.size += size;
+  log_bytes_ += size;
 }
 
 void RunRecorder::log_last_op() {
-  append(encode_into(scratch_, [this](ByteWriter& w) {
-    encode_op(w, history_.all_ops().back());
-  }));
+  const Operation& op = history_.all_ops().back();
+  append(op_bound(op), [&op](ByteWriter& w) { encode_op(w, op); });
 }
 
 void RunRecorder::log_event(const RunEvent& e,
                             std::span<const std::uint64_t> clock) {
-  append(encode_into(scratch_,
-                     [&](ByteWriter& w) { encode_event(w, e, clock); }));
+  append(event_bound(clock),
+         [&](ByteWriter& w) { encode_event(w, e, clock); });
 }
 
 void RunRecorder::push(RunEvent e, std::span<const std::uint64_t> clock) {
@@ -234,10 +256,10 @@ void RunRecorder::record_accessor(ProcessId p, VarId x, std::uint8_t spec,
 
 void RunRecorder::record_incarnation(std::uint64_t boot) {
   const std::scoped_lock lock(mu_);
-  append(encode_into(scratch_, [boot](ByteWriter& w) {
+  append(kIncarnationBound, [boot](ByteWriter& w) {
     w.u8(kIncarnation);
     w.u64(boot);
-  }));
+  });
 }
 
 void RunRecorder::restore_op(const Operation& op) {
@@ -318,25 +340,24 @@ std::uint64_t RunRecorder::copy_chunk(std::uint64_t from,
   DSM_REQUIRE(from <= log_bytes_);
   if (from == log_bytes_) return from;
   const Chunk& chunk = chunks_[chunk_of(from)];
-  out.insert(out.end(),
-             chunk.bytes.begin() + static_cast<std::ptrdiff_t>(from - chunk.start),
-             chunk.bytes.end());
-  return chunk.start + chunk.bytes.size();
+  const std::span<const std::uint8_t> tail =
+      chunk.bytes().subspan(from - chunk.start);
+  out.insert(out.end(), tail.begin(), tail.end());
+  return chunk.start + chunk.size;
 }
 
 void RunRecorder::refresh_view() const {
   LogRecord rec;
   while (view_end_ < log_bytes_) {
     const Chunk& chunk = chunks_[chunk_of(view_end_)];
-    ByteReader r(std::span<const std::uint8_t>(chunk.bytes)
-                     .subspan(view_end_ - chunk.start));
+    ByteReader r(chunk.bytes().subspan(view_end_ - chunk.start));
     while (r.remaining() > 0) {
       DSM_REQUIRE(decode_log_record(r, rec));
       if (rec.kind == LogRecord::Kind::kEvent) {
         view_.push_back(std::move(rec.event));
       }
     }
-    view_end_ = chunk.start + chunk.bytes.size();
+    view_end_ = chunk.start + chunk.size;
   }
 }
 

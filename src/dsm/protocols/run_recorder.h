@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -83,6 +84,12 @@ struct LogRecord {
 /// RunEvent with a heap-allocated clock.  The same bytes are what a durable
 /// node commits to its WAL (dsm/storage/wal_sink.h) and what kFetchLog
 /// ships by cursor; events() decodes them on demand.
+///
+/// A record is encoded once, by the one encoder of its kind, through a
+/// bounded ByteWriter: straight into the open chunk's spare bytes when the
+/// record's worst-case size fits there, else into a staging buffer of that
+/// size and then into the chunk its actual size fits.  Where a chunk closes
+/// therefore depends only on the records' actual sizes.
 ///
 /// Records, each tagged with a kind byte:
 ///   kOp          u8(1)  u8(is_write) u32(p) u32(var) i64(value)
@@ -174,8 +181,14 @@ class RunRecorder final : public ProtocolObserver {
 
  private:
   struct Chunk {
-    std::uint64_t start = 0;          ///< log offset of bytes[0]
-    std::vector<std::uint8_t> bytes;  ///< capacity fixed at creation
+    std::uint64_t start = 0;                ///< log offset of data[0]
+    std::unique_ptr<std::uint8_t[]> data;   ///< `capacity` bytes, never moves
+    std::size_t size = 0;                   ///< bytes of records in data
+    std::size_t capacity = 0;
+    [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+      return {data.get(), size};
+    }
+    [[nodiscard]] std::size_t spare() const noexcept { return capacity - size; }
   };
 
   /// Called under mu_: encode the newest history op / an event (with
@@ -184,7 +197,11 @@ class RunRecorder final : public ProtocolObserver {
   void log_event(const RunEvent& e, std::span<const std::uint64_t> clock);
   /// Stamp order and time onto a live event, then log it (takes mu_).
   void push(RunEvent e, std::span<const std::uint64_t> clock);
-  void append(std::span<const std::uint8_t> record);
+  /// Append the record `encode(ByteWriter&)` writes, at most `bound` bytes:
+  /// straight into the open chunk when `bound` fits there, else through
+  /// stage_ and into whichever chunk its actual size fits.
+  template <class Encode>
+  void append(std::size_t bound, Encode&& encode);
   /// Decode what was appended since the last call into view_ (under mu_).
   void refresh_view() const;
   [[nodiscard]] std::size_t chunk_of(std::uint64_t offset) const;
@@ -195,7 +212,7 @@ class RunRecorder final : public ProtocolObserver {
   std::uint64_t next_order_ = 0;
   std::vector<Chunk> chunks_;
   std::uint64_t log_bytes_ = 0;
-  std::vector<std::uint8_t> scratch_;  ///< the record being encoded
+  std::vector<std::uint8_t> stage_;  ///< a record that may not fit its chunk
   mutable std::vector<RunEvent> view_;
   mutable std::uint64_t view_end_ = 0;  ///< log offset decoded into view_
 };

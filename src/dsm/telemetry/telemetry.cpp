@@ -183,6 +183,7 @@ class RunTelemetry::NodeInstr final : public ProtocolInstrumentation {
 
 RunTelemetry::RunTelemetry(std::size_t n_procs, Trace trace)
     : metrics_(n_procs),
+      op_counters_(n_procs),
       trace_(trace == Trace::kKeep ? std::make_unique<TraceBuffer>()
                                    : nullptr) {
   instr_.reserve(n_procs);
@@ -211,8 +212,18 @@ ProtocolInstrumentation& RunTelemetry::instrumentation(ProcessId p) {
   return *instr_[p];
 }
 
+Counter& RunTelemetry::op_counter(ProcessId p, OpCounter which) {
+  DSM_REQUIRE(p < op_counters_.size());
+  Counter*& c = op_counters_[p][which];
+  if (c == nullptr) {
+    c = &metrics_.counter(p, which == kWritesCounter ? metric::kWritesIssued
+                                                     : metric::kObjectOps);
+  }
+  return *c;
+}
+
 void RunTelemetry::record_write_op(ProcessId p, VarId x, Value v) {
-  metrics_.counter(p, metric::kWritesIssued).add();
+  op_counter(p, kWritesCounter).add();
   if (trace_) {
     trace_->accept({TraceKind::kWrite, p, now(), WriteId{}, x, v,
                     /*delayed=*/false, 0, VectorClock{}});
@@ -220,7 +231,7 @@ void RunTelemetry::record_write_op(ProcessId p, VarId x, Value v) {
 }
 
 void RunTelemetry::record_object_op(ProcessId p, SpecId /*spec*/) {
-  metrics_.counter(p, metric::kObjectOps).add();
+  op_counter(p, kObjectOpsCounter).add();
 }
 
 void RunTelemetry::record_crash(ProcessId p) {

@@ -27,6 +27,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -126,7 +127,15 @@ class RunTelemetry {
   class Tee;
   class NodeInstr;
 
+  /// The per-op counters of record_write_op / record_object_op, resolved on
+  /// a node's first such op (as the tee resolves its own), so a counter
+  /// appears in the registry only once a node bumps it.  A node's ops are
+  /// recorded from its own thread only.
+  enum OpCounter : std::size_t { kWritesCounter, kObjectOpsCounter };
+  Counter& op_counter(ProcessId p, OpCounter which);
+
   MetricsRegistry metrics_;
+  std::vector<std::array<Counter*, 2>> op_counters_;
   std::unique_ptr<TraceBuffer> trace_;  ///< null unless Trace::kKeep
   ClockFn clock_;
   std::unique_ptr<Tee> tee_;

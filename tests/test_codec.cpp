@@ -20,18 +20,73 @@ TEST(Codec, VarintSmallValuesAreOneByte) {
   EXPECT_EQ(w.size(), 2u);
 }
 
+/// Every width edge: 2^(7k)−1 is the widest k-byte varint, 2^(7k) the
+/// narrowest (k+1)-byte one, up to the 10-byte values past 2^63; and the
+/// zig-zag extremes, which are 10 bytes too.
 TEST(Codec, VarintRoundTripBoundaries) {
-  const std::uint64_t cases[] = {0,    1,    127,  128,   16383, 16384,
-                                 1u << 20, ~std::uint64_t{0} >> 1, ~std::uint64_t{0}};
+  std::vector<std::uint64_t> cases = {0, 1, 1u << 20, ~std::uint64_t{0} >> 1,
+                                      ~std::uint64_t{0}};
+  for (unsigned k = 1; k <= 9; ++k) {
+    const std::uint64_t edge = std::uint64_t{1} << (7 * k);
+    cases.push_back(edge - 1);
+    cases.push_back(edge);
+  }
+  const std::int64_t signed_cases[] = {INT64_MIN, INT64_MAX, INT64_MIN + 1, -1};
   ByteWriter w;
-  for (const auto v : cases) w.u64(v);
+  std::size_t expected_size = 0;
+  for (const auto v : cases) {
+    w.u64(v);
+    expected_size += varint_size(v);
+    EXPECT_EQ(w.size(), expected_size) << v;
+  }
+  for (const auto v : signed_cases) w.i64(v);
+  EXPECT_EQ(w.size(), expected_size + 3 * kMaxVarintBytes + 1);
+  for (unsigned k = 1; k <= 9; ++k) {
+    const std::uint64_t edge = std::uint64_t{1} << (7 * k);
+    EXPECT_EQ(varint_size(edge - 1), k);
+    EXPECT_EQ(varint_size(edge), k + 1);
+  }
   ByteReader r{w.buffer()};
   for (const auto v : cases) {
     const auto decoded = r.u64();
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, v);
   }
+  for (const auto v : signed_cases) {
+    const auto decoded = r.i64();
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, v);
+  }
   EXPECT_TRUE(r.exhausted());
+}
+
+/// A bounded writer over a caller's buffer writes the bytes a growing one
+/// does; the bound is the sum of the per-value maxima, and a value that would
+/// pass it is a contract violation, not a write past the buffer.
+TEST(Codec, BoundedWriterMatchesTheGrowingWriter) {
+  const std::vector<std::uint64_t> clock = {0, 127, 128, ~std::uint64_t{0}};
+  const auto encode = [&clock](ByteWriter& w) {
+    w.u8(7);
+    w.u32(0xFFFFFFFFu);
+    w.i64(INT64_MIN);
+    w.u64_vec(clock);
+    w.str("xy");
+  };
+  ByteWriter grown;
+  encode(grown);
+  std::vector<std::uint8_t> out(1 + kMaxVarint32Bytes + kMaxVarintBytes +
+                                (1 + clock.size()) * kMaxVarintBytes + 1 + 2);
+  ByteWriter bounded{std::span<std::uint8_t>(out)};
+  encode(bounded);
+  ASSERT_EQ(bounded.size(), grown.size());
+  out.resize(bounded.size());
+  EXPECT_EQ(out, grown.buffer());
+
+  std::vector<std::uint8_t> small(kMaxVarintBytes - 1);
+  ByteWriter tight{std::span<std::uint8_t>(small)};
+  tight.u64(std::uint64_t{1} << 62);  // 9 bytes: fits exactly
+  EXPECT_EQ(tight.size(), small.size());
+  EXPECT_DEATH(tight.u8(0), "bounded ByteWriter");
 }
 
 TEST(Codec, ZigZagRoundTrip) {

@@ -91,10 +91,108 @@ void expect_same_events(const std::vector<RunEvent>& got,
   }
 }
 
-/// The encoded log against a plain vector: every event kind, register and
-/// typed history records, restores with gaps in `order`, values and clocks
-/// of every varint width, and events() read between appends so the view is
-/// filled incrementally across chunk boundaries.
+/// The run-log codec written out byte by byte — one push_back per varint
+/// byte, LEB128 and zig-zag by hand — with the recorder's chunking rule: the
+/// reference the recorder's raw log bytes and chunk ends must match.
+struct ReferenceLog {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint64_t> chunk_ends;  ///< log offset after each chunk
+  std::size_t chunk_used = 0;
+  std::size_t chunk_capacity = 0;
+  std::size_t record_start = 0;
+
+  void u8(std::uint8_t v) { bytes.push_back(v); }
+  void u64(std::uint64_t v) {
+    while (v >= 0x80) {
+      bytes.push_back(static_cast<std::uint8_t>((v & 0x7F) | 0x80));
+      v >>= 7;
+    }
+    bytes.push_back(static_cast<std::uint8_t>(v));
+  }
+  void i64(std::int64_t v) {
+    u64((static_cast<std::uint64_t>(v) << 1) ^
+        (v < 0 ? ~std::uint64_t{0} : std::uint64_t{0}));
+  }
+  void u64_vec(std::span<const std::uint64_t> v) {
+    u64(v.size());
+    for (const std::uint64_t x : v) u64(x);
+  }
+
+  void begin() { record_start = bytes.size(); }
+  /// A record opens a new chunk when it does not fit the open one's rest.
+  void end() {
+    const std::size_t size = bytes.size() - record_start;
+    if (chunk_ends.empty() || chunk_capacity - chunk_used < size) {
+      chunk_ends.push_back(bytes.size());
+      chunk_capacity = std::max(RunRecorder::kChunkBytes, size);
+      chunk_used = size;
+    } else {
+      chunk_ends.back() = bytes.size();
+      chunk_used += size;
+    }
+  }
+
+  void op(const Operation& op) {
+    begin();
+    const bool typed = op.spec != SpecId::kRegister;
+    u8(typed ? 4 : 1);
+    u8(op.is_write() ? 1 : 0);
+    u64(op.proc);
+    u64(op.var);
+    i64(op.value);
+    u64(op.write_id.proc);
+    u64(op.write_id.seq);
+    if (typed) {
+      u8(static_cast<std::uint8_t>(op.spec));
+      u8(static_cast<std::uint8_t>(op.opcode));
+      i64(op.arg2);
+      u64_vec(op.visible);
+    }
+    end();
+  }
+  void event(const RunEvent& e) {
+    begin();
+    u8(2);
+    u64(e.order);
+    u64(e.time);
+    u64(e.at);
+    u8(static_cast<std::uint8_t>(e.kind));
+    u64(e.write.proc);
+    u64(e.write.seq);
+    u64(e.other.proc);
+    u64(e.other.seq);
+    u64(e.var);
+    i64(e.value);
+    u8(e.delayed ? 1 : 0);
+    u64_vec(e.clock.components());
+    end();
+  }
+  void incarnation(std::uint64_t boot) {
+    begin();
+    u8(3);
+    u64(boot);
+    end();
+  }
+};
+
+/// The recorder's log, chunk by chunk through the cursor.
+std::vector<std::uint8_t> whole_log(const RunRecorder& rec,
+                                    std::vector<std::uint64_t>* chunk_ends) {
+  std::vector<std::uint8_t> log;
+  for (std::uint64_t at = 0; at < rec.log_bytes();) {
+    at = rec.copy_chunk(at, log);
+    if (chunk_ends != nullptr) chunk_ends->push_back(at);
+  }
+  return log;
+}
+
+/// The encoded log against a plain vector and a byte-by-byte reference
+/// encoder: every event kind, register and typed history records,
+/// incarnation marks, restores with gaps in `order`, values and clocks of
+/// every varint width (clocks of up to 64 components, records past any
+/// small fixed bound, and one record of each kind at its widest), and
+/// events() read between appends so the view is filled incrementally across
+/// chunk boundaries.
 TEST(RunRecorder, EncodedLogMatchesAPlainEventVector) {
   constexpr std::size_t kProcs = 4;
   constexpr std::size_t kVars = 3;
@@ -116,10 +214,12 @@ TEST(RunRecorder, EncodedLogMatchesAPlainEventVector) {
                    rng.below(std::uint64_t{1} << rng.below(40))};
   };
   const auto any_clock = [&rng] {
-    VectorClock c(kProcs);
-    for (std::size_t i = 0; i < kProcs; ++i) c[i] = rng.below(std::uint64_t{1} << rng.below(40));
+    VectorClock c(rng.below(65));
+    for (std::size_t i = 0; i < c.size(); ++i) c[i] = rng.next() >> rng.below(64);
     return c;
   };
+  ReferenceLog ref;
+  std::vector<std::uint8_t> seen;  ///< the log as checked so far
 
   for (int step = 0; step < 20'000; ++step) {
     now += rng.below(1u << rng.below(24));
@@ -128,7 +228,7 @@ TEST(RunRecorder, EncodedLogMatchesAPlainEventVector) {
     RunEvent e;
     e.at = at;
     e.time = now;
-    switch (rng.below(11)) {
+    switch (rng.below(12)) {
       case 0:
       case 1: {
         WriteUpdate m;
@@ -173,12 +273,14 @@ TEST(RunRecorder, EncodedLogMatchesAPlainEventVector) {
         const Value v = any_value();
         EXPECT_EQ(rec.record_write(at, var, v),
                   want_history.add_write(at, var, v));
+        ref.op(want_history.all_ops().back());
         continue;
       }
       case 6: {
         const ReadResult r{any_value(), any_write()};
         rec.record_read(at, var, r);
         want_history.add_read(at, var, r.value, r.writer);
+        ref.op(want_history.all_ops().back());
         continue;
       }
       case 7: {
@@ -189,19 +291,27 @@ TEST(RunRecorder, EncodedLogMatchesAPlainEventVector) {
                       static_cast<std::uint8_t>(OpCode::kCas), arg, arg2),
                   want_history.add_mutation(at, var, SpecId::kCasRegister,
                                             OpCode::kCas, arg, arg2));
+        ref.op(want_history.all_ops().back());
         continue;
       }
       case 8: {
         const Value arg = any_value();
         const Value returned = any_value();
         const WriteId from = any_write();
-        std::vector<std::uint64_t> visible(rng.below(kProcs + 1));
-        for (auto& c : visible) c = rng.below(1u << rng.below(30));
+        std::vector<std::uint64_t> visible(rng.below(65));
+        for (auto& c : visible) c = rng.next() >> rng.below(64);
         rec.record_accessor(at, var, static_cast<std::uint8_t>(SpecId::kSet),
                             static_cast<std::uint8_t>(OpCode::kContains), arg,
                             returned, from, visible);
         want_history.add_accessor(at, var, SpecId::kSet, OpCode::kContains,
                                   arg, returned, from, std::move(visible));
+        ref.op(want_history.all_ops().back());
+        continue;
+      }
+      case 10: {
+        const std::uint64_t boot = rng.next() >> rng.below(64);
+        rec.record_incarnation(boot);
+        ref.incarnation(boot);
         continue;
       }
       case 9:
@@ -219,40 +329,91 @@ TEST(RunRecorder, EncodedLogMatchesAPlainEventVector) {
         rec.restore_event(e);
         next_order = e.order + 1;
         want.push_back(e);
+        ref.event(e);
         continue;
-      default:
+      default: {
+        // The bytes appended since the last check are the reference's; a
+        // mismatch stops here, before events() would decode them.
+        const std::size_t from = seen.size();
+        while (seen.size() < rec.log_bytes()) rec.copy_chunk(seen.size(), seen);
+        ASSERT_EQ(seen.size(), ref.bytes.size());
+        ASSERT_TRUE(std::equal(seen.begin() + static_cast<std::ptrdiff_t>(from),
+                               seen.end(),
+                               ref.bytes.begin() + static_cast<std::ptrdiff_t>(from)))
+            << "log bytes differ from the reference after offset " << from;
         expect_same_events(rec.events(), want);
         if (testing::Test::HasFailure()) return;
         continue;
+      }
     }
     e.order = next_order++;
     want.push_back(e);
+    ref.event(e);
+  }
+  // One record of each kind at its widest: every varint at its full width,
+  // 64 clock components and 64 visible counts.
+  {
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    constexpr ProcessId kMaxProc = ~ProcessId{0};
+    RunEvent e;
+    e.order = kMax - 1;
+    e.time = kMax;
+    e.at = kMaxProc;
+    e.kind = EvKind::kSkip;
+    e.write = WriteId{kMaxProc, kMax};
+    e.other = WriteId{kMaxProc, kMax};
+    e.var = ~VarId{0};
+    e.value = INT64_MIN;
+    e.delayed = true;
+    e.clock = VectorClock(std::vector<std::uint64_t>(64, kMax));
+    rec.restore_event(e);
+    want.push_back(e);
+    ref.event(e);
+    std::vector<std::uint64_t> visible(64, kMax);
+    rec.record_accessor(kProcs - 1, kVars - 1,
+                        static_cast<std::uint8_t>(SpecId::kSet),
+                        static_cast<std::uint8_t>(OpCode::kContains),
+                        INT64_MIN, INT64_MIN, WriteId{kMaxProc, kMax},
+                        visible);
+    want_history.add_accessor(kProcs - 1, kVars - 1, SpecId::kSet,
+                              OpCode::kContains, INT64_MIN, INT64_MIN,
+                              WriteId{kMaxProc, kMax}, std::move(visible));
+    ref.op(want_history.all_ops().back());
+    rec.record_incarnation(kMax);
+    ref.incarnation(kMax);
   }
   expect_same_events(rec.events(), want);
   EXPECT_TRUE(std::ranges::equal(rec.history().all_ops(),
                                  want_history.all_ops()));
   EXPECT_GT(rec.log_bytes(), RunRecorder::kChunkBytes);  // several chunks
-  // The same records, re-read chunk by chunk through the cursor.
-  std::vector<std::uint8_t> log;
-  for (std::uint64_t at = 0; at < rec.log_bytes();) {
-    at = rec.copy_chunk(at, log);
-  }
+  // The same records, re-read chunk by chunk through the cursor: the bytes
+  // and the chunk ends are the reference encoder's.
+  std::vector<std::uint64_t> chunk_ends;
+  const std::vector<std::uint8_t> log = whole_log(rec, &chunk_ends);
   EXPECT_EQ(log.size(), rec.log_bytes());
+  ASSERT_EQ(log.size(), ref.bytes.size());
+  EXPECT_TRUE(log == ref.bytes) << "first difference at byte "
+                                << std::ranges::mismatch(log, ref.bytes).in1 -
+                                       log.begin();
+  EXPECT_EQ(chunk_ends, ref.chunk_ends);
   RunRecorder copy(kProcs, kVars);
   ByteReader r(log);
   LogRecord record;
   while (r.remaining() > 0) {
     ASSERT_TRUE(decode_log_record(r, record));
-    ASSERT_NE(record.kind, LogRecord::Kind::kIncarnation);
-    if (record.kind == LogRecord::Kind::kOp) {
-      copy.restore_op(record.op);
-    } else {
-      copy.restore_event(record.event);
+    switch (record.kind) {
+      case LogRecord::Kind::kOp: copy.restore_op(record.op); break;
+      case LogRecord::Kind::kEvent: copy.restore_event(record.event); break;
+      case LogRecord::Kind::kIncarnation:
+        copy.record_incarnation(record.boot);
+        break;
     }
   }
   expect_same_events(copy.events(), want);
   EXPECT_TRUE(std::ranges::equal(copy.history().all_ops(),
                                  want_history.all_ops()));
+  // Re-recording the decoded records reproduces the log byte for byte.
+  EXPECT_TRUE(whole_log(copy, nullptr) == log);
 }
 
 /// The Ĥ₁ simulator run's log costs at most 32 B per event (history records
