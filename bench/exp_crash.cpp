@@ -5,9 +5,10 @@
 // show ZERO unnecessary delays (Theorem 4 — checkpoints never roll back an
 // apply, so recovery cannot manufacture false causality), and every write
 // must be applied at every process once crashes heal (Theorem 5 liveness,
-// restored by ARQ retransmission + anti-entropy catch-up).  Those are hard
-// requirements here, not table columns: a violation aborts the bench.
-// Reported: recovery time, catch-up volume, retransmission load.
+// restored by ARQ retransmission: a restarted process's RESUME frame makes
+// each peer resend its whole unacked window).  Those are hard requirements
+// here, not table columns: a violation aborts the bench.
+// Reported: recovery time and retransmission load.
 
 #include "bench_util.h"
 
@@ -45,8 +46,7 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> seeds = {311, 312, 313};
 
   Table table({"crashes", "part (ms)", "drop", "protocol", "recover (ms)",
-               "catchup (KB)", "retx/1k data", "crash drops", "delayed/1k",
-               "unnecessary/1k"});
+               "retx/1k data", "crash drops", "delayed/1k", "unnecessary/1k"});
 
   for (const std::size_t crashes : crash_counts) {
     for (const SimTime part_len : partition_lens) {
@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
           CellResultAccumulator acc;
           double recover_ms_sum = 0;
           std::size_t recover_n = 0;
-          std::uint64_t catch_up_bytes = 0;
           std::uint64_t crash_drops = 0;
           double retx_rate_sum = 0;
           for (const auto seed : seeds) {
@@ -122,7 +121,6 @@ int main(int argc, char** argv) {
             // Fault columns come from the metrics registry, same counters as
             // `optcm run --metrics-out` (docs/OBSERVABILITY.md).
             const MetricsRegistry& reg = telemetry.metrics();
-            catch_up_bytes += reg.counter_total(metric::kRecoveryBytes);
             crash_drops += reg.counter_total(metric::kNetCrashDropped);
             const std::uint64_t arq_data = reg.counter_total(metric::kArqData);
             retx_rate_sum +=
@@ -141,7 +139,6 @@ int main(int argc, char** argv) {
                     recover_n == 0 ? 0.0
                                    : recover_ms_sum /
                                          static_cast<double>(recover_n),
-                    static_cast<double>(catch_up_bytes) / n_seeds / 1024.0,
                     retx_rate_sum / n_seeds,
                     static_cast<double>(crash_drops) / n_seeds, c.delay_rate(),
                     c.unnecessary_rate());
@@ -156,7 +153,7 @@ int main(int argc, char** argv) {
       "unnecessary delays == 0 (Theorem 4 survives recovery because\n"
       "checkpoints never roll back an apply), liveness (every write applied\n"
       "everywhere after heal/restart — Theorem 5), and zero ARQ\n"
-      "abandonment.  Recovery time tracks downtime + catch-up round trip;\n"
+      "abandonment.  Recovery time tracks downtime + one resume round trip;\n"
       "retransmission load grows with drop rate and partition length.\n");
   return dsm::bench::finish_bench_json("exp_crash") ? 0 : 1;
 }

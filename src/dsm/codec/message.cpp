@@ -157,50 +157,6 @@ std::optional<BatchUpdate> BatchUpdate::decode(ByteReader& r) {
   return m;
 }
 
-void CatchUpRequest::encode(ByteWriter& w) const {
-  w.u32(requester);
-  w.u64_vec(have.components());
-}
-
-std::optional<CatchUpRequest> CatchUpRequest::decode(ByteReader& r) {
-  CatchUpRequest m;
-  const auto requester = r.u32();
-  auto have = r.u64_vec();
-  if (!requester || !have) return std::nullopt;
-  m.requester = *requester;
-  m.have = VectorClock{std::move(*have)};
-  return m;
-}
-
-void CatchUpReply::encode(ByteWriter& w) const {
-  w.u32(replier);
-  w.u64_vec(have.components());
-  w.u64(writes.size());
-  for (const auto& wu : writes) wu.encode(w);
-}
-
-std::optional<CatchUpReply> CatchUpReply::decode(ByteReader& r) {
-  CatchUpReply m;
-  const auto replier = r.u32();
-  auto have = r.u64_vec();
-  const auto count = r.u64();
-  // A WriteUpdate encodes to well over one byte; cap by the remaining input
-  // so a forged count cannot drive the reserve below.
-  if (!replier || !have || !count || *count > (1ULL << 24) ||
-      *count > r.remaining()) {
-    return std::nullopt;
-  }
-  m.replier = *replier;
-  m.have = VectorClock{std::move(*have)};
-  m.writes.reserve(static_cast<std::size_t>(*count));
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    auto wu = WriteUpdate::decode(r);
-    if (!wu) return std::nullopt;
-    m.writes.push_back(std::move(*wu));
-  }
-  return m;
-}
-
 void encode_message(const Message& m, ByteWriter& w) {
   std::visit(
       [&w](const auto& msg) {
@@ -209,12 +165,9 @@ void encode_message(const Message& m, ByteWriter& w) {
           w.u8(static_cast<std::uint8_t>(MsgType::kWriteUpdate));
         } else if constexpr (std::is_same_v<T, TokenGrant>) {
           w.u8(static_cast<std::uint8_t>(MsgType::kTokenGrant));
-        } else if constexpr (std::is_same_v<T, BatchUpdate>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kBatchUpdate));
-        } else if constexpr (std::is_same_v<T, CatchUpRequest>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kCatchUpRequest));
         } else {
-          w.u8(static_cast<std::uint8_t>(MsgType::kCatchUpReply));
+          static_assert(std::is_same_v<T, BatchUpdate>);
+          w.u8(static_cast<std::uint8_t>(MsgType::kBatchUpdate));
         }
         msg.encode(w);
       },
@@ -250,16 +203,6 @@ std::optional<Message> decode_message(std::span<const std::uint8_t> bytes) {
     }
     case MsgType::kBatchUpdate: {
       auto m = BatchUpdate::decode(r);
-      if (m) out = std::move(*m);
-      break;
-    }
-    case MsgType::kCatchUpRequest: {
-      auto m = CatchUpRequest::decode(r);
-      if (m) out = std::move(*m);
-      break;
-    }
-    case MsgType::kCatchUpReply: {
-      auto m = CatchUpReply::decode(r);
       if (m) out = std::move(*m);
       break;
     }

@@ -1,16 +1,12 @@
 // optcm — on-the-wire protocol messages.
 //
-// Five message shapes cover every protocol in the library:
+// Three message shapes cover every protocol in the library:
 //   * WriteUpdate — one write operation w_i(x_h)v plus its piggybacked vector
 //     (Write_co for OptP, a Fidge–Mattern clock for ANBKH).  Paper Fig. 4
 //     line 2: send[m(x_h, v, Write_co)] to Π − p_i.
 //   * TokenGrant — circulating-token handoff for the sender-side
 //     writing-semantics protocol (Jiménez et al. [7]).
 //   * BatchUpdate — the token holder's last-write-per-variable batch.
-//   * CatchUpRequest / CatchUpReply — anti-entropy state transfer for crash
-//     recovery (beyond the paper's crash-free model; see docs/FAULTS.md): a
-//     restarted process broadcasts the per-sender write counts it has applied
-//     and peers reply with every logged WriteUpdate above those watermarks.
 //
 // Every message encodes to bytes (see codec.h) and decodes defensively; the
 // tagged `decode_message` entry point returns std::nullopt on any malformed
@@ -34,8 +30,8 @@ enum class MsgType : std::uint8_t {
   kWriteUpdate = 1,
   kTokenGrant = 2,
   kBatchUpdate = 3,
-  kCatchUpRequest = 4,
-  kCatchUpReply = 5,
+  // 4 and 5 are retired (they named a crash-recovery exchange that the ARQ
+  // now does); the decoder rejects them like any unknown tag.
 };
 
 /// One entry of ShardedOptP's sparse causal-knowledge matrix: "the latest
@@ -122,37 +118,7 @@ struct BatchUpdate {
   friend bool operator==(const BatchUpdate&, const BatchUpdate&) = default;
 };
 
-/// Anti-entropy request from a restarted process: `have[u]` is the highest
-/// write_seq of p_u the requester has applied.  Receivers answer with a
-/// CatchUpReply of everything newer — and, if the request shows the
-/// requester is AHEAD of them, issue their own request back (symmetric
-/// re-request; handles overlapping crashes).
-struct CatchUpRequest {
-  ProcessId requester = 0;
-  VectorClock have;
-
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static std::optional<CatchUpRequest> decode(ByteReader& r);
-
-  friend bool operator==(const CatchUpRequest&, const CatchUpRequest&) = default;
-};
-
-/// The replier's logged writes above the requester's watermarks, plus the
-/// replier's own applied vector (lets the requester detect peers that are
-/// behind it).
-struct CatchUpReply {
-  ProcessId replier = 0;
-  VectorClock have;
-  std::vector<WriteUpdate> writes;
-
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static std::optional<CatchUpReply> decode(ByteReader& r);
-
-  friend bool operator==(const CatchUpReply&, const CatchUpReply&) = default;
-};
-
-using Message = std::variant<WriteUpdate, TokenGrant, BatchUpdate,
-                             CatchUpRequest, CatchUpReply>;
+using Message = std::variant<WriteUpdate, TokenGrant, BatchUpdate>;
 
 /// Frame a message with its type tag.
 [[nodiscard]] std::vector<std::uint8_t> encode_message(const Message& m);

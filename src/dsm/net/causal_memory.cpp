@@ -104,7 +104,6 @@ CausalMemory::CausalMemory(const Options& options)
       chain_(recorder_, options.replicas, options.capacity,
              {.telemetry = options.telemetry,
               .beside = options.extra_observers,
-              .replay_filter = options.recoverable,
               .objects = options.protocol_config.objects}),
       mesh_(0, options.replicas) {
   DSM_REQUIRE(options.replicas >= 1);
@@ -120,7 +119,7 @@ CausalMemory::CausalMemory(const Options& options)
   for (ProcessId p = 0; p < options.replicas; ++p) {
     const ProtocolHost::Shape shape{
         options.protocol,        p, options.replicas, options.capacity,
-        options.protocol_config, options.recoverable, DurabilityPolicy{}};
+        options.protocol_config, options.recoverable};
     replicas_.push_back(std::make_unique<Replica>(mesh_, shape, jitter,
                                                   chain_.head(), telemetry_));
   }
@@ -173,7 +172,7 @@ void CausalMemory::write(ProcessId p, VarId x, Value v) {
     recorder_.record_write(p, x, v);
     if (telemetry_ != nullptr) telemetry_->record_write_op(p, x, v);
     r.stack.host().protocol().write(x, v);
-    if (recoverable_) r.stack.host().note_mutation();
+    if (recoverable_) r.stack.host().checkpoint();
   });
 }
 
@@ -183,7 +182,7 @@ ReadResult CausalMemory::read(ProcessId p, VarId x) {
     const ReadResult result = r.stack.host().protocol().read(x);
     recorder_.record_read(p, x, result);
     // OptP merges Write_co on reads, so reads mutate durable state too.
-    if (recoverable_) r.stack.host().note_mutation();
+    if (recoverable_) r.stack.host().checkpoint();
     return result;
   });
 }
@@ -252,15 +251,6 @@ bool CausalMemory::alive(ProcessId p) const {
 
 ProtocolStats CausalMemory::stats(ProcessId p) const {
   return call(p, [](Replica& r) { return r.stack.host().stats(); });
-}
-
-RecoveryStats CausalMemory::recovery_stats() const {
-  RecoveryStats total;
-  for (ProcessId p = 0; p < n_procs(); ++p) {
-    total +=
-        call(p, [](Replica& r) { return r.stack.host().recovery_stats(); });
-  }
-  return total;
 }
 
 std::uint64_t CausalMemory::crash_dropped() const {

@@ -58,7 +58,8 @@ class CausalMemory {
     /// `seed`; 0 disables it.  Surfaces interleavings in tests and demos.
     std::uint32_t max_jitter_us = 0;
     std::uint64_t seed = 1;
-    /// Enable kill()/restart(): checkpointing, write logging and catch-up.
+    /// Enable kill()/restart(): a checkpoint after every mutation, and the
+    /// ARQ's resume on restart.
     /// Requires a class-𝒫 buffering protocol (token-ws is rejected).
     bool recoverable = false;
     /// Observers teed beside the recorder (e.g. a StabilityTracker); called
@@ -66,8 +67,7 @@ class CausalMemory {
     /// back into the memory, and must outlive it.
     std::vector<ProtocolObserver*> extra_observers;
     /// Optional instrumentation: protocol events tee into it, and the live
-    /// recovery and ARQ counters fold in at shutdown.  Must outlive the
-    /// memory.
+    /// ARQ counters fold in at shutdown.  Must outlive the memory.
     RunTelemetry* telemetry = nullptr;
   };
 
@@ -140,7 +140,8 @@ class CausalMemory {
   /// Crash replica p (recoverable mode only): its protocol and ARQ state
   /// die, and frames reaching it while down are dropped.
   void kill(ProcessId p);
-  /// Restart a killed replica from its last checkpoint and request catch-up.
+  /// Restart a killed replica from its last checkpoint; the peers' ARQs
+  /// resend what it lost.
   void restart(ProcessId p);
   [[nodiscard]] bool alive(ProcessId p) const;
 
@@ -164,7 +165,6 @@ class CausalMemory {
   }
   /// Summed across incarnations.
   [[nodiscard]] ProtocolStats stats(ProcessId p) const;
-  [[nodiscard]] RecoveryStats recovery_stats() const;
   /// Frames dropped because they reached a killed replica.
   [[nodiscard]] std::uint64_t crash_dropped() const;
   [[nodiscard]] std::size_t n_procs() const noexcept {

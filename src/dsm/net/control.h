@@ -26,7 +26,7 @@
 //                  layer (NodeNetStats), walked from the field tables
 //   kKillConn    → kAck: drop the live TCP connection to `peer` (fault hook)
 //   kKillHost    → kAck: crash the protocol stack (recoverable mode)
-//   kRestartHost → kAck: restore from checkpoint + catch-up
+//   kRestartHost → kAck: restore from checkpoint; peers' ARQs resend the gap
 //   kShutdown    → kAck, then the node's loop exits
 //   kQueryQuiescent → kDoneReply{quiescent}: protocol quiescent AND ARQ fully
 //                  acknowledged AND transport flushed, IGNORING the script

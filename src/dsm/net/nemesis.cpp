@@ -380,7 +380,7 @@ NemesisOutcome run_nemesis(ProcessCluster& cluster, const NemesisPlan& plan,
         // Full-cluster barrier: the fresh incarnation must hold every write
         // that was in flight cluster-wide when it died BEFORE its script
         // generates new ones (the observer-event equivalence vs the
-        // simulator depends on the catch-up completing first).  A peer
+        // simulator depends on the peers' ARQ resends landing first).  A peer
         // whose link is blocked by a still-installed partition reports
         // itself quiescent modulo that blocked channel (see
         // ProcessNode::stack_quiescent), so a live partition — whose heal

@@ -42,7 +42,7 @@
 // and installs it over the control plane.  A crash archives the victim's
 // pre-kill log first — the caller stitches it with the final log via
 // stitch_incarnations() — and the run ends with the caller's ordinary
-// wait_done + quiescence + anti-entropy reconcile, after which the merged
+// wait_done + quiescence + ARQ repair of the respawn, after which the merged
 // log must still pass the causal checker (the chaos tests assert exactly
 // that).
 

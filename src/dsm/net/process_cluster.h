@@ -157,7 +157,8 @@ class ProcessCluster {
 
   /// Fork a fresh child for a kill_process()ed node on its original port and
   /// state dir; the new incarnation restores snapshot + WAL, rejoins the mesh
-  /// via anti-entropy, and is ready for run_node() once wait_ready() passes.
+  /// (its peers' ARQs resend what it lost), and is ready for run_node() once
+  /// wait_ready() passes.
   [[nodiscard]] bool respawn_process(ProcessId node);
 
   /// Install + start a script on one node only (the respawn resume path;

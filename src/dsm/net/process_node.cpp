@@ -74,7 +74,7 @@ ProcessNode::ProcessNode(ProcessNodeConfig config)
       chain_(recorder_, config_.shape.n_procs, config_.shape.n_vars,
              {.telemetry = &telemetry_,
               .beside = {&waker_},
-              .replay_filter = config_.shape.recoverable,
+              .replay_filter = !config_.state_dir.empty(),
               .objects = config_.shape.protocol_config.objects}) {
   telemetry_.set_clock([this] { return loop_.queue().now(); });
   DSM_REQUIRE(!durable() || config_.shape.recoverable);
@@ -102,7 +102,12 @@ void ProcessNode::run() {
   // then the TCP flush, so a batch leaves in the writev of the tick that
   // formed it.
   mux_.start();
-  loop_.add_tick_hook([this] { stack_->tick(); });
+  loop_.add_tick_hook([this] {
+    // Retried before the ARQ's edge, so a spill that lands releases the
+    // held ACKs into this tick's frames.
+    if (spill_failed_ && stack_->up()) spill();
+    stack_->tick();
+  });
   transport_.start();
   if (durable()) {
     boot_durable();
@@ -169,9 +174,10 @@ void ProcessNode::boot_durable() {
   wal_log_.emplace(*wal_, recorder_, recorder_.log_bytes());
   recorder_.record_incarnation(last_boot + 1);  // boots count from 1
 
-  // 4. The stack: restore (ARQ, then protocol + recovery, then catch-up)
-  //    when a snapshot exists, fresh start otherwise, with the ARQ's tx
-  //    sequences moved past the epoch gap either way (see kArqEpochSkip).
+  // 4. The stack: restore (the ARQ, which sends each peer a RESUME frame so
+  //    it resends its whole unacked window, then the protocol) when a
+  //    snapshot exists, fresh start otherwise, with the ARQ's tx sequences
+  //    moved past the epoch gap either way (see kArqEpochSkip).
   //    The spill hook is NOT installed yet — the snapshot must not be
   //    rewritten until the reconcile pass below has brought the protocol
   //    state up to the WAL's op count.
@@ -210,6 +216,7 @@ void ProcessNode::spill() {
   // every op the snapshot claims" — the reverse order could lose the batch
   // the snapshot's op count already counts.
   const WalIoError werr = wal_log_->commit();
+  bool written = false;
   if (werr == WalIoError::kWrite || werr == WalIoError::kNoSpace) {
     // The bytes were NOT appended (they stay uncommitted; the next commit
     // retries them).
@@ -227,10 +234,16 @@ void ProcessNode::spill() {
     stack_->encode_checkpoint(w);
     if (SnapshotFile::write(state_->snapshot_path(), w.buffer(), &io_hooks_)) {
       ++node_stats_.snapshot_writes;
+      written = true;
     } else {
       ++node_stats_.snapshot_failures;
     }
   }
+  // A crash now would restart from the last snapshot that landed, and what
+  // the node received since is only in its peers' tx windows: no ACK may
+  // retire it there until a snapshot covers it.
+  spill_failed_ = !written;
+  stack_->hold_acks(spill_failed_);
 }
 
 void ProcessNode::wal_tick() {
@@ -396,7 +409,7 @@ void ProcessNode::start_run(const ControlMessage& req) {
   script_ = req.script;
   ScriptRunner::AfterOp after_op;
   if (config_.shape.recoverable) {
-    after_op = [this] { stack_->host().note_mutation(); };
+    after_op = [this] { stack_->host().checkpoint(); };
   }
   runner_ = std::make_unique<ScriptRunner>(
       loop_.queue(), recorder_,

@@ -59,7 +59,7 @@ struct ProcessNodeConfig {
   ReliableConfig arq = net_reliable_defaults();
   /// Durable state directory (docs/DURABILITY.md).  Empty = in-memory only.
   /// Non-empty requires shape.recoverable: on boot the node restores the
-  /// latest snapshot, replays the WAL tail, and rejoins via anti-entropy; a
+  /// latest snapshot, replays the WAL tail, and resumes its ARQ peers; a
   /// kill -9 of the OS process loses at most the one in-flight mutation that
   /// had not yet committed to the WAL (and that only if fsync allows it).
   std::string state_dir;
@@ -129,7 +129,8 @@ class ProcessNode final {
   /// install the spill hook.  Runs before the loop; see docs/DURABILITY.md.
   void boot_durable();
   /// Spill hook: commit the new log bytes to the WAL, then atomically write the
-  /// snapshot file ([u64 op count] + the stack's encoded checkpoint).
+  /// snapshot file ([u64 op count] + the stack's encoded checkpoint).  While
+  /// no snapshot lands, the stack's ACKs are held (spill_failed_).
   void spill();
   /// Tick-edge group-commit barrier (config_.wal_group_commit): one fsync
   /// covering every WAL record appended during the tick.
@@ -172,6 +173,9 @@ class ProcessNode final {
   /// WAL's records.
   std::optional<WalLogCommitter> wal_log_;
   std::uint64_t replayed_local_ops_ = 0;  ///< script resume index
+  /// The last spill wrote no snapshot: the ACKs are held, and the tick edge
+  /// retries the spill.
+  bool spill_failed_ = false;
   /// Counted here, reported with the layers' structs by kFetchStats.
   NodeStats node_stats_;
 };

@@ -57,8 +57,9 @@ void ObjectStore::on_apply(ProcessId at, WriteId w, bool delayed) {
     DSM_REQUIRE(at < n_procs_);
     const auto it = stash_.find(w);
     if (it == stash_.end()) {
-      // No send/receipt carried this write's payload past us (crash-mode
-      // catch-up paths).  Typed runs reject those modes; count and move on.
+      // No send/receipt carried this write's payload past us (a process
+      // restored from a checkpoint).  Typed runs reject that mode; count and
+      // move on.
       ++unmatched_applies_;
     } else {
       const Stashed& s = it->second;

@@ -75,7 +75,8 @@ class ObjectStore final : public ProtocolObserver {
     return schema_->spec_for(x);
   }
   /// Mutations whose apply was observed without a prior send/receipt stash
-  /// (possible only outside the supported typed modes, e.g. crash catch-up).
+  /// (possible only outside the supported typed modes, e.g. a process
+  /// restored from a checkpoint).
   [[nodiscard]] std::uint64_t unmatched_applies() const;
 
  private:

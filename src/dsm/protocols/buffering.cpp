@@ -206,23 +206,18 @@ void BufferingProtocol::wake(ProcessId t) {
 
 void BufferingProtocol::purge_pass(ProcessId dirty) {
   // Without writing semantics, staleness needs a duplicate delivery; until
-  // one is seen (and outside the post-restore and own-write-collision
-  // windows) the pass is a provable no-op.
-  if (!ws_ && !duplicate_seen_ && !purge_all_ && !self_dirty_) {
+  // one is seen (and outside the post-restore window) the pass is a
+  // provable no-op.
+  if (!ws_ && !duplicate_seen_ && !purge_all_) {
     ++stats_.purges_avoided;
     return;
   }
   const std::size_t before = registry_.size();
   if (purge_all_) {
     purge_all_ = false;
-    self_dirty_ = false;
     for (ProcessId t = 0; t < n_procs_; ++t) purge_sender(t);
   } else {
     purge_sender(dirty);
-    if (self_dirty_) {
-      self_dirty_ = false;
-      if (self_ != dirty) purge_sender(self_);
-    }
   }
   if (instr_ != nullptr && registry_.size() != before)
     instr_->on_buffer_drained(registry_.size());
@@ -339,10 +334,9 @@ bool BufferingProtocol::apply_own_write(VarId x, Value v, SeqNo seq,
   if (!reference_drain_) {
     // The seed does not drain here, but its next drain rescans everything —
     // the index must not strand messages blocked on clock[self].  Move them
-    // to ready now; the next drain pops them.  Post-restore catch-up can
-    // leave our own pre-crash writes pending, in which case this counter
-    // advance may have made one stale: flag self for the next purge pass.
-    if (!by_sender_[self_].empty()) self_dirty_ = true;
+    // to ready now; the next drain pops them.  No write of our own ever
+    // sits pending here (a process is never delivered its own writes), so
+    // this advance turns nothing stale.
     wake(self_);
   }
   return installed;
@@ -383,7 +377,6 @@ bool BufferingProtocol::restore(ByteReader& r) {
   for (auto& fifo : by_sender_) fifo.clear();
   for (auto& buckets : watch_) buckets.clear();
   duplicate_seen_ = false;
-  self_dirty_ = false;
   for (std::uint64_t i = 0; i < *n_pending; ++i) {
     auto m = WriteUpdate::decode(r);
     if (!m || m->clock.size() != n_procs_) return false;

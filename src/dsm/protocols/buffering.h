@@ -192,10 +192,6 @@ class BufferingProtocol : public CausalProtocol {
   /// a restored buffer may hold stale entries from any sender, and
   /// duplicate_seen_ cannot be recomputed exactly from the snapshot alone).
   bool purge_all_ = false;
-  /// An own-write apply advanced applied_[self] while messages from self sat
-  /// pending (possible only after catch-up re-delivers pre-crash writes) —
-  /// the next purge pass must include self in its dirty set.
-  bool self_dirty_ = false;
 
   bool ws_;
   bool convergent_;

@@ -46,7 +46,7 @@ class Endpoint {
   virtual void broadcast(Payload payload) = 0;
 
   /// Deliver `payload` to one specific peer (token handoffs, subscription
-  /// routing, catch-up replies).
+  /// routing).
   virtual void send(ProcessId to, Payload payload) = 0;
 };
 

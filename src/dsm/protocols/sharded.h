@@ -44,9 +44,9 @@
 //
 // Contracts: reads and writes of x require self ∈ subs(x) (DSM_REQUIRE); an
 // update arriving at a non-subscriber is a routing bug and also aborts.
-// Crash recovery is out of scope (the map trims exactly the global counters
-// catch-up would need), so the registry refuses to build a recoverable
-// sharded host.
+// Crash recovery is out of scope (ShardedOptP is not a class-𝒫 buffering
+// protocol, and its checkpoint would have to carry the sparse matrix), so
+// ProtocolHost refuses to build a recoverable sharded host.
 
 #pragma once
 

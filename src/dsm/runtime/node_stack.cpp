@@ -15,9 +15,12 @@ NodeStack::NodeStack(EventQueue& queue, DatagramTransport& transport,
       transport_(&transport),
       self_(shape.self),
       n_procs_(shape.n_procs),
+      recoverable_(shape.recoverable),
       arq_config_(std::move(arq)),
       telemetry_(telemetry),
       host_(shape, *this, observer, telemetry) {
+  DSM_REQUIRE((!recoverable_ || arq_config_) &&
+              "a recoverable stack needs the ARQ: it is the only repair");
   if (arq_config_) {
     build_arq();
     // The ARQ state rides in every checkpoint, taken at the same instant.
@@ -38,7 +41,8 @@ void NodeStack::build_arq() {
 
 void NodeStack::restore_arq(std::span<const std::uint8_t> state) {
   ByteReader r(state);
-  DSM_REQUIRE(arq_->restore(r));  // also retransmits everything unacked
+  // Also retransmits everything unacked and resumes every peer.
+  DSM_REQUIRE(arq_->restore(r));
   DSM_REQUIRE(r.exhausted());
 }
 
@@ -60,11 +64,23 @@ void NodeStack::deliver(ProcessId from, std::span<const std::uint8_t> bytes) {
   // Without a live ARQ the frame goes to the host: it is the protocol's own
   // bytes when this link has no ARQ, and when the stack is down the host
   // drops and counts it without looking.
-  if (arq_ != nullptr) {
-    arq_->deliver(from, bytes);
-  } else {
+  if (arq_ == nullptr) {
     host_.deliver(from, bytes);
+    return;
   }
+  const std::uint64_t delivered = arq_->stats().delivered;
+  arq_->deliver(from, bytes);
+  // One checkpoint per frame, after all of it: the ARQ marks a BATCH or
+  // RESEND frame's seqs seen before their payloads go up, so a checkpoint
+  // between two payloads would record the frame received while holding
+  // only part of it, and dedup would drop the rest when it is resent.
+  if (recoverable_ && arq_->stats().delivered != delivered) {
+    host_.checkpoint();
+  }
+}
+
+void NodeStack::hold_acks(bool hold) {
+  if (arq_ != nullptr) arq_->hold_acks(hold);
 }
 
 void NodeStack::broadcast(Payload payload) {
@@ -132,9 +148,6 @@ ReliableStats NodeStack::reliable_stats() const {
 
 void NodeStack::fold_live(RunTelemetry& telemetry) const {
   if (!up()) return;
-  if (const RecoveryNode* rec = host_.recovery()) {
-    telemetry.fold_recovery(self_, rec->stats());
-  }
   if (arq_ != nullptr) {
     telemetry.fold_reliable(self_, arq_->stats());
     for (ProcessId to = 0; to < n_procs_; ++to) {

@@ -6,12 +6,17 @@
 // ShardMux → TcpTransport in ProcessNode, FaultyTransport → ShardMux →
 // RingMesh in CausalMemory.  Crash handling exists once, here:
 //
-//   * kill() destroys protocol, recovery node and ARQ — all volatile state.
-//     Frames reaching a down stack are dropped and counted
+//   * kill() destroys protocol and ARQ — all volatile state.  Frames
+//     reaching a down stack are dropped and counted
 //     (ProtocolHost::dropped_while_down).
 //   * restart() rebuilds from the last checkpoint: the ARQ first (it
-//     retransmits what was unacked), then protocol + recovery state, then a
-//     catch-up request.
+//     retransmits what was unacked and sends each peer a RESUME frame, which
+//     the peer answers by resending its whole window), then the protocol.
+//     The ARQ is the only repair: a receipt is checkpointed before its ACK
+//     can leave, so what the crash lost is still unacked at its sender.
+//   * A recoverable stack checkpoints after each frame that delivered a
+//     payload, once the whole frame is in, and after each local operation
+//     (its owner calls host().checkpoint()).
 //   * A checkpoint is the host's blob plus the ARQ state taken at the same
 //     instant; encode_checkpoint/decode_checkpoint frame it as
 //     [u64 len][host][u64 len][ARQ] — the body of a durable node's snapshot.
@@ -63,11 +68,11 @@ class NodeStack final : public MessageSink, private Endpoint {
     std::span<const std::uint8_t> arq;
   };
 
-  /// Boot the stack.  With `from` (a durable boot), restore the ARQ, then
-  /// protocol + recovery state, and request catch-up; without it, run the
-  /// protocol's start().  `tx_epoch_skip` advances every ARQ tx sequence
-  /// first (ReliableNode::skip_tx_sequences): a durable boot passes a gap so
-  /// its sends never reuse a sequence number the previous incarnation spent.
+  /// Boot the stack.  With `from` (a durable boot), restore the ARQ (which
+  /// resumes its peers), then the protocol; without it, run the protocol's
+  /// start().  `tx_epoch_skip` advances every ARQ tx sequence first
+  /// (ReliableNode::skip_tx_sequences): a durable boot passes a gap so its
+  /// sends never reuse a sequence number the previous incarnation spent.
   void start(const Checkpoint* from = nullptr, std::uint64_t tx_epoch_skip = 0);
 
   /// The tick edge of a host whose loop has one (a NetLoop tick hook,
@@ -77,14 +82,22 @@ class NodeStack final : public MessageSink, private Endpoint {
   void tick();
 
   // -- MessageSink: frames from the transport --------------------------------
+
+  /// Hands the frame to the ARQ (or, without one, to the host).  A
+  /// recoverable stack then checkpoints once if the frame delivered any
+  /// payload: a BATCH or RESEND frame is received whole or not at all.
   void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override;
+
+  /// ReliableNode::hold_acks on the live ARQ; a no-op without one.  A
+  /// restarted ARQ starts released.
+  void hold_acks(bool hold);
 
   // -- crash / restart (recoverable shape only) ------------------------------
 
-  /// Destroy protocol, recovery node and ARQ; their counters survive.
+  /// Destroy protocol and ARQ; their counters survive.
   void kill();
-  /// Rebuild from the last checkpoint: ARQ (retransmitting what was
-  /// unacked), protocol + recovery, then a catch-up request.
+  /// Rebuild from the last checkpoint: ARQ (retransmitting what was unacked
+  /// and resuming its peers), then the protocol.
   void restart();
   [[nodiscard]] bool up() const noexcept { return host_.up(); }
 
@@ -101,9 +114,9 @@ class NodeStack final : public MessageSink, private Endpoint {
   [[nodiscard]] const ReliableNode* arq() const noexcept { return arq_.get(); }
   /// ARQ counters summed across incarnations.
   [[nodiscard]] ReliableStats reliable_stats() const;
-  /// Fold the live incarnation's recovery and ARQ counters, and one RTO
-  /// sample per peer, into `telemetry` at the end of a run (a dead
-  /// incarnation was folded at its kill).  No-op while down.
+  /// Fold the live incarnation's ARQ counters, and one RTO sample per peer,
+  /// into `telemetry` at the end of a run (a dead incarnation was folded at
+  /// its kill).  No-op while down.
   void fold_live(RunTelemetry& telemetry) const;
   /// Up, the protocol idle, and every ARQ channel drained except those to
   /// peers flagged in `excluded` (see ReliableNode::quiescent_except).
@@ -121,6 +134,7 @@ class NodeStack final : public MessageSink, private Endpoint {
   DatagramTransport* transport_;
   ProcessId self_;
   std::size_t n_procs_;
+  bool recoverable_;
   std::optional<ReliableConfig> arq_config_;
   RunTelemetry* telemetry_;
   std::unique_ptr<ReliableNode> arq_;

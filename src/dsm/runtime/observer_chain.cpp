@@ -9,8 +9,6 @@ namespace dsm {
 ObserverChain::ObserverChain(RunRecorder& recorder, std::size_t n_procs,
                              std::size_t n_vars, Links links)
     : head_(&recorder) {
-  DSM_REQUIRE((!links.replay_filter || links.objects == nullptr) &&
-              "typed objects are not supported in recoverable mode");
   if (links.telemetry != nullptr) {
     head_ = &links.telemetry->observe_through(*head_);
   }

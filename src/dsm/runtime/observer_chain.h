@@ -8,13 +8,14 @@
 //
 // The fanout tees events beside everything below it (a scripted run's
 // AwaitWaker, or a CausalMemory user's extra observers).  The replay filter
-// (recoverable runs) sits above telemetry and the fanout, so they see the
-// deduplicated stream and a suppressed echo wakes nothing.  The object store
-// (typed schemas) goes outermost, so it stashes each mutation's payload at
-// send/receipt before the apply reaches it; catch-up redelivery arrives
-// without that stash, so recoverable runs and typed schemas exclude each
-// other.  A link not asked for is not built: head() is the outermost link,
-// and the chain adds no hop of its own.
+// (durable process nodes) sits above telemetry and the fanout, so they see
+// the deduplicated stream and a suppressed echo wakes nothing.  The object
+// store (typed schemas) goes outermost, so it stashes each mutation's
+// payload at send/receipt before the apply reaches it.  A restored process
+// holds no stash for the writes it received before its crash, so
+// recoverable runs and typed schemas exclude each other.  A link not asked
+// for is not built: head() is the outermost link, and the chain adds no hop
+// of its own.
 
 #pragma once
 
@@ -22,7 +23,7 @@
 #include <vector>
 
 #include "dsm/objects/object_store.h"
-#include "dsm/protocols/recovery.h"
+#include "dsm/protocols/replay_filter.h"
 #include "dsm/protocols/run_recorder.h"
 #include "dsm/telemetry/telemetry.h"
 

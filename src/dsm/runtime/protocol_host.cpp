@@ -2,6 +2,7 @@
 
 #include "dsm/codec/codec.h"
 #include "dsm/common/contracts.h"
+#include "dsm/protocols/buffering.h"
 #include "dsm/telemetry/telemetry.h"
 
 namespace dsm {
@@ -13,27 +14,19 @@ ProtocolHost::ProtocolHost(const Shape& shape, Endpoint& lower,
       observer_(&observer),
       telemetry_(telemetry) {
   DSM_REQUIRE(shape.self < shape.n_procs);
+  DSM_REQUIRE((!shape.recoverable || shape.protocol_config.objects == nullptr) &&
+              "typed objects are not supported in recoverable mode");
   build();
 }
 
 void ProtocolHost::build() {
-  if (shape_.recoverable) {
-    recovery_ = std::make_unique<RecoveryNode>(shape_.self, shape_.n_procs,
-                                               *lower_);
-    protocol_ =
-        make_protocol(shape_.kind, shape_.self, shape_.n_procs, shape_.n_vars,
-                      *recovery_, *observer_, shape_.protocol_config);
-    buffering_ = dynamic_cast<BufferingProtocol*>(protocol_.get());
-    DSM_REQUIRE(buffering_ != nullptr &&
-                "recoverable hosts need a class-P buffering protocol; a "
-                "crashed token holder would require an election");
-    recovery_->set_protocol(*buffering_);
-    recovery_->set_checkpoint_hook([this] { note_mutation(); });
-  } else {
-    protocol_ =
-        make_protocol(shape_.kind, shape_.self, shape_.n_procs, shape_.n_vars,
-                      *lower_, *observer_, shape_.protocol_config);
-  }
+  protocol_ = make_protocol(shape_.kind, shape_.self, shape_.n_procs,
+                            shape_.n_vars, *lower_, *observer_,
+                            shape_.protocol_config);
+  DSM_REQUIRE((!shape_.recoverable ||
+               dynamic_cast<BufferingProtocol*>(protocol_.get()) != nullptr) &&
+              "recoverable hosts need a class-P buffering protocol; a "
+              "crashed token holder would require an election");
   if (telemetry_ != nullptr)
     protocol_->set_instrumentation(&telemetry_->instrumentation(shape_.self));
   up_ = true;
@@ -56,31 +49,17 @@ void ProtocolHost::start_restored(std::span<const std::uint8_t> blob) {
 void ProtocolHost::rejoin(std::span<const std::uint8_t> blob) {
   ByteReader r(blob);
   DSM_REQUIRE(protocol_->restore(r));
-  DSM_REQUIRE(recovery_->restore(r));
   DSM_REQUIRE(r.exhausted());
-  recovery_->request_catch_up();
   checkpoint();
 }
 
 void ProtocolHost::deliver(ProcessId from, std::span<const std::uint8_t> bytes) {
   if (!up_) {
-    // Crashed host: the message is lost; catch-up repairs it later.
+    // Crashed host: the message is lost; the sender's ARQ resends it.
     ++dropped_while_down_;
     return;
   }
-  if (recovery_ != nullptr) {
-    recovery_->deliver(from, bytes);
-  } else {
-    protocol_->on_message(from, bytes);
-  }
-}
-
-void ProtocolHost::note_mutation() {
-  DSM_REQUIRE(shape_.recoverable);
-  if (++mutations_since_checkpoint_ < shape_.durability.checkpoint_every) {
-    return;
-  }
-  checkpoint();
+  protocol_->on_message(from, bytes);
 }
 
 void ProtocolHost::checkpoint() {
@@ -88,33 +67,22 @@ void ProtocolHost::checkpoint() {
   DSM_REQUIRE(protocol_ != nullptr);
   ByteWriter w;
   protocol_->snapshot(w);
-  recovery_->snapshot(w);
   checkpoint_ = std::move(w).take();
-  mutations_since_checkpoint_ = 0;
   const std::size_t lower_bytes = on_checkpoint_ ? on_checkpoint_() : 0;
   if (telemetry_ != nullptr)
     telemetry_->record_checkpoint(shape_.self,
                                   checkpoint_.size() + lower_bytes);
-  if (spill_ && ++checkpoints_since_spill_ >= shape_.durability.snapshot_every) {
-    checkpoints_since_spill_ = 0;
-    spill_();
-  }
+  if (spill_) spill_();
 }
 
 void ProtocolHost::kill() {
   DSM_REQUIRE(shape_.recoverable);
   DSM_REQUIRE(up_ && "kill() on an already-killed host");
-  // The dying incarnation's counters survive in the accumulators (stats are
+  // The dying incarnation's counters survive in the accumulator (stats are
   // volatile by design — they are not part of the checkpoint).
   stats_acc_ += protocol_->stats();
-  rec_acc_ += recovery_->stats();
-  if (telemetry_ != nullptr) {
-    telemetry_->record_crash(shape_.self);
-    telemetry_->fold_recovery(shape_.self, recovery_->stats());
-  }
+  if (telemetry_ != nullptr) telemetry_->record_crash(shape_.self);
   protocol_.reset();
-  buffering_ = nullptr;
-  recovery_.reset();
   up_ = false;
 }
 
@@ -134,12 +102,6 @@ CausalProtocol& ProtocolHost::protocol() const {
 ProtocolStats ProtocolHost::stats() const {
   ProtocolStats s = stats_acc_;
   if (protocol_ != nullptr) s += protocol_->stats();
-  return s;
-}
-
-RecoveryStats ProtocolHost::recovery_stats() const {
-  RecoveryStats s = rec_acc_;
-  if (recovery_ != nullptr) s += recovery_->stats();
   return s;
 }
 

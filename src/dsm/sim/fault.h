@@ -12,7 +12,7 @@
 //     exactly like a packet already on the wire);
 //   * process crashes with restart (CrashPlan) — a crashed process loses all
 //     volatile state and all in-flight traffic addressed to it; recovery is
-//     checkpoint + anti-entropy catch-up (see docs/FAULTS.md).
+//     checkpoint + the peers' ARQ resends (see docs/FAULTS.md).
 //
 // Faults are deterministic in the seed and the message's channel
 // coordinates, like everything else here.  The per-message draw is a

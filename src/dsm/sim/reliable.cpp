@@ -116,6 +116,17 @@ void ReliableNode::flush() {
   }
 }
 
+std::size_t ReliableNode::frame_size(const TxEntry& entry) {
+  return 1 + varint_size(entry.seq) + entry.body->size();
+}
+
+void ReliableNode::write_frame(ByteWriter& w, const TxEntry& entry) {
+  w.u8(static_cast<std::uint8_t>(entry.payloads > 1 ? FrameType::kBatch
+                                                   : FrameType::kData));
+  w.u64(entry.seq);
+  w.bytes(*entry.body);
+}
+
 void ReliableNode::transmit(ProcessId to, const TxEntry& entry) {
   // The frame is encoded per peer by necessity (sequence numbers are
   // per-channel), and copies the entry's body: a broadcast makes n−1 copies
@@ -124,12 +135,9 @@ void ReliableNode::transmit(ProcessId to, const TxEntry& entry) {
   // this frame into one write and the peer reads both at once.
   flush_acks(to);
   std::vector<std::uint8_t> frame;
-  frame.reserve(1 + varint_size(entry.seq) + entry.body->size());
+  frame.reserve(frame_size(entry));
   ByteWriter w(std::move(frame));
-  w.u8(static_cast<std::uint8_t>(entry.payloads > 1 ? FrameType::kBatch
-                                                   : FrameType::kData));
-  w.u64(entry.seq);
-  w.bytes(*entry.body);
+  write_frame(w, entry);
   network_->send(self_, to, make_payload(std::move(w).take()));
 }
 
@@ -173,6 +181,51 @@ void ReliableNode::arm_timer(ProcessId to, std::uint64_t seq,
         const SimTime next = std::min(interval * 2, config_.max_rto);
         arm_timer(to, seq, attempt + 1, next);
       });
+}
+
+void ReliableNode::resume(ProcessId to, std::size_t attempt,
+                          SimTime interval) {
+  network_->send(
+      self_, to,
+      make_payload({static_cast<std::uint8_t>(FrameType::kResume)}));
+  // Seq 0 is never a DATA seq, so the jitter draws stay apart from the RTO
+  // timers'.
+  const SimTime wait = interval + jitter(to, 0, attempt, interval);
+  queue_->schedule_after(wait, [this, alive = alive_, to, attempt, interval] {
+    if (!*alive || !tx_[to].resuming) return;  // gone, or answered
+    if (attempt + 1 >= config_.max_retries) {
+      // Unanswered: the peer's own RTO timers still repair the channel.
+      tx_[to].resuming = false;
+      return;
+    }
+    resume(to, attempt + 1, std::min(interval * 2, config_.max_rto));
+  });
+}
+
+void ReliableNode::on_resume(ProcessId from) {
+  // `from` restarted from a checkpoint: what it lost is in this window.
+  // Resend all of it now, so recovery never waits for a timer that backed
+  // off while `from` was down.  Each entry's own timer keeps running: `from`
+  // repeats its RESUME until an answer arrives, so a lost RESEND is asked
+  // for again.  An empty window still answers, with an empty RESEND.
+  flush_acks(from);
+  PeerTx& peer = tx_[from];
+  auto it = peer.window.begin();
+  do {
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(FrameType::kResend));
+    for (; it != peer.window.end(); ++it) {
+      TxEntry& entry = *it;
+      if (entry.body == nullptr) continue;
+      const std::size_t size = frame_size(entry);
+      if (w.size() > 1 && w.size() + size > kMaxBatchBytes) break;
+      w.u64(size);
+      write_frame(w, entry);
+      entry.retransmitted = true;  // Karn: disqualify from RTT sampling
+      ++stats_.retransmissions;
+    }
+    network_->send(self_, from, make_payload(std::move(w).take()));
+  } while (it != peer.window.end());
 }
 
 SimTime ReliableNode::clamp_rto(double rto_us) const {
@@ -222,9 +275,16 @@ void ReliableNode::on_ack(ProcessId from, std::uint64_t seq) {
   retire(peer, *entry);
 }
 
+void ReliableNode::hold_acks(bool hold) {
+  if (acks_held_ == hold) return;
+  acks_held_ = hold;
+  if (hold) return;
+  for (ProcessId to = 0; to < rx_.size(); ++to) flush_acks(to);
+}
+
 void ReliableNode::flush_acks(ProcessId to) {
   PeerRx& peer = rx_[to];
-  if (peer.pending_acks.empty()) return;
+  if (acks_held_ || peer.pending_acks.empty()) return;
   queue_->cancel(peer.ack_timer);  // a no-op unless the timer is pending
   std::size_t size = 1;
   for (const std::uint64_t seq : peer.pending_acks) size += varint_size(seq);
@@ -264,20 +324,43 @@ void ReliableNode::on_data(ProcessId from, std::uint64_t seq, FrameType type,
                          });
 }
 
+std::optional<std::uint64_t> ReliableNode::data_seq(FrameType type,
+                                                     ByteReader& r) {
+  const auto seq = r.u64();
+  if (!seq) return std::nullopt;
+  // Validate the whole batch before acknowledging or delivering any of it.
+  const auto skip = [](std::span<const std::uint8_t>) {};
+  if (type == FrameType::kBatch && !for_each_payload(true, r, skip)) {
+    return std::nullopt;
+  }
+  return seq;
+}
+
+bool ReliableNode::valid_resend(ByteReader r) {
+  while (r.remaining() > 0) {
+    const auto len = r.u64();
+    if (!len) return false;
+    const auto frame = r.take(static_cast<std::size_t>(*len));
+    if (!frame) return false;
+    ByteReader inner(*frame);
+    const auto type = inner.u8();
+    if (type != static_cast<std::uint8_t>(FrameType::kData) &&
+        type != static_cast<std::uint8_t>(FrameType::kBatch)) {
+      return false;
+    }
+    if (!data_seq(static_cast<FrameType>(*type), inner)) return false;
+  }
+  return true;
+}
+
 void ReliableNode::deliver(ProcessId from, std::span<const std::uint8_t> bytes) {
   ByteReader r{bytes};
   const auto type = r.u8();
-  if (type == static_cast<std::uint8_t>(FrameType::kData)) {
-    if (const auto seq = r.u64()) {
-      on_data(from, *seq, FrameType::kData, r);
-      return;
-    }
-  } else if (type == static_cast<std::uint8_t>(FrameType::kBatch)) {
-    // Validate the whole batch before acknowledging or delivering any of it.
-    const auto seq = r.u64();
-    const auto skip = [](std::span<const std::uint8_t>) {};
-    if (seq && for_each_payload(true, r, skip)) {
-      on_data(from, *seq, FrameType::kBatch, r);
+  if (type == static_cast<std::uint8_t>(FrameType::kData) ||
+      type == static_cast<std::uint8_t>(FrameType::kBatch)) {
+    const auto frame_type = static_cast<FrameType>(*type);
+    if (const auto seq = data_seq(frame_type, r)) {
+      on_data(from, *seq, frame_type, r);
       return;
     }
   } else if (type == static_cast<std::uint8_t>(FrameType::kAck) &&
@@ -290,6 +373,17 @@ void ReliableNode::deliver(ProcessId from, std::span<const std::uint8_t> bytes) 
       while (r.remaining() > 0) on_ack(from, *r.u64());
       return;
     }
+  } else if (type == static_cast<std::uint8_t>(FrameType::kResume) &&
+             r.exhausted()) {
+    on_resume(from);
+    return;
+  } else if (type == static_cast<std::uint8_t>(FrameType::kResend) &&
+             valid_resend(r)) {
+    tx_[from].resuming = false;  // answered
+    while (r.remaining() > 0) {
+      deliver(from, *r.take(static_cast<std::size_t>(*r.u64())));
+    }
+    return;
   }
   // A frame this class did not produce.  The simulator's network cannot
   // corrupt bytes, but a real socket peer can say anything; dropping (and
@@ -420,6 +514,13 @@ bool ReliableNode::restore(ByteReader& r) {
       transmit(to, entry);
       arm_timer(to, entry.seq, 0, tx_[to].rto);
     }
+  }
+  // And what the peers sent that this node never checkpointed is still in
+  // their windows: ask each for it.
+  for (ProcessId to = 0; to < tx_.size(); ++to) {
+    if (to == self_) continue;
+    tx_[to].resuming = true;
+    resume(to, 0, tx_[to].rto);
   }
   return true;
 }

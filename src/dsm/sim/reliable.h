@@ -52,11 +52,15 @@
 // `on_abandon` to turn it into a callback instead (tests of the alarm path).
 //
 // Wire format: one byte frame type, then
-//   DATA  [0x00][varint seq][payload]                  — a batch of one;
-//   BATCH [0x02][varint seq]([varint len][payload])+   — two or more, in
+//   DATA   [0x00][varint seq][payload]                 — a batch of one;
+//   BATCH  [0x02][varint seq]([varint len][payload])+  — two or more, in
 //                                                        send order;
-//   ACK   [0x01]([varint seq])+                        — a one-seq ACK is
-//                                                        [0x01][seq].
+//   ACK    [0x01]([varint seq])+                       — a one-seq ACK is
+//                                                        [0x01][seq];
+//   RESUME [0x03]                                      — a restored node
+//                                                        asks for the window;
+//   RESEND [0x04]([varint len][DATA or BATCH frame])*  — the answer: the
+//                                                        whole tx window.
 // A batch of one is the DATA frame, so a node that never batches (the
 // simulator's) keeps the wire bytes its pinned outputs were made with.  The
 // receiver dedupes a BATCH frame's one seq and delivers its payloads upward
@@ -85,7 +89,18 @@
 // immediately retransmits everything unacked.  Losing rx dedup state would
 // break exactly-once (a retransmission of an already-delivered seq would be
 // delivered again); losing tx next_seq would reuse sequence numbers that
-// peers silently suppress.  See docs/FAULTS.md.
+// peers silently suppress.
+//
+// The ARQ is the only repair after a crash.  Its hosts checkpoint a receipt
+// before its ACK can leave, so whatever the restored node lost is still
+// unacked in some peer's window.  restore() therefore also sends each peer a
+// RESUME frame, repeated with backoff until that peer answers.  The answer
+// is one RESEND frame holding every live entry of the peer's window toward
+// the resumer, each as the DATA or BATCH frame a retransmission would send.
+// The entries' own RTO timers run on unchanged.  The resumer
+// feeds the inner frames through deliver(), so dedup and ACKs work as for
+// any retransmission, and an empty RESEND just answers.  A window past
+// kMaxBatchBytes is split over several RESEND frames.  See docs/FAULTS.md.
 
 #pragma once
 
@@ -93,6 +108,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -214,11 +230,15 @@ class ReliableNode final : public MessageSink {
   /// number is new, their payloads are delivered upward in order; a
   /// duplicate is suppressed (and re-ACKed); each seq an ACK frame lists
   /// retires its tx entry and feeds the RTT estimator (Karn's rule: only
-  /// never-retransmitted packets sample).  A frame this class never
-  /// produced (bad type byte, truncated varint, an ACK listing no seq, a
-  /// batch with no payload or one running past the frame's end) is dropped
-  /// whole and counted in stats().malformed_dropped — over real sockets a
-  /// peer can say anything, so garbage must not be able to abort the node.
+  /// never-retransmitted packets sample).  A RESUME frame is answered with
+  /// the sender's whole tx window in RESEND frames; a RESEND frame stops
+  /// this node's RESUME repeats to its sender and has each inner frame
+  /// handled as above.  A frame this class never produced (bad type byte,
+  /// truncated varint, an ACK listing no seq, a batch with no payload or one
+  /// running past the frame's end, a RESUME with a body, a RESEND holding
+  /// anything but whole DATA and BATCH frames) is dropped whole and counted
+  /// in stats().malformed_dropped — over real sockets a peer can say
+  /// anything, so garbage must not be able to abort the node.
   void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override;
 
   // -- checkpoint / restore --------------------------------------------------
@@ -228,13 +248,16 @@ class ReliableNode final : public MessageSink {
   /// load-bearing).  Pure observer: the node is unchanged.
   void snapshot(ByteWriter& w) const;
 
-  /// Restores a snapshot onto this (freshly constructed) node and
-  /// retransmits every unacked payload.  Returns false on malformed input.
+  /// Restores a snapshot onto this (freshly constructed) node, retransmits
+  /// every unacked payload and sends each peer a RESUME frame.  Returns
+  /// false on malformed input.
   ///
   /// \pre *this was default-wired for the same (queue, network, self,
   ///      upper) topology and has not sent or received anything yet.
   /// \post on success, every unacked payload is back in flight with a
-  ///       fresh timer; on failure the node must be discarded.
+  ///       fresh timer, and a RESUME frame repeats to each peer until its
+  ///       RESEND answer arrives (or max_retries pass); on failure the node
+  ///       must be discarded.
   [[nodiscard]] bool restore(ByteReader& r);
 
   /// Advance every per-peer tx sequence counter by `skip` — an epoch gap.
@@ -244,6 +267,12 @@ class ReliableNode final : public MessageSink {
   /// consumed for the ORIGINAL transmission, and the peer's dedup would
   /// silently suppress a different payload under the same seq.
   void skip_tx_sequences(std::uint64_t skip) noexcept;
+
+  /// While held, no ACK leaves this node: every seq it would acknowledge
+  /// waits in its peer's pending list, and release sends them all.  A
+  /// durable host holds them while its last spill failed, so no peer retires
+  /// a payload the host's disk does not cover.  Released on construction.
+  void hold_acks(bool hold);
 
   /// Counters since construction/restore (restore does not reset them).
   [[nodiscard]] const ReliableStats& stats() const noexcept { return stats_; }
@@ -266,7 +295,13 @@ class ReliableNode final : public MessageSink {
       const std::vector<bool>& excluded) const noexcept;
 
  private:
-  enum class FrameType : std::uint8_t { kData = 0, kAck = 1, kBatch = 2 };
+  enum class FrameType : std::uint8_t {
+    kData = 0,
+    kAck = 1,
+    kBatch = 2,
+    kResume = 3,
+    kResend = 4,
+  };
 
   struct TxEntry {
     std::uint64_t seq = 0;
@@ -294,6 +329,7 @@ class ReliableNode final : public MessageSink {
     double srtt = 0.0;
     double rttvar = 0.0;
     SimTime rto = 0;  ///< current RTO; initialized from config
+    bool resuming = false;  ///< a RESUME to this peer awaits its RESEND
     [[nodiscard]] bool drained() const {
       return window.empty() && open.empty();
     }
@@ -329,12 +365,27 @@ class ReliableNode final : public MessageSink {
   static TxEntry& seal(PeerTx& peer, SimTime now, bool retransmitted);
   /// seal() `to`'s open batch, transmit it and arm its RTO timer.
   void send_open(ProcessId to);
+  /// Size of `entry`'s DATA or BATCH frame, and the frame itself.
+  [[nodiscard]] static std::size_t frame_size(const TxEntry& entry);
+  static void write_frame(ByteWriter& w, const TxEntry& entry);
   void transmit(ProcessId to, const TxEntry& entry);
   void arm_timer(ProcessId to, std::uint64_t seq, std::size_t attempt,
                  SimTime interval);
+  /// Send `to` a RESUME frame, and again after `interval` (doubling, capped
+  /// at max_rto) until its RESEND answer stops the repeats.
+  void resume(ProcessId to, std::size_t attempt, SimTime interval);
   void on_data(ProcessId from, std::uint64_t seq, FrameType type,
                ByteReader body);
   void on_ack(ProcessId from, std::uint64_t seq);
+  /// Resend `from`'s whole window to it in RESEND frames.
+  void on_resume(ProcessId from);
+  /// The seq of the DATA or BATCH frame (of `type`) whose bytes after the
+  /// type byte `r` holds, leaving `r` at its body; nullopt if malformed.
+  [[nodiscard]] static std::optional<std::uint64_t> data_seq(FrameType type,
+                                                             ByteReader& r);
+  /// True iff `r` (a RESEND frame after its type byte) holds only whole,
+  /// well-formed DATA and BATCH frames, each behind its length.
+  [[nodiscard]] static bool valid_resend(ByteReader r);
   /// Send `to`'s pending ACKs as one frame and disarm its ACK timer.
   void flush_acks(ProcessId to);
   void sample_rtt(PeerTx& peer, SimTime rtt);
@@ -351,6 +402,7 @@ class ReliableNode final : public MessageSink {
   std::vector<PeerRx> rx_;
   ReliableStats stats_;
   bool tick_driven_ = false;  ///< set by the first flush()
+  bool acks_held_ = false;    ///< see hold_acks()
   std::size_t open_batches_ = 0;  ///< peers whose open batch is non-empty
   /// Outstanding timer lambdas check this token: when the node is destroyed
   /// (crash path) the events already in the queue become no-ops instead of

@@ -12,7 +12,9 @@
 // replay_wal_record() is the inverse: feed one recovered record back into a
 // RunRecorder (restore_* entry points, which log the same bytes again) and
 // optionally preseed a ReplayFilterObserver so live redeliveries of
-// already-spilled events are suppressed after restart.
+// already-spilled events are suppressed after restart.  One happens when a
+// kill lands between the two writes of a spill: the WAL holds a receipt
+// that the snapshot's ARQ state lacks, so the sender's ARQ resends it.
 
 #pragma once
 
@@ -20,7 +22,7 @@
 #include <span>
 #include <vector>
 
-#include "dsm/protocols/recovery.h"
+#include "dsm/protocols/replay_filter.h"
 #include "dsm/protocols/run_recorder.h"
 #include "dsm/storage/wal.h"
 

@@ -114,9 +114,6 @@ inline constexpr char kArqDelivered[] = "arq_delivered_total";
 inline constexpr char kArqRttSamples[] = "arq_rtt_samples_total";
 inline constexpr char kArqMalformedDropped[] = "arq_malformed_dropped_total";
 inline constexpr char kArqRto[] = "arq_rto_us";
-inline constexpr char kRecoveryRequests[] = "recovery_requests_total";
-inline constexpr char kRecoveryWrites[] = "recovery_writes_recovered_total";
-inline constexpr char kRecoveryBytes[] = "recovery_catch_up_bytes_total";
 // Transport layer (run scope).
 inline constexpr char kNetMessages[] = "net_messages_total";
 inline constexpr char kNetBytes[] = "net_bytes_total";

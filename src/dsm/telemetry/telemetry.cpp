@@ -283,12 +283,6 @@ void RunTelemetry::sample_rto(ProcessId p, std::uint64_t rto_us) {
   metrics_.summary(p, metric::kArqRto).add(static_cast<double>(rto_us));
 }
 
-void RunTelemetry::fold_recovery(ProcessId p, const RecoveryStats& rec) {
-  metrics_.counter(p, metric::kRecoveryRequests).add(rec.requests_sent);
-  metrics_.counter(p, metric::kRecoveryWrites).add(rec.writes_recovered);
-  metrics_.counter(p, metric::kRecoveryBytes).add(rec.catch_up_bytes);
-}
-
 std::string RunTelemetry::chrome_trace() const {
   const auto events = trace().events();
   return export_chrome_trace(events);

@@ -9,7 +9,7 @@
 //     enabling-set deficit — facts only the protocol can see);
 //   * the harnesses report lifecycle facts (write ops, crashes, restarts,
 //     checkpoints) and fold transport-layer stat blocks into it at the end
-//     of the run (fold_network / fold_reliable / fold_recovery).
+//     of the run (fold_network / fold_reliable).
 //
 // Attachment is optional everywhere: a run without a RunTelemetry pays one
 // null-pointer check per hook site and nothing else (the acceptance bar is
@@ -36,7 +36,6 @@
 
 #include "dsm/objects/opcodes.h"
 #include "dsm/protocols/protocol.h"
-#include "dsm/protocols/recovery.h"
 #include "dsm/sim/fault.h"
 #include "dsm/sim/network.h"
 #include "dsm/sim/reliable.h"
@@ -111,7 +110,6 @@ class RunTelemetry {
   void fold_reliable(ProcessId p, const ReliableStats& arq);
   /// One adaptive-RTO observation (µs) for p's ARQ toward some peer.
   void sample_rto(ProcessId p, std::uint64_t rto_us);
-  void fold_recovery(ProcessId p, const RecoveryStats& rec);
 
   // ---- exports (call after the run has quiesced; traces need keeps_trace())
 

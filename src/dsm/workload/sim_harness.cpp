@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "dsm/common/contracts.h"
+#include "dsm/protocols/buffering.h"
 #include "dsm/runtime/node_stack.h"
 #include "dsm/runtime/observer_chain.h"
 #include "dsm/sim/event_queue.h"
@@ -48,16 +49,13 @@ SimRunResult run_sim(const SimRunConfig& config,
       config.n_procs, config.n_vars, [&queue] { return queue.now(); });
 
   // Telemetry (optional) is stamped with simulated time.  Parked awaits wake
-  // on the applies at their process.  Crash mode adds the replay filter: a
-  // write can legitimately reach a process twice (catch-up reply + ARQ
-  // retransmission whose ACK died with the crash).
+  // on the applies at their process.
   RunTelemetry* const tel = config.telemetry;
   if (tel != nullptr) tel->set_clock([&queue] { return queue.now(); });
   AwaitWaker waker(config.n_procs);
   ObserverChain chain(*recorder, config.n_procs, config.n_vars,
                       {.telemetry = tel,
                        .beside = {&waker},
-                       .replay_filter = crashes,
                        .objects = config.protocol_config.objects});
 
   // One NodeStack per process.  The ARQ goes in whenever the link can lose
@@ -70,8 +68,7 @@ SimRunResult run_sim(const SimRunConfig& config,
   for (ProcessId p = 0; p < config.n_procs; ++p) {
     const ProtocolHost::Shape shape{config.kind,   p,
                                     config.n_procs, config.n_vars,
-                                    config.protocol_config, crashes,
-                                    DurabilityPolicy{}};
+                                    config.protocol_config, crashes};
     stacks.push_back(
         std::make_unique<NodeStack>(queue, net, shape, arq, chain.head(), tel));
   }
@@ -82,7 +79,7 @@ SimRunResult run_sim(const SimRunConfig& config,
   runners.reserve(config.n_procs);
   for (ProcessId p = 0; p < config.n_procs; ++p) {
     ScriptRunner::AfterOp after_op;
-    if (crashes) after_op = [&stacks, p] { stacks[p]->host().note_mutation(); };
+    if (crashes) after_op = [&stacks, p] { stacks[p]->host().checkpoint(); };
     runners.emplace_back(
         queue, *recorder,
         [&stacks, p]() -> CausalProtocol* {
@@ -97,17 +94,19 @@ SimRunResult run_sim(const SimRunConfig& config,
 
   SimRunResult result;
 
-  // Recovery-completion detector: a restarted process has recovered once its
-  // received watermarks cover every write issued anywhere before its restart
-  // AND its pending buffer drained (received ⇒ applied or logically applied).
+  // Recovery-completion detector: a restarted process has recovered once it
+  // has applied (or logically applied) every write issued anywhere before
+  // its restart AND its pending buffer drained.
   std::function<void(ProcessId, std::size_t, std::vector<std::uint64_t>)> poll =
       [&](ProcessId p, std::size_t idx, std::vector<std::uint64_t> target) {
         const NodeStack& stack = *stacks[p];
         if (stack.up()) {
-          const VectorClock seen = stack.host().recovery()->seen();
-          bool caught_up = stack.host().protocol().quiescent();
+          const CausalProtocol& proto = stack.host().protocol();
+          const VectorClock& applied =
+              dynamic_cast<const BufferingProtocol&>(proto).applied();
+          bool caught_up = proto.quiescent();
           for (ProcessId u = 0; u < config.n_procs && caught_up; ++u) {
-            if (seen[u] < target[u]) caught_up = false;
+            if (applied[u] < target[u]) caught_up = false;
           }
           if (caught_up) {
             result.recoveries[idx].recovered = true;
@@ -170,15 +169,11 @@ SimRunResult run_sim(const SimRunConfig& config,
   result.end_time = queue.now();
   result.net = net.stats();
   result.faults = net.fault_stats();
-  if (const ReplayFilterObserver* filter = chain.filter()) {
-    result.replay_suppressed = filter->suppressed();
-  }
   result.stats.reserve(config.n_procs);
   for (ProcessId p = 0; p < config.n_procs; ++p) {
     const NodeStack& stack = *stacks[p];
     result.stats.push_back(stack.host().stats());
     result.reliable += stack.reliable_stats();
-    result.recovery += stack.host().recovery_stats();
     if (tel != nullptr) stack.fold_live(*tel);
   }
   if (tel != nullptr) {

@@ -15,12 +15,12 @@
 //   * faulty datagrams (config.fault) — drops/duplicates/partitions, with the
 //     stack's ARQ layer (dsm/sim/reliable.h) rebuilding exactly-once;
 //   * crash/restart (config.crash) — a CrashEvent kills a process's stack
-//     (protocol, recovery node and ARQ: all volatile state, and the traffic
-//     in flight to it) and restarts it from its last checkpoint, taken after
-//     every state-mutating event; anti-entropy catch-up
-//     (dsm/protocols/recovery.h) repairs the gap.  Crash mode always builds
-//     the ARQ and the recovery layer, because a crashed receiver drops
-//     traffic even on an otherwise perfect network.
+//     (protocol and ARQ: all volatile state, and the traffic in flight to
+//     it) and restarts it from its last checkpoint, taken after every
+//     state-mutating event; the peers' ARQs resend what it lost, all at once
+//     when its RESUME frame reaches them (dsm/sim/reliable.h).  Crash mode
+//     always builds the ARQ, because a crashed receiver drops traffic even
+//     on an otherwise perfect network.
 
 #pragma once
 
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "dsm/objects/object_store.h"
-#include "dsm/protocols/recovery.h"
 #include "dsm/protocols/registry.h"
 #include "dsm/protocols/run_recorder.h"
 #include "dsm/sim/network.h"
@@ -72,9 +71,10 @@ struct SimRunConfig {
 };
 
 /// One crash/restart episode as observed by the harness.  `recovered` means
-/// the process caught up — every write issued anywhere before the restart
-/// was received AND its pending buffer drained — before the run ended; the
-/// gap `recovered_at - restarted_at` is the recovery time benches report.
+/// the process caught up — it applied (or logically applied) every write
+/// issued anywhere before the restart AND its pending buffer drained —
+/// before the run ended; the gap `recovered_at - restarted_at` is the
+/// recovery time benches report.
 struct RecoveryRecord {
   ProcessId proc = 0;
   SimTime crashed_at = 0;
@@ -94,11 +94,7 @@ struct SimRunResult {
   NetworkStats net;
   FaultStats faults;                       ///< drops/dups injected (if any)
   ReliableStats reliable;                  ///< ARQ totals (if fault mode)
-  RecoveryStats recovery;                  ///< catch-up totals (crash mode)
   std::vector<RecoveryRecord> recoveries;  ///< one per crash event
-  /// Observer events suppressed as replays (crash mode: a write redelivered
-  /// through catch-up + retransmission is recorded once).
-  std::uint64_t replay_suppressed = 0;
   SimTime end_time = 0;
   bool settled = false;  ///< all protocols quiescent before the chunk cap
 

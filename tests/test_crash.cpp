@@ -1,5 +1,5 @@
 // Crash/recovery tests: protocol checkpoints (snapshot/restore), the sim
-// harness's crash mode (checkpoint + anti-entropy catch-up, Theorems 4/5
+// harness's crash mode (checkpoint + the peers' ARQ resends, Theorems 4/5
 // under crashes and partitions), determinism with faults enabled, and the
 // kill()/restart() path of CausalMemory's replica threads.
 
@@ -16,7 +16,6 @@
 #include "dsm/common/rng.h"
 #include "dsm/history/checker.h"
 #include "dsm/net/causal_memory.h"
-#include "dsm/protocols/recovery.h"
 #include "dsm/protocols/registry.h"
 #include "dsm/telemetry/telemetry.h"
 #include "dsm/workload/generator.h"
@@ -115,39 +114,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(RecoveryNodeSnapshot, RoundtripsTheWriteLog) {
-  NullObs obs;
-  ParkingEndpoint lower;
-  RecoveryNode node(1, 3, lower);
-  // Log two of p0's writes through the delivery path by faking a protocol
-  // beneath: easier — log via send interception: node.broadcast of a
-  // WriteUpdate logs it as our own.
-  WriteUpdate m;
-  m.sender = 1;
-  m.write_seq = 1;
-  m.var = 0;
-  m.value = 5;
-  node.broadcast(make_payload(encode_message(Message{m})));
-  ASSERT_EQ(node.log_entries(), 1u);
-
-  ByteWriter w;
-  node.snapshot(w);
-  const std::vector<std::uint8_t> bytes = std::move(w).take();
-
-  ParkingEndpoint lower2;
-  RecoveryNode fresh(1, 3, lower2);
-  ByteReader r(bytes);
-  ASSERT_TRUE(fresh.restore(r));
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(fresh.log_entries(), 1u);
-  EXPECT_EQ(fresh.seen(), node.seen());
-
-  // Geometry mismatch is rejected outright.
-  RecoveryNode wrong(1, 4, lower2);
-  ByteReader r2(bytes);
-  EXPECT_FALSE(wrong.restore(r2));
-}
-
 // ------------------------------------------------- sim-harness crash mode --
 
 struct CrashParams {
@@ -216,8 +182,9 @@ TEST_P(CrashSweep, SurvivingHistoryPassesEveryCheck) {
     EXPECT_GE(rec.recovered_at, rec.restarted_at);
   }
   if (p.crashes > 0) {
-    EXPECT_GT(result.recovery.writes_recovered, 0u);
-    EXPECT_GT(result.recovery.catch_up_bytes, 0u);
+    // The ARQ repaired the crashes: restored windows and RESEND answers
+    // count as retransmissions.
+    EXPECT_GT(result.reliable.retransmissions, 0u);
   }
 
   EXPECT_TRUE(
@@ -282,15 +249,11 @@ std::string crash_run_fingerprint(const SimRunResult& r, std::size_t n_procs) {
   }
   for_each_stat(r.reliable,
                 [&](const char*, std::uint64_t v) { out << v << ' '; });
-  const RecoveryStats& rs = r.recovery;
-  out << '\n' << rs.requests_sent << ' ' << rs.requests_received << ' '
-      << rs.replies_sent << ' ' << rs.replies_received << ' '
-      << rs.writes_served << ' ' << rs.writes_recovered << ' '
-      << rs.catch_up_bytes << '\n'
+  out << '\n'
       << r.net.messages_sent << ' ' << r.net.bytes_sent << ' '
       << r.net.max_latency_seen << ' ' << r.faults.dropped << ' '
       << r.faults.duplicated << ' ' << r.faults.partition_dropped << ' '
-      << r.faults.crash_dropped << ' ' << r.replay_suppressed << ' '
+      << r.faults.crash_dropped << ' '
       << r.end_time << ' ' << r.settled << '\n';
   return out.str();
 }
@@ -303,22 +266,22 @@ struct PinnedCrashRun {
 };
 
 const PinnedCrashRun kPinnedCrashRuns[] = {
-    {kCrashGrid[0], 0.0, false, 0x103BB6ED81E5013},
-    {kCrashGrid[1], 0.0, false, 0x920D547FEF84DEA4},
-    {kCrashGrid[2], 0.0, false, 0x8420FE1B9318384A},
-    {kCrashGrid[3], 0.0, false, 0x3109128291102144},
-    {kCrashGrid[4], 0.0, false, 0x6E107BD76301CD1F},
-    {kCrashGrid[5], 0.0, false, 0x8E899B05D471CCBD},
-    {kCrashGrid[6], 0.0, false, 0x61D0A8185AB49936},
+    {kCrashGrid[0], 0.0, false, 0x000970C75E1B0D1C},
+    {kCrashGrid[1], 0.0, false, 0xC2CBFFBE285D34CE},
+    {kCrashGrid[2], 0.0, false, 0x8F8B3F458ACE1F04},
+    {kCrashGrid[3], 0.0, false, 0x80A55146D3D9F826},
+    {kCrashGrid[4], 0.0, false, 0x387DFEB1B5FF9D1A},
+    {kCrashGrid[5], 0.0, false, 0x2B8DF421D81CC4A0},
+    {kCrashGrid[6], 0.0, false, 0x8F62B874E598999A},
     // Crash + partition + drop (+ duplicates) with telemetry and a kept trace.
     {{ProtocolKind::kOptP, 2, sim_ms(8), 0.15, 33}, 0.05, true,
-     0xEE8562A6B58F8B58},
+     0x086E39AAD8D4DC72},
     {{ProtocolKind::kOptP, 3, sim_ms(10), 0.1, 23}, 0.0, true,
-     0xCD73575617A66081},
+     0x431276F2B9BF347A},
     {{ProtocolKind::kAnbkh, 1, sim_ms(10), 0.2, 26}, 0.05, true,
-     0x68114F4A5CCE45C1},
+     0x29707AABCF289944},
     {{ProtocolKind::kOptPWs, 2, sim_ms(8), 0.1, 27}, 0.0, true,
-     0x4CA3C51A56132683},
+     0x9F5C72C43015DE68},
 };
 
 TEST(CrashMode, BehaviourMatchesPinnedDigests) {
@@ -362,9 +325,10 @@ TEST(CrashMode, BackToBackCrashesOfOneProcessRecoverEachTime) {
 }
 
 TEST(CrashMode, OverlappingCrashWindowsOfTwoProcessesRepairEachOther) {
-  // p1 and p2 are down simultaneously; each misses writes the other holds,
-  // so recovery needs the symmetric re-request path of the catch-up
-  // exchange.
+  // p1 and p2 are down simultaneously; each misses writes the other holds.
+  // p1 restarts first: its RESUME frames to the still-down p2 are lost and
+  // repeat until p2, restarted, answers; p2's own restore resends its window
+  // to p1.
   CrashParams p{ProtocolKind::kOptP, 0, 0, 0.0, 32};
   const UniformLatency latency(sim_us(100), sim_us(600), 32);
   auto cfg = crash_config(p, latency);
@@ -395,7 +359,7 @@ TEST(CrashMode, SameSeedGivesByteIdenticalTraceUnderFullFaultLoad) {
   EXPECT_EQ(export_trace_jsonl(*a.recorder), export_trace_jsonl(*b.recorder));
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.reliable.retransmissions, b.reliable.retransmissions);
-  EXPECT_EQ(a.recovery.catch_up_bytes, b.recovery.catch_up_bytes);
+  EXPECT_EQ(a.net.bytes_sent, b.net.bytes_sent);
   ASSERT_EQ(a.recoveries.size(), b.recoveries.size());
   for (std::size_t i = 0; i < a.recoveries.size(); ++i) {
     EXPECT_EQ(a.recoveries[i].recovered_at, b.recoveries[i].recovered_at);
@@ -437,7 +401,9 @@ TEST(CausalMemoryRecovery, KilledProcessCatchesUpAfterRestart) {
   ASSERT_TRUE(cluster.sync(5000ms));
   EXPECT_EQ(cluster.peek(1, 0).value, 2);
   EXPECT_EQ(cluster.peek(1, 1).value, 3);
-  EXPECT_GT(cluster.recovery_stats().writes_recovered, 0u);
+  // Applied once before the kill and twice after the restart: the peers'
+  // ARQs resent what p1 missed while down.
+  EXPECT_GE(cluster.stats(1).remote_applies, 3u);
 
   const auto check = ConsistencyChecker::check(cluster.recorder().history());
   EXPECT_TRUE(check.consistent());

@@ -1219,8 +1219,8 @@ TEST(ProcessClusterTest, ReconnectMidRunRepairsViaArq) {
 }
 
 /// Crash/recovery composes with sockets: kill one node's protocol stack
-/// mid-run, restart it from checkpoint, and the anti-entropy catch-up brings
-/// it back to a consistent view.
+/// mid-run, restart it from checkpoint, and the peers' ARQ resends bring it
+/// back to a consistent view.
 TEST(ProcessClusterTest, KillAndRestartHostRecovers) {
   ProcessClusterConfig config;
   config.shape.kind = ProtocolKind::kOptP;
@@ -1282,9 +1282,10 @@ TEST(ProcessClusterTest, KillAndRestartHostRecovers) {
 
 /// Tentpole acceptance: SIGKILL a node mid-run (no cleanup, no goodbye), fork
 /// a fresh process on the same port and state dir, and let it rejoin from its
-/// snapshot + WAL tail via anti-entropy.  The victim's archived pre-kill log
-/// stitched with its respawned final log, merged with the survivors', must be
-/// checker-clean and byte-identical to the uninterrupted simulator run.
+/// snapshot + WAL tail while its peers' ARQs resend what it missed.  The
+/// victim's archived pre-kill log stitched with its respawned final log,
+/// merged with the survivors', must be checker-clean and byte-identical to
+/// the uninterrupted simulator run.
 TEST(ProcessClusterTest, SigkillRespawnFromStateDirMatchesSimulator) {
   std::string state_dir = "/tmp/optcm-net-state-XXXXXX";
   ASSERT_NE(::mkdtemp(state_dir.data()), nullptr);
@@ -1354,6 +1355,101 @@ TEST(ProcessClusterTest, SigkillRespawnFromStateDirMatchesSimulator) {
         << "process " << p << ", kill at +" << kill_at.count() << "ms";
   }
 
+  std::error_code ec;
+  std::filesystem::remove_all(state_dir, ec);
+}
+
+/// A receipt whose spill failed stays unacknowledged.  Node 1's storage
+/// fails every write after its boot spill, so its receipt of p0's write
+/// never reaches the disk and the node holds the ACK.  SIGKILLed and
+/// respawned onto the same failing storage, it boots from the snapshot that
+/// predates the receipt, and p0's tx window returns the write.
+TEST(ProcessClusterTest, ReceiptWhoseSpillFailedIsResentAfterASigkill) {
+  std::string state_dir = "/tmp/optcm-net-state-XXXXXX";
+  ASSERT_NE(::mkdtemp(state_dir.data()), nullptr);
+  ProcessClusterConfig config;
+  config.shape.kind = ProtocolKind::kOptP;
+  config.shape.n_procs = 2;
+  config.shape.n_vars = 1;
+  config.shape.recoverable = true;
+  config.state_dir = state_dir;
+  config.fsync = FsyncPolicy::kNone;
+  // A boot spill makes three write calls: the WAL commit and the snapshot's
+  // header and body.  Every call from the fourth on fails.
+  config.storage_fail.emplace_back(
+      1, StorageFailpoint{StorageFailpoint::Op::kWrite,
+                          StorageFailpoint::Kind::kEnospc, 4, 0});
+  ProcessCluster cluster(config);
+  ASSERT_TRUE(cluster.spawn());
+  ASSERT_TRUE(cluster.wait_ready());
+  std::vector<Script> scripts(2);
+  scripts[0].push_back(write_step(sim_ms(1), 0, 7));
+  ASSERT_TRUE(cluster.run(scripts, /*time_scale=*/1));
+
+  // True once node 1's live log holds the receipt of p0's write.
+  const auto received = [&cluster] {
+    const auto run = cluster.fetch_log(1);
+    return run.has_value() &&
+           std::any_of(run->events.begin(), run->events.end(),
+                       [](const RunEvent& e) {
+                         return e.kind == EvKind::kReceipt && e.at == 1;
+                       });
+  };
+  const auto wait_received = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!received()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+  };
+  ASSERT_TRUE(wait_received());
+  const auto stats = cluster.fetch_stats(1);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_GE(stats->node.snapshot_failures, 1u);
+  EXPECT_EQ(stats->reliable.acks_sent, 0u);  // held: p0 keeps the write
+  EXPECT_FALSE(cluster.wait_quiescent(/*timeout_ms=*/200));
+
+  ASSERT_TRUE(cluster.kill_process(1));
+  ASSERT_TRUE(cluster.respawn_process(1));
+  ASSERT_TRUE(cluster.wait_ready());
+  EXPECT_TRUE(wait_received()) << "the respawn never got p0's write back";
+  EXPECT_TRUE(cluster.shutdown());
+  std::error_code ec;
+  std::filesystem::remove_all(state_dir, ec);
+}
+
+/// A spill that failed is retried at the tick edge, and the first one that
+/// lands releases the held ACKs.  Node 1's storage fails four write calls in
+/// a row, the WAL commit's one try and its three retries, at its receipt of
+/// p0's write; no later mutation comes to spill again.
+TEST(ProcessClusterTest, FailedSpillIsRetriedAndReleasesTheHeldAcks) {
+  std::string state_dir = "/tmp/optcm-net-state-XXXXXX";
+  ASSERT_NE(::mkdtemp(state_dir.data()), nullptr);
+  ProcessClusterConfig config;
+  config.shape.kind = ProtocolKind::kOptP;
+  config.shape.n_procs = 2;
+  config.shape.n_vars = 1;
+  config.shape.recoverable = true;
+  config.state_dir = state_dir;
+  config.fsync = FsyncPolicy::kNone;
+  config.storage_fail.emplace_back(
+      1, StorageFailpoint{StorageFailpoint::Op::kWrite,
+                          StorageFailpoint::Kind::kEnospc, 4,
+                          kWalWriteRetries + 1});
+  ProcessCluster cluster(config);
+  ASSERT_TRUE(cluster.spawn());
+  ASSERT_TRUE(cluster.wait_ready());
+  std::vector<Script> scripts(2);
+  scripts[0].push_back(write_step(sim_ms(1), 0, 7));
+  ASSERT_TRUE(cluster.run(scripts, /*time_scale=*/1));
+  EXPECT_TRUE(cluster.wait_done(/*timeout_ms=*/10'000));
+  const auto stats = cluster.fetch_stats(1);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->node.snapshot_failures, 1u);
+  EXPECT_GE(stats->reliable.acks_sent, 1u);
+  EXPECT_TRUE(cluster.shutdown());
   std::error_code ec;
   std::filesystem::remove_all(state_dir, ec);
 }

@@ -50,7 +50,7 @@ struct StackPair {
   /// p's own write, checkpointed right after it as the harness does.
   void write(ProcessId p, Value v) {
     stacks[p]->host().protocol().write(0, v);
-    stacks[p]->host().note_mutation();
+    stacks[p]->host().checkpoint();
   }
   EventQueue queue;
   ConstantLatency latency{sim_us(100)};
@@ -72,8 +72,8 @@ TEST(NodeStack, FrameDeliveredWhileDownIsCountedAndReachesNothing) {
   EXPECT_EQ(pair.observer.receipts[1], 0u);
   EXPECT_EQ(pair.stacks[1]->reliable_stats().delivered, 0u);
 
-  // After the restart the write gets through — by catch-up and by the
-  // sender's retransmission (a replay filter would record it once).
+  // After the restart the write gets through: p1's RESUME frame makes p0
+  // resend its window.
   pair.stacks[1]->restart();
   pair.queue.run_until(sim_ms(200));
   EXPECT_GE(pair.observer.receipts[1], 1u);
@@ -99,7 +99,7 @@ TEST(NodeStack, RestartRetransmitsWhatWasUnackedAtTheCheckpoint) {
   EXPECT_TRUE(pair.stacks[0]->quiescent());
   EXPECT_EQ(pair.stacks[1]->reliable_stats().duplicates_suppressed, 1u);
   EXPECT_EQ(pair.observer.receipts[1], 1u);
-  EXPECT_EQ(pair.stacks[0]->reliable_stats().data_sent, 2u);  // + catch-up
+  EXPECT_EQ(pair.stacks[0]->reliable_stats().data_sent, 1u);
 }
 
 TEST(NodeStack, AcksHeldAtAKillAreRepairedByThePeersRetransmission) {
@@ -157,8 +157,7 @@ TEST(NodeStack, KillWithAnOpenBatchRestartsAndDeliversItOnce) {
   EXPECT_EQ(pair.stacks[0]->arq()->stats().retransmissions, 1u);
   pair.queue.run_until(sim_ms(60));
   EXPECT_EQ(pair.observer.receipts[1], 3u);
-  // Every payload p0 sent (the three writes and its catch-up request)
-  // reached p1 exactly once.
+  // Every payload p0 sent (the three writes) reached p1 exactly once.
   EXPECT_EQ(pair.stacks[1]->reliable_stats().delivered,
             pair.stacks[0]->reliable_stats().data_sent);
   EXPECT_EQ(pair.stacks[1]->reliable_stats().duplicates_suppressed, 0u);
@@ -180,6 +179,80 @@ TEST(NodeStack, DecodeRejectsTruncatedFraming) {
     ByteReader r(std::span<const std::uint8_t>(blob.data(), cut));
     EXPECT_FALSE(NodeStack::decode_checkpoint(r).has_value()) << "cut " << cut;
   }
+}
+
+/// A transport for one process that can be attached again: a test boots a
+/// fresh stack for that process, from a spilled checkpoint, on the same
+/// network.
+class Reattachable final : public DatagramTransport, public MessageSink {
+ public:
+  Reattachable(Network& net, ProcessId self) : net_(&net) {
+    net.attach(self, *this);
+  }
+  void attach(ProcessId, MessageSink& sink) override { sink_ = &sink; }
+  void send(ProcessId from, ProcessId to, Payload payload) override {
+    net_->send(from, to, std::move(payload));
+  }
+  [[nodiscard]] std::size_t n_procs() const override {
+    return net_->n_procs();
+  }
+  void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override {
+    sink_->deliver(from, bytes);
+  }
+
+ private:
+  Network* net_;
+  MessageSink* sink_ = nullptr;
+};
+
+/// A BATCH frame is checkpointed once, after all its payloads.  The ARQ marks
+/// the frame's seq seen before its first payload goes up, so a checkpoint
+/// between two payloads would restore a stack that suppresses the resent
+/// batch as a duplicate and never gets the second payload.
+TEST(NodeStack, BatchFrameIsCheckpointedOnceAfterAllItsPayloads) {
+  EventQueue queue;
+  const ConstantLatency latency(sim_us(100));
+  Network net(queue, latency, 2);
+  Reattachable p1_link(net, 1);
+  ReceiptCounter observer;
+  ReliableConfig arq;
+  arq.ack_delay = sim_us(300);  // p1's ACK is still held when p1 dies
+  NodeStack p0(queue, net, recoverable_shape(0), arq, observer);
+  auto p1 = std::make_unique<NodeStack>(queue, p1_link, recoverable_shape(1),
+                                        arq, observer);
+  p0.start();
+  p1->start();
+  // Every checkpoint p1 takes, as a durable node's spill would write it.
+  std::vector<std::vector<std::uint8_t>> spilled;
+  p1->host().set_spill_hook([&] {
+    ByteWriter w;
+    p1->encode_checkpoint(w);
+    spilled.push_back(std::move(w).take());
+  });
+  p0.tick();  // tick-driven: both writes share one frame
+  for (Value v = 1; v <= 2; ++v) {
+    p0.host().protocol().write(0, v);
+    p0.host().checkpoint();
+  }
+  p0.tick();
+  queue.run_until(sim_us(150));
+  EXPECT_EQ(observer.receipts[1], 2u);
+  EXPECT_EQ(spilled.size(), 1u);
+  ASSERT_FALSE(spilled.empty());
+
+  // p1 dies before its ACK leaves and boots from the frame's first
+  // checkpoint.
+  p1 = std::make_unique<NodeStack>(queue, p1_link, recoverable_shape(1), arq,
+                                   observer);
+  ByteReader r(spilled.front());
+  const auto checkpoint = NodeStack::decode_checkpoint(r);
+  ASSERT_TRUE(checkpoint.has_value());
+  p1->start(&*checkpoint);
+  EXPECT_EQ(p1->host().protocol().peek(0).value, 2);
+  queue.run_until(sim_ms(20));
+  EXPECT_TRUE(p0.quiescent());
+  EXPECT_EQ(p1->reliable_stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(p1->host().protocol().peek(0).value, 2);
 }
 
 /// A snapshot file a durable ProcessNode spilled is [u64 op count] + the
@@ -232,7 +305,7 @@ TEST(NodeStack, SpilledSnapshotRoundTripsThroughTheDecoder) {
       shape.self = q;
       others[q].emplace(queue, net, shape, net_reliable_defaults(), observer);
     }
-    others[p]->start(&*checkpoint);  // restores ARQ, protocol and recovery
+    others[p]->start(&*checkpoint);  // restores ARQ and protocol
     EXPECT_EQ(others[p]->host().protocol().peek(0).value, kLast) << "p" << p;
   }
   std::error_code ec;

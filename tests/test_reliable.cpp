@@ -484,6 +484,32 @@ TEST(ReliableNode, OneAckFrameRetiresSeveralUnackedEntries) {
   EXPECT_EQ(node.stats().malformed_dropped, 0u);
 }
 
+TEST(ReliableNode, HeldAcksWaitForTheReleaseAndLeaveAsOneFrame) {
+  // While held, neither the ACK timer nor a DATA frame to the peer lets an
+  // ACK out; the release sends every held seq at once.
+  EventQueue queue;
+  CapturingTransport wire(queue);
+  CollectingSink sink;
+  ReliableNode node(queue, wire, 1, sink, held_acks());
+  node.hold_acks(true);
+  node.deliver(0, data_frame(1, 0xA1));
+  node.deliver(0, data_frame(2, 0xA2));
+  EXPECT_EQ(sink.received.size(), 2u);  // delivery never waits for the ACK
+  queue.run_until(sim_ms(1));           // past the ACK timer
+  node.send(0, make_payload({0xB1}));
+  ASSERT_EQ(wire.sent.size(), 1u);
+  EXPECT_EQ(wire.sent[0].bytes, (Bytes{0x00, 1, 0xB1}));
+  node.hold_acks(true);
+  EXPECT_EQ(wire.sent.size(), 1u);
+
+  node.hold_acks(false);
+  ASSERT_EQ(wire.sent.size(), 2u);
+  EXPECT_EQ(wire.sent[1].bytes, (Bytes{0x01, 1, 2}));
+  EXPECT_EQ(node.stats().acks_sent, 1u);
+  node.hold_acks(false);
+  EXPECT_EQ(wire.sent.size(), 2u);
+}
+
 TEST(ReliableNode, MalformedFramesAreDroppedAndCounted) {
   EventQueue queue;
   CapturingTransport wire(queue);
@@ -494,7 +520,8 @@ TEST(ReliableNode, MalformedFramesAreDroppedAndCounted) {
 
   const Bytes garbage[] = {
       {},                // no type byte
-      {0x03, 1},         // unknown type
+      {0x05, 1},         // unknown type
+      {0x03, 1},         // RESUME with a body
       {0x00},            // DATA without a seq
       {0x00, 0x80},      // DATA with a truncated seq
       {0x01},            // ACK listing no seq
@@ -507,6 +534,12 @@ TEST(ReliableNode, MalformedFramesAreDroppedAndCounted) {
       // A whole first payload, then one running past the end: neither is
       // delivered, and the seq is not acknowledged.
       {0x02, 1, 1, 0xA1, 3, 0xA2},
+      {0x04, 0x80},      // RESEND with a truncated length
+      {0x04, 3, 0x00, 1},  // RESEND whose frame runs past the frame end
+      {0x04, 1, 0x00},   // RESEND holding a DATA frame without a seq
+      {0x04, 2, 0x01, 1},  // RESEND holding an ACK frame
+      // A whole DATA frame, then a truncated one: nothing is delivered.
+      {0x04, 3, 0x00, 1, 0xA1, 4, 0x00, 2},
   };
   for (const Bytes& frame : garbage) node.deliver(1, frame);
 
@@ -543,6 +576,12 @@ struct SentData {
   std::vector<Bytes> payloads;
   friend bool operator==(const SentData&, const SentData&) = default;
 };
+
+/// A RESUME frame, which a restored node repeats to each peer until the
+/// peer answers.
+bool is_resume(const std::pair<ProcessId, Bytes>& frame) {
+  return frame.second == Bytes{0x03};
+}
 
 SentData parse_data(const std::pair<ProcessId, Bytes>& frame) {
   ByteReader r(frame.second);
@@ -751,6 +790,7 @@ TEST(ReliableNode, TxWindowMatchesASeqKeyedMapModel) {
           wire.sent.clear();
           queue.run_until(queue.now() + rng.below(sim_ms(30)));
           for (const auto& frame : wire.sent) {
+            if (is_resume(frame)) continue;  // a restored node's, unanswered
             const SentData d = parse_data(frame);
             auto it = model.unacked[d.to].find(d.seq);
             if (it == model.unacked[d.to].end()) {
@@ -764,8 +804,9 @@ TEST(ReliableNode, TxWindowMatchesASeqKeyedMapModel) {
           ASSERT_EQ(snap, model.expected_snapshot(snap));
         } else {
           // Crash and restore: the fresh node retransmits every window in
-          // (peer, seq) order, an open batch as one frame of its own, and
-          // snapshots the same bytes it restored.
+          // (peer, seq) order, an open batch as one frame of its own, then
+          // sends each peer a RESUME frame, and snapshots the same bytes it
+          // restored.
           const Bytes snap = snapshot_of(*node);
           wire.sent.clear();
           auto fresh = fresh_node();
@@ -773,10 +814,17 @@ TEST(ReliableNode, TxWindowMatchesASeqKeyedMapModel) {
           ASSERT_TRUE(fresh->restore(r));
           node = std::move(fresh);
           std::vector<SentData> resent;
+          std::vector<ProcessId> resumed;
           for (const auto& frame : wire.sent) {
-            resent.push_back(parse_data(frame));
+            if (is_resume(frame)) {
+              resumed.push_back(frame.first);
+            } else {
+              EXPECT_TRUE(resumed.empty()) << "a RESUME went out first";
+              resent.push_back(parse_data(frame));
+            }
           }
           EXPECT_EQ(resent, model.in_order());
+          EXPECT_EQ(resumed, (std::vector<ProcessId>{1, 2}));
           for (ProcessId to = 1; to < 3; ++to) (void)model.transmit(to);
           EXPECT_EQ(snapshot_of(*node), snap);
           ++restores;
@@ -790,6 +838,95 @@ TEST(ReliableNode, TxWindowMatchesASeqKeyedMapModel) {
         EXPECT_GE(widest, 3u) << "no multi-payload batch formed";
       }
     }
+  }
+}
+
+// ------------------------------------------------ resume after restore -----
+
+/// Two nodes' wire with a fixed one-way latency.  A frame to a node with no
+/// sink attached (a crashed one) vanishes, and `drop` loses chosen frames.
+class TwoNodeWire final : public DatagramTransport {
+ public:
+  TwoNodeWire(EventQueue& queue, SimTime latency)
+      : queue_(&queue), latency_(latency) {}
+  void attach(ProcessId p, MessageSink& sink) override { sinks[p] = &sink; }
+  void send(ProcessId from, ProcessId to, Payload payload) override {
+    if (from == 0 && (*payload)[0] != 0x01) data_sent_at.push_back(queue_->now());
+    if (drop && drop(from, *payload)) return;
+    if (from == 1 && *payload == Bytes{0x03}) resume_sent_at.push_back(queue_->now());
+    queue_->schedule_after(latency_, [this, from, to, payload] {
+      if (sinks[to] != nullptr) sinks[to]->deliver(from, *payload);
+    });
+  }
+  [[nodiscard]] std::size_t n_procs() const override { return 2; }
+
+  MessageSink* sinks[2] = {nullptr, nullptr};
+  std::function<bool(ProcessId from, const Bytes& frame)> drop;
+  std::vector<SimTime> data_sent_at;    ///< p0's DATA and RESEND frames
+  std::vector<SimTime> resume_sent_at;  ///< p1's RESUME frames not dropped
+
+ private:
+  EventQueue* queue_;
+  SimTime latency_;
+};
+
+// p0 sends to a crashed p1 until its backoff reaches max_rto.  p1 restarts
+// from a checkpoint that predates the send, and its RESUME frame gets the
+// payload back within one round trip, not at p0's next backed-off timer.
+// Dropping the first RESUME only delays it to the repeat.
+TEST(ReliableNode, ResumeFetchesABackedOffPeersWindowWithinOneRoundTrip) {
+  constexpr SimTime kLatency = sim_us(100);
+  for (const bool drop_first : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "drop first RESUME " << drop_first);
+    EventQueue queue;
+    TwoNodeWire wire(queue, kLatency);
+    CollectingSink sinks[2];
+    const ReliableConfig cfg;
+    ReliableNode peer(queue, wire, 0, sinks[0], cfg);
+    wire.attach(0, peer);
+    Bytes checkpoint;
+    {
+      ReliableNode before_crash(queue, wire, 1, sinks[1], cfg);
+      checkpoint = snapshot_of(before_crash);
+    }
+
+    peer.send(1, make_payload({0xA1}));
+    queue.run_until(sim_ms(1500));
+    ASSERT_GE(wire.data_sent_at.size(), 3u);
+    const SimTime last_gap =
+        wire.data_sent_at.back() - wire.data_sent_at[wire.data_sent_at.size() - 2];
+    EXPECT_GE(last_gap, cfg.max_rto) << "p0 has backed off to max_rto";
+    EXPECT_FALSE(peer.quiescent());
+
+    bool dropped = false;
+    wire.drop = [&](ProcessId from, const Bytes& frame) {
+      if (!drop_first || dropped || from != 1 || frame != Bytes{0x03}) {
+        return false;
+      }
+      dropped = true;
+      return true;
+    };
+    ReliableNode restored(queue, wire, 1, sinks[1], cfg);
+    wire.attach(1, restored);
+    const SimTime restart_at = queue.now();
+    ByteReader r(checkpoint);
+    ASSERT_TRUE(restored.restore(r));
+    while (sinks[1].received.empty() && queue.now() < restart_at + cfg.max_rto) {
+      ASSERT_TRUE(queue.step());
+    }
+    ASSERT_EQ(sinks[1].received.size(), 1u);
+    EXPECT_EQ(sinks[1].received[0].second, Bytes{0xA1});
+    ASSERT_EQ(wire.resume_sent_at.size(), 1u);
+    EXPECT_EQ(dropped, drop_first);
+    EXPECT_LE(queue.now() - wire.resume_sent_at[0], 2 * kLatency);
+    EXPECT_LE(wire.resume_sent_at[0] - restart_at, drop_first ? 2 * cfg.rto : 0);
+
+    // p1's ACK retires the entry, and the answered RESUME stops repeating.
+    queue.run_until(queue.now() + sim_ms(1));
+    EXPECT_TRUE(peer.quiescent());
+    queue.run_until(queue.now() + 4 * cfg.max_rto);
+    EXPECT_EQ(wire.resume_sent_at.size(), 1u);
+    EXPECT_EQ(sinks[1].received.size(), 1u);
   }
 }
 

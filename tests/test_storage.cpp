@@ -19,7 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dsm/protocols/recovery.h"
+#include "dsm/protocols/replay_filter.h"
 #include "dsm/protocols/run_recorder.h"
 #include "dsm/storage/snapshot_file.h"
 #include "dsm/storage/state_dir.h"

@@ -293,9 +293,8 @@ TEST(TelemetrySim, RegistryNamesAreDocumented) {
       metric::kCheckpointBytes,   metric::kArqData,
       metric::kArqRetransmissions, metric::kArqAcks,
       metric::kArqDuplicates,     metric::kArqAbandoned,
-      metric::kArqRto,            metric::kRecoveryRequests,
-      metric::kRecoveryWrites,    metric::kRecoveryBytes,
-      metric::kNetMessages,       metric::kNetBytes,
+      metric::kArqRto,            metric::kNetMessages,
+      metric::kNetBytes,
       metric::kNetDropped,        metric::kNetDuplicated,
       metric::kNetPartitionDropped, metric::kNetCrashDropped,
   };

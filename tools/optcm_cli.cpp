@@ -105,7 +105,7 @@ constexpr FlagSpec kFlags[] = {
      .help = "cut process 0 off from everyone during [START, START+DUR)"},
     {.name = "crash", .type = T::kText, .commands = kSim,
      .value = "P@START:DUR[,...]",
-     .help = "crash P at START, restart after DUR, recover by catch-up"},
+     .help = "crash P at START, restart after DUR; peers' ARQs resend the gap"},
     // -- run: scenario, typed objects (docs/OBJECTS.md), access maps ---------
     {.name = "script", .type = T::kChoice, .commands = kRun | kDrive,
      .value = "h1|fig1|fig3|objects",
@@ -141,7 +141,7 @@ constexpr FlagSpec kFlags[] = {
     {.name = "listen", .type = T::kText, .commands = kServe,
      .value = "HOST:PORT", .help = "bind here instead of at peers[id]"},
     {.name = "recoverable", .commands = kServe | kDrive,
-     .help = "replay filter + anti-entropy catch-up"},
+     .help = "checkpoint every mutation; restart resumes the ARQ peers"},
     {.name = "state-dir", .type = T::kText, .commands = kServe | kDrive,
      .value = "DIR", .needs = "recoverable", .needs_in = kServe,
      .help = "durable WAL + snapshots (drive: implies --recoverable)"},
@@ -207,8 +207,8 @@ const char* crash_refusal(ProtocolKind kind) {
   }
   if (kind == ProtocolKind::kOptPSharded) {
     return "optp-sharded cannot run under a crash plan: it is not a class-P "
-           "buffering protocol, so the checkpoint/catch-up recovery stack "
-           "does not apply (see docs/FAULTS.md)";
+           "buffering protocol, so the checkpointed recovery stack does not "
+           "apply (see docs/FAULTS.md)";
   }
   return nullptr;
 }
@@ -548,9 +548,6 @@ void print_report(ProtocolKind kind, const SimRunResult& result,
   if (!result.recoveries.empty()) {
     table.add("crashes", result.recoveries.size());
     table.add("crash drops", result.faults.crash_dropped);
-    table.add("catch-up bytes", result.recovery.catch_up_bytes);
-    table.add("writes recovered", result.recovery.writes_recovered);
-    table.add("replays suppressed", result.replay_suppressed);
   }
   std::printf("%s", table.str().c_str());
   for (const RecoveryRecord& rec : result.recoveries) {
@@ -618,8 +615,8 @@ std::optional<Work> prepare_run(const FlagValues& f) {
   if (o.objects != nullptr) {
     if (!supports_objects(kind)) return reject("%s", kObjectsNeedProtocol);
     if (o.crash.active()) {
-      return reject("typed objects cannot run under a crash plan: catch-up "
-                    "redelivery carries no typed payload (docs/OBJECTS.md)");
+      return reject("typed objects cannot run under a crash plan: a restored "
+                    "checkpoint carries no typed payload (docs/OBJECTS.md)");
     }
   }
   // Subscription maps parse against the FINAL shape (a paper script may have
@@ -837,7 +834,7 @@ std::optional<Work> prepare_faults(const FlagValues& f) {
     }
     std::printf("workload: %s\n\n", o.spec.describe().c_str());
     Table table({"protocol", "settled", "consistent", "optimal", "unnecessary",
-                 "recover (ms)", "catchup (KB)", "retx", "crash drops",
+                 "recover (ms)", "retx", "crash drops",
                  "abandoned"});
     std::string detail;
     bool all_ok = true;
@@ -872,7 +869,6 @@ std::optional<Work> prepare_faults(const FlagValues& f) {
                 audit.total_unnecessary(),
                 recovered == 0 ? 0.0
                                : recover_ms / static_cast<double>(recovered),
-                static_cast<double>(result.recovery.catch_up_bytes) / 1024.0,
                 result.reliable.retransmissions, result.faults.crash_dropped,
                 result.reliable.abandoned);
     }
@@ -1087,7 +1083,7 @@ ProcessClusterConfig drive_cluster_config(const DriveRun& d) {
   config.shape.kind = d.kind;
   config.shape.n_procs = d.scripts.size();
   config.shape.n_vars = d.n_vars;
-  // Durable state needs the recoverable stack (replay filter + anti-entropy);
+  // Durable state needs the recoverable stack (checkpoints + replay filter);
   // the drive harness owns every node, so it is safe to imply the shape.
   config.shape.recoverable = d.recoverable || !d.state_dir.empty();
   // Forked without exec: the children inherit the map through the shared
@@ -1201,8 +1197,8 @@ bool drive_kill_host(ProcessCluster& cluster, const DriveRun& d,
     return false;
   }
   std::printf(
-      "p%llu respawned from %s/node-%llu (snapshot + WAL replay + "
-      "anti-entropy) and resumed its script\n",
+      "p%llu respawned from %s/node-%llu (snapshot + WAL replay + ARQ "
+      "resume) and resumed its script\n",
       node, d.state_dir.c_str(), node);
   return true;
 }
@@ -1442,7 +1438,7 @@ std::optional<Work> prepare_drive(const FlagValues& f) {
         "--kill-host/--respawn/--wal-group-commit and nemesis crash/wal-fail "
         "entries",
         d.schema != nullptr
-            ? "--script=objects (catch-up redelivery carries no typed payload)"
+            ? "--script=objects (a restored checkpoint carries no typed payload)"
             : "optp-sharded (no WAL/checkpoint seam to restore from)");
   }
   if (!parse_subscription_flags(f, d.kind, n, d.n_vars, d.subscription)) {

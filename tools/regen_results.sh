@@ -12,9 +12,10 @@
 # the code's behavior does — diffs in them belong in the PR that caused them.
 #
 # --check regenerates the two text files into a temp dir instead, compares
-# them byte for byte with results/, and exits 1 on any difference.  It
-# writes nothing under results/ and skips the wall-clock BENCH_*.json files
-# and the equivalence drives below.
+# them byte for byte with results/, and exits 1 on any difference, naming
+# each "===== build/bench/<name> =====" block that differs.  It writes
+# nothing under results/ and skips the wall-clock BENCH_*.json files and the
+# equivalence drives below.
 set -eu
 
 check=false
@@ -44,6 +45,19 @@ repro_benches="repro_table1 repro_table2 repro_fig1_fig2 repro_fig3_fig6
 exp_benches="exp_delays exp_false_causality exp_buffering exp_metadata exp_ws
   exp_loss exp_partial exp_crash"
 
+# Split output file $1 into one file per bench block, named after the bench,
+# under directory $2.
+split_blocks() {
+  mkdir -p "$2"
+  awk -v dir="$2" '
+    /^===== build\/bench\/.* =====$/ {
+      name = $2
+      sub("build/bench/", "", name)
+      out = dir "/" name
+    }
+    out != "" { print > out }' "$1"
+}
+
 if $check; then
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
@@ -54,10 +68,17 @@ if $check; then
   run_group "$tmp/exp_outputs.txt" $exp_benches
   status=0
   for name in repro_outputs.txt exp_outputs.txt; do
-    if cmp "$tmp/$name" "results/$name"; then
+    if cmp -s "$tmp/$name" "results/$name"; then
       echo "byte-identical: results/$name"
     else
       echo "differs: results/$name" >&2
+      split_blocks "$tmp/$name" "$tmp/new.$name"
+      split_blocks "results/$name" "$tmp/old.$name"
+      for block in $( (ls "$tmp/new.$name"; ls "$tmp/old.$name") | sort -u); do
+        if ! cmp -s "$tmp/new.$name/$block" "$tmp/old.$name/$block"; then
+          echo "  block differs: build/bench/$block" >&2
+        fi
+      done
       status=1
     fi
   done
