@@ -119,6 +119,19 @@ struct CrashEvent {
   SimTime restart_at = 0;
 };
 
+/// One crash/restart episode as a harness observed it.  `recovered` means
+/// the process caught up — it applied (or logically applied) every write
+/// issued anywhere before the restart AND its pending buffer drained —
+/// before the run ended; the gap `recovered_at - restarted_at` is the
+/// recovery time benches report.
+struct RecoveryRecord {
+  ProcessId proc = 0;
+  SimTime crashed_at = 0;
+  SimTime restarted_at = 0;
+  SimTime recovered_at = 0;
+  bool recovered = false;
+};
+
 struct CrashPlan {
   std::vector<CrashEvent> events;
 

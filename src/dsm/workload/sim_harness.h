@@ -30,6 +30,7 @@
 #include "dsm/objects/object_store.h"
 #include "dsm/protocols/registry.h"
 #include "dsm/protocols/run_recorder.h"
+#include "dsm/sim/fault.h"
 #include "dsm/sim/network.h"
 #include "dsm/sim/reliable.h"
 #include "dsm/workload/script.h"
@@ -68,19 +69,6 @@ struct SimRunConfig {
   /// (default) the run is byte-identical to an uninstrumented one and pays
   /// only null-pointer checks.
   RunTelemetry* telemetry = nullptr;
-};
-
-/// One crash/restart episode as observed by the harness.  `recovered` means
-/// the process caught up — it applied (or logically applied) every write
-/// issued anywhere before the restart AND its pending buffer drained —
-/// before the run ended; the gap `recovered_at - restarted_at` is the
-/// recovery time benches report.
-struct RecoveryRecord {
-  ProcessId proc = 0;
-  SimTime crashed_at = 0;
-  SimTime restarted_at = 0;
-  SimTime recovered_at = 0;
-  bool recovered = false;
 };
 
 struct SimRunResult {

@@ -12,6 +12,7 @@
 
 #include "dsm/audit/auditor.h"
 #include "dsm/audit/trace_io.h"
+#include "dsm/audit/trace_render.h"
 #include "dsm/codec/codec.h"
 #include "dsm/common/rng.h"
 #include "dsm/history/checker.h"
@@ -263,6 +264,7 @@ struct PinnedCrashRun {
   double duplicate;
   bool telemetry;
   std::uint64_t digest;
+  std::uint64_t log_digest = 0;  ///< timeline rendered from the run log
 };
 
 const PinnedCrashRun kPinnedCrashRuns[] = {
@@ -275,13 +277,13 @@ const PinnedCrashRun kPinnedCrashRuns[] = {
     {kCrashGrid[6], 0.0, false, 0x8F62B874E598999A},
     // Crash + partition + drop (+ duplicates) with telemetry and a kept trace.
     {{ProtocolKind::kOptP, 2, sim_ms(8), 0.15, 33}, 0.05, true,
-     0x086E39AAD8D4DC72},
+     0x086E39AAD8D4DC72, 0xADF813D57FB38E3C},
     {{ProtocolKind::kOptP, 3, sim_ms(10), 0.1, 23}, 0.0, true,
-     0x431276F2B9BF347A},
+     0x431276F2B9BF347A, 0xCDAFA4A957EE8F2F},
     {{ProtocolKind::kAnbkh, 1, sim_ms(10), 0.2, 26}, 0.05, true,
-     0x29707AABCF289944},
+     0x29707AABCF289944, 0xCC42F84D573D0EDF},
     {{ProtocolKind::kOptPWs, 2, sim_ms(8), 0.1, 27}, 0.0, true,
-     0x9F5C72C43015DE68},
+     0x9F5C72C43015DE68, 0x30E08354DDDEDDCB},
 };
 
 TEST(CrashMode, BehaviourMatchesPinnedDigests) {
@@ -294,11 +296,20 @@ TEST(CrashMode, BehaviourMatchesPinnedDigests) {
     if (pin.telemetry) cfg.telemetry = &telemetry;
     const auto result = run_sim(cfg, crash_workload(p.seed));
     std::string fingerprint = crash_run_fingerprint(result, cfg.n_procs);
+    std::string log_fingerprint = fingerprint;
     if (pin.telemetry) {
       fingerprint += telemetry.metrics_csv() + telemetry.trace_csv();
+      log_fingerprint +=
+          telemetry.metrics_csv() +
+          render_trace_csv(result.recorder->events(), result.recoveries);
     }
     EXPECT_EQ(fnv1a(fingerprint), pin.digest)
         << std::hex << "0x" << fnv1a(fingerprint) << std::dec << " for "
+        << to_string(p.kind) << " seed " << p.seed << " telemetry "
+        << pin.telemetry;
+    if (!pin.telemetry) continue;
+    EXPECT_EQ(fnv1a(log_fingerprint), pin.log_digest)
+        << std::hex << "0x" << fnv1a(log_fingerprint) << std::dec << " for "
         << to_string(p.kind) << " seed " << p.seed << " telemetry "
         << pin.telemetry;
   }

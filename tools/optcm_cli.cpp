@@ -649,12 +649,9 @@ std::optional<Work> prepare_run(const FlagValues& f) {
 
     const std::string metrics_out = f.text("metrics-out");
     const std::string trace_out = f.text("trace-out");
-    const bool want_telemetry = !metrics_out.empty() || !trace_out.empty();
+    const bool want_telemetry = !metrics_out.empty();
     std::optional<RunTelemetry> tel;
-    if (want_telemetry) {
-      tel.emplace(o.spec.n_procs, trace_out.empty() ? RunTelemetry::Trace::kOff
-                                                    : RunTelemetry::Trace::kKeep);
-    }
+    if (want_telemetry) tel.emplace(o.spec.n_procs);
 
     const auto wall_start = std::chrono::steady_clock::now();
     const auto result =
@@ -693,21 +690,20 @@ std::optional<Work> prepare_run(const FlagValues& f) {
       std::printf("\ntrace exported to %s\n", path.c_str());
     }
     if (tel) {
-      if (!metrics_out.empty()) {
-        if (!write_file(metrics_out, tel->metrics_csv())) return 1;
-        std::printf("metrics written to %s\n", metrics_out.c_str());
+      if (!write_file(metrics_out, tel->metrics_csv())) return 1;
+      std::printf("metrics written to %s\n", metrics_out.c_str());
+    }
+    if (!trace_out.empty()) {
+      const bool csv = trace_out.ends_with(".csv");
+      const auto& events = result.recorder->events();
+      if (!write_file(trace_out,
+                      csv ? render_trace_csv(events, result.recoveries)
+                          : render_chrome_trace(events, result.recoveries))) {
+        return 1;
       }
-      if (!trace_out.empty()) {
-        const bool csv = trace_out.ends_with(".csv");
-        if (!write_file(trace_out,
-                        csv ? tel->trace_csv() : tel->chrome_trace())) {
-          return 1;
-        }
-        std::printf("%s trace written to %s%s\n", csv ? "csv" : "chrome",
-                    trace_out.c_str(),
-                    csv ? ""
-                        : " (open in chrome://tracing or ui.perfetto.dev)");
-      }
+      std::printf("%s trace written to %s%s\n", csv ? "csv" : "chrome",
+                  trace_out.c_str(),
+                  csv ? "" : " (open in chrome://tracing or ui.perfetto.dev)");
     }
     if (f.has("bench-json")) {
       const std::string path = f.text("bench-json");
