@@ -1,31 +1,24 @@
-// optcm — run-trace persistence (JSON Lines).
+// optcm — run archives: a recorded run as one file.
 //
-// A recorded run — the global history plus the ordered event log — exports
-// to a self-describing JSONL stream and imports back losslessly, so runs can
-// be archived, diffed, shipped in bug reports, and re-audited offline:
-// ConsistencyChecker and OptimalityAuditor run unchanged on imported runs
-// (`optcm replay <file>` does exactly that).
+// An archive is a short header followed by the recorder's log bytes: the
+// same records (run_recorder.h) a durable node commits to its WAL and a
+// driver fetches with kFetchLog.  So a run is archived without a second
+// encoder, and read back by the log's one decoder, replay_wal_record
+// (dsm/storage/wal_sink.h), which also rejects records that do not fit the
+// run.  ConsistencyChecker and OptimalityAuditor run unchanged on an
+// imported run (`optcm run --export` writes one, `optcm replay` re-audits
+// it).
 //
-// Schema (one object per line):
-//   {"type":"meta","procs":N,"vars":M}
-//   {"type":"op","proc":p,"kind":"write|read","var":x,"value":v,
-//    "wproc":j,"wseq":s}                        // wseq 0 encodes ⊥/no-write
-//   {"type":"ev","order":o,"time":t,"at":p,"kind":"send|receipt|apply|
-//    return|skip","wproc":j,"wseq":s,"oproc":j2,"oseq":s2,"var":x,
-//    "value":v,"delayed":0|1,"clock":[...]}
-//
-// The parser accepts exactly this flat shape (it is not a general JSON
-// library); any deviation yields std::nullopt rather than a partial run.
-//
-// JSONL is the file format (optcm run --export / optcm replay).  A live
-// node ships its log in the binary record codec instead (run_recorder.h),
-// which ProcessCluster::fetch_log turns into the same ImportedRun.
+// Header:  8 bytes "optcmlog"  u8(version = 1)  u32(procs)  u32(vars)
+// then the log's records to the end of the file.  procs and vars must lie
+// in [1, kMaxProcs] and [1, kMaxVars]; they are checked before anything is
+// allocated.
 
 #pragma once
 
+#include <cstdint>
 #include <optional>
-#include <string>
-#include <string_view>
+#include <span>
 #include <vector>
 
 #include "dsm/protocols/run_recorder.h"
@@ -37,16 +30,14 @@ struct ImportedRun {
   std::vector<RunEvent> events;
 };
 
-/// Serializes the recorder's history and event log.
-[[nodiscard]] std::string export_trace_jsonl(const GlobalHistory& history,
-                                             const std::vector<RunEvent>& events);
+/// The recorder's run as an archive.  \pre the run has quiesced.
+[[nodiscard]] std::vector<std::uint8_t> export_run_archive(
+    const RunRecorder& recorder);
 
-[[nodiscard]] inline std::string export_trace_jsonl(const RunRecorder& rec) {
-  return export_trace_jsonl(rec.history(), rec.events());
-}
-
-/// Parses a stream produced by export_trace_jsonl.  std::nullopt on any
-/// malformed line, unknown type, or missing meta header.
-[[nodiscard]] std::optional<ImportedRun> import_trace_jsonl(std::string_view text);
+/// Decodes an archive written by export_run_archive.  std::nullopt on a bad
+/// header, a malformed or truncated record, or a record that does not fit
+/// the header's run.
+[[nodiscard]] std::optional<ImportedRun> import_run_archive(
+    std::span<const std::uint8_t> bytes);
 
 }  // namespace dsm

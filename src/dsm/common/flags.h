@@ -7,7 +7,7 @@
 // values, or the first error naming the flag: unknown flag, flag not valid
 // for the subcommand, missing or malformed value, value out of range, unknown
 // choice, missing partner, conflicting partner.  Values take "--key=value" or
-// "--key value"; switches take no value, so "--history trace.jsonl" keeps the
+// "--key value"; switches take no value, so "--history run.log" keeps the
 // positional.  A repeated flag keeps its last value.  flag_usage renders the
 // same table as help text.
 

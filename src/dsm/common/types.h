@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -22,6 +23,11 @@ using ProcessId = std::uint32_t;
 
 /// Index of a shared variable (0-based; the paper writes x_{h+1}).
 using VarId = std::uint32_t;
+
+/// The largest run a command line may ask for, and a run archive's header
+/// may claim: `optcm --procs` and `--vars` ranges.
+inline constexpr std::size_t kMaxProcs = 1024;
+inline constexpr std::size_t kMaxVars = std::size_t{1} << 16;
 
 /// Values stored in memory locations.  The paper treats values as opaque; a
 /// 64-bit integer is enough to encode any tag/payload our workloads need.

@@ -170,7 +170,7 @@ void CausalMemory::write(ProcessId p, VarId x, Value v) {
   call(p, [&](Replica& r) {
     DSM_REQUIRE(r.stack.up() && "write() on a killed process");
     recorder_.record_write(p, x, v);
-    if (telemetry_ != nullptr) telemetry_->record_write_op(p, x, v);
+    if (telemetry_ != nullptr) telemetry_->record_write_op(p);
     r.stack.host().protocol().write(x, v);
     if (recoverable_) r.stack.host().checkpoint();
   });
@@ -198,7 +198,7 @@ Value CausalMemory::mutate(ProcessId p, VarId x, SpecId spec, OpCode opcode,
     recorder_.record_mutation(p, x, static_cast<std::uint8_t>(spec),
                               static_cast<std::uint8_t>(opcode), arg, arg2);
     if (telemetry_ != nullptr) {
-      telemetry_->record_write_op(p, x, arg);
+      telemetry_->record_write_op(p);
       telemetry_->record_object_op(p, spec);
     }
     r.stack.host().protocol().write_typed(x, static_cast<std::uint8_t>(spec),

@@ -18,6 +18,36 @@ WalIoError WalLogCommitter::commit() {
   return err;
 }
 
+namespace {
+
+/// A vector with one entry per process, or none: a clock, a visible set.
+bool fits_procs(std::size_t size, const GlobalHistory& history) {
+  return size == 0 || size == history.n_procs();
+}
+
+/// Whether a decoded op fits the run `history` records: its process,
+/// variable and writer exist, and a write carries the WriteId that
+/// appending it regenerates.
+bool fits(const Operation& op, const GlobalHistory& history) {
+  const std::size_t n = history.n_procs();
+  if (op.proc >= n || op.var >= history.n_vars() || op.write_id.proc >= n ||
+      !fits_procs(op.visible.size(), history)) {
+    return false;
+  }
+  return !op.is_write() ||
+         op.write_id == WriteId{op.proc, history.write_count(op.proc) + 1};
+}
+
+/// Whether a decoded event fits: its process, variable and both writes'
+/// processes exist, and its clock has one entry per process or none.
+bool fits(const RunEvent& e, const GlobalHistory& history) {
+  const std::size_t n = history.n_procs();
+  return e.at < n && e.write.proc < n && e.other.proc < n &&
+         e.var < history.n_vars() && fits_procs(e.clock.size(), history);
+}
+
+}  // namespace
+
 bool replay_wal_record(std::span<const std::uint8_t> record,
                        RunRecorder& recorder, ReplayFilterObserver* filter,
                        std::uint64_t* last_boot) {
@@ -28,13 +58,11 @@ bool replay_wal_record(std::span<const std::uint8_t> record,
     if (!decode_log_record(r, rec)) return false;
     switch (rec.kind) {
       case LogRecord::Kind::kOp:
-        if (rec.op.proc >= history.n_procs() ||
-            rec.op.var >= history.n_vars()) {
-          return false;
-        }
+        if (!fits(rec.op, history)) return false;
         recorder.restore_op(rec.op);
         break;
       case LogRecord::Kind::kEvent:
+        if (!fits(rec.event, history)) return false;
         recorder.restore_event(rec.event);
         if (filter != nullptr) filter->preseed(rec.event);
         break;

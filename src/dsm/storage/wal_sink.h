@@ -49,11 +49,16 @@ class WalLogCommitter {
 };
 
 /// Decodes one WAL record — or any run of log records, such as a kFetchLog
-/// chunk — and re-ingests it: history ops via restore_op, events via
-/// restore_event (plus a filter preseed), boots via record_incarnation, and
-/// into `*last_boot` when given.  Returns false on a malformed record or an
-/// op outside the recorder's processes and variables — the caller treats
-/// the log as corrupt from there.
+/// chunk or a run archive's body — and re-ingests it: history ops via
+/// restore_op, events via restore_event (plus a filter preseed), boots via
+/// record_incarnation, and into `*last_boot` when given.  This is the log's
+/// one decoder.  Returns false on a malformed record or one that does not
+/// fit the recorder's run — the caller treats the log as corrupt from
+/// there.  A record does not fit when it names a process ≥ procs (an op's
+/// process or writer, an event's process, write or superseding write) or a
+/// variable ≥ vars, carries a clock or visible set whose length is neither
+/// 0 nor procs, or is a write whose WriteId is not the one appending it
+/// regenerates.
 [[nodiscard]] bool replay_wal_record(std::span<const std::uint8_t> record,
                                      RunRecorder& recorder,
                                      ReplayFilterObserver* filter,

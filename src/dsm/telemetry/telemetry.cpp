@@ -41,32 +41,21 @@ class RunTelemetry::Tee final : public ProtocolObserver {
     counter(at, kSent).add();
     counter(at, kMeta).add(meta);
     if (!m.sub_deps.empty()) counter(at, kSubDeps).add(m.sub_deps.size());
-    if (t_.trace_) {
-      t_.trace_->accept({TraceKind::kSend, at, t_.now(),
-                         WriteId{m.sender, m.write_seq}, m.var, m.value,
-                         /*delayed=*/false, meta, m.clock});
-    }
     down_.on_send(at, m);
   }
 
   void on_receipt(ProcessId at, const WriteUpdate& m) override {
-    const std::uint64_t now = t_.now();
     counter(at, kReceived).add();
-    nodes_[at].receive(WriteId{m.sender, m.write_seq}, now);
-    if (t_.trace_) {
-      t_.trace_->accept({TraceKind::kReceive, at, now,
-                         WriteId{m.sender, m.write_seq}, m.var, m.value,
-                         /*delayed=*/false, 0, m.clock});
-    }
+    nodes_[at].receive(WriteId{m.sender, m.write_seq}, t_.now());
     down_.on_receipt(at, m);
   }
 
   void on_apply(ProcessId at, WriteId w, bool delayed) override {
-    const std::uint64_t now = delayed || t_.trace_ ? t_.now() : 0;
     Node& node = nodes_[at];
     counter(at, kApplied).add();
     const std::optional<std::uint64_t> received = node.take_receipt(w);
     if (delayed) {
+      const std::uint64_t now = t_.now();
       counter(at, kDelayed).add();
       // The write delay of Definition 3, measured on the harness clock:
       // buffered at receipt, applied once the enabling events occurred.
@@ -75,19 +64,11 @@ class RunTelemetry::Tee final : public ProtocolObserver {
       }
       node.apply_delay->add(static_cast<double>(now - received.value_or(now)));
     }
-    if (t_.trace_) {
-      t_.trace_->accept({TraceKind::kApply, at, now, w, 0, kBottom, delayed, 0,
-                         VectorClock{}});
-    }
     down_.on_apply(at, w, delayed);
   }
 
   void on_return(ProcessId at, VarId x, Value v, WriteId from) override {
     counter(at, kReads).add();
-    if (t_.trace_) {
-      t_.trace_->accept({TraceKind::kRead, at, t_.now(), from, x, v,
-                         /*delayed=*/false, 0, VectorClock{}});
-    }
     down_.on_return(at, x, v, from);
   }
 
@@ -96,10 +77,6 @@ class RunTelemetry::Tee final : public ProtocolObserver {
     // Skipped writes never apply, so their receipt entry would otherwise
     // linger; apply_delay_us deliberately measures applies only.
     (void)nodes_[at].take_receipt(w);
-    if (t_.trace_) {
-      t_.trace_->accept({TraceKind::kSkip, at, t_.now(), w, 0, kBottom,
-                         /*delayed=*/false, by.seq, VectorClock{}});
-    }
     down_.on_skip(at, w, by);
   }
 
@@ -181,22 +158,14 @@ class RunTelemetry::NodeInstr final : public ProtocolInstrumentation {
   Summary& deficit_;
 };
 
-RunTelemetry::RunTelemetry(std::size_t n_procs, Trace trace)
-    : metrics_(n_procs),
-      op_counters_(n_procs),
-      trace_(trace == Trace::kKeep ? std::make_unique<TraceBuffer>()
-                                   : nullptr) {
+RunTelemetry::RunTelemetry(std::size_t n_procs)
+    : metrics_(n_procs), op_counters_(n_procs) {
   instr_.reserve(n_procs);
   for (std::size_t p = 0; p < n_procs; ++p)
     instr_.push_back(std::make_unique<NodeInstr>(*this, static_cast<ProcessId>(p)));
 }
 
 RunTelemetry::~RunTelemetry() = default;
-
-const TraceBuffer& RunTelemetry::trace() const {
-  DSM_REQUIRE(trace_ != nullptr && "no trace was asked for");
-  return *trace_;
-}
 
 void RunTelemetry::set_clock(ClockFn clock) { clock_ = std::move(clock); }
 
@@ -222,12 +191,8 @@ Counter& RunTelemetry::op_counter(ProcessId p, OpCounter which) {
   return *c;
 }
 
-void RunTelemetry::record_write_op(ProcessId p, VarId x, Value v) {
+void RunTelemetry::record_write_op(ProcessId p) {
   op_counter(p, kWritesCounter).add();
-  if (trace_) {
-    trace_->accept({TraceKind::kWrite, p, now(), WriteId{}, x, v,
-                    /*delayed=*/false, 0, VectorClock{}});
-  }
 }
 
 void RunTelemetry::record_object_op(ProcessId p, SpecId /*spec*/) {
@@ -236,27 +201,15 @@ void RunTelemetry::record_object_op(ProcessId p, SpecId /*spec*/) {
 
 void RunTelemetry::record_crash(ProcessId p) {
   metrics_.counter(p, metric::kCrashes).add();
-  if (trace_) {
-    trace_->accept({TraceKind::kCrash, p, now(), WriteId{}, 0, kBottom,
-                    /*delayed=*/false, 0, VectorClock{}});
-  }
 }
 
 void RunTelemetry::record_restart(ProcessId p) {
   metrics_.counter(p, metric::kRestarts).add();
-  if (trace_) {
-    trace_->accept({TraceKind::kRestart, p, now(), WriteId{}, 0, kBottom,
-                    /*delayed=*/false, 0, VectorClock{}});
-  }
 }
 
 void RunTelemetry::record_checkpoint(ProcessId p, std::uint64_t bytes) {
   metrics_.counter(p, metric::kCheckpoints).add();
   metrics_.summary(p, metric::kCheckpointBytes).add(static_cast<double>(bytes));
-  if (trace_) {
-    trace_->accept({TraceKind::kCheckpoint, p, now(), WriteId{}, 0, kBottom,
-                    /*delayed=*/false, bytes, VectorClock{}});
-  }
 }
 
 void RunTelemetry::fold_network(const NetworkStats& net,
@@ -281,16 +234,6 @@ void RunTelemetry::fold_reliable(ProcessId p, const ReliableStats& arq) {
 
 void RunTelemetry::sample_rto(ProcessId p, std::uint64_t rto_us) {
   metrics_.summary(p, metric::kArqRto).add(static_cast<double>(rto_us));
-}
-
-std::string RunTelemetry::chrome_trace() const {
-  const auto events = trace().events();
-  return export_chrome_trace(events);
-}
-
-std::string RunTelemetry::trace_csv() const {
-  const auto events = trace().events();
-  return export_trace_csv(events);
 }
 
 }  // namespace dsm

@@ -3,8 +3,9 @@
 // One RunTelemetry instance captures everything observable about one run:
 //
 //   * it tees the ProtocolObserver event stream (observe_through) into the
-//     metrics registry and, when the caller asked for one, the trace buffer,
-//     without disturbing the existing recorder/auditor pipeline;
+//     metrics registry, without disturbing the recorder/auditor pipeline
+//     (the run recorder is the run's one event log: its timeline renders
+//     from there, dsm/audit/trace_render.h);
 //   * it hands each node a ProtocolInstrumentation (pending-buffer depth and
 //     enabling-set deficit — facts only the protocol can see);
 //   * the harnesses report lifecycle facts (write ops, crashes, restarts,
@@ -22,8 +23,8 @@
 // Thread-safety: every recording entry point is safe when each node records
 // from its own thread (CausalMemory's replica loops) — counters/gauges are
 // atomic, per-node summaries and receipt times are only touched from their
-// node's thread of control, and the trace buffer is mutex-guarded.  Exports are meant
-// for after the run has quiesced.
+// node's thread of control.  Exports are meant for after the run has
+// quiesced.
 
 #pragma once
 
@@ -40,7 +41,6 @@
 #include "dsm/sim/network.h"
 #include "dsm/sim/reliable.h"
 #include "dsm/telemetry/metrics.h"
-#include "dsm/telemetry/trace.h"
 
 namespace dsm {
 
@@ -51,12 +51,7 @@ class RunTelemetry {
   /// callable from any thread that records events.
   using ClockFn = std::function<std::uint64_t()>;
 
-  /// Whether the run keeps a trace beside its metrics.  Only a caller that
-  /// exports one asks: each TraceEvent costs a vector-clock copy and a
-  /// locked append, and without a trace none is built.
-  enum class Trace : bool { kOff, kKeep };
-
-  explicit RunTelemetry(std::size_t n_procs, Trace trace = Trace::kOff);
+  explicit RunTelemetry(std::size_t n_procs);
   ~RunTelemetry();
 
   RunTelemetry(const RunTelemetry&) = delete;
@@ -77,9 +72,6 @@ class RunTelemetry {
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
     return metrics_;
   }
-  [[nodiscard]] bool keeps_trace() const noexcept { return trace_ != nullptr; }
-  /// \pre keeps_trace()
-  [[nodiscard]] const TraceBuffer& trace() const;
 
   /// Build the observer tee: protocol events are recorded here, then
   /// forwarded unchanged to `downstream` (the run recorder).  Call once per
@@ -94,7 +86,7 @@ class RunTelemetry {
 
   /// An application-level write operation was issued at p (counted
   /// separately from updates sent: writing-semantics protocols coalesce).
-  void record_write_op(ProcessId p, VarId x, Value v);
+  void record_write_op(ProcessId p);
   /// A typed-object operation (mutation or accessor) was issued at p.
   void record_object_op(ProcessId p, SpecId spec);
   /// Process p crashed (volatile state lost).
@@ -111,11 +103,9 @@ class RunTelemetry {
   /// One adaptive-RTO observation (µs) for p's ARQ toward some peer.
   void sample_rto(ProcessId p, std::uint64_t rto_us);
 
-  // ---- exports (call after the run has quiesced; traces need keeps_trace())
+  // ---- exports (call after the run has quiesced)
 
   [[nodiscard]] std::string metrics_csv() const { return metrics_.csv(); }
-  [[nodiscard]] std::string chrome_trace() const;
-  [[nodiscard]] std::string trace_csv() const;
 
   [[nodiscard]] std::size_t n_procs() const noexcept {
     return metrics_.n_procs();
@@ -134,7 +124,6 @@ class RunTelemetry {
 
   MetricsRegistry metrics_;
   std::vector<std::array<Counter*, 2>> op_counters_;
-  std::unique_ptr<TraceBuffer> trace_;  ///< null unless Trace::kKeep
   ClockFn clock_;
   std::unique_ptr<Tee> tee_;
   std::vector<std::unique_ptr<NodeInstr>> instr_;

@@ -119,8 +119,7 @@ void ScriptRunner::execute(std::size_t idx) {
   switch (step.kind) {
     case StepKind::kWrite: {
       recorder_->record_write(self_, step.var, step.value);
-      if (telemetry_ != nullptr)
-        telemetry_->record_write_op(self_, step.var, step.value);
+      if (telemetry_ != nullptr) telemetry_->record_write_op(self_);
       proto->write(step.var, step.value);
       if (issued_ != nullptr) ++(*issued_)[self_];
       break;
@@ -148,7 +147,7 @@ void ScriptRunner::execute(std::size_t idx) {
       recorder_->record_mutation(self_, step.var, step.spec, step.opcode,
                                  step.value, step.arg2);
       if (telemetry_ != nullptr) {
-        telemetry_->record_write_op(self_, step.var, step.value);
+        telemetry_->record_write_op(self_);
         telemetry_->record_object_op(self_, static_cast<SpecId>(step.spec));
       }
       proto->write_typed(step.var, step.spec, step.opcode, step.value,

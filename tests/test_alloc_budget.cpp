@@ -163,7 +163,7 @@ struct Node {
   void write(VarId x, Value v) {
     const ProcessId self = stack->host().protocol().self();
     (void)recorder.record_write(self, x, v);
-    telemetry.record_write_op(self, x, v);
+    telemetry.record_write_op(self);
     stack->host().protocol().write(x, v);
   }
 

@@ -156,8 +156,12 @@ const Row kRows[] = {
     // Values that used to abort, be replaced or be ignored.
     {"negative_ops", 2, "--ops='-1' is out of range [0, inf]",
      "run --ops=-1"},
-    {"zero_procs", 2, "--procs='0' is out of range [1, inf]",
+    {"zero_procs", 2, "--procs='0' is out of range [1, 1024]",
      "run --procs=0"},
+    {"procs_above_range", 2, "--procs='1025' is out of range [1, 1024]",
+     "run --procs=1025"},
+    {"vars_above_range", 2, "--vars='65537' is out of range [1, 65536]",
+     "run --vars=65537"},
     {"write_fraction_above_one", 2,
      "--write-fraction='2' is out of range [0, 1]",
      "run --write-fraction=2"},
@@ -195,7 +199,7 @@ const Row kRows[] = {
     {"unknown_flag_on_paper", 2, "unknown flag --typo",
      "paper table1 --typo"},
     {"unknown_flag_on_replay", 2, "unknown flag --typo",
-     "replay t.jsonl --typo"},
+     "replay run.log --typo"},
     {"spawn_on_run", 2, "--spawn does not apply",
      "run --spawn=3"},
     {"script_on_faults", 2, "--script does not apply",
@@ -203,7 +207,7 @@ const Row kRows[] = {
     {"procs_on_paper", 2, "--procs does not apply",
      "paper table1 --procs=3"},
     {"trace_on_replay", 2, "--trace does not apply",
-     "replay t.jsonl --trace"},
+     "replay run.log --trace"},
     {"spawn_on_serve", 2, "--spawn does not apply",
      "serve --peers=127.0.0.1:7101 --spawn=3"},
     // Command-line shape.
@@ -213,7 +217,7 @@ const Row kRows[] = {
      "frobnicate"},
     {"stray_argument", 2, "unexpected argument 'extra'",
      "run extra"},
-    {"replay_without_file", 2, "replay needs a trace file",
+    {"replay_without_file", 2, "replay needs a run archive",
      "replay"},
     {"unknown_paper_artifact", 2, "unknown paper artifact 'table9'",
      "paper table9"},
@@ -250,9 +254,9 @@ const Row kRows[] = {
     {"detached_value_is_checked", 2, "--procs='0' is out of range",
      "run --procs 0"},
     {"switch_before_positional", 0, "",
-     "replay --history trace.jsonl"},
+     "replay --history run.log"},
     {"switch_after_positional", 0, "",
-     "replay trace.jsonl --history"},
+     "replay run.log --history"},
     {"last_duplicate_wins", 0, "",
      "run --procs=0 --procs=3"},
     {"last_duplicate_is_checked", 2, "--procs='0' is out of range",

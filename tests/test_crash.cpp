@@ -264,7 +264,6 @@ struct PinnedCrashRun {
   double duplicate;
   bool telemetry;
   std::uint64_t digest;
-  std::uint64_t log_digest = 0;  ///< timeline rendered from the run log
 };
 
 const PinnedCrashRun kPinnedCrashRuns[] = {
@@ -275,15 +274,16 @@ const PinnedCrashRun kPinnedCrashRuns[] = {
     {kCrashGrid[4], 0.0, false, 0x387DFEB1B5FF9D1A},
     {kCrashGrid[5], 0.0, false, 0x2B8DF421D81CC4A0},
     {kCrashGrid[6], 0.0, false, 0x8F62B874E598999A},
-    // Crash + partition + drop (+ duplicates) with telemetry and a kept trace.
+    // Crash + partition + drop (+ duplicates) with telemetry, and the
+    // timeline rendered from the run log.
     {{ProtocolKind::kOptP, 2, sim_ms(8), 0.15, 33}, 0.05, true,
-     0x086E39AAD8D4DC72, 0xADF813D57FB38E3C},
+     0xADF813D57FB38E3C},
     {{ProtocolKind::kOptP, 3, sim_ms(10), 0.1, 23}, 0.0, true,
-     0x431276F2B9BF347A, 0xCDAFA4A957EE8F2F},
+     0xCDAFA4A957EE8F2F},
     {{ProtocolKind::kAnbkh, 1, sim_ms(10), 0.2, 26}, 0.05, true,
-     0x29707AABCF289944, 0xCC42F84D573D0EDF},
+     0xCC42F84D573D0EDF},
     {{ProtocolKind::kOptPWs, 2, sim_ms(8), 0.1, 27}, 0.0, true,
-     0x9F5C72C43015DE68, 0x30E08354DDDEDDCB},
+     0x30E08354DDDEDDCB},
 };
 
 TEST(CrashMode, BehaviourMatchesPinnedDigests) {
@@ -292,24 +292,17 @@ TEST(CrashMode, BehaviourMatchesPinnedDigests) {
     const UniformLatency latency(sim_us(100), sim_us(900), p.seed ^ 0xA0);
     SimRunConfig cfg = crash_config(p, latency);
     cfg.fault.duplicate = pin.duplicate;
-    RunTelemetry telemetry(cfg.n_procs, RunTelemetry::Trace::kKeep);
+    RunTelemetry telemetry(cfg.n_procs);
     if (pin.telemetry) cfg.telemetry = &telemetry;
     const auto result = run_sim(cfg, crash_workload(p.seed));
     std::string fingerprint = crash_run_fingerprint(result, cfg.n_procs);
-    std::string log_fingerprint = fingerprint;
     if (pin.telemetry) {
-      fingerprint += telemetry.metrics_csv() + telemetry.trace_csv();
-      log_fingerprint +=
+      fingerprint +=
           telemetry.metrics_csv() +
           render_trace_csv(result.recorder->events(), result.recoveries);
     }
     EXPECT_EQ(fnv1a(fingerprint), pin.digest)
         << std::hex << "0x" << fnv1a(fingerprint) << std::dec << " for "
-        << to_string(p.kind) << " seed " << p.seed << " telemetry "
-        << pin.telemetry;
-    if (!pin.telemetry) continue;
-    EXPECT_EQ(fnv1a(log_fingerprint), pin.log_digest)
-        << std::hex << "0x" << fnv1a(log_fingerprint) << std::dec << " for "
         << to_string(p.kind) << " seed " << p.seed << " telemetry "
         << pin.telemetry;
   }
@@ -367,7 +360,7 @@ TEST(CrashMode, SameSeedGivesByteIdenticalTraceUnderFullFaultLoad) {
   const auto b = run_sim(cfg, crash_workload(33));
   ASSERT_TRUE(a.settled);
   ASSERT_TRUE(b.settled);
-  EXPECT_EQ(export_trace_jsonl(*a.recorder), export_trace_jsonl(*b.recorder));
+  EXPECT_EQ(export_run_archive(*a.recorder), export_run_archive(*b.recorder));
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.reliable.retransmissions, b.reliable.retransmissions);
   EXPECT_EQ(a.net.bytes_sent, b.net.bytes_sent);

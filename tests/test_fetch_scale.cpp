@@ -1,5 +1,5 @@
 // A node's run log past the control-frame cap, fetched through the kFetchLog
-// cursor from a live forked cluster.  The run has 51 000 writes, so it is
+// cursor from a live forked cluster.  The run has 300 000 writes, so it is
 // kept out of the sanitize/net labels: instrumented nodes fall far behind
 // its 5 µs script steps.  The cluster tests of test_net.cpp run the same
 // fetch path there on smaller logs.
@@ -18,12 +18,22 @@
 namespace dsm {
 namespace {
 
-/// A run whose node logs would not fit one control frame as JSONL — the
+/// The encoded size of a fetched node log: its records logged again.
+std::uint64_t encoded_bytes(const ImportedRun& run) {
+  RunRecorder log(run.history.n_procs(), run.history.n_vars());
+  for (const Operation& op : run.history.all_ops()) log.restore_op(op);
+  for (const RunEvent& e : run.events) log.restore_event(e);
+  return log.log_bytes();
+}
+
+/// A run whose node logs would not fit one control frame — the
 /// single-reply fetch answered kError past kMaxFrameBytes — arrives in full
 /// through the kFetchLog cursor, op by op and event by event.
 TEST(ProcessClusterTest, LogPastTheFrameCapIsFetchedByCursor) {
-  constexpr std::size_t kProcs = 3;
-  constexpr std::size_t kWrites = 17'000;  // per node
+  // Five nodes, so each logs four remote writes per own write: one kRun
+  // takes at most 65 536 script steps.
+  constexpr std::size_t kProcs = 5;
+  constexpr std::size_t kWrites = 60'000;  // per node
   ProcessClusterConfig config;
   config.shape.kind = ProtocolKind::kOptP;
   config.shape.n_procs = kProcs;
@@ -52,8 +62,7 @@ TEST(ProcessClusterTest, LogPastTheFrameCapIsFetchedByCursor) {
 
   for (ProcessId p = 0; p < kProcs; ++p) {
     SCOPED_TRACE("process " + std::to_string(p));
-    EXPECT_GT(export_trace_jsonl(runs[p].history, runs[p].events).size(),
-              kMaxFrameBytes);
+    EXPECT_GT(encoded_bytes(runs[p]), kMaxFrameBytes);
     EXPECT_EQ(runs[p].history.local(p).size(), kWrites);
     // A send and a local apply per own write; a receipt and an apply per
     // remote write.

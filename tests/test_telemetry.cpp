@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dsm/audit/trace_render.h"
 #include "dsm/common/rng.h"
 #include "dsm/net/causal_memory.h"
 #include "dsm/telemetry/telemetry.h"
@@ -330,11 +331,11 @@ TEST(TelemetrySim, RegistryNamesAreDocumented) {
 }
 
 TEST(TelemetrySim, ChromeTraceRoundTrips) {
-  RunTelemetry telemetry(paper::kH1Procs, RunTelemetry::Trace::kKeep);
+  RunTelemetry telemetry(paper::kH1Procs);
   const auto result = run_fig1(telemetry, ProtocolKind::kOptP);
   ASSERT_TRUE(result.settled);
 
-  const std::string json = telemetry.chrome_trace();
+  const std::string json = render_chrome_trace(result.recorder->events());
   JsonValue root;
   ASSERT_TRUE(JsonParser(json).parse(root)) << json;
   ASSERT_EQ(root.type, JsonValue::Type::kArray);
@@ -365,30 +366,18 @@ TEST(TelemetrySim, ChromeTraceRoundTrips) {
 }
 
 TEST(TelemetrySim, TraceCsvHasHeaderAndAllEvents) {
-  RunTelemetry telemetry(paper::kH1Procs, RunTelemetry::Trace::kKeep);
+  RunTelemetry telemetry(paper::kH1Procs);
   const auto result = run_fig1(telemetry, ProtocolKind::kOptP);
   ASSERT_TRUE(result.settled);
-  const std::string csv = telemetry.trace_csv();
+  const auto& events = result.recorder->events();
+  const std::string csv = render_trace_csv(events);
   std::istringstream in(csv);
   std::string line;
   std::getline(in, line);
-  EXPECT_EQ(line, "kind,proc,time,write,var,value,delayed,bytes,clock");
+  EXPECT_EQ(line, "kind,proc,time,write,var,value,delayed,other,clock");
   std::size_t rows = 0;
   while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, telemetry.trace().size());
-}
-
-TEST(TelemetrySim, TraceIsKeptOnlyWhenAskedAndMetricsDoNotDependOnIt) {
-  RunTelemetry plain(paper::kH1Procs);
-  RunTelemetry traced(paper::kH1Procs, RunTelemetry::Trace::kKeep);
-  ASSERT_TRUE(run_fig1(plain, ProtocolKind::kOptP).settled);
-  ASSERT_TRUE(run_fig1(traced, ProtocolKind::kOptP).settled);
-  // Without a trace there is no buffer to build events for.
-  EXPECT_FALSE(plain.keeps_trace());
-  EXPECT_DEATH((void)plain.trace(), "no trace was asked for");
-  EXPECT_TRUE(traced.keeps_trace());
-  EXPECT_GT(traced.trace().size(), 0u);
-  EXPECT_EQ(plain.metrics_csv(), traced.metrics_csv());
+  EXPECT_EQ(rows, events.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +462,8 @@ TEST(TelemetryTee, ApplyDelayMatchesAReceiptTimeMapModel) {
 TEST(TelemetryCluster, PerNodeEventTimesAreMonotone) {
   constexpr std::size_t kProcs = 4;
   constexpr int kOpsPerProc = 40;
-  RunTelemetry telemetry(kProcs, RunTelemetry::Trace::kKeep);
+  RunTelemetry telemetry(kProcs);
+  std::vector<RunEvent> events;
   {
     CausalMemory::Options config;
     config.protocol = ProtocolKind::kOptP;
@@ -498,6 +488,7 @@ TEST(TelemetryCluster, PerNodeEventTimesAreMonotone) {
     for (auto& c : clients) c.join();
     ASSERT_TRUE(cluster.sync(std::chrono::seconds(30)));
     cluster.shutdown();
+    events = cluster.recorder().events();
   }
 
   // Every node applied every write exactly once.
@@ -507,18 +498,18 @@ TEST(TelemetryCluster, PerNodeEventTimesAreMonotone) {
             kProcs * kProcs * kOpsPerProc);
   EXPECT_EQ(reg.counter_total(metric::kReadsIssued), kProcs * kOpsPerProc);
 
-  // Per-node trace order: each node's events carry non-decreasing times
+  // Per-node log order: each node's events carry non-decreasing times
   // (events from one node are recorded on its loop thread, in program order).
-  const auto events = telemetry.trace().events();
+  ASSERT_FALSE(events.empty());
   std::vector<std::uint64_t> last(kProcs, 0);
-  for (const TraceEvent& e : events) {
+  for (const RunEvent& e : events) {
     ASSERT_LT(e.at, kProcs);
     EXPECT_GE(e.time, last[e.at]);
     last[e.at] = e.time;
   }
 
-  // The clock detached at shutdown; exports still work afterwards.
-  const std::string json = telemetry.chrome_trace();
+  // The cluster is gone; its timeline still renders from the copied log.
+  const std::string json = render_chrome_trace(events);
   JsonValue root;
   EXPECT_TRUE(JsonParser(json).parse(root));
 }

@@ -67,9 +67,10 @@ constexpr FlagSpec kFlags[] = {
      .value = "optp|optp-ws|anbkh|anbkh-ws|token-ws|optp-conv|optp-sharded",
      .fallback = "optp", .help = "faults without it runs optp and anbkh"},
     {.name = "procs", .type = T::kInt, .commands = kSim, .value = "N",
-     .fallback = "4", .min = 1, .help = "number of processes"},
+     .fallback = "4", .min = 1, .max = kMaxProcs,
+     .help = "number of processes"},
     {.name = "vars", .type = T::kInt, .commands = kSim | kServe, .value = "M",
-     .fallback = "8", .min = 1, .help = "number of variables"},
+     .fallback = "8", .min = 1, .max = kMaxVars, .help = "number of variables"},
     // -- generated workload --------------------------------------------------
     {.name = "ops", .type = T::kInt, .commands = kSim, .value = "K",
      .fallback = "100", .min = 0, .help = "operations per process"},
@@ -126,7 +127,7 @@ constexpr FlagSpec kFlags[] = {
     {.name = "sequences", .commands = kRun,
      .help = "print each process's observer-event sequence"},
     {.name = "export", .type = T::kText, .commands = kRun, .value = "FILE",
-     .help = "JSONL trace for optcm replay"},
+     .help = "the run's log as an archive for optcm replay"},
     {.name = "metrics-out", .type = T::kText, .commands = kRun,
      .value = "FILE", .help = "metrics registry as CSV"},
     {.name = "trace-out", .type = T::kText, .commands = kRun, .value = "FILE",
@@ -468,13 +469,13 @@ std::string bench_json_summary(ProtocolKind kind, const SimRunResult& result,
 }
 
 /// Write `text` to `path`; reports and returns false on failure.
-bool write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+bool write_file(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
-  std::fwrite(text.data(), 1, text.size(), f);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
   std::fclose(f);
   return true;
 }
@@ -686,8 +687,12 @@ std::optional<Work> prepare_run(const FlagValues& f) {
     }
     if (f.has("export")) {
       const std::string path = f.text("export");
-      if (!write_file(path, export_trace_jsonl(*result.recorder))) return 1;
-      std::printf("\ntrace exported to %s\n", path.c_str());
+      const auto archive = export_run_archive(*result.recorder);
+      if (!write_file(path, {reinterpret_cast<const char*>(archive.data()),
+                             archive.size()})) {
+        return 1;
+      }
+      std::printf("\nrun archived to %s\n", path.c_str());
     }
     if (tel) {
       if (!write_file(metrics_out, tel->metrics_csv())) return 1;
@@ -717,7 +722,7 @@ std::optional<Work> prepare_run(const FlagValues& f) {
 }
 
 std::optional<Work> prepare_replay(const FlagValues& f) {
-  if (f.positional().empty()) return reject("replay needs a trace file");
+  if (f.positional().empty()) return reject("replay needs a run archive");
   return [=]() -> int {
     const std::string& path = f.positional()[0];
     std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -725,17 +730,25 @@ std::optional<Work> prepare_replay(const FlagValues& f) {
       std::fprintf(stderr, "cannot read %s\n", path.c_str());
       return 1;
     }
-    std::string text;
-    char buf[1 << 16];
+    std::vector<std::uint8_t> bytes;
+    std::uint8_t buf[1 << 16];
     std::size_t got;
     while ((got = std::fread(buf, 1, sizeof buf, file)) > 0) {
-      text.append(buf, got);
+      bytes.insert(bytes.end(), buf, buf + got);
     }
     std::fclose(file);
 
-    const auto imported = import_trace_jsonl(text);
+    const auto imported = import_run_archive(bytes);
     if (!imported) {
-      std::fprintf(stderr, "malformed trace\n");
+      std::fprintf(stderr, "%s is not a run archive, or is corrupt\n",
+                   path.c_str());
+      return 1;
+    }
+    // The auditor needs ↦co; a corrupt archive can decode to a history
+    // without one (a read from a write that is not there).
+    if (!CoRelation::build(imported->history)) {
+      std::fprintf(stderr, "%s holds no causal history (no ↦co)\n",
+                   path.c_str());
       return 1;
     }
     const auto audit =
@@ -1469,8 +1482,8 @@ constexpr Command kCommands[] = {
      prepare_faults},
     {"paper", " [history|table1|table2|fig1|fig3|fig6|fig7|all]",
      "print the paper artifacts", prepare_paper},
-    {"replay", " <trace.jsonl>",
-     "re-audit a trace exported by optcm run --export", prepare_replay},
+    {"replay", " <run.log>",
+     "re-audit a run archived by optcm run --export", prepare_replay},
     {"serve", "",
      "host one protocol process over TCP and wait for a driver "
      "(docs/NETWORK.md)",
