@@ -68,23 +68,29 @@ std::string render_space_time(const RunRecorder& recorder,
 
 namespace {
 
-/// One timeline row: a logged event, or a crash or restart, which carries
-/// only its process and time in `event`.
-struct Row {
-  const RunEvent* event;
-  const char* kind;
-  bool mark = false;
+/// A run's events in log order with each crash and restart merged in by
+/// time: a crash after the events of its instant (its process did them
+/// before it went down), a restart before them (its process does them after
+/// it is back up).
+struct Timeline {
+  /// A logged event, or a crash or restart, which carries only its process
+  /// and time in `event`.
+  struct Row {
+    const RunEvent* event;
+    const char* kind;
+    bool mark = false;
 
-  [[nodiscard]] bool is(EvKind k) const { return !mark && event->kind == k; }
+    [[nodiscard]] bool is(EvKind k) const {
+      return !mark && event->kind == k;
+    }
+  };
+  std::vector<RunEvent> marks;  ///< the crash and restart rows' events
+  std::vector<Row> rows;
 };
+using Row = Timeline::Row;
 
-/// The events in log order with each crash and restart merged in by time: a
-/// crash after the events of its instant (its process did them before it
-/// went down), a restart before them (its process does them after it is
-/// back up).  `marks` holds the rows' crash and restart events.
-std::vector<Row> timeline(std::span<const RunEvent> events,
-                          std::span<const RecoveryRecord> recoveries,
-                          std::vector<RunEvent>& marks) {
+Timeline timeline(std::span<const RunEvent> events,
+                  std::span<const RecoveryRecord> recoveries) {
   struct Mark {
     std::uint64_t time;
     bool restart;
@@ -100,10 +106,9 @@ std::vector<Row> timeline(std::span<const RunEvent> events,
                      return a.time != b.time ? a.time < b.time
                                              : a.restart && !b.restart;
                    });
-  marks.clear();
-  marks.reserve(pending.size());
-  std::vector<Row> rows;
-  rows.reserve(events.size() + pending.size());
+  Timeline t;
+  t.marks.reserve(pending.size());  // rows point into it
+  t.rows.reserve(events.size() + pending.size());
   std::size_t next = 0;
   const auto place_marks_before = [&](const RunEvent* e) {
     for (; next < pending.size(); ++next) {
@@ -112,18 +117,18 @@ std::vector<Row> timeline(std::span<const RunEvent> events,
           (m.time > e->time || (m.time == e->time && !m.restart))) {
         return;
       }
-      RunEvent& mark = marks.emplace_back();
+      RunEvent& mark = t.marks.emplace_back();
       mark.at = m.at;
       mark.time = m.time;
-      rows.push_back({&mark, m.restart ? "restart" : "crash", true});
+      t.rows.push_back({&mark, m.restart ? "restart" : "crash", true});
     }
   };
   for (const RunEvent& e : events) {
     place_marks_before(&e);
-    rows.push_back({&e, to_string(e.kind)});
+    t.rows.push_back({&e, to_string(e.kind)});
   }
   place_marks_before(nullptr);
-  return rows;
+  return t;
 }
 
 // Minimal JSON string escaping.  Our payloads are library-generated names
@@ -188,8 +193,7 @@ std::string row_args(const Row& r) {
 
 std::string render_chrome_trace(std::span<const RunEvent> events,
                                 std::span<const RecoveryRecord> recoveries) {
-  std::vector<RunEvent> marks;
-  const std::vector<Row> rows = timeline(events, recoveries, marks);
+  const Timeline t = timeline(events, recoveries);
   std::string out = "[";
   bool first = true;
   const auto emit = [&](const std::string& obj) {
@@ -200,7 +204,7 @@ std::string render_chrome_trace(std::span<const RunEvent> events,
 
   // One named track per process on the timeline.
   std::set<ProcessId> procs;
-  for (const Row& r : rows) procs.insert(r.event->at);
+  for (const Row& r : t.rows) procs.insert(r.event->at);
   for (const ProcessId p : procs) {
     emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
          std::to_string(p) + ",\"tid\":0,\"args\":{\"name\":\"" +
@@ -210,7 +214,7 @@ std::string render_chrome_trace(std::span<const RunEvent> events,
   // Receipt times, so a delayed apply can be drawn as a receipt→apply slice —
   // the write delay of Definition 3 as a visible duration.
   std::map<std::pair<ProcessId, WriteId>, std::uint64_t> receipt_at;
-  for (const Row& r : rows) {
+  for (const Row& r : t.rows) {
     const RunEvent& e = *r.event;
     const std::string common = "\"pid\":" + std::to_string(e.at) +
                                ",\"tid\":0,\"args\":" + row_args(r);
@@ -234,9 +238,9 @@ std::string render_chrome_trace(std::span<const RunEvent> events,
 
 std::string render_trace_csv(std::span<const RunEvent> events,
                              std::span<const RecoveryRecord> recoveries) {
-  std::vector<RunEvent> marks;
+  const Timeline t = timeline(events, recoveries);
   std::string out = "kind,proc,time,write,var,value,delayed,other,clock\n";
-  for (const Row& r : timeline(events, recoveries, marks)) {
+  for (const Row& r : t.rows) {
     const RunEvent& e = *r.event;
     out += std::string(r.kind) + ",";
     out += std::to_string(e.at) + ",";
