@@ -468,7 +468,7 @@ std::string bench_json_summary(ProtocolKind kind, const SimRunResult& result,
   return buf;
 }
 
-/// Write `text` to `path`; reports and returns false on failure.
+/// Write `bytes` to `path`; reports and returns false on failure.
 bool write_file(const std::string& path, std::string_view bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -650,13 +650,12 @@ std::optional<Work> prepare_run(const FlagValues& f) {
 
     const std::string metrics_out = f.text("metrics-out");
     const std::string trace_out = f.text("trace-out");
-    const bool want_telemetry = !metrics_out.empty();
     std::optional<RunTelemetry> tel;
-    if (want_telemetry) tel.emplace(o.spec.n_procs);
+    if (!metrics_out.empty()) tel.emplace(o.spec.n_procs);
 
     const auto wall_start = std::chrono::steady_clock::now();
     const auto result =
-        run_one(kind, o, want_telemetry ? &*tel : nullptr,
+        run_one(kind, o, tel ? &*tel : nullptr,
                 scripts.empty() ? nullptr : &scripts,
                 choreo ? &choreo : nullptr);
     const double wall_ms = std::chrono::duration<double, std::milli>(
@@ -674,7 +673,7 @@ std::optional<Work> prepare_run(const FlagValues& f) {
       std::printf("workload: %s\n\n", o.spec.describe().c_str());
     }
     print_report(kind, result, o.subscription.get(), o.objects.get(),
-                 want_telemetry ? &*tel : nullptr,
+                 tel ? &*tel : nullptr,
                  /*expect_convergence=*/script == "objects");
     if (f.has("history")) {
       std::printf("\nhistory:\n%s", result.recorder->history().str().c_str());
