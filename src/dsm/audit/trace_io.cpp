@@ -43,7 +43,7 @@ std::optional<ImportedRun> import_run_archive(
   if (!replay_wal_record(r.rest(), recorder, nullptr, nullptr)) {
     return std::nullopt;
   }
-  return ImportedRun{recorder.history(), recorder.events()};
+  return std::move(recorder).take_run();
 }
 
 }  // namespace dsm

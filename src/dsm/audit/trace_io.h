@@ -25,11 +25,6 @@
 
 namespace dsm {
 
-struct ImportedRun {
-  GlobalHistory history;
-  std::vector<RunEvent> events;
-};
-
 /// The recorder's run as an archive.  \pre the run has quiesced.
 [[nodiscard]] std::vector<std::uint8_t> export_run_archive(
     const RunRecorder& recorder);

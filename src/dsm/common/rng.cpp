@@ -60,7 +60,9 @@ std::uint64_t Rng::below(std::uint64_t bound) noexcept {
 
 std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) noexcept {
   DSM_REQUIRE(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // The span in unsigned arithmetic: hi - lo overflows int64 for wide ranges.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   // span == 0 means the full 64-bit range [INT64_MIN, INT64_MAX].
   const std::uint64_t off = (span == 0) ? next() : below(span);
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + off);

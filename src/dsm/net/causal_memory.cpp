@@ -19,7 +19,7 @@ namespace dsm {
 
 /// One replica: its loop thread and the stack confined to it.
 struct CausalMemory::Replica {
-  Replica(RingMesh& mesh, const ProtocolHost::Shape& shape,
+  Replica(RingMesh& mesh, const NodeStack::Shape& shape,
           const NetFaultPlan& jitter, ProtocolObserver& observer,
           RunTelemetry* telemetry)
       : mux(loop, nullptr, shape.self, &mesh),
@@ -117,7 +117,7 @@ CausalMemory::CausalMemory(const Options& options)
   jitter.all.delay_max = options.max_jitter_us;
   replicas_.reserve(options.replicas);
   for (ProcessId p = 0; p < options.replicas; ++p) {
-    const ProtocolHost::Shape shape{
+    const NodeStack::Shape shape{
         options.protocol,        p, options.replicas, options.capacity,
         options.protocol_config, options.recoverable};
     replicas_.push_back(std::make_unique<Replica>(mesh_, shape, jitter,
@@ -171,18 +171,18 @@ void CausalMemory::write(ProcessId p, VarId x, Value v) {
     DSM_REQUIRE(r.stack.up() && "write() on a killed process");
     recorder_.record_write(p, x, v);
     if (telemetry_ != nullptr) telemetry_->record_write_op(p);
-    r.stack.host().protocol().write(x, v);
-    if (recoverable_) r.stack.host().checkpoint();
+    r.stack.protocol().write(x, v);
+    if (recoverable_) r.stack.checkpoint();
   });
 }
 
 ReadResult CausalMemory::read(ProcessId p, VarId x) {
   return call(p, [&](Replica& r) {
     DSM_REQUIRE(r.stack.up() && "read() on a killed process");
-    const ReadResult result = r.stack.host().protocol().read(x);
+    const ReadResult result = r.stack.protocol().read(x);
     recorder_.record_read(p, x, result);
     // OptP merges Write_co on reads, so reads mutate durable state too.
-    if (recoverable_) r.stack.host().checkpoint();
+    if (recoverable_) r.stack.checkpoint();
     return result;
   });
 }
@@ -201,9 +201,9 @@ Value CausalMemory::mutate(ProcessId p, VarId x, SpecId spec, OpCode opcode,
       telemetry_->record_write_op(p);
       telemetry_->record_object_op(p, spec);
     }
-    r.stack.host().protocol().write_typed(x, static_cast<std::uint8_t>(spec),
-                                          static_cast<std::uint8_t>(opcode),
-                                          arg, arg2);
+    r.stack.protocol().write_typed(x, static_cast<std::uint8_t>(spec),
+                                   static_cast<std::uint8_t>(opcode), arg,
+                                   arg2);
     // Still on p's loop thread: the last apply at p is this mutation.
     return store->last_apply_result(p);
   });
@@ -219,7 +219,7 @@ Value CausalMemory::observe(ProcessId p, VarId x, SpecId spec, OpCode opcode,
     DSM_REQUIRE(r.stack.up() && "observe() on a killed process");
     // The real read first: its Write_co merge installs every causally
     // required mutation before the store answers.
-    const ReadResult read = r.stack.host().protocol().read(x);
+    const ReadResult read = r.stack.protocol().read(x);
     const Value answer = store->observe(p, x, opcode, arg);
     recorder_.record_accessor(p, x, static_cast<std::uint8_t>(spec),
                               static_cast<std::uint8_t>(opcode), arg, answer,
@@ -231,7 +231,7 @@ Value CausalMemory::observe(ProcessId p, VarId x, SpecId spec, OpCode opcode,
 
 ReadResult CausalMemory::peek(ProcessId p, VarId x) const {
   return call(p, [x](Replica& r) {
-    return r.stack.up() ? r.stack.host().protocol().peek(x) : ReadResult{};
+    return r.stack.up() ? r.stack.protocol().peek(x) : ReadResult{};
   });
 }
 
@@ -250,14 +250,13 @@ bool CausalMemory::alive(ProcessId p) const {
 }
 
 ProtocolStats CausalMemory::stats(ProcessId p) const {
-  return call(p, [](Replica& r) { return r.stack.host().stats(); });
+  return call(p, [](Replica& r) { return r.stack.stats(); });
 }
 
 std::uint64_t CausalMemory::crash_dropped() const {
   std::uint64_t total = 0;
   for (ProcessId p = 0; p < n_procs(); ++p) {
-    total +=
-        call(p, [](Replica& r) { return r.stack.host().dropped_while_down(); });
+    total += call(p, [](Replica& r) { return r.stack.dropped_while_down(); });
   }
   return total;
 }

@@ -13,7 +13,7 @@
 //
 // Each replica is the process tier's stack without sockets: one thread runs
 // a NetLoop, and on it sit a ShardMux over one RingMesh(0, n), a
-// FaultyTransport and a NodeStack (ARQ + ProtocolHost) with the
+// FaultyTransport and a NodeStack (protocol + ARQ) with the
 // net_reliable_defaults() tuning.  A full ring drops the frame and the ARQ
 // repairs it; `max_jitter_us` is the FaultyTransport's delay plan.  The
 // stack is confined to its loop thread, as in ProcessNode: a client call

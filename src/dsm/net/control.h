@@ -83,7 +83,7 @@ enum class ControlOp : std::uint8_t {
 
 /// What a node counts itself, outside any layer's stats struct.
 struct NodeStats {
-  std::uint64_t dropped_while_down = 0;  ///< ProtocolHost drops while crashed
+  std::uint64_t dropped_while_down = 0;  ///< NodeStack drops while crashed
   std::uint64_t wal_replayed = 0;        ///< WAL records replayed at boot
   std::uint64_t wal_dirty = 0;           ///< 1 while the WAL is sticky-dirty
   std::uint64_t snapshot_writes = 0;

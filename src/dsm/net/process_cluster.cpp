@@ -464,7 +464,7 @@ std::optional<ImportedRun> ProcessCluster::fetch_log(ProcessId node) {
         !replay_wal_record(rep->bytes, log, nullptr, nullptr)) {
       return std::nullopt;
     }
-    if (!rep->flag) return ImportedRun{log.history(), log.events()};
+    if (!rep->flag) return std::move(log).take_run();
     if (rep->cursor <= req.cursor) return std::nullopt;  // no progress
     req.cursor = rep->cursor;
   }

@@ -89,7 +89,7 @@ class ControlClient {
 
 struct ProcessClusterConfig {
   /// Template for every node's stack; `self` is overwritten per process.
-  ProtocolHost::Shape shape;
+  NodeStack::Shape shape;
   ReliableConfig arq = net_reliable_defaults();
   int control_timeout_ms = 10'000;  ///< per control round-trip
   /// Extra attempts (after the first) for IDEMPOTENT control rounds that time

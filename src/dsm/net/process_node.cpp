@@ -102,12 +102,7 @@ void ProcessNode::run() {
   // then the TCP flush, so a batch leaves in the writev of the tick that
   // formed it.
   mux_.start();
-  loop_.add_tick_hook([this] {
-    // Retried before the ARQ's edge, so a spill that lands releases the
-    // held ACKs into this tick's frames.
-    if (spill_failed_ && stack_->up()) spill();
-    stack_->tick();
-  });
+  loop_.add_tick_hook([this] { stack_->tick(); });
   transport_.start();
   if (durable()) {
     boot_durable();
@@ -125,7 +120,7 @@ void ProcessNode::boot_durable() {
   DSM_REQUIRE(state_.has_value() && "state dir must be creatable");
 
   // 1. The latest spilled snapshot, if any: [u64 op count] + the stack's
-  //    encoded checkpoint (host blob + ARQ state).  A torn/corrupt/absent
+  //    checkpoint (protocol blob + ARQ state).  A torn/corrupt/absent
   //    file means "no snapshot" — the WAL alone still reconstructs the run
   //    log, and the muted reconcile below rebuilds protocol state from the
   //    start.
@@ -196,9 +191,9 @@ void ProcessNode::boot_durable() {
          ++i) {
       const Operation& op = recorder_.history().op(locals[i]);
       if (op.is_write()) {
-        stack_->host().protocol().write(op.var, op.value);
+        stack_->protocol().write(op.var, op.value);
       } else {
-        (void)stack_->host().protocol().read(op.var);
+        (void)stack_->protocol().read(op.var);
       }
     }
     chain_.filter()->set_muted(false);
@@ -207,11 +202,11 @@ void ProcessNode::boot_durable() {
   // 6. Now the state is coherent: spill on every checkpoint from here on,
   //    starting with one covering the reconciled state (and committing the
   //    incarnation record logged in step 3).
-  stack_->host().set_spill_hook([this] { spill(); });
-  stack_->host().checkpoint();
+  stack_->set_spill_hook([this] { return spill(); });
+  stack_->checkpoint();
 }
 
-void ProcessNode::spill() {
+bool ProcessNode::spill() {
   // WAL before snapshot: the on-disk invariant is "the WAL covers at least
   // every op the snapshot claims" — the reverse order could lose the batch
   // the snapshot's op count already counts.
@@ -231,7 +226,7 @@ void ProcessNode::spill() {
     // out here is exactly the degradation cover docs/DURABILITY.md asks for.
     ByteWriter w;
     w.u64(local_op_count());
-    stack_->encode_checkpoint(w);
+    w.bytes(stack_->checkpoint_bytes());
     if (SnapshotFile::write(state_->snapshot_path(), w.buffer(), &io_hooks_)) {
       ++node_stats_.snapshot_writes;
       written = true;
@@ -239,11 +234,7 @@ void ProcessNode::spill() {
       ++node_stats_.snapshot_failures;
     }
   }
-  // A crash now would restart from the last snapshot that landed, and what
-  // the node received since is only in its peers' tx windows: no ACK may
-  // retire it there until a snapshot covers it.
-  spill_failed_ = !written;
-  stack_->hold_acks(spill_failed_);
+  return written;
 }
 
 void ProcessNode::wal_tick() {
@@ -350,7 +341,7 @@ ControlMessage ProcessNode::handle_control(const ControlMessage& req) {
       rep.stats.faults = faulty_.stats();
       rep.stats.shard = mux_.stats();
       rep.stats.node = node_stats_;
-      rep.stats.node.dropped_while_down = stack_->host().dropped_while_down();
+      rep.stats.node.dropped_while_down = stack_->dropped_while_down();
       if (wal_.has_value()) {
         rep.stats.wal = wal_->stats();
         rep.stats.node.wal_dirty = wal_->dirty() ? 1 : 0;
@@ -409,12 +400,12 @@ void ProcessNode::start_run(const ControlMessage& req) {
   script_ = req.script;
   ScriptRunner::AfterOp after_op;
   if (config_.shape.recoverable) {
-    after_op = [this] { stack_->host().checkpoint(); };
+    after_op = [this] { stack_->checkpoint(); };
   }
   runner_ = std::make_unique<ScriptRunner>(
       loop_.queue(), recorder_,
       [this]() -> CausalProtocol* {
-        return stack_->up() ? &stack_->host().protocol() : nullptr;
+        return stack_->up() ? &stack_->protocol() : nullptr;
       },
       config_.shape.self, script_, std::move(after_op));
   waker_.attach(config_.shape.self, runner_.get());

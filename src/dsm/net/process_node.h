@@ -1,8 +1,8 @@
 // optcm — ProcessNode: one protocol process as one OS process.
 //
 // The node hosts the same NodeStack (dsm/runtime/node_stack.h) that run_sim
-// hosts per simulated process — ARQ over a datagram transport, then a
-// ProtocolHost, killed and restarted as one crash unit — on a TcpTransport
+// hosts per simulated process — the protocol over the ARQ over a datagram
+// transport, killed and restarted as one crash unit — on a TcpTransport
 // driven by a poll-based NetLoop, with a FaultyTransport and a ShardMux in
 // between.  Above the stack sit the same ScriptRunner and observer chain as
 // in the simulator, so the observer-event log a node records is directly
@@ -52,7 +52,7 @@ namespace dsm {
 [[nodiscard]] ReliableConfig net_reliable_defaults();
 
 struct ProcessNodeConfig {
-  ProtocolHost::Shape shape;  ///< protocol kind/topology; shape.self is us
+  NodeStack::Shape shape;  ///< protocol kind/topology; shape.self is us
   /// "host:port" per process; see TcpTransportConfig.
   std::vector<std::string> peers;
   int listen_fd = -1;  ///< adopted listener (fork harness), or -1 to bind
@@ -124,14 +124,15 @@ class ProcessNode final {
   [[nodiscard]] bool durable() const noexcept {
     return !config_.state_dir.empty();
   }
-  /// Open the StateDir, restore snapshot + WAL, start the host (restored or
+  /// Open the StateDir, restore snapshot + WAL, start the stack (restored or
   /// fresh), reconcile the ≤1-mutation gap between WAL and snapshot, and
   /// install the spill hook.  Runs before the loop; see docs/DURABILITY.md.
   void boot_durable();
   /// Spill hook: commit the new log bytes to the WAL, then atomically write the
-  /// snapshot file ([u64 op count] + the stack's encoded checkpoint).  While
-  /// no snapshot lands, the stack's ACKs are held (spill_failed_).
-  void spill();
+  /// snapshot file ([u64 op count] + the stack's checkpoint).  Returns whether
+  /// the snapshot landed; until one does, the stack holds its ACKs and
+  /// retries at its tick edge.
+  [[nodiscard]] bool spill();
   /// Tick-edge group-commit barrier (config_.wal_group_commit): one fsync
   /// covering every WAL record appended during the tick.
   void wal_tick();
@@ -173,9 +174,6 @@ class ProcessNode final {
   /// WAL's records.
   std::optional<WalLogCommitter> wal_log_;
   std::uint64_t replayed_local_ops_ = 0;  ///< script resume index
-  /// The last spill wrote no snapshot: the ACKs are held, and the tick edge
-  /// retries the spill.
-  bool spill_failed_ = false;
   /// Counted here, reported with the layers' structs by kFetchStats.
   NodeStats node_stats_;
 };

@@ -367,6 +367,12 @@ const std::vector<RunEvent>& RunRecorder::events() const {
   return view_;
 }
 
+ImportedRun RunRecorder::take_run() && {
+  const std::scoped_lock lock(mu_);
+  refresh_view();
+  return ImportedRun{std::move(history_), std::move(view_)};
+}
+
 std::vector<RunEvent> RunRecorder::events_at(ProcessId p) const {
   const std::scoped_lock lock(mu_);
   refresh_view();

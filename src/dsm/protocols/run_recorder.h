@@ -78,6 +78,13 @@ struct LogRecord {
 /// are each a run of records: decode while r.remaining() > 0.
 [[nodiscard]] bool decode_log_record(ByteReader& r, LogRecord& out);
 
+/// A run read back from a log (fetched from a node, imported from an
+/// archive, or stitched from several): its history and its events.
+struct ImportedRun {
+  GlobalHistory history;
+  std::vector<RunEvent> events;
+};
+
 /// The recorder keeps its log encoded: every history record and observer
 /// event is appended as one record of this codec (ByteWriter varints) into
 /// fixed-size chunks that never move, so an event costs ~20 B instead of a
@@ -167,6 +174,10 @@ class RunRecorder final : public ProtocolObserver {
   /// events_at, find, sequence_str) may extend the view, which invalidates
   /// the reference returned here.
   [[nodiscard]] const std::vector<RunEvent>& events() const;
+
+  /// Move the history and every decoded event out, for a recorder filled
+  /// from a log only to be read once.  Only destruction may follow.
+  [[nodiscard]] ImportedRun take_run() &&;
 
   /// Events that occurred at process p, in their global observation order.
   [[nodiscard]] std::vector<RunEvent> events_at(ProcessId p) const;

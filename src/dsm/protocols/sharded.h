@@ -46,7 +46,7 @@
 // update arriving at a non-subscriber is a routing bug and also aborts.
 // Crash recovery is out of scope (ShardedOptP is not a class-𝒫 buffering
 // protocol, and its checkpoint would have to carry the sparse matrix), so
-// ProtocolHost refuses to build a recoverable sharded host.
+// NodeStack refuses to build a recoverable sharded stack.
 
 #pragma once
 

@@ -189,7 +189,10 @@ WalIoError Wal::append(std::span<const std::uint8_t> payload) {
   scratch_.resize(kHeaderBytes + payload.size());
   store_le32(scratch_.data(), static_cast<std::uint32_t>(payload.size()));
   store_le32(scratch_.data() + 4, crc32(payload));
-  std::memcpy(scratch_.data() + kHeaderBytes, payload.data(), payload.size());
+  // An empty payload may have a null data(), which memcpy must not get.
+  if (!payload.empty()) {
+    std::memcpy(scratch_.data() + kHeaderBytes, payload.data(), payload.size());
+  }
 
   // The record must land whole or not at all.  A failed (possibly partial)
   // write leaves garbage past end_offset_; truncate back to the committed

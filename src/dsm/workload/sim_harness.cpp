@@ -66,9 +66,9 @@ SimRunResult run_sim(const SimRunConfig& config,
   std::vector<std::unique_ptr<NodeStack>> stacks;
   stacks.reserve(config.n_procs);
   for (ProcessId p = 0; p < config.n_procs; ++p) {
-    const ProtocolHost::Shape shape{config.kind,   p,
-                                    config.n_procs, config.n_vars,
-                                    config.protocol_config, crashes};
+    const NodeStack::Shape shape{config.kind,   p,
+                                 config.n_procs, config.n_vars,
+                                 config.protocol_config, crashes};
     stacks.push_back(
         std::make_unique<NodeStack>(queue, net, shape, arq, chain.head(), tel));
   }
@@ -79,11 +79,11 @@ SimRunResult run_sim(const SimRunConfig& config,
   runners.reserve(config.n_procs);
   for (ProcessId p = 0; p < config.n_procs; ++p) {
     ScriptRunner::AfterOp after_op;
-    if (crashes) after_op = [&stacks, p] { stacks[p]->host().checkpoint(); };
+    if (crashes) after_op = [&stacks, p] { stacks[p]->checkpoint(); };
     runners.emplace_back(
         queue, *recorder,
         [&stacks, p]() -> CausalProtocol* {
-          return stacks[p]->up() ? &stacks[p]->host().protocol() : nullptr;
+          return stacks[p]->up() ? &stacks[p]->protocol() : nullptr;
         },
         p, scripts[p], std::move(after_op), &issued);
     runners.back().set_telemetry(tel);
@@ -101,7 +101,7 @@ SimRunResult run_sim(const SimRunConfig& config,
       [&](ProcessId p, std::size_t idx, std::vector<std::uint64_t> target) {
         const NodeStack& stack = *stacks[p];
         if (stack.up()) {
-          const CausalProtocol& proto = stack.host().protocol();
+          const CausalProtocol& proto = stack.protocol();
           const VectorClock& applied =
               dynamic_cast<const BufferingProtocol&>(proto).applied();
           bool caught_up = proto.quiescent();
@@ -172,7 +172,7 @@ SimRunResult run_sim(const SimRunConfig& config,
   result.stats.reserve(config.n_procs);
   for (ProcessId p = 0; p < config.n_procs; ++p) {
     const NodeStack& stack = *stacks[p];
-    result.stats.push_back(stack.host().stats());
+    result.stats.push_back(stack.stats());
     result.reliable += stack.reliable_stats();
     if (tel != nullptr) stack.fold_live(*tel);
   }

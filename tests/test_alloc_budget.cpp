@@ -147,7 +147,7 @@ struct Node {
                                            .listen_fd = listen_fd,
                                            .local_peers = {}}) {
     telemetry.set_clock([&loop] { return loop.queue().now(); });
-    ProtocolHost::Shape shape;
+    NodeStack::Shape shape;
     shape.self = self;
     shape.n_procs = kProcs;
     shape.n_vars = kVars;
@@ -161,10 +161,10 @@ struct Node {
 
   /// The script runner's write step.
   void write(VarId x, Value v) {
-    const ProcessId self = stack->host().protocol().self();
+    const ProcessId self = stack->protocol().self();
     (void)recorder.record_write(self, x, v);
     telemetry.record_write_op(self);
-    stack->host().protocol().write(x, v);
+    stack->protocol().write(x, v);
   }
 
   RunTelemetry telemetry;

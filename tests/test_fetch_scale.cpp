@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <string>
 #include <vector>
 
@@ -74,6 +76,11 @@ TEST(ProcessClusterTest, LogPastTheFrameCapIsFetchedByCursor) {
   const auto merged = merge_runs(runs);
   ASSERT_TRUE(merged.has_value());
   EXPECT_TRUE(ConsistencyChecker::check(merged->history).consistent());
+  // The driver's peak resident set, for the record (no bound): see it with
+  // --gtest_output=xml.
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  RecordProperty("driver_peak_rss_kib", std::to_string(usage.ru_maxrss));
 }
 
 }  // namespace

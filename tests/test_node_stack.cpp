@@ -1,5 +1,5 @@
-// NodeStack: the crash unit both transport-backed tiers host — ARQ plus
-// ProtocolHost, killed and restarted together, with one checkpoint blob.
+// NodeStack: the crash unit every host runs — protocol plus ARQ, killed and
+// restarted together, with one checkpoint blob and one restore path.
 
 #include <gtest/gtest.h>
 
@@ -28,8 +28,8 @@ struct ReceiptCounter final : ProtocolObserver {
   std::vector<std::uint64_t> receipts = std::vector<std::uint64_t>(2, 0);
 };
 
-ProtocolHost::Shape recoverable_shape(ProcessId self) {
-  ProtocolHost::Shape shape;
+NodeStack::Shape recoverable_shape(ProcessId self) {
+  NodeStack::Shape shape;
   shape.kind = ProtocolKind::kOptP;
   shape.self = self;
   shape.n_procs = 2;
@@ -49,8 +49,8 @@ struct StackPair {
   }
   /// p's own write, checkpointed right after it as the harness does.
   void write(ProcessId p, Value v) {
-    stacks[p]->host().protocol().write(0, v);
-    stacks[p]->host().checkpoint();
+    stacks[p]->protocol().write(0, v);
+    stacks[p]->checkpoint();
   }
   EventQueue queue;
   ConstantLatency latency{sim_us(100)};
@@ -68,7 +68,7 @@ TEST(NodeStack, FrameDeliveredWhileDownIsCountedAndReachesNothing) {
 
   // The frame (and any retransmission) landed on the down stack and stopped
   // there: no ARQ saw it, no protocol received it.
-  EXPECT_GE(pair.stacks[1]->host().dropped_while_down(), 1u);
+  EXPECT_GE(pair.stacks[1]->dropped_while_down(), 1u);
   EXPECT_EQ(pair.observer.receipts[1], 0u);
   EXPECT_EQ(pair.stacks[1]->reliable_stats().delivered, 0u);
 
@@ -77,7 +77,7 @@ TEST(NodeStack, FrameDeliveredWhileDownIsCountedAndReachesNothing) {
   pair.stacks[1]->restart();
   pair.queue.run_until(sim_ms(200));
   EXPECT_GE(pair.observer.receipts[1], 1u);
-  EXPECT_EQ(pair.stacks[1]->host().protocol().peek(0).value, 7);
+  EXPECT_EQ(pair.stacks[1]->protocol().peek(0).value, 7);
   EXPECT_TRUE(pair.stacks[0]->quiescent());
 }
 
@@ -125,7 +125,7 @@ TEST(NodeStack, AcksHeldAtAKillAreRepairedByThePeersRetransmission) {
   EXPECT_TRUE(pair.stacks[0]->quiescent());
   EXPECT_TRUE(pair.stacks[1]->quiescent());
   EXPECT_EQ(pair.observer.receipts[1], 1u);
-  EXPECT_EQ(pair.stacks[1]->host().protocol().peek(0).value, 5);
+  EXPECT_EQ(pair.stacks[1]->protocol().peek(0).value, 5);
 }
 
 TEST(NodeStack, KillWithAnOpenBatchRestartsAndDeliversItOnce) {
@@ -161,7 +161,7 @@ TEST(NodeStack, KillWithAnOpenBatchRestartsAndDeliversItOnce) {
   EXPECT_EQ(pair.stacks[1]->reliable_stats().delivered,
             pair.stacks[0]->reliable_stats().data_sent);
   EXPECT_EQ(pair.stacks[1]->reliable_stats().duplicates_suppressed, 0u);
-  EXPECT_EQ(pair.stacks[1]->host().protocol().peek(0).value, 3);
+  EXPECT_EQ(pair.stacks[1]->protocol().peek(0).value, 3);
   EXPECT_TRUE(pair.stacks[0]->quiescent());
   EXPECT_TRUE(pair.stacks[1]->quiescent());
 }
@@ -169,9 +169,7 @@ TEST(NodeStack, KillWithAnOpenBatchRestartsAndDeliversItOnce) {
 TEST(NodeStack, DecodeRejectsTruncatedFraming) {
   StackPair pair;
   pair.write(0, 3);
-  ByteWriter w;
-  pair.stacks[0]->encode_checkpoint(w);
-  const std::vector<std::uint8_t> blob = std::move(w).take();
+  const std::vector<std::uint8_t> blob = pair.stacks[0]->checkpoint_bytes();
   ByteReader whole(blob);
   ASSERT_TRUE(NodeStack::decode_checkpoint(whole).has_value());
   EXPECT_TRUE(whole.exhausted());
@@ -179,6 +177,98 @@ TEST(NodeStack, DecodeRejectsTruncatedFraming) {
     ByteReader r(std::span<const std::uint8_t>(blob.data(), cut));
     EXPECT_FALSE(NodeStack::decode_checkpoint(r).has_value()) << "cut " << cut;
   }
+}
+
+/// The protocol's own snapshot: its Write_co, apply vector and pending
+/// buffer, as bytes.
+std::vector<std::uint8_t> protocol_state(const NodeStack& stack) {
+  ByteWriter w;
+  stack.protocol().snapshot(w);
+  return std::move(w).take();
+}
+
+/// An in-process restart and a boot from a spilled checkpoint are one path:
+/// a stack killed and restarted holds the same bytes as a fresh stack booted
+/// from the checkpoint it had when it died.
+TEST(NodeStack, RestartBootsLikeAFreshStackFromTheSameCheckpoint) {
+  StackPair pair;
+  pair.write(0, 1);
+  pair.write(1, 2);
+  pair.queue.run_until(sim_ms(1));  // each has the other's write
+  pair.write(1, 3);                 // and p1's ACK for it is still in flight
+  ASSERT_EQ(pair.observer.receipts[1], 1u);
+  ASSERT_EQ(pair.observer.receipts[0], 1u);
+  ASSERT_NE(pair.stacks[1]->arq(), nullptr);
+  ASSERT_FALSE(pair.stacks[1]->arq()->quiescent());
+  const std::vector<std::uint8_t> blob = pair.stacks[1]->checkpoint_bytes();
+
+  pair.stacks[1]->kill();
+  pair.stacks[1]->restart();
+
+  EventQueue queue;
+  const ConstantLatency latency(sim_us(100));
+  Network net(queue, latency, 2);
+  ProtocolObserver observer;
+  const NodeStack peer(queue, net, recoverable_shape(0), ReliableConfig{},
+                       observer);
+  NodeStack fresh(queue, net, recoverable_shape(1), ReliableConfig{},
+                  observer);
+  ByteReader r(blob);
+  const auto checkpoint = NodeStack::decode_checkpoint(r);
+  ASSERT_TRUE(checkpoint.has_value());
+  fresh.start(&*checkpoint);
+
+  EXPECT_EQ(pair.stacks[1]->checkpoint_bytes(), fresh.checkpoint_bytes());
+  EXPECT_EQ(protocol_state(*pair.stacks[1]), protocol_state(fresh));
+  EXPECT_EQ(pair.stacks[1]->protocol().peek(0).value, 3);
+  EXPECT_EQ(fresh.protocol().peek(0).value, 3);
+  // Both retransmitted the unacked write and resumed the peer.
+  EXPECT_EQ(pair.stacks[1]->arq()->stats().retransmissions, 1u);
+  EXPECT_EQ(fresh.arq()->stats().retransmissions, 1u);
+}
+
+/// The stack owns the spill contract: while the spill hook reports that no
+/// snapshot landed, no ACK leaves the stack and the sender's window stays
+/// unacked; the first tick() at which the retried spill lands releases them.
+TEST(NodeStack, AcksWaitForASpillThatLands) {
+  StackPair pair;
+  bool lands = false;
+  int spills = 0;
+  pair.stacks[1]->set_spill_hook([&] {
+    ++spills;
+    return lands;
+  });
+  pair.stacks[1]->checkpoint();  // the spill fails: the ACKs are held
+  EXPECT_EQ(spills, 1);
+
+  pair.write(0, 4);
+  pair.queue.run_until(sim_ms(5));  // p0's RTO fires and resends, too
+  EXPECT_EQ(pair.observer.receipts[1], 1u);
+  EXPECT_EQ(pair.stacks[1]->protocol().peek(0).value, 4);
+  EXPECT_EQ(pair.stacks[1]->reliable_stats().acks_sent, 0u);
+  EXPECT_GE(pair.stacks[0]->reliable_stats().retransmissions, 1u);
+  EXPECT_FALSE(pair.stacks[0]->quiescent());
+  const int after_receipts = spills;
+  EXPECT_GE(after_receipts, 2);  // each frame that delivered spilled
+
+  // A tick retries the spill; while it still fails nothing is released.
+  pair.stacks[1]->tick();
+  EXPECT_EQ(spills, after_receipts + 1);
+  EXPECT_EQ(pair.stacks[1]->reliable_stats().acks_sent, 0u);
+  pair.queue.run_until(sim_ms(6));
+  EXPECT_FALSE(pair.stacks[0]->quiescent());
+
+  // The spill lands at the next tick, and the held ACKs leave with it.
+  lands = true;
+  pair.stacks[1]->tick();
+  EXPECT_EQ(spills, after_receipts + 2);
+  EXPECT_GE(pair.stacks[1]->reliable_stats().acks_sent, 1u);
+  pair.queue.run_until(sim_ms(7));
+  EXPECT_TRUE(pair.stacks[0]->quiescent());
+
+  // Landed: the next tick retries nothing.
+  pair.stacks[1]->tick();
+  EXPECT_EQ(spills, after_receipts + 2);
 }
 
 /// A transport for one process that can be attached again: a test boots a
@@ -224,15 +314,14 @@ TEST(NodeStack, BatchFrameIsCheckpointedOnceAfterAllItsPayloads) {
   p1->start();
   // Every checkpoint p1 takes, as a durable node's spill would write it.
   std::vector<std::vector<std::uint8_t>> spilled;
-  p1->host().set_spill_hook([&] {
-    ByteWriter w;
-    p1->encode_checkpoint(w);
-    spilled.push_back(std::move(w).take());
+  p1->set_spill_hook([&] {
+    spilled.push_back(p1->checkpoint_bytes());
+    return true;
   });
   p0.tick();  // tick-driven: both writes share one frame
   for (Value v = 1; v <= 2; ++v) {
-    p0.host().protocol().write(0, v);
-    p0.host().checkpoint();
+    p0.protocol().write(0, v);
+    p0.checkpoint();
   }
   p0.tick();
   queue.run_until(sim_us(150));
@@ -248,11 +337,11 @@ TEST(NodeStack, BatchFrameIsCheckpointedOnceAfterAllItsPayloads) {
   const auto checkpoint = NodeStack::decode_checkpoint(r);
   ASSERT_TRUE(checkpoint.has_value());
   p1->start(&*checkpoint);
-  EXPECT_EQ(p1->host().protocol().peek(0).value, 2);
+  EXPECT_EQ(p1->protocol().peek(0).value, 2);
   queue.run_until(sim_ms(20));
   EXPECT_TRUE(p0.quiescent());
   EXPECT_EQ(p1->reliable_stats().duplicates_suppressed, 1u);
-  EXPECT_EQ(p1->host().protocol().peek(0).value, 2);
+  EXPECT_EQ(p1->protocol().peek(0).value, 2);
 }
 
 /// A snapshot file a durable ProcessNode spilled is [u64 op count] + the
@@ -300,13 +389,13 @@ TEST(NodeStack, SpilledSnapshotRoundTripsThroughTheDecoder) {
     Network net(queue, latency, 3);
     ProtocolObserver observer;
     std::optional<NodeStack> others[3];
-    ProtocolHost::Shape shape = config.shape;
+    NodeStack::Shape shape = config.shape;
     for (ProcessId q = 0; q < 3; ++q) {
       shape.self = q;
       others[q].emplace(queue, net, shape, net_reliable_defaults(), observer);
     }
     others[p]->start(&*checkpoint);  // restores ARQ and protocol
-    EXPECT_EQ(others[p]->host().protocol().peek(0).value, kLast) << "p" << p;
+    EXPECT_EQ(others[p]->protocol().peek(0).value, kLast) << "p" << p;
   }
   std::error_code ec;
   std::filesystem::remove_all(state_dir, ec);
