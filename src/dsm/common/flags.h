@@ -28,7 +28,7 @@ namespace dsm {
 
 /// A decimal u64 and nothing else: no sign, no space, no trailing text, no
 /// overflow.  Every number inside a structured flag value (--crash,
-/// --partition, --kill-conn, --kill-host, --nemesis) is read with it.
+/// --partition, --nemesis) is read with it.
 [[nodiscard]] inline std::optional<std::uint64_t> parse_u64(
     std::string_view text) {
   if (text.empty()) return std::nullopt;

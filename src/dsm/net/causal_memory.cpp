@@ -256,7 +256,8 @@ ProtocolStats CausalMemory::stats(ProcessId p) const {
 std::uint64_t CausalMemory::crash_dropped() const {
   std::uint64_t total = 0;
   for (ProcessId p = 0; p < n_procs(); ++p) {
-    total += call(p, [](Replica& r) { return r.stack.dropped_while_down(); });
+    total += call(
+        p, [](Replica& r) { return r.stack.node_stats().dropped_while_down; });
   }
   return total;
 }

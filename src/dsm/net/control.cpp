@@ -33,8 +33,6 @@ bool known_op(std::uint8_t raw) {
     case ControlOp::kFetchLog:
     case ControlOp::kFetchStats:
     case ControlOp::kKillConn:
-    case ControlOp::kKillHost:
-    case ControlOp::kRestartHost:
     case ControlOp::kShutdown:
     case ControlOp::kQueryQuiescent:
     case ControlOp::kSetFaults:
@@ -98,8 +96,6 @@ std::vector<std::uint8_t> encode_control(const ControlMessage& m) {
     case ControlOp::kPing:
     case ControlOp::kQueryDone:
     case ControlOp::kFetchStats:
-    case ControlOp::kKillHost:
-    case ControlOp::kRestartHost:
     case ControlOp::kShutdown:
     case ControlOp::kQueryQuiescent:
     case ControlOp::kAck:
@@ -198,8 +194,6 @@ std::optional<ControlMessage> decode_control(
     case ControlOp::kPing:
     case ControlOp::kQueryDone:
     case ControlOp::kFetchStats:
-    case ControlOp::kKillHost:
-    case ControlOp::kRestartHost:
     case ControlOp::kShutdown:
     case ControlOp::kQueryQuiescent:
     case ControlOp::kAck:

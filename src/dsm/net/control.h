@@ -25,8 +25,6 @@
 //   kFetchStats  → kStatsReply{stats}: every counter of every node-tier
 //                  layer (NodeNetStats), walked from the field tables
 //   kKillConn    → kAck: drop the live TCP connection to `peer` (fault hook)
-//   kKillHost    → kAck: crash the protocol stack (recoverable mode)
-//   kRestartHost → kAck: restore from checkpoint; peers' ARQs resend the gap
 //   kShutdown    → kAck, then the node's loop exits
 //   kQueryQuiescent → kDoneReply{quiescent}: protocol quiescent AND ARQ fully
 //                  acknowledged AND transport flushed, IGNORING the script
@@ -54,6 +52,7 @@
 #include "dsm/net/faulty_transport.h"
 #include "dsm/net/ring_mesh.h"
 #include "dsm/net/tcp_transport.h"
+#include "dsm/runtime/node_stack.h"
 #include "dsm/sim/reliable.h"
 #include "dsm/storage/wal.h"
 #include "dsm/workload/script.h"
@@ -67,8 +66,7 @@ enum class ControlOp : std::uint8_t {
   kFetchLog = 4,
   kFetchStats = 5,
   kKillConn = 6,
-  kKillHost = 7,
-  kRestartHost = 8,
+  // 7 and 8 are retired: a node crashes only by SIGKILL (decode rejects them).
   kShutdown = 9,
   kQueryQuiescent = 10,
   kSetFaults = 11,
@@ -80,26 +78,6 @@ enum class ControlOp : std::uint8_t {
   kStatsReply = 104,
   kError = 105,
 };
-
-/// What a node counts itself, outside any layer's stats struct.
-struct NodeStats {
-  std::uint64_t dropped_while_down = 0;  ///< NodeStack drops while crashed
-  std::uint64_t wal_replayed = 0;        ///< WAL records replayed at boot
-  std::uint64_t wal_dirty = 0;           ///< 1 while the WAL is sticky-dirty
-  std::uint64_t snapshot_writes = 0;
-  std::uint64_t snapshot_failures = 0;   ///< spills skipped or failed
-
-  static const StatField<NodeStats> kFields[];
-};
-
-inline constexpr StatField<NodeStats> NodeStats::kFields[] = {
-    {metric::kDroppedWhileDown, &NodeStats::dropped_while_down},
-    {metric::kWalReplayed, &NodeStats::wal_replayed},
-    {metric::kWalDirty, &NodeStats::wal_dirty},
-    {metric::kSnapshotWrites, &NodeStats::snapshot_writes},
-    {metric::kSnapshotFailures, &NodeStats::snapshot_failures},
-};
-static_assert(covers_every_field<NodeStats>());
 
 /// One node's counters as reported over kFetchStats: each layer's stats
 /// struct, whole.

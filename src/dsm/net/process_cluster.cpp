@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "dsm/common/contracts.h"
 #include "dsm/net/shard_host.h"
 #include "dsm/storage/state_dir.h"
 #include "dsm/storage/wal_sink.h"
@@ -185,7 +186,11 @@ std::optional<ControlMessage> ControlClient::call(const ControlMessage& req,
 // -- ProcessCluster -----------------------------------------------------------
 
 ProcessCluster::ProcessCluster(ProcessClusterConfig config)
-    : config_(std::move(config)) {}
+    : config_(std::move(config)) {
+  // Checked here as well as in each node, so a mismatch fails in the driver.
+  DSM_REQUIRE(config_.shape.recoverable == !config_.state_dir.empty() &&
+              "a state dir and the recoverable shape go together");
+}
 
 std::optional<ControlMessage> ProcessCluster::call_node(
     ProcessId node, const ControlMessage& req, bool idempotent) {
@@ -220,15 +225,15 @@ ProcessNodeConfig ProcessCluster::node_config_of(std::size_t p) const {
   node_config.listen_fd = listen_fds_[p];
   node_config.arq = config_.arq;
   if (!config_.state_dir.empty()) {
-    node_config.state_dir =
+    node_config.storage.dir =
         StateDir::node_subdir(config_.state_dir, static_cast<ProcessId>(p));
-    node_config.fsync = config_.fsync;
-    node_config.wal_group_commit = config_.wal_group_commit;
+    node_config.storage.fsync = config_.fsync;
+    node_config.storage.group_commit = config_.wal_group_commit;
   }
   node_config.net_faults = config_.net_faults;
   for (const auto& [target, fp] : config_.storage_fail) {
     if (target == static_cast<ProcessId>(p)) {
-      node_config.storage_fail.push_back(fp);
+      node_config.storage.failpoints.push_back(fp);
     }
   }
   return node_config;
@@ -393,22 +398,6 @@ bool ProcessCluster::kill_connection(ProcessId node, ProcessId peer) {
   req.peer = peer;
   // Idempotent: killing an already-down connection is an acknowledged no-op.
   const auto rep = call_node(node, req, /*idempotent=*/true);
-  return rep && rep->op == ControlOp::kAck;
-}
-
-bool ProcessCluster::kill_host(ProcessId node) {
-  if (node >= controls_.size()) return false;
-  ControlMessage req;
-  req.op = ControlOp::kKillHost;
-  const auto rep = call_node(node, req, /*idempotent=*/false);
-  return rep && rep->op == ControlOp::kAck;
-}
-
-bool ProcessCluster::restart_host(ProcessId node) {
-  if (node >= controls_.size()) return false;
-  ControlMessage req;
-  req.op = ControlOp::kRestartHost;
-  const auto rep = call_node(node, req, /*idempotent=*/false);
   return rep && rep->op == ControlOp::kAck;
 }
 

@@ -94,12 +94,12 @@ struct ProcessClusterConfig {
   int control_timeout_ms = 10'000;  ///< per control round-trip
   /// Extra attempts (after the first) for IDEMPOTENT control rounds that time
   /// out or find the connection dead — each retry reconnects first.  Rounds
-  /// with side effects (kRun, kKillHost, kRestartHost, kShutdown) never
-  /// retry: a lost reply leaves "did it apply?" ambiguous.
+  /// with side effects (kRun, kShutdown) never retry: a lost reply leaves
+  /// "did it apply?" ambiguous.
   int control_retries = 2;
   /// Durable state root: node p persists under `<state_dir>/node-p`.  Empty =
-  /// in-memory nodes; non-empty requires shape.recoverable and enables
-  /// kill_process()/respawn_process() to survive a real SIGKILL.
+  /// in-memory nodes; non-empty exactly when shape.recoverable, and lets a
+  /// node survive kill_process()/respawn_process(), a real SIGKILL.
   std::string state_dir;
   FsyncPolicy fsync = FsyncPolicy::kEvery;
   /// Tick-edge WAL group commit on every node (see ProcessNodeConfig).
@@ -143,12 +143,10 @@ class ProcessCluster {
 
   // -- fault injection -------------------------------------------------------
   [[nodiscard]] bool kill_connection(ProcessId node, ProcessId peer);
-  [[nodiscard]] bool kill_host(ProcessId node);
-  [[nodiscard]] bool restart_host(ProcessId node);
   /// Install/replace node's link-fault plan (nemesis partition start/heal).
   [[nodiscard]] bool set_faults(ProcessId node, const NetFaultPlan& plan);
 
-  // -- process death (the real thing, not the in-process fault model) --------
+  // -- process death: the one way a node crashes -----------------------------
 
   /// SIGKILL node's OS process and reap it; its control channel is closed.
   /// The node gets no chance to flush anything — exactly the crash the

@@ -11,10 +11,13 @@
 // A node is steered remotely: the cluster driver opens a control connection
 // through the node's ordinary listen port (Hello role = control) and speaks
 // the request/reply protocol in dsm/net/control.h — install a script, poll
-// for completion, fetch the recorded trace and stats, inject faults, kill
-// and restart the stack in process, shut down.  run() blocks until a
-// kShutdown has been received and acknowledged.  With a state dir the node
-// also keeps a WAL and spills each checkpoint to a snapshot file.
+// for completion, fetch the recorded trace and stats, inject link faults,
+// shut down.  run() blocks until a kShutdown has been received and
+// acknowledged.  The node keeps sockets, faults and control; its durable
+// state is the stack's: with a state dir the stack is durable (it boots from
+// the dir, keeps a WAL and spills each checkpoint to a snapshot file), and
+// the node crashes only by dying — a SIGKILL, after which the driver forks a
+// new process on the same state dir.
 //
 // Everything runs on the single NetLoop thread: socket dispatch, ARQ timers,
 // script steps, and control handling interleave through one EventQueue, so
@@ -37,9 +40,6 @@
 #include "dsm/runtime/node_stack.h"
 #include "dsm/runtime/observer_chain.h"
 #include "dsm/sim/reliable.h"
-#include "dsm/storage/state_dir.h"
-#include "dsm/storage/wal.h"
-#include "dsm/storage/wal_sink.h"
 #include "dsm/telemetry/telemetry.h"
 #include "dsm/workload/script_runner.h"
 
@@ -57,25 +57,15 @@ struct ProcessNodeConfig {
   std::vector<std::string> peers;
   int listen_fd = -1;  ///< adopted listener (fork harness), or -1 to bind
   ReliableConfig arq = net_reliable_defaults();
-  /// Durable state directory (docs/DURABILITY.md).  Empty = in-memory only.
-  /// Non-empty requires shape.recoverable: on boot the node restores the
-  /// latest snapshot, replays the WAL tail, and resumes its ARQ peers; a
-  /// kill -9 of the OS process loses at most the one in-flight mutation that
-  /// had not yet committed to the WAL (and that only if fsync allows it).
-  std::string state_dir;
-  FsyncPolicy fsync = FsyncPolicy::kEvery;
-  /// Group-commit the WAL at NetLoop tick edges (docs/PERF.md): one fsync
-  /// per tick covers every mutation batch committed during that tick,
-  /// instead of one per batch.  Kill-9 durability is unchanged (the page
-  /// cache survives the process); the power-loss window grows from one
-  /// mutation to one tick.  Requires a durable state_dir.
-  bool wal_group_commit = false;
+  /// The stack's storage (docs/DURABILITY.md).  An empty storage.dir keeps
+  /// the node in memory; a state dir goes with shape.recoverable, and a
+  /// kill -9 of the OS process then loses at most the one in-flight
+  /// mutation that had not yet committed to the WAL (and that only if
+  /// fsync allows it).  The node sets storage.log and storage.filter.
+  NodeStack::Storage storage;
   /// Initial link-fault plan (docs/FAULTS.md); also settable at runtime via
   /// the control plane (kSetFaults).  Inactive by default.
   NetFaultPlan net_faults;
-  /// Storage failpoints armed at boot: injected write/fsync failures in the
-  /// WAL and snapshot paths (docs/FAULTS.md).
-  std::vector<StorageFailpoint> storage_fail;
   /// Shard-per-core packing (docs/ARCHITECTURE.md): when non-null, this node
   /// is one shard of a ShardHost and the mesh carries its traffic to the
   /// co-located shards [mesh->base(), mesh->base()+mesh->count()) over SPSC
@@ -119,24 +109,7 @@ class ProcessNode final {
   void flush_control(ControlConn& conn);
   void drop_control(int fd);
   [[nodiscard]] bool control_flushed() const;
-
-  // -- durability (config_.state_dir non-empty) ------------------------------
-  [[nodiscard]] bool durable() const noexcept {
-    return !config_.state_dir.empty();
-  }
-  /// Open the StateDir, restore snapshot + WAL, start the stack (restored or
-  /// fresh), reconcile the ≤1-mutation gap between WAL and snapshot, and
-  /// install the spill hook.  Runs before the loop; see docs/DURABILITY.md.
-  void boot_durable();
-  /// Spill hook: commit the new log bytes to the WAL, then atomically write the
-  /// snapshot file ([u64 op count] + the stack's checkpoint).  Returns whether
-  /// the snapshot landed; until one does, the stack holds its ACKs and
-  /// retries at its tick edge.
-  [[nodiscard]] bool spill();
-  /// Tick-edge group-commit barrier (config_.wal_group_commit): one fsync
-  /// covering every WAL record appended during the tick.
-  void wal_tick();
-  [[nodiscard]] std::uint64_t local_op_count() const;
+  [[nodiscard]] bool durable() const { return !config_.storage.dir.empty(); }
 
   ProcessNodeConfig config_;
   NetLoop loop_;
@@ -154,8 +127,8 @@ class ProcessNode final {
   /// Wakes the runner's parked awaits on every apply: the chain's fanout
   /// link, below its replay filter, so a suppressed echo wakes nothing.
   AwaitWaker waker_;
-  /// recorder ← telemetry tee ← waker fanout ← replay filter (recoverable
-  /// mode: crash recovery legitimately redelivers updates, and a respawned
+  /// recorder ← telemetry tee ← waker fanout ← replay filter (durable
+  /// nodes: crash recovery legitimately redelivers updates, and a respawned
   /// peer may re-broadcast a reconciled write) ← object store (typed
   /// schemas, answering the script's Observe steps).
   ObserverChain chain_;
@@ -164,18 +137,6 @@ class ProcessNode final {
   std::unique_ptr<ScriptRunner> runner_;
   std::map<int, ControlConn> controls_;
   bool shutdown_ = false;
-  // -- durable state (boot_durable) ------------------------------------------
-  /// Storage failpoints routed through the WAL and snapshot writers (armed
-  /// from config_.storage_fail; pass-through when empty).
-  FailpointIoHooks io_hooks_;
-  std::optional<StateDir> state_;
-  std::optional<Wal> wal_;
-  /// Commits the recorder's log to the WAL: the recorder's records are the
-  /// WAL's records.
-  std::optional<WalLogCommitter> wal_log_;
-  std::uint64_t replayed_local_ops_ = 0;  ///< script resume index
-  /// Counted here, reported with the layers' structs by kFetchStats.
-  NodeStats node_stats_;
 };
 
 }  // namespace dsm

@@ -27,10 +27,10 @@ namespace dsm {
 /// Return events pass through untouched (every read is a distinct
 /// operation).
 ///
-/// Only a durable ProcessNode builds one.  A restart from an in-memory
-/// checkpoint (the simulator, CausalMemory, an in-process kKillHost)
-/// restores each receipt together with its ARQ dedup state, so no event
-/// repeats there.
+/// Only a durable ProcessNode builds one, and its NodeStack preseeds and
+/// mutes it at boot.  A restart from an in-memory checkpoint (the simulator,
+/// CausalMemory) restores each receipt together with its ARQ dedup state,
+/// so no event repeats there.
 ///
 /// Thread-safe (an internal mutex guards the seen-set).
 class ReplayFilterObserver final : public ProtocolObserver {

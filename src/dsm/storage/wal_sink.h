@@ -1,13 +1,13 @@
 // optcm — the run log's WAL commit and its replay decoder.
 //
 // A RunRecorder keeps its log as encoded records (the codec documented in
-// run_recorder.h), so a durable node needs no second encoder: WalLogCommitter
-// appends the bytes the recorder logged since the previous commit as ONE WAL
-// record.  The caller commits at its checkpoint points — after each
+// run_recorder.h), so a durable NodeStack needs no second encoder:
+// WalLogCommitter appends the bytes the recorder logged since the previous
+// commit as ONE WAL record.  The stack commits at each spill — after each
 // protocol-visible mutation — so a record is the atomic unit "one mutation
 // plus the events it produced", and a torn WAL tail can only ever lose whole
-// mutations.  A process boot is logged as a kIncarnation record, after
-// replay; stitch/merge tooling uses it to see restarts.
+// mutations.  A boot is logged as a kIncarnation record, after replay;
+// stitch/merge tooling uses it to see restarts.
 //
 // replay_wal_record() is the inverse: feed one recovered record back into a
 // RunRecorder (restore_* entry points, which log the same bytes again) and

@@ -158,7 +158,7 @@ inline constexpr char kWalGroupCommits[] = "wal_group_commits_total";
 inline constexpr char kWalWriteErrors[] = "wal_write_errors_total";
 inline constexpr char kWalWriteRetries[] = "wal_write_retries_total";
 inline constexpr char kWalFsyncErrors[] = "wal_fsync_errors_total";
-// What the node itself counts (NodeStats, dsm/net/control.h).
+// What a NodeStack counts itself (NodeStats, dsm/runtime/node_stack.h).
 inline constexpr char kDroppedWhileDown[] = "dropped_while_down_total";
 inline constexpr char kWalReplayed[] = "wal_replayed_records_total";
 inline constexpr char kWalDirty[] = "wal_dirty";  // 1 while degraded

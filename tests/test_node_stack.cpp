@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "dsm/net/process_cluster.h"
 #include "dsm/runtime/node_stack.h"
+#include "dsm/runtime/observer_chain.h"
 #include "dsm/sim/network.h"
 #include "dsm/storage/snapshot_file.h"
 #include "dsm/storage/state_dir.h"
@@ -28,11 +28,11 @@ struct ReceiptCounter final : ProtocolObserver {
   std::vector<std::uint64_t> receipts = std::vector<std::uint64_t>(2, 0);
 };
 
-NodeStack::Shape recoverable_shape(ProcessId self) {
+NodeStack::Shape recoverable_shape(ProcessId self, std::size_t n_procs = 2) {
   NodeStack::Shape shape;
   shape.kind = ProtocolKind::kOptP;
   shape.self = self;
-  shape.n_procs = 2;
+  shape.n_procs = n_procs;
   shape.n_vars = 2;
   shape.recoverable = true;
   return shape;
@@ -68,7 +68,7 @@ TEST(NodeStack, FrameDeliveredWhileDownIsCountedAndReachesNothing) {
 
   // The frame (and any retransmission) landed on the down stack and stopped
   // there: no ARQ saw it, no protocol received it.
-  EXPECT_GE(pair.stacks[1]->dropped_while_down(), 1u);
+  EXPECT_GE(pair.stacks[1]->node_stats().dropped_while_down, 1u);
   EXPECT_EQ(pair.observer.receipts[1], 0u);
   EXPECT_EQ(pair.stacks[1]->reliable_stats().delivered, 0u);
 
@@ -227,97 +227,147 @@ TEST(NodeStack, RestartBootsLikeAFreshStackFromTheSameCheckpoint) {
   EXPECT_EQ(fresh.arq()->stats().retransmissions, 1u);
 }
 
-/// The stack owns the spill contract: while the spill hook reports that no
-/// snapshot landed, no ACK leaves the stack and the sender's window stays
-/// unacked; the first tick() at which the retried spill lands releases them.
-TEST(NodeStack, AcksWaitForASpillThatLands) {
-  StackPair pair;
-  bool lands = false;
-  int spills = 0;
-  pair.stacks[1]->set_spill_hook([&] {
-    ++spills;
-    return lands;
-  });
-  pair.stacks[1]->checkpoint();  // the spill fails: the ACKs are held
-  EXPECT_EQ(spills, 1);
+/// A fresh directory under /tmp, removed with everything in it.
+struct TempDir {
+  TempDir() {
+    path = "/tmp/optcm-node-stack-XXXXXX";
+    if (::mkdtemp(path.data()) == nullptr) path.clear();
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  std::string path;
+};
 
-  pair.write(0, 4);
-  pair.queue.run_until(sim_ms(5));  // p0's RTO fires and resends, too
-  EXPECT_EQ(pair.observer.receipts[1], 1u);
-  EXPECT_EQ(pair.stacks[1]->protocol().peek(0).value, 4);
-  EXPECT_EQ(pair.stacks[1]->reliable_stats().acks_sent, 0u);
-  EXPECT_GE(pair.stacks[0]->reliable_stats().retransmissions, 1u);
-  EXPECT_FALSE(pair.stacks[0]->quiescent());
-  const int after_receipts = spills;
-  EXPECT_GE(after_receipts, 2);  // each frame that delivered spilled
+/// A durable stack with what a process node gives it: the run log its WAL
+/// holds, and an observer chain with a replay filter (`beside` sees the
+/// filtered events).  start() boots it from `storage.dir`.
+struct DurableStack {
+  DurableStack(EventQueue& queue, DatagramTransport& link,
+               const NodeStack::Shape& shape, NodeStack::Storage storage,
+               const ReliableConfig& arq = {},
+               ProtocolObserver* beside = nullptr)
+      : log(shape.n_procs, shape.n_vars, [&queue] { return queue.now(); }),
+        chain(log, shape.n_procs, shape.n_vars,
+              {.beside = beside != nullptr
+                             ? std::vector<ProtocolObserver*>{beside}
+                             : std::vector<ProtocolObserver*>{},
+               .replay_filter = true,
+               .objects = nullptr}),
+        self(shape.self) {
+    storage.log = &log;
+    storage.filter = chain.filter();
+    stack.emplace(queue, link, shape, arq, chain.head(), nullptr,
+                  std::move(storage));
+    stack->start();
+  }
+  /// A write or read, recorded and checkpointed as a script step is.
+  void write(VarId x, Value v) {
+    log.record_write(self, x, v);
+    stack->protocol().write(x, v);
+    stack->checkpoint();
+  }
+  void read(VarId x) {
+    log.record_read(self, x, stack->protocol().read(x));
+    stack->checkpoint();
+  }
 
-  // A tick retries the spill; while it still fails nothing is released.
-  pair.stacks[1]->tick();
-  EXPECT_EQ(spills, after_receipts + 1);
-  EXPECT_EQ(pair.stacks[1]->reliable_stats().acks_sent, 0u);
-  pair.queue.run_until(sim_ms(6));
-  EXPECT_FALSE(pair.stacks[0]->quiescent());
+  RunRecorder log;
+  ObserverChain chain;
+  ProcessId self;
+  std::optional<NodeStack> stack;
+};
 
-  // The spill lands at the next tick, and the held ACKs leave with it.
-  lands = true;
-  pair.stacks[1]->tick();
-  EXPECT_EQ(spills, after_receipts + 2);
-  EXPECT_GE(pair.stacks[1]->reliable_stats().acks_sent, 1u);
-  pair.queue.run_until(sim_ms(7));
-  EXPECT_TRUE(pair.stacks[0]->quiescent());
-
-  // Landed: the next tick retries nothing.
-  pair.stacks[1]->tick();
-  EXPECT_EQ(spills, after_receipts + 2);
+NodeStack::Storage storage_in(const TempDir& dir) {
+  NodeStack::Storage storage;
+  storage.dir = dir.path;
+  storage.fsync = FsyncPolicy::kNone;
+  return storage;
 }
 
-/// A transport for one process that can be attached again: a test boots a
-/// fresh stack for that process, from a spilled checkpoint, on the same
-/// network.
-class Reattachable final : public DatagramTransport, public MessageSink {
- public:
-  Reattachable(Network& net, ProcessId self) : net_(&net) {
-    net.attach(self, *this);
-  }
-  void attach(ProcessId, MessageSink& sink) override { sink_ = &sink; }
-  void send(ProcessId from, ProcessId to, Payload payload) override {
-    net_->send(from, to, std::move(payload));
-  }
-  [[nodiscard]] std::size_t n_procs() const override {
-    return net_->n_procs();
-  }
-  void deliver(ProcessId from, std::span<const std::uint8_t> bytes) override {
-    sink_->deliver(from, bytes);
-  }
+/// The protocol part of a stack's last checkpoint.
+std::vector<std::uint8_t> protocol_part(const NodeStack& stack) {
+  ByteReader r(stack.checkpoint_bytes());
+  const auto checkpoint = NodeStack::decode_checkpoint(r);
+  if (!checkpoint) return {};
+  return {checkpoint->protocol.begin(), checkpoint->protocol.end()};
+}
 
- private:
-  Network* net_;
-  MessageSink* sink_ = nullptr;
-};
+/// The stack owns the spill contract: while no snapshot lands, no ACK leaves
+/// the stack and the sender's window stays unacked; the first tick() at
+/// which the retried spill lands releases them.  Under FsyncPolicy::kNone
+/// the only fsync the storage makes is each snapshot's, so failing fsync
+/// calls 2–4 fails the three spills after the boot's.
+TEST(NodeStack, AcksWaitForASpillThatLands) {
+  TempDir dir;
+  EventQueue queue;
+  const ConstantLatency latency(sim_us(100));
+  Network net(queue, latency, 2);
+  ReceiptCounter observer;
+  NodeStack p0(queue, net, recoverable_shape(0), ReliableConfig{}, observer);
+  p0.start();
+  NodeStack::Storage storage = storage_in(dir);
+  storage.failpoints.push_back({StorageFailpoint::Op::kFsync,
+                                StorageFailpoint::Kind::kEio, 2, 3});
+  DurableStack p1(queue, net, recoverable_shape(1), std::move(storage), {},
+                  &observer);
+  const auto spills = [&p1] {
+    const NodeStats s = p1.stack->node_stats();
+    return s.snapshot_writes + s.snapshot_failures;
+  };
+  EXPECT_EQ(p1.stack->node_stats().snapshot_writes, 1u);  // the boot's
+  p1.stack->checkpoint();  // the spill fails: the ACKs are held
+  EXPECT_EQ(spills(), 2u);
+
+  p0.protocol().write(0, 4);
+  p0.checkpoint();
+  queue.run_until(sim_ms(5));  // p0's RTO fires and resends, too
+  EXPECT_EQ(observer.receipts[1], 1u);
+  EXPECT_EQ(p1.stack->protocol().peek(0).value, 4);
+  EXPECT_EQ(p1.stack->reliable_stats().acks_sent, 0u);
+  EXPECT_GE(p0.reliable_stats().retransmissions, 1u);
+  EXPECT_FALSE(p0.quiescent());
+  EXPECT_EQ(spills(), 3u);  // the frame that delivered spilled
+
+  // A tick retries the spill; while it still fails nothing is released.
+  p1.stack->tick();
+  EXPECT_EQ(spills(), 4u);
+  EXPECT_EQ(p1.stack->reliable_stats().acks_sent, 0u);
+  queue.run_until(sim_ms(6));
+  EXPECT_FALSE(p0.quiescent());
+
+  // The spill lands at the next tick, and the held ACKs leave with it.
+  p1.stack->tick();
+  EXPECT_EQ(spills(), 5u);
+  EXPECT_EQ(p1.stack->node_stats().snapshot_writes, 2u);
+  EXPECT_GE(p1.stack->reliable_stats().acks_sent, 1u);
+  queue.run_until(sim_ms(7));
+  EXPECT_TRUE(p0.quiescent());
+
+  // Landed: the next tick retries nothing.
+  p1.stack->tick();
+  EXPECT_EQ(spills(), 5u);
+}
 
 /// A BATCH frame is checkpointed once, after all its payloads.  The ARQ marks
 /// the frame's seq seen before its first payload goes up, so a checkpoint
 /// between two payloads would restore a stack that suppresses the resent
 /// batch as a duplicate and never gets the second payload.
 TEST(NodeStack, BatchFrameIsCheckpointedOnceAfterAllItsPayloads) {
+  TempDir dir;
   EventQueue queue;
   const ConstantLatency latency(sim_us(100));
   Network net(queue, latency, 2);
-  Reattachable p1_link(net, 1);
   ReceiptCounter observer;
   ReliableConfig arq;
   arq.ack_delay = sim_us(300);  // p1's ACK is still held when p1 dies
   NodeStack p0(queue, net, recoverable_shape(0), arq, observer);
-  auto p1 = std::make_unique<NodeStack>(queue, p1_link, recoverable_shape(1),
-                                        arq, observer);
   p0.start();
-  p1->start();
-  // Every checkpoint p1 takes, as a durable node's spill would write it.
-  std::vector<std::vector<std::uint8_t>> spilled;
-  p1->set_spill_hook([&] {
-    spilled.push_back(p1->checkpoint_bytes());
-    return true;
-  });
+  auto p1 = std::make_unique<DurableStack>(queue, net, recoverable_shape(1),
+                                           storage_in(dir), arq, &observer);
   p0.tick();  // tick-driven: both writes share one frame
   for (Value v = 1; v <= 2; ++v) {
     p0.protocol().write(0, v);
@@ -326,53 +376,48 @@ TEST(NodeStack, BatchFrameIsCheckpointedOnceAfterAllItsPayloads) {
   p0.tick();
   queue.run_until(sim_us(150));
   EXPECT_EQ(observer.receipts[1], 2u);
-  EXPECT_EQ(spilled.size(), 1u);
-  ASSERT_FALSE(spilled.empty());
+  // The boot's snapshot, then one for the whole frame.
+  EXPECT_EQ(p1->stack->node_stats().snapshot_writes, 2u);
 
-  // p1 dies before its ACK leaves and boots from the frame's first
-  // checkpoint.
-  p1 = std::make_unique<NodeStack>(queue, p1_link, recoverable_shape(1), arq,
-                                   observer);
-  ByteReader r(spilled.front());
-  const auto checkpoint = NodeStack::decode_checkpoint(r);
-  ASSERT_TRUE(checkpoint.has_value());
-  p1->start(&*checkpoint);
-  EXPECT_EQ(p1->protocol().peek(0).value, 2);
+  // p1 dies before its ACK leaves and boots from the frame's snapshot.
+  net.detach(1);
+  p1 = std::make_unique<DurableStack>(queue, net, recoverable_shape(1),
+                                      storage_in(dir), arq, &observer);
+  EXPECT_EQ(p1->stack->protocol().peek(0).value, 2);
   queue.run_until(sim_ms(20));
   EXPECT_TRUE(p0.quiescent());
-  EXPECT_EQ(p1->reliable_stats().duplicates_suppressed, 1u);
-  EXPECT_EQ(p1->protocol().peek(0).value, 2);
+  EXPECT_EQ(p1->stack->reliable_stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(p1->stack->protocol().peek(0).value, 2);
+  EXPECT_EQ(observer.receipts[1], 2u);
 }
 
-/// A snapshot file a durable ProcessNode spilled is [u64 op count] + the
-/// stack's encoded checkpoint: it decodes, and a fresh stack boots from it
-/// into the state the node had.
+/// A snapshot file a durable stack spilled is [u64 op count] + the stack's
+/// encoded checkpoint: it decodes, and a fresh stack boots from it into the
+/// state the durable one had.
 TEST(NodeStack, SpilledSnapshotRoundTripsThroughTheDecoder) {
-  std::string state_dir = "/tmp/optcm-node-stack-XXXXXX";
-  ASSERT_NE(::mkdtemp(state_dir.data()), nullptr);
-  ProcessClusterConfig config;
-  config.shape.kind = ProtocolKind::kOptP;
-  config.shape.n_procs = 3;
-  config.shape.n_vars = 2;
-  config.shape.recoverable = true;
-  config.state_dir = state_dir;
-  config.fsync = FsyncPolicy::kNone;
-  ProcessCluster cluster(config);
-  ASSERT_TRUE(cluster.spawn());
-  ASSERT_TRUE(cluster.wait_ready());
+  constexpr std::size_t kProcs = 3;
   constexpr Value kLast = 4;
-  std::vector<Script> scripts(3);
-  for (Value v = 1; v <= kLast; ++v) {
-    scripts[0].push_back(write_step(sim_ms(1), 0, v));
+  TempDir root;
+  EventQueue queue;
+  const ConstantLatency latency(sim_us(100));
+  Network net(queue, latency, kProcs);
+  std::vector<std::unique_ptr<DurableStack>> nodes;
+  for (ProcessId p = 0; p < kProcs; ++p) {
+    NodeStack::Storage storage;
+    storage.dir = StateDir::node_subdir(root.path, p);
+    storage.fsync = FsyncPolicy::kNone;
+    nodes.push_back(std::make_unique<DurableStack>(
+        queue, net, recoverable_shape(p, kProcs), std::move(storage)));
   }
-  scripts[1].push_back(read_until_step(0, 0, kLast, sim_ms(1)));
-  scripts[2].push_back(read_until_step(0, 0, kLast, sim_ms(1)));
-  ASSERT_TRUE(cluster.run(scripts, /*time_scale=*/1));
-  ASSERT_TRUE(cluster.wait_done());
-  EXPECT_TRUE(cluster.shutdown());
+  for (Value v = 1; v <= kLast; ++v) {
+    nodes[0]->write(0, v);
+    queue.run_until(queue.now() + sim_ms(1));
+  }
+  for (ProcessId p = 1; p < kProcs; ++p) nodes[p]->read(0);
+  queue.run_until(queue.now() + sim_ms(1));
 
-  for (ProcessId p = 0; p < 3; ++p) {
-    const auto dir = StateDir::open(StateDir::node_subdir(state_dir, p));
+  for (ProcessId p = 0; p < kProcs; ++p) {
+    const auto dir = StateDir::open(StateDir::node_subdir(root.path, p));
     ASSERT_TRUE(dir.has_value());
     const auto snap = SnapshotFile::read(dir->snapshot_path());
     ASSERT_TRUE(snap.has_value()) << "p" << p;
@@ -384,21 +429,184 @@ TEST(NodeStack, SpilledSnapshotRoundTripsThroughTheDecoder) {
     ASSERT_TRUE(checkpoint.has_value()) << "p" << p;
     EXPECT_TRUE(r.exhausted());
 
-    EventQueue queue;
-    const ConstantLatency latency(sim_us(100));
-    Network net(queue, latency, 3);
+    EventQueue fresh_queue;
+    Network fresh_net(fresh_queue, latency, kProcs);
     ProtocolObserver observer;
-    std::optional<NodeStack> others[3];
-    NodeStack::Shape shape = config.shape;
-    for (ProcessId q = 0; q < 3; ++q) {
-      shape.self = q;
-      others[q].emplace(queue, net, shape, net_reliable_defaults(), observer);
+    std::optional<NodeStack> fresh[kProcs];
+    for (ProcessId q = 0; q < kProcs; ++q) {
+      fresh[q].emplace(fresh_queue, fresh_net, recoverable_shape(q, kProcs),
+                       ReliableConfig{}, observer);
     }
-    others[p]->start(&*checkpoint);  // restores ARQ and protocol
-    EXPECT_EQ(others[p]->protocol().peek(0).value, kLast) << "p" << p;
+    fresh[p]->start(&*checkpoint);  // restores ARQ and protocol
+    EXPECT_EQ(fresh[p]->protocol().peek(0).value, kLast) << "p" << p;
   }
-  std::error_code ec;
-  std::filesystem::remove_all(state_dir, ec);
+}
+
+/// One step of the durable-boot script: process `p` writes `value` to `var`,
+/// or reads `var`.  p0 is durable; p1 is a plain recoverable peer.
+struct Step {
+  ProcessId p;
+  bool write;
+  VarId var;
+  Value value;
+};
+constexpr Step kBootScript[] = {
+    {1, true, 1, 10}, {0, true, 0, 1},  {0, false, 1, 0}, {1, true, 1, 11},
+    {0, true, 0, 2},  {0, false, 1, 0}, {0, true, 1, 3},  {0, false, 0, 0},
+};
+constexpr std::size_t kBootOps = 6;  ///< p0's steps in kBootScript
+
+/// Runs kBootScript on a durable p0 and a plain p1 up to p0's `k`th op,
+/// letting the network settle before each step.
+struct BootRun {
+  BootRun(const TempDir& dir, std::size_t k,
+          std::vector<StorageFailpoint> failpoints = {}) {
+    NodeStack::Storage storage = storage_in(dir);
+    storage.failpoints = std::move(failpoints);
+    p0.emplace(queue, net, recoverable_shape(0), std::move(storage));
+    p1.start();
+    std::size_t done = 0;
+    for (const Step& step : kBootScript) {
+      if (step.p == 0 && done == k) break;
+      queue.run_until(queue.now() + sim_ms(1));
+      if (step.p == 0) {
+        snapshots_before = p0->stack->node_stats().snapshot_writes;
+        step.write ? p0->write(step.var, step.value) : p0->read(step.var);
+        ++done;
+      } else if (step.write) {
+        p1.protocol().write(step.var, step.value);
+        p1.checkpoint();
+      }
+    }
+  }
+  /// Destroy p0 and boot a new one on the same state dir.
+  DurableStack& reboot(const TempDir& dir) {
+    net.detach(0);
+    p0.reset();
+    p0.emplace(queue, net, recoverable_shape(0), storage_in(dir));
+    return *p0;
+  }
+
+  EventQueue queue;
+  ConstantLatency latency{sim_us(100)};
+  Network net{queue, latency, 2};
+  ProtocolObserver observer;
+  NodeStack p1{queue, net, recoverable_shape(1), ReliableConfig{}, observer};
+  std::optional<DurableStack> p0;
+  std::uint64_t snapshots_before = 0;  ///< landed before p0's last op
+};
+
+/// A durable stack destroyed after any op and rebuilt on its state dir holds
+/// the live stack's protocol state, byte for byte, and the same history and
+/// events.  Deterministic: the simulator, no fork.
+TEST(NodeStack, DurableBootAfterEachOpRestoresTheLiveState) {
+  for (std::size_t k = 1; k <= kBootOps; ++k) {
+    TempDir dir;
+    BootRun run(dir, k);
+    DurableStack& live = *run.p0;
+    const std::vector<std::uint8_t> state = protocol_part(*live.stack);
+    const std::string history = live.log.history().str();
+    const std::string events = live.log.sequence_str(0);
+    ASSERT_EQ(live.log.history().local(0).size(), k);
+
+    DurableStack& booted = run.reboot(dir);
+    EXPECT_EQ(protocol_part(*booted.stack), state) << "after op " << k;
+    EXPECT_EQ(booted.log.history().str(), history) << "after op " << k;
+    EXPECT_EQ(booted.log.sequence_str(0), events) << "after op " << k;
+    // The snapshot covered every op: nothing ran again.
+    EXPECT_EQ(booted.chain.filter()->suppressed(), 0u) << "after op " << k;
+  }
+}
+
+/// The same, with op k's snapshot failing after its WAL commit: the WAL is
+/// one mutation ahead of the snapshot, so the boot runs op k again with the
+/// filter muted and reaches the live state all the same.  A spill makes
+/// three write calls (the WAL record, the snapshot's header and body), so
+/// op k's snapshot header is call 3·s + 2 after s landed spills.
+TEST(NodeStack, DurableBootReconcilesAWalOneOpAheadOfTheSnapshot) {
+  for (std::size_t k = 1; k <= kBootOps; ++k) {
+    std::uint64_t landed = 0;
+    {
+      TempDir dry;
+      landed = BootRun(dry, k).snapshots_before;
+    }
+    TempDir dir;
+    BootRun run(dir, k,
+                {{StorageFailpoint::Op::kWrite, StorageFailpoint::Kind::kEio,
+                  3 * landed + 2, 1}});
+    DurableStack& live = *run.p0;
+    const NodeStats counts = live.stack->node_stats();
+    ASSERT_EQ(counts.snapshot_writes, landed) << "after op " << k;
+    ASSERT_EQ(counts.snapshot_failures, 1u) << "after op " << k;
+    ASSERT_EQ(live.stack->wal_stats().write_errors, 0u);
+    const std::vector<std::uint8_t> state = protocol_part(*live.stack);
+    const std::string history = live.log.history().str();
+    const std::string events = live.log.sequence_str(0);
+
+    DurableStack& booted = run.reboot(dir);
+    EXPECT_EQ(protocol_part(*booted.stack), state) << "after op " << k;
+    EXPECT_EQ(booted.log.history().str(), history) << "after op " << k;
+    EXPECT_EQ(booted.log.sequence_str(0), events) << "after op " << k;
+    // Op k ran again, muted: its events were dropped, not recorded twice.
+    EXPECT_GE(booted.chain.filter()->suppressed(), 1u) << "after op " << k;
+  }
+}
+
+/// Forwards a durable stack's frames to the network, noting at each send how
+/// many fsyncs its WAL has made.
+class FsyncAtSend final : public DatagramTransport {
+ public:
+  explicit FsyncAtSend(Network& net) : net_(&net) {}
+  void attach(ProcessId p, MessageSink& sink) override {
+    net_->attach(p, sink);
+  }
+  void send(ProcessId from, ProcessId to, Payload payload) override {
+    fsyncs_at_send.push_back(stack->wal_stats().fsyncs);
+    net_->send(from, to, std::move(payload));
+  }
+  [[nodiscard]] std::size_t n_procs() const override {
+    return net_->n_procs();
+  }
+
+  const NodeStack* stack = nullptr;
+  std::vector<std::uint64_t> fsyncs_at_send;
+
+ private:
+  Network* net_;
+};
+
+/// Under group commit a write's WAL record waits for the tick's one fsync,
+/// and its DATA frame waits for the same tick's ARQ flush: tick() syncs
+/// first, so the frame reaches the transport only after the fsync that
+/// covers the record.  (FsyncPolicy::kNone would make group_sync a no-op,
+/// so the policy here is kEvery.)
+TEST(NodeStack, GroupCommitFsyncsAWriteBeforeItsFrameLeaves) {
+  TempDir dir;
+  EventQueue queue;
+  const ConstantLatency latency(sim_us(100));
+  Network net(queue, latency, 2);
+  FsyncAtSend link(net);
+  ProtocolObserver observer;
+  NodeStack p1(queue, net, recoverable_shape(1), ReliableConfig{}, observer);
+  p1.start();
+  NodeStack::Storage storage = storage_in(dir);
+  storage.fsync = FsyncPolicy::kEvery;
+  storage.group_commit = true;
+  DurableStack p0(queue, link, recoverable_shape(0), std::move(storage));
+  link.stack = &*p0.stack;
+  p0.stack->tick();  // tick-driven from here on
+  for (Value v = 1; v <= 3; ++v) {
+    p0.write(0, v);  // its record is appended, not yet synced
+    const std::uint64_t fsyncs_at_append = p0.stack->wal_stats().fsyncs;
+    const std::size_t sent = link.fsyncs_at_send.size();
+    EXPECT_EQ(sent, static_cast<std::size_t>(v - 1)) << "a frame left early";
+    p0.stack->tick();
+    ASSERT_EQ(link.fsyncs_at_send.size(), sent + 1) << "write " << v;
+    EXPECT_GT(link.fsyncs_at_send.back(), fsyncs_at_append) << "write " << v;
+    queue.run_until(queue.now() + sim_ms(1));
+  }
+  EXPECT_EQ(p1.protocol().peek(0).value, 3);
+  EXPECT_EQ(p0.stack->wal_stats().group_commits, 4u);  // the boot's, and 3
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "dsm/audit/auditor.h"
@@ -141,14 +140,12 @@ constexpr FlagSpec kFlags[] = {
      .value = "HOST:PORT,...", .help = "required: every address, in id order"},
     {.name = "listen", .type = T::kText, .commands = kServe,
      .value = "HOST:PORT", .help = "bind here instead of at peers[id]"},
-    {.name = "recoverable", .commands = kServe | kDrive,
-     .help = "checkpoint every mutation; restart resumes the ARQ peers"},
     {.name = "state-dir", .type = T::kText, .commands = kServe | kDrive,
-     .value = "DIR", .needs = "recoverable", .needs_in = kServe,
-     .help = "durable WAL + snapshots (drive: implies --recoverable)"},
+     .value = "DIR",
+     .help = "durable WAL + snapshots; checkpoint every mutation"},
     {.name = "fsync", .type = T::kChoice, .commands = kServe | kDrive,
      .value = "none|interval|every", .fallback = "every",
-     .needs = "state-dir|respawn|wal-group-commit"},
+     .needs = "state-dir|wal-group-commit"},
     {.name = "wal-group-commit", .commands = kServe | kDrive,
      .needs = "state-dir", .needs_in = kServe,
      .help = "one WAL fsync per NetLoop tick (docs/PERF.md)"},
@@ -158,15 +155,7 @@ constexpr FlagSpec kFlags[] = {
      .fallback = "1000", .min = 1, .help = "multiply script delays"},
     {.name = "compare-sim", .commands = kDrive,
      .help = "require events byte-identical to the simulator (h1, objects)"},
-    {.name = "kill-conn", .type = T::kText, .commands = kDrive,
-     .value = "P:Q@MS", .help = "drop the TCP connection P->Q after MS ms"},
-    {.name = "kill-host", .type = T::kText, .commands = kDrive,
-     .value = "N[@MS]", .needs = "respawn",
-     .help = "SIGKILL node N after MS ms (else 30)"},
-    {.name = "respawn", .commands = kDrive, .needs = "kill-host",
-     .help = "restart the killed node from its state dir"},
     {.name = "nemesis", .type = T::kText, .commands = kDrive, .value = "SPEC",
-     .excludes = "kill-host",
      .help = "fault schedule, e.g. \"seed=7;drop=0.05;crash=0@40\""},
     {.name = "shards-per-proc", .type = T::kInt, .commands = kDrive,
      .value = "S", .fallback = "1", .min = 1,
@@ -985,10 +974,10 @@ std::optional<Work> prepare_serve(const FlagValues& f) {
   config.shape.self = static_cast<ProcessId>(id);
   config.shape.n_procs = peers.size();
   config.shape.n_vars = f.num<std::size_t>("vars");
-  config.shape.recoverable = f.has("recoverable");
-  config.state_dir = f.text("state-dir");
-  config.fsync = *parse_fsync_policy(f.text("fsync"));
-  config.wal_group_commit = f.has("wal-group-commit");
+  config.storage.dir = f.text("state-dir");
+  config.shape.recoverable = !config.storage.dir.empty();
+  config.storage.fsync = *parse_fsync_policy(f.text("fsync"));
+  config.storage.group_commit = f.has("wal-group-commit");
   config.peers = std::move(peers);
   return [config]() -> int {
     ProcessNode node(config);
@@ -997,8 +986,8 @@ std::optional<Work> prepare_serve(const FlagValues& f) {
                 static_cast<unsigned>(config.shape.self),
                 config.peers[config.shape.self].c_str(),
                 node.transport().n_procs(), to_string(config.shape.kind),
-                config.state_dir.empty() ? "" : ", durable in ",
-                config.state_dir.c_str());
+                config.storage.dir.empty() ? "" : ", durable in ",
+                config.storage.dir.c_str());
     node.run();
     return 0;
   };
@@ -1014,60 +1003,13 @@ struct DriveRun {
   std::shared_ptr<const SubscriptionMap> subscription;
   std::uint64_t time_scale = 1;
   bool compare_sim = false;
-  bool recoverable = false;
-  bool respawn = false;
   std::string state_dir;
   FsyncPolicy fsync = FsyncPolicy::kEvery;
   bool wal_group_commit = false;
   std::size_t shards_per_proc = 1;
-  struct KillConn {
-    std::uint64_t from = 0;
-    std::uint64_t to = 0;
-    std::uint64_t at_ms = 0;
-  };
-  std::optional<KillConn> kill_conn;  ///< --kill-conn=P:Q@MS
-  struct KillHost {
-    std::uint64_t node = 0;
-    std::uint64_t at_ms = 30;
-  };
-  std::optional<KillHost> kill_host;  ///< --kill-host=N[@MS]
   std::optional<NemesisPlan> nemesis;
   bool nemesis_durable = false;  ///< the schedule crashes nodes or fails WALs
 };
-
-/// "P:Q@MS" with P != Q, both < n.
-std::optional<DriveRun::KillConn> parse_kill_conn(std::string_view text,
-                                                  std::size_t n) {
-  const auto colon = text.find(':');
-  const auto at = text.find('@');
-  if (colon == std::string_view::npos || at == std::string_view::npos ||
-      at < colon) {
-    return std::nullopt;
-  }
-  const auto from = parse_u64(text.substr(0, colon));
-  const auto to = parse_u64(text.substr(colon + 1, at - colon - 1));
-  const auto at_ms = parse_u64(text.substr(at + 1));
-  if (!from || !to || !at_ms || *from >= n || *to >= n || *from == *to) {
-    return std::nullopt;
-  }
-  return DriveRun::KillConn{*from, *to, *at_ms};
-}
-
-/// "N" or "N@MS" with N < n.
-std::optional<DriveRun::KillHost> parse_kill_host(std::string_view text,
-                                                  std::size_t n) {
-  DriveRun::KillHost kill;
-  const auto at = text.find('@');
-  const auto node = parse_u64(text.substr(0, at));
-  if (!node || *node >= n) return std::nullopt;
-  kill.node = *node;
-  if (at != std::string_view::npos) {
-    const auto at_ms = parse_u64(text.substr(at + 1));
-    if (!at_ms) return std::nullopt;
-    kill.at_ms = *at_ms;
-  }
-  return kill;
-}
 
 /// A fresh directory under $TMPDIR (else /tmp), announced on stdout.
 bool make_temp_state_dir(std::string& dir) {
@@ -1091,9 +1033,8 @@ ProcessClusterConfig drive_cluster_config(const DriveRun& d) {
   config.shape.kind = d.kind;
   config.shape.n_procs = d.scripts.size();
   config.shape.n_vars = d.n_vars;
-  // Durable state needs the recoverable stack (checkpoints + replay filter);
-  // the drive harness owns every node, so it is safe to imply the shape.
-  config.shape.recoverable = d.recoverable || !d.state_dir.empty();
+  // Durable state needs the recoverable stack (checkpoints + replay filter).
+  config.shape.recoverable = !d.state_dir.empty();
   // Forked without exec: the children inherit the map through the shared
   // ProtocolConfig, so every node routes by the same subscription sets (and
   // the same object schema).
@@ -1135,20 +1076,6 @@ bool start_drive_cluster(ProcessCluster& cluster, const DriveRun& d) {
   return true;
 }
 
-bool drive_kill_conn(ProcessCluster& cluster, const DriveRun::KillConn& kill) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(kill.at_ms));
-  if (!cluster.kill_connection(static_cast<ProcessId>(kill.from),
-                               static_cast<ProcessId>(kill.to))) {
-    std::fprintf(stderr, "kill-conn request failed\n");
-    return false;
-  }
-  std::printf("dropped connection p%llu -> p%llu at +%llums\n",
-              static_cast<unsigned long long>(kill.from),
-              static_cast<unsigned long long>(kill.to),
-              static_cast<unsigned long long>(kill.at_ms));
-  return true;
-}
-
 /// The nemesis path: print the expanded schedule and play it.  Each crash
 /// archives the victim's pre-kill log in `out.pre_crash`.
 bool drive_nemesis(ProcessCluster& cluster, const DriveRun& d,
@@ -1166,52 +1093,7 @@ bool drive_nemesis(ProcessCluster& cluster, const DriveRun& d,
   return true;
 }
 
-/// The durable path: SIGKILL one node, respawn it from its state dir, and
-/// resume its script.  Its pre-kill log is archived in `crashes.pre_crash`.
-bool drive_kill_host(ProcessCluster& cluster, const DriveRun& d,
-                     NemesisOutcome& crashes) {
-  const DriveRun::KillHost& kill = *d.kill_host;
-  const auto node = static_cast<unsigned long long>(kill.node);
-  std::this_thread::sleep_for(std::chrono::milliseconds(kill.at_ms));
-  const auto victim = static_cast<ProcessId>(kill.node);
-  // Archive incarnation 1's view first: stitched against the respawned
-  // node's final log below, this exercises the multi-incarnation path.
-  auto pre_kill_log = cluster.fetch_log(victim);
-  if (!pre_kill_log) {
-    std::fprintf(stderr, "failed to fetch p%llu's pre-kill log\n", node);
-    return false;
-  }
-  crashes.pre_crash.emplace_back(victim, std::move(*pre_kill_log));
-  if (!cluster.kill_process(victim)) {
-    std::fprintf(stderr, "kill-host failed\n");
-    return false;
-  }
-  std::printf("kill -9 p%llu at +%llums\n", node,
-              static_cast<unsigned long long>(kill.at_ms));
-  if (!cluster.respawn_process(victim)) {
-    std::fprintf(stderr, "respawn failed\n");
-    return false;
-  }
-  if (!cluster.wait_ready()) {
-    std::fprintf(stderr, "respawned cluster never re-formed the mesh\n");
-    return false;
-  }
-  if (!cluster.wait_quiescent()) {
-    std::fprintf(stderr, "cluster never quiesced after the respawn\n");
-    return false;
-  }
-  if (!cluster.run_node(victim, d.scripts[victim], d.time_scale)) {
-    std::fprintf(stderr, "failed to resume p%llu's script\n", node);
-    return false;
-  }
-  std::printf(
-      "p%llu respawned from %s/node-%llu (snapshot + WAL replay + ARQ "
-      "resume) and resumed its script\n",
-      node, d.state_dir.c_str(), node);
-  return true;
-}
-
-/// Each crash (nemesis or --kill-host) archived the victim's pre-kill view;
+/// Each nemesis crash archived the victim's pre-kill view;
 /// stitch the archived incarnations (oldest first) against the node's final
 /// log in `runs`.
 bool stitch_crashed_nodes(
@@ -1266,17 +1148,15 @@ bool matches_simulator(const DriveRun& d,
 }
 
 int run_drive(DriveRun d) {
-  if ((d.respawn || d.nemesis_durable || d.wal_group_commit) &&
-      d.state_dir.empty() && !make_temp_state_dir(d.state_dir)) {
+  if ((d.nemesis_durable || d.wal_group_commit) && d.state_dir.empty() &&
+      !make_temp_state_dir(d.state_dir)) {
     return 1;
   }
   ProcessCluster cluster(drive_cluster_config(d));
   if (!start_drive_cluster(cluster, d)) return 1;
-  if (d.kill_conn && !drive_kill_conn(cluster, *d.kill_conn)) return 1;
   NemesisOutcome crashes;
   crashes.ok = true;
   if (d.nemesis && !drive_nemesis(cluster, d, crashes)) return 1;
-  if (d.kill_host && !drive_kill_host(cluster, d, crashes)) return 1;
   if (!cluster.wait_done()) {
     std::fprintf(stderr, "run did not complete (last control error: %s)\n",
                  std::string(to_string(cluster.last_error())).c_str());
@@ -1339,10 +1219,6 @@ int run_drive(DriveRun d) {
   table.add("causally consistent (Defs. 1-2)",
             check.consistent() ? "yes" : "NO");
   table.add("clean shutdown", clean_exit ? "yes" : "NO");
-  if (d.kill_host) {
-    table.add("kill -9 + respawn + stitch",
-              "p" + std::to_string(d.kill_host->node));
-  }
   if (d.nemesis) {
     table.add("faults: dropped", total.faults.dropped);
     table.add("faults: duplicated", total.faults.duplicated);
@@ -1362,13 +1238,6 @@ int run_drive(DriveRun d) {
   bool ok = check.consistent() && audit.safe() && audit.live() &&
             total.reliable.abandoned == 0 && clean_exit;
   if (d.compare_sim) ok = matches_simulator(d, runs) && ok;
-  if (d.kill_conn) {
-    std::printf("reconnects=%llu retransmissions=%llu (the dropped link was "
-                "re-dialed and repaired by the ARQ)\n",
-                static_cast<unsigned long long>(total.tcp.reconnects),
-                static_cast<unsigned long long>(
-                    total.reliable.retransmissions));
-  }
   return ok ? 0 : 1;
 }
 
@@ -1378,8 +1247,6 @@ std::optional<Work> prepare_drive(const FlagValues& f) {
   d.script = f.has("script") ? f.text("script") : "h1";
   d.time_scale = f.num<std::uint64_t>("time-scale");
   d.compare_sim = f.has("compare-sim");
-  d.recoverable = f.has("recoverable");
-  d.respawn = f.has("respawn");
   d.wal_group_commit = f.has("wal-group-commit");
   d.state_dir = f.text("state-dir");
   d.fsync = *parse_fsync_policy(f.text("fsync"));
@@ -1401,32 +1268,13 @@ std::optional<Work> prepare_drive(const FlagValues& f) {
   if (d.schema != nullptr && !supports_objects(d.kind)) {
     return reject("%s", kObjectsNeedProtocol);
   }
-  if (f.has("kill-conn")) {
-    const std::string text = f.text("kill-conn");
-    d.kill_conn = parse_kill_conn(text, n);
-    if (!d.kill_conn) {
-      return reject("bad --kill-conn '%s' (want P:Q@MS)", text.c_str());
-    }
-  }
-  if (f.has("kill-host")) {
-    const std::string text = f.text("kill-host");
-    d.kill_host = parse_kill_host(text, n);
-    if (!d.kill_host) {
-      return reject("bad --kill-host '%s' (want N or N@MS, N < spawn)",
-                    text.c_str());
-    }
-  }
   if (f.has("nemesis")) {
     std::string error;
     d.nemesis = NemesisPlan::parse(f.text("nemesis"), n, &error);
     if (!d.nemesis) return reject("bad --nemesis: %s", error.c_str());
   }
   // SIGKILLing a shard group would take out several nodes at once — that is
-  // a different fault than the single-node crash these flags model.
-  if (d.shards_per_proc > 1 && (d.kill_host || d.respawn)) {
-    return reject("--shards-per-proc > 1 is incompatible with --kill-host/"
-                  "--respawn (a SIGKILL would hit the whole shard group)");
-  }
+  // a different fault than the single-node crash a nemesis models.
   if (d.shards_per_proc > 1 && d.nemesis && d.nemesis->has_crashes()) {
     return reject("--shards-per-proc > 1 is incompatible with nemesis crash "
                   "schedules (crashes SIGKILL whole processes)");
@@ -1436,15 +1284,13 @@ std::optional<Work> prepare_drive(const FlagValues& f) {
   // commit is meaningless without a WAL to commit.
   d.nemesis_durable = d.nemesis && (d.nemesis->has_crashes() ||
                                     !d.nemesis->wal_fails.empty());
-  const bool durable = d.recoverable || !d.state_dir.empty() ||
-                       d.kill_host || d.respawn || d.wal_group_commit ||
-                       d.nemesis_durable;
+  const bool durable =
+      !d.state_dir.empty() || d.wal_group_commit || d.nemesis_durable;
   if (durable &&
       (d.schema != nullptr || d.kind == ProtocolKind::kOptPSharded)) {
     return reject(
-        "%s keeps no durable state: drop --recoverable/--state-dir/"
-        "--kill-host/--respawn/--wal-group-commit and nemesis crash/wal-fail "
-        "entries",
+        "%s keeps no durable state: drop --state-dir/--wal-group-commit and "
+        "nemesis crash/wal-fail entries",
         d.schema != nullptr
             ? "--script=objects (a restored checkpoint carries no typed payload)"
             : "optp-sharded (no WAL/checkpoint seam to restore from)");

@@ -218,12 +218,12 @@ else
   exit 1
 fi
 
-# Durability equivalence acceptance: SIGKILL node 0 mid-run, respawn it from
-# its state dir, stitch its incarnations — the merged log must still match
-# the simulator byte for byte.
+# Durability equivalence acceptance: a nemesis crash SIGKILLs node 0 mid-run
+# and respawns it from its state dir; its incarnations stitched, the merged
+# log must still match the simulator byte for byte.
 if "$build/tools/optcm" drive --script=h1 --spawn=3 --time-scale=3000 \
-    --kill-host=0@30 --respawn --compare-sim > /dev/null; then
-  echo "kill -9 respawn equivalence check: PASS (drive --kill-host=0@30 --respawn)"
+    --nemesis=crash=0@30 --compare-sim > /dev/null; then
+  echo "kill -9 respawn equivalence check: PASS (drive --nemesis=crash=0@30)"
 else
   echo "kill -9 respawn equivalence check: FAIL" >&2
   exit 1
