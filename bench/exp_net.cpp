@@ -1,5 +1,7 @@
 // exp_net — socket-tier microbenchmarks: frame round-trip latency and
-// one-way throughput of two TcpTransports on one NetLoop over loopback.
+// one-way throughput of two TcpTransports on one NetLoop, once per stream
+// family: TCP loopback ("127.0.0.1:0") and abstract AF_UNIX ("@name", what a
+// forked ProcessCluster binds).
 //
 // Single-threaded on purpose: both endpoints share the loop, so a ping-pong
 // round trip measures the full framed path (encode → writev → poll → read →
@@ -11,9 +13,12 @@
 // messages per second.  `--bench-json results/BENCH_net.json` is the
 // checked-in baseline workflow (tools/regen_results.sh).
 
+#include <unistd.h>
+
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
@@ -47,20 +52,35 @@ struct CountingSink final : MessageSink {
   }
 };
 
-/// Two transports, one loop, pre-bound kernel-assigned ports.
+/// The two stream families a table row names, by their listen address.
+constexpr const char* kFamilies[] = {"127.0.0.1:0", "@name"};
+
+/// Two transports, one loop, pre-bound listeners.  `listen` is "127.0.0.1:0"
+/// (kernel-assigned ports) or "@name", which each side makes unique with
+/// the pid, a pair count and its own index.
 struct Pair {
   NetLoop loop;
   std::unique_ptr<TcpTransport> a;  ///< process 0 (acceptor)
   std::unique_ptr<TcpTransport> b;  ///< process 1 (dialer)
 
-  bool connect(MessageSink& sink_a, MessageSink& sink_b) {
+  bool connect(std::string_view listen, MessageSink& sink_a,
+               MessageSink& sink_b) {
+    static int pairs = 0;
     std::vector<std::string> peers(2);
     int fds[2];
     for (std::size_t p = 0; p < 2; ++p) {
-      fds[p] = net::listen_tcp(net::Addr{"127.0.0.1", 0});
+      std::string text(listen);
+      if (text.front() == '@') {
+        text += "-exp-net-" + std::to_string(::getpid()) + "-" +
+                std::to_string(pairs) + "-" + std::to_string(p);
+      }
+      fds[p] = net::listen_on(*net::parse_addr(text));
       if (fds[p] < 0) return false;
-      peers[p] = "127.0.0.1:" + std::to_string(net::local_port(fds[p]));
+      peers[p] = text.front() == '@'
+                     ? text
+                     : "127.0.0.1:" + std::to_string(net::local_port(fds[p]));
     }
+    ++pairs;
     for (std::size_t p = 0; p < 2; ++p) {
       TcpTransportConfig config;
       config.self = static_cast<ProcessId>(p);
@@ -91,13 +111,14 @@ int main(int argc, char** argv) {
   using namespace dsm::bench;
 
   // ---- ping-pong round-trip latency per payload size -----------------------
-  Table rtt({"payload (B)", "rounds", "rtt p50 (us)", "rtt p99 (us)",
-             "rtt mean (us)", "round trips/s"});
+  Table rtt({"family", "payload (B)", "rounds", "rtt p50 (us)",
+             "rtt p99 (us)", "rtt mean (us)", "round trips/s"});
+  for (const char* family : kFamilies)
   for (const std::size_t payload_size : {16u, 256u, 4096u}) {
     CountingSink pongs;
     EchoSink echo;
     Pair pair;
-    if (!pair.connect(pongs, echo)) {
+    if (!pair.connect(family, pongs, echo)) {
       std::fprintf(stderr, "loopback pair failed to connect\n");
       return 1;
     }
@@ -123,7 +144,7 @@ int main(int argc, char** argv) {
     std::sort(samples.begin(), samples.end());
     double sum = 0;
     for (const double s : samples) sum += s;
-    rtt.add(payload_size, kRounds, samples[samples.size() / 2],
+    rtt.add(family, payload_size, kRounds, samples[samples.size() / 2],
             samples[samples.size() * 99 / 100],
             sum / static_cast<double>(samples.size()),
             static_cast<double>(kWarmup + kRounds) / total_s);
@@ -131,12 +152,14 @@ int main(int argc, char** argv) {
   emit("loopback frame round-trip (2 transports, 1 loop)", rtt);
 
   // ---- one-way drained throughput ------------------------------------------
-  Table tput({"payload (B)", "messages", "wall (ms)", "msgs/s", "MB/s"});
+  Table tput(
+      {"family", "payload (B)", "messages", "wall (ms)", "msgs/s", "MB/s"});
+  for (const char* family : kFamilies)
   for (const std::size_t payload_size : {16u, 256u, 4096u}) {
     CountingSink rx;
     CountingSink rx_unused;
     Pair pair;
-    if (!pair.connect(rx_unused, rx)) {
+    if (!pair.connect(family, rx_unused, rx)) {
       std::fprintf(stderr, "loopback pair failed to connect\n");
       return 1;
     }
@@ -157,7 +180,7 @@ int main(int argc, char** argv) {
     const double wall_ms = us_between(t0, Clock::now()) / 1e3;
     const double msgs_per_s =
         static_cast<double>(kMessages) / (wall_ms / 1e3);
-    tput.add(payload_size, kMessages, wall_ms, msgs_per_s,
+    tput.add(family, payload_size, kMessages, wall_ms, msgs_per_s,
              msgs_per_s * static_cast<double>(payload_size) /
                  (1024.0 * 1024.0));
   }

@@ -50,6 +50,7 @@ class Merger {
       }
       for (const RunEvent& e : r.events) {
         if (e.at != p) return false;  // a node only observes itself
+        if (e.kind == EvKind::kSend && e.write.proc != p) return false;
       }
       for (const OpRef ref : r.history.local(p)) {
         // Sanity: the run really is p's local history in program order.

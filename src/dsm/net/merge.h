@@ -20,9 +20,14 @@
 // and the auditor (which evaluates per-process delay decisions).
 //
 // Returns std::nullopt when the logs are mutually inconsistent (a read from
-// a write nobody sent, mismatched proc/var counts, a dependency cycle) —
-// that is a correctness failure worth failing a test over, not an input to
-// repair.
+// a write nobody sent, a send of a write its node never issued, mismatched
+// proc/var counts, a dependency cycle) — that is a correctness failure worth
+// failing a test over, not an input to repair.
+//
+// Contract: a merged history always has a ↦co.  Reads follow their writes
+// and each op its program-order predecessor, so program order plus read-from
+// is acyclic with no dangling read-from: CoRelation::build succeeds, and
+// OptimalityAuditor::audit may take a merge_runs result unchecked.
 
 #pragma once
 

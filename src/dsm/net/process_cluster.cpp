@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -108,7 +109,7 @@ bool ControlClient::connect(const net::Addr& addr, int timeout_ms) {
   close();
   rx_ = FrameAssembler();  // a fresh connection must not inherit old framing
   error_ = ControlError::kNone;
-  fd_ = net::dial_tcp_blocking(addr, timeout_ms);
+  fd_ = net::dial_blocking(addr, timeout_ms);
   if (fd_ < 0) {
     error_ = ControlError::kClosed;
     return false;
@@ -199,9 +200,8 @@ std::optional<ControlMessage> ProcessCluster::call_node(
     ControlClient& client = controls_[node];
     if (!client.connected()) {
       // The previous round burned the connection (timeout/EOF); a node that
-      // is still alive accepts a fresh control Hello on its listen port.
-      if (!client.connect(net::Addr{"127.0.0.1", ports_[node]},
-                          config_.control_timeout_ms)) {
+      // is still alive accepts a fresh control Hello on its listen address.
+      if (!client.connect(addr_of(node), config_.control_timeout_ms)) {
         last_error_ = client.last_error();
         continue;
       }
@@ -274,16 +274,19 @@ bool ProcessCluster::spawn() {
   const std::size_t n = config_.shape.n_procs;
   peers_.assign(n, {});
   listen_fds_.assign(n, -1);
-  ports_.assign(n, 0);
 
+  // Node p listens on "@optcm-<driver pid>-<cluster seq>-<p>"; the seq counts
+  // this driver's spawns, so clusters in one process never share a name.
+  static std::atomic<std::uint64_t> cluster_seq{0};
+  const std::string prefix = "@optcm-" + std::to_string(::getpid()) + "-" +
+                             std::to_string(cluster_seq++) + "-";
   for (std::size_t p = 0; p < n; ++p) {
-    listen_fds_[p] = net::listen_tcp(net::Addr{"127.0.0.1", 0});
+    peers_[p] = prefix + std::to_string(p);
+    listen_fds_[p] = net::listen_on(addr_of(static_cast<ProcessId>(p)));
     if (listen_fds_[p] < 0) {
       teardown();
       return false;
     }
-    ports_[p] = net::local_port(listen_fds_[p]);
-    peers_[p] = "127.0.0.1:" + std::to_string(ports_[p]);
   }
 
   const std::size_t s = std::max<std::size_t>(1, config_.shards_per_proc);
@@ -305,7 +308,7 @@ bool ProcessCluster::spawn() {
 
   controls_.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
-    if (!controls_[p].connect(net::Addr{"127.0.0.1", ports_[p]},
+    if (!controls_[p].connect(addr_of(static_cast<ProcessId>(p)),
                               config_.control_timeout_ms)) {
       teardown();
       return false;
@@ -428,18 +431,18 @@ bool ProcessCluster::kill_process(ProcessId node) {
 bool ProcessCluster::respawn_process(ProcessId node) {
   if (config_.shards_per_proc > 1) return false;
   if (node >= pids_.size() || pids_[node] > 0) return false;
-  // Rebind the original port (listen_tcp sets SO_REUSEADDR, so lingering
-  // sockets from the killed incarnation don't block the bind); the peers'
-  // transports are already redialing it.
-  listen_fds_[node] = net::listen_tcp(net::Addr{"127.0.0.1", ports_[node]});
+  // Rebind the original name; the peers' transports are already redialing
+  // it.  An abstract name is freed when its last fd closes: the parent closed
+  // its copy after the fork, and kill_process() reaped the child, so the bind
+  // needs no SO_REUSEADDR equivalent.
+  listen_fds_[node] = net::listen_on(addr_of(node));
   if (listen_fds_[node] < 0) return false;
   const pid_t pid = spawn_child(node);
   ::close(listen_fds_[node]);
   listen_fds_[node] = -1;
   if (pid < 0) return false;
   pids_[node] = pid;
-  return controls_[node].connect(net::Addr{"127.0.0.1", ports_[node]},
-                                 config_.control_timeout_ms);
+  return controls_[node].connect(addr_of(node), config_.control_timeout_ms);
 }
 
 std::optional<ImportedRun> ProcessCluster::fetch_log(ProcessId node) {

@@ -1,11 +1,12 @@
-// optcm — ProcessCluster: a forked loopback cluster plus its driver.
+// optcm — ProcessCluster: a forked single-host cluster plus its driver.
 //
 // The harness behind `optcm drive` and the net tests: it binds one listener
-// per process on 127.0.0.1 with kernel-assigned ports (race-free — the ports
-// are known before any child exists), forks one child per process, and each
-// child runs a ProcessNode that adopts its inherited listener.  The parent
-// never touches the data plane; it steers the run entirely over per-node
-// control connections (dsm/net/control.h) with plain blocking I/O:
+// per process on an abstract AF_UNIX stream socket (all nodes share this
+// host, so TCP loopback would only add kernel work), forks one child per
+// process, and each child runs a ProcessNode that adopts its inherited
+// listener (race-free — bound before any child exists).  The parent never
+// touches the data plane; it steers the run over per-node control
+// connections (dsm/net/control.h) with plain blocking I/O:
 //
 //   spawn() → wait_ready() → run(scripts) → wait_done() → fetch logs/stats
 //   → shutdown() (kShutdown + waitpid, SIGKILL after a grace period)
@@ -64,7 +65,7 @@ class ControlClient {
   ControlClient(const ControlClient&) = delete;
   ControlClient& operator=(const ControlClient&) = delete;
 
-  /// Connect to a node's listen port and present a control Hello.
+  /// Connect to a node's listen address and present a control Hello.
   [[nodiscard]] bool connect(const net::Addr& addr, int timeout_ms);
 
   /// One request/reply round.  std::nullopt on I/O failure, malformed reply,
@@ -153,7 +154,7 @@ class ProcessCluster {
   /// durable state dir (docs/DURABILITY.md) is designed to survive.
   [[nodiscard]] bool kill_process(ProcessId node);
 
-  /// Fork a fresh child for a kill_process()ed node on its original port and
+  /// Fork a fresh child for a kill_process()ed node on its original name and
   /// state dir; the new incarnation restores snapshot + WAL, rejoins the mesh
   /// (its peers' ARQs resend what it lost), and is ready for run_node() once
   /// wait_ready() passes.
@@ -206,10 +207,13 @@ class ProcessCluster {
   /// The per-shard node config (shared spawn logic for both child kinds).
   [[nodiscard]] ProcessNodeConfig node_config_of(std::size_t p) const;
 
+  [[nodiscard]] net::Addr addr_of(ProcessId p) const {
+    return *net::parse_addr(peers_[p]);
+  }
+
   ProcessClusterConfig config_;
-  std::vector<std::string> peers_;  ///< "127.0.0.1:port" per process
+  std::vector<std::string> peers_;  ///< "@optcm-…" listen address per process
   std::vector<int> listen_fds_;
-  std::vector<std::uint16_t> ports_;
   std::vector<pid_t> pids_;
   std::vector<ControlClient> controls_;
   bool spawned_ = false;

@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 
 namespace dsm::net {
 
@@ -24,16 +26,40 @@ bool parse_host(const std::string& host, in_addr& out) {
   return ::inet_pton(AF_INET, host.c_str(), &out) == 1;
 }
 
-bool make_sockaddr(const Addr& addr, sockaddr_in& sa) {
-  sa = {};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(addr.port);
-  return parse_host(addr.host, sa.sin_addr);
+/// The one place an Addr becomes a sockaddr of either family: fills `ss`
+/// and returns its length, or 0 when the address is unusable.
+socklen_t make_sockaddr(const Addr& addr, sockaddr_storage& ss) {
+  ss = {};
+  if (!addr.unix_name.empty()) {
+    if (addr.unix_name.size() > kMaxUnixName) return 0;
+    auto& un = reinterpret_cast<sockaddr_un&>(ss);
+    un.sun_family = AF_UNIX;
+    // Abstract namespace: sun_path[0] stays NUL and the length ends the name.
+    std::memcpy(un.sun_path + 1, addr.unix_name.data(), addr.unix_name.size());
+    return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                  addr.unix_name.size());
+  }
+  auto& in = reinterpret_cast<sockaddr_in&>(ss);
+  in.sin_family = AF_INET;
+  in.sin_port = htons(addr.port);
+  return parse_host(addr.host, in.sin_addr) ? sizeof in : 0;
+}
+
+/// TCP_NODELAY, best effort: a socket without it is slower, not wrong.
+void set_nodelay(int fd) {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 }  // namespace
 
 std::optional<Addr> parse_addr(std::string_view text) {
+  if (text.starts_with('@')) {
+    if (text.size() == 1 || text.size() - 1 > kMaxUnixName) return std::nullopt;
+    Addr addr;
+    addr.unix_name = text.substr(1);
+    return addr;
+  }
   const auto colon = text.rfind(':');
   if (colon == std::string_view::npos) return std::nullopt;
   Addr addr;
@@ -51,14 +77,17 @@ std::optional<Addr> parse_addr(std::string_view text) {
   return addr;
 }
 
-int listen_tcp(const Addr& addr) {
-  sockaddr_in sa;
-  if (!make_sockaddr(addr, sa)) return -1;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+int listen_on(const Addr& addr) {
+  sockaddr_storage ss;
+  const socklen_t len = make_sockaddr(addr, ss);
+  if (len == 0) return -1;
+  const int fd = ::socket(ss.ss_family, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0 ||
+  if (ss.ss_family == AF_INET) {
+    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  }
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&ss), len) != 0 ||
       ::listen(fd, SOMAXCONN) != 0) {
     ::close(fd);
     return -1;
@@ -74,14 +103,15 @@ std::uint16_t local_port(int fd) {
   return ntohs(sa.sin_port);
 }
 
-int dial_tcp(const Addr& addr) {
-  sockaddr_in sa;
-  if (!make_sockaddr(addr, sa)) return -1;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+int dial(const Addr& addr) {
+  sockaddr_storage ss;
+  const socklen_t len = make_sockaddr(addr, ss);
+  if (len == 0) return -1;
+  const int fd = ::socket(ss.ss_family, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   set_nonblocking(fd);
-  set_nodelay(fd);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0 &&
+  if (ss.ss_family == AF_INET) set_nodelay(fd);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&ss), len) != 0 &&
       errno != EINPROGRESS) {
     ::close(fd);
     return -1;
@@ -89,8 +119,8 @@ int dial_tcp(const Addr& addr) {
   return fd;
 }
 
-int dial_tcp_blocking(const Addr& addr, int timeout_ms) {
-  const int fd = dial_tcp(addr);
+int dial_blocking(const Addr& addr, int timeout_ms) {
+  const int fd = dial(addr);
   if (fd < 0) return -1;
   pollfd p{};
   p.fd = fd;
@@ -106,6 +136,15 @@ int dial_tcp_blocking(const Addr& addr, int timeout_ms) {
   return fd;
 }
 
+int accept_conn(int listen_fd) {
+  sockaddr_storage peer{};
+  socklen_t len = sizeof peer;
+  const int fd = ::accept4(listen_fd, reinterpret_cast<sockaddr*>(&peer),
+                           &len, SOCK_NONBLOCK);
+  if (fd >= 0 && peer.ss_family == AF_INET) set_nodelay(fd);
+  return fd;
+}
+
 int take_socket_error(int fd) {
   int err = 0;
   socklen_t len = sizeof err;
@@ -116,11 +155,6 @@ int take_socket_error(int fd) {
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void set_nodelay(int fd) {
-  const int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 }  // namespace dsm::net

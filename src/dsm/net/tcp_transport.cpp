@@ -75,7 +75,7 @@ void TcpTransport::start() {
   } else {
     const auto addr = net::parse_addr(config_.peers[config_.self]);
     DSM_REQUIRE(addr.has_value() && "own listen address must parse");
-    listen_fd_ = net::listen_tcp(*addr);
+    listen_fd_ = net::listen_on(*addr);
     DSM_REQUIRE(listen_fd_ >= 0 && "cannot bind listen address");
   }
   loop_->watch(listen_fd_, [this](NetLoop::Ready) { on_listener_ready(); });
@@ -97,8 +97,8 @@ void TcpTransport::dial(ProcessId peer) {
   if (peer_fd_[peer] >= 0) return;  // a live attempt already exists
   ++stats_.dials;
   const auto addr = net::parse_addr(config_.peers[peer]);
-  const int fd = addr ? net::dial_tcp(*addr) : -1;
-  if (fd < 0) {
+  const int fd = addr ? net::dial(*addr) : -1;
+  if (fd < 0) {  // also an AF_UNIX peer not listening yet, or a full backlog
     ++stats_.dial_failures;
     schedule_redial(peer);
     return;
@@ -141,10 +141,8 @@ void TcpTransport::schedule_redial(ProcessId peer) {
 
 void TcpTransport::on_listener_ready() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = net::accept_conn(listen_fd_);
     if (fd < 0) return;  // EAGAIN/EWOULDBLOCK or transient error
-    net::set_nonblocking(fd);
-    net::set_nodelay(fd);
     ++stats_.accepted;
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;

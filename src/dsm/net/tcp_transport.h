@@ -1,20 +1,21 @@
 // optcm — TcpTransport: the DatagramTransport over real sockets.
 //
-// One instance is one process's seat in a full mesh of n TCP peers.  The
-// topology rule is deterministic so no pair ever races to own a connection:
-// process p DIALS every q < p and ACCEPTS every q > p.  The dialer owns
-// liveness: on dial failure or connection loss it re-dials with exponential
-// backoff (reconnect_min doubling to reconnect_max); the acceptor side just
-// closes and waits for the next dial.  A connection is established once the
-// Hello handshake (magic, version, role, sender id, n_procs) validates in
-// both directions — everything else on the wire is length-prefixed frames
+// One instance is one process's seat in a full mesh of n stream peers, TCP
+// or AF_UNIX as each address says (dsm/net/socket.h).  The topology rule is
+// deterministic so no pair ever races to own a connection: process p DIALS
+// every q < p and ACCEPTS every q > p.  The dialer owns liveness: on dial
+// failure or connection loss it re-dials with exponential backoff
+// (reconnect_min doubling to reconnect_max); the acceptor side just closes
+// and waits for the next dial.  A connection is established once the Hello
+// handshake (magic, version, role, sender id, n_procs) validates in both
+// directions — everything else on the wire is length-prefixed frames
 // (dsm/net/frame.h).
 //
 // Datagram semantics on purpose: send() to a peer whose connection is down
 // or not yet established DROPS the payload (counted), exactly like a
 // fault-plan drop in the simulator.  The ReliableNode layered on top
 // retransmits on its adaptive RTO and repairs the loss over the re-dialed
-// connection; TCP's own reliability only has to hold per connection
+// connection; the stream's own reliability only has to hold per connection
 // incarnation.  Frames from a peer are delivered verbatim to the attach()ed
 // MessageSink from the NetLoop's dispatch context.
 //

@@ -180,7 +180,7 @@ class Cluster {
     std::vector<std::string> peers(kProcs);
     std::vector<int> fds(kProcs);
     for (std::size_t p = 0; p < kProcs; ++p) {
-      fds[p] = net::listen_tcp(net::Addr{"127.0.0.1", 0});
+      fds[p] = net::listen_on(net::Addr{});  // 127.0.0.1:0
       peers[p] = "127.0.0.1:" + std::to_string(net::local_port(fds[p]));
     }
     for (std::size_t p = 0; p < kProcs; ++p) {

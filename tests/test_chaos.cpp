@@ -152,7 +152,7 @@ class FaultyPairTest : public ::testing::Test {
   void SetUp() override {
     std::vector<std::string> peers(2);
     for (std::size_t p = 0; p < 2; ++p) {
-      listen_fds_[p] = net::listen_tcp(net::Addr{"127.0.0.1", 0});
+      listen_fds_[p] = net::listen_on(net::Addr{});  // 127.0.0.1:0
       ASSERT_GE(listen_fds_[p], 0);
       peers[p] = "127.0.0.1:" + std::to_string(net::local_port(listen_fds_[p]));
     }
@@ -417,11 +417,12 @@ TEST(ControlFaults, TimeoutRendersAsControlTimeout) {
 TEST(ControlFaults, SilentListenerSurfacesATypedTimeout) {
   // A listener that accepts but never answers: the call must come back as
   // kTimeout within the deadline instead of wedging the driver.
-  const int listen_fd = net::listen_tcp(net::Addr{"127.0.0.1", 0});
+  const int listen_fd = net::listen_on(net::Addr{});  // 127.0.0.1:0
   ASSERT_GE(listen_fd, 0);
+  net::Addr addr;
+  addr.port = net::local_port(listen_fd);
   ControlClient client;
-  ASSERT_TRUE(client.connect(
-      net::Addr{"127.0.0.1", net::local_port(listen_fd)}, 1000));
+  ASSERT_TRUE(client.connect(addr, 1000));
   ControlMessage ping;
   ping.op = ControlOp::kPing;
   const auto start = std::chrono::steady_clock::now();

@@ -39,6 +39,11 @@ const Row kRows[] = {
     {"cli_accept_serve_state_dir", 0, "",
      "serve --id=0 --peers=127.0.0.1:7101 --state-dir=/tmp/optcm-x "
      "--dry-run"},
+    // A peer address is HOST:PORT (TCP) or @NAME (abstract AF_UNIX).
+    {"cli_accept_serve_abstract_peers", 0, "",
+     "serve --id=0 --peers=@a,@b --dry-run"},
+    {"cli_reject_serve_empty_abstract_name", 2, "bad peer address '@'",
+     "serve --peers=@ --dry-run"},
     // A connection kill is a nemesis flap entry, A:B@MS+GAPxCNT; each of its
     // numbers is a strict decimal.
     {"cli_reject_kill_conn_trailing_text", 2, "bad --nemesis",

@@ -4,6 +4,7 @@
 // fork-based ProcessCluster runs checked against the simulator.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "dsm/codec/codec.h"
 #include "dsm/common/rng.h"
 #include "dsm/history/checker.h"
+#include "dsm/history/co_relation.h"
 #include "dsm/net/control.h"
 #include "dsm/net/frame.h"
 #include "dsm/net/merge.h"
@@ -675,165 +677,249 @@ TEST(NetLoop, CallbackSeesTheTimeTheLoopWoke) {
   ::close(fds[1]);
 }
 
+// ------------------------------------------------------------- sockets ---
+
+TEST(Socket, ParseAddrReadsBothFamilies) {
+  const auto tcp = net::parse_addr("127.0.0.1:7101");
+  ASSERT_TRUE(tcp.has_value());
+  EXPECT_EQ(tcp->host, "127.0.0.1");
+  EXPECT_EQ(tcp->port, 7101);
+  EXPECT_TRUE(tcp->unix_name.empty());
+
+  const auto unix_addr = net::parse_addr("@optcm-a:1");
+  ASSERT_TRUE(unix_addr.has_value());
+  EXPECT_EQ(unix_addr->unix_name, "optcm-a:1");  // ':' is part of the name
+
+  // The longest abstract name fills sun_path after its leading NUL.
+  const std::string longest(net::kMaxUnixName, 'n');
+  EXPECT_TRUE(net::parse_addr("@" + longest).has_value());
+  EXPECT_FALSE(net::parse_addr("@" + longest + "n").has_value());
+  EXPECT_FALSE(net::parse_addr("@").has_value());
+  EXPECT_FALSE(net::parse_addr("").has_value());
+  EXPECT_FALSE(net::parse_addr("127.0.0.1").has_value());
+}
+
+TEST(Socket, AbstractNameListenDialAcceptRoundTrip) {
+  const std::string text =
+      "@optcm-test-" + std::to_string(::getpid()) + "-round-trip";
+  const int listen_fd = net::listen_on(*net::parse_addr(text));
+  ASSERT_GE(listen_fd, 0);
+  // The name is taken while its listener lives.
+  EXPECT_LT(net::listen_on(*net::parse_addr(text)), 0);
+
+  // An AF_UNIX connect completes at once; the accept side sees it pending.
+  const int client = net::dial(*net::parse_addr(text));
+  ASSERT_GE(client, 0);
+  EXPECT_EQ(net::take_socket_error(client), 0);
+  const int server = net::accept_conn(listen_fd);
+  ASSERT_GE(server, 0);
+  EXPECT_EQ(::write(client, "ping", 4), 4);
+  char buf[4] = {};
+  pollfd readable{};
+  readable.fd = server;
+  readable.events = POLLIN;
+  ASSERT_EQ(::poll(&readable, 1, /*timeout_ms=*/5000), 1);
+  EXPECT_EQ(::read(server, buf, sizeof buf), 4);
+  EXPECT_EQ(std::string(buf, 4), "ping");
+  ::close(server);
+  ::close(client);
+
+  // Closing the listener frees the name: a dial is refused, a rebind works.
+  ::close(listen_fd);
+  EXPECT_LT(net::dial(*net::parse_addr(text)), 0);
+  const int rebound = net::listen_on(*net::parse_addr(text));
+  EXPECT_GE(rebound, 0);
+  ::close(rebound);
+}
+
 // ------------------------------------------- TcpTransport pair, one loop ---
 
-/// Two TcpTransports on one NetLoop, pre-bound to kernel-assigned ports so
-/// addresses are known before start() — the in-process mirror of the fork
-/// harness's race-free setup.
+/// Two TcpTransports on one NetLoop, pre-bound so addresses are known before
+/// start() — the in-process mirror of the fork harness's race-free setup.
+/// Every case runs once per stream family: TCP loopback with kernel-assigned
+/// ports, then abstract AF_UNIX names.
 class TransportPairTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    std::vector<std::string> peers(2);
-    for (std::size_t p = 0; p < 2; ++p) {
-      listen_fds_[p] = net::listen_tcp(net::Addr{"127.0.0.1", 0});
-      ASSERT_GE(listen_fds_[p], 0);
-      peers[p] = "127.0.0.1:" + std::to_string(net::local_port(listen_fds_[p]));
+  struct Pair {
+    NetLoop loop;
+    CapturingSink sinks[2];
+    std::unique_ptr<TcpTransport> transports[2];
+
+    /// Plain transport tests sink frames directly; the ARQ test attaches
+    /// ReliableNodes instead (attach() is once-only).
+    void attach_sinks() {
+      for (std::size_t p = 0; p < 2; ++p) {
+        transports[p]->attach(static_cast<ProcessId>(p), sinks[p]);
+      }
     }
-    for (std::size_t p = 0; p < 2; ++p) {
-      TcpTransportConfig config;
-      config.self = static_cast<ProcessId>(p);
-      config.peers = peers;
-      config.listen_fd = listen_fds_[p];
-      config.reconnect_min = sim_ms(2);
-      config.reconnect_max = sim_ms(50);
-      transports_[p] = std::make_unique<TcpTransport>(loop_, std::move(config));
+
+    void start_both() {
+      transports[0]->start();
+      transports[1]->start();
+      ASSERT_TRUE(pump(loop, [this] { return fully_connected(); }))
+          << "mesh never connected";
+    }
+
+    [[nodiscard]] bool fully_connected() const {
+      return transports[0]->fully_connected() &&
+             transports[1]->fully_connected();
+    }
+  };
+
+  /// Runs `body` on a fresh pair bound in each family.
+  template <class Body>
+  void on_each_family(Body body) {
+    static int pairs = 0;
+    for (const bool unix_family : {false, true}) {
+      SCOPED_TRACE(unix_family ? "AF_UNIX" : "TCP");
+      Pair pair;
+      std::vector<std::string> peers(2);
+      int fds[2];
+      for (std::size_t p = 0; p < 2; ++p) {
+        const std::string text =
+            unix_family ? "@optcm-test-" + std::to_string(::getpid()) + "-" +
+                              std::to_string(pairs) + "-" + std::to_string(p)
+                        : "127.0.0.1:0";
+        fds[p] = net::listen_on(*net::parse_addr(text));
+        ASSERT_GE(fds[p], 0) << text;
+        peers[p] = unix_family ? text
+                               : "127.0.0.1:" +
+                                     std::to_string(net::local_port(fds[p]));
+      }
+      ++pairs;
+      for (std::size_t p = 0; p < 2; ++p) {
+        TcpTransportConfig config;
+        config.self = static_cast<ProcessId>(p);
+        config.peers = peers;
+        config.listen_fd = fds[p];
+        config.reconnect_min = sim_ms(2);
+        config.reconnect_max = sim_ms(50);
+        pair.transports[p] =
+            std::make_unique<TcpTransport>(pair.loop, std::move(config));
+      }
+      body(pair);
     }
   }
-
-  /// Plain transport tests sink frames directly; the ARQ test attaches
-  /// ReliableNodes instead (attach() is once-only).
-  void attach_sinks() {
-    for (std::size_t p = 0; p < 2; ++p) {
-      transports_[p]->attach(static_cast<ProcessId>(p), sinks_[p]);
-    }
-  }
-
-  void start_both() {
-    transports_[0]->start();
-    transports_[1]->start();
-    ASSERT_TRUE(pump(loop_, [this] {
-      return transports_[0]->fully_connected() &&
-             transports_[1]->fully_connected();
-    })) << "mesh never connected";
-  }
-
-  NetLoop loop_;
-  int listen_fds_[2] = {-1, -1};
-  CapturingSink sinks_[2];
-  std::unique_ptr<TcpTransport> transports_[2];
 };
 
 TEST_F(TransportPairTest, ConnectSendBothDirections) {
-  attach_sinks();
-  start_both();
-  transports_[0]->send(0, 1, make_payload(bytes_of("zero to one")));
-  transports_[1]->send(1, 0, make_payload(bytes_of("one to zero")));
-  ASSERT_TRUE(pump(loop_, [this] {
-    return sinks_[0].got.size() == 1 && sinks_[1].got.size() == 1;
-  }));
-  EXPECT_EQ(sinks_[1].got[0].first, 0u);
-  EXPECT_EQ(sinks_[1].got[0].second, bytes_of("zero to one"));
-  EXPECT_EQ(sinks_[0].got[0].first, 1u);
-  EXPECT_EQ(sinks_[0].got[0].second, bytes_of("one to zero"));
-  EXPECT_TRUE(pump(loop_, [this] {
-    return transports_[0]->flushed() && transports_[1]->flushed();
-  }));
-  EXPECT_GE(transports_[0]->stats().frames_out, 1u);
-  EXPECT_GE(transports_[1]->stats().frames_in, 1u);
-  EXPECT_GT(transports_[0]->stats().bytes_out, 0u);
+  on_each_family([](Pair& t) {
+    t.attach_sinks();
+    t.start_both();
+    t.transports[0]->send(0, 1, make_payload(bytes_of("zero to one")));
+    t.transports[1]->send(1, 0, make_payload(bytes_of("one to zero")));
+    ASSERT_TRUE(pump(t.loop, [&t] {
+      return t.sinks[0].got.size() == 1 && t.sinks[1].got.size() == 1;
+    }));
+    EXPECT_EQ(t.sinks[1].got[0].first, 0u);
+    EXPECT_EQ(t.sinks[1].got[0].second, bytes_of("zero to one"));
+    EXPECT_EQ(t.sinks[0].got[0].first, 1u);
+    EXPECT_EQ(t.sinks[0].got[0].second, bytes_of("one to zero"));
+    EXPECT_TRUE(pump(t.loop, [&t] {
+      return t.transports[0]->flushed() && t.transports[1]->flushed();
+    }));
+    EXPECT_GE(t.transports[0]->stats().frames_out, 1u);
+    EXPECT_GE(t.transports[1]->stats().frames_in, 1u);
+    EXPECT_GT(t.transports[0]->stats().bytes_out, 0u);
+  });
 }
 
 TEST_F(TransportPairTest, EncodeOnceFanOutSharesThePayload) {
-  attach_sinks();
-  start_both();
-  const auto payload = make_payload(bytes_of("shared bytes"));
-  // Broadcast = unicast fan-out; with the payload refcounted, use_count
-  // rises while queued rather than the bytes being copied.
-  transports_[0]->send(0, 1, payload);
-  ASSERT_TRUE(pump(loop_, [this] { return sinks_[1].got.size() == 1; }));
-  EXPECT_EQ(sinks_[1].got[0].second, bytes_of("shared bytes"));
+  on_each_family([](Pair& t) {
+    t.attach_sinks();
+    t.start_both();
+    const auto payload = make_payload(bytes_of("shared bytes"));
+    // Broadcast = unicast fan-out; with the payload refcounted, use_count
+    // rises while queued rather than the bytes being copied.
+    t.transports[0]->send(0, 1, payload);
+    ASSERT_TRUE(pump(t.loop, [&t] { return t.sinks[1].got.size() == 1; }));
+    EXPECT_EQ(t.sinks[1].got[0].second, bytes_of("shared bytes"));
+  });
 }
 
 TEST_F(TransportPairTest, SendWhileDownDropsAndReconnectRepairs) {
-  attach_sinks();
-  start_both();
-  // Kill from the dialer side (1 dials 0); the very next send must drop.
-  transports_[1]->kill_connection(0);
-  EXPECT_EQ(transports_[1]->stats().conns_killed, 1u);
-  transports_[1]->send(1, 0, make_payload(bytes_of("lost")));
-  EXPECT_GE(transports_[1]->stats().sends_dropped, 1u);
-  // The dialer re-dials with backoff; the mesh heals on its own.
-  ASSERT_TRUE(pump(loop_, [this] {
-    return transports_[0]->fully_connected() &&
-           transports_[1]->fully_connected();
-  })) << "never reconnected";
-  EXPECT_GE(transports_[1]->stats().reconnects, 1u);
-  // Traffic flows again over the new connection.
-  transports_[1]->send(1, 0, make_payload(bytes_of("after reconnect")));
-  ASSERT_TRUE(pump(loop_, [this] { return !sinks_[0].got.empty(); }));
-  EXPECT_EQ(sinks_[0].got.back().second, bytes_of("after reconnect"));
+  on_each_family([](Pair& t) {
+    t.attach_sinks();
+    t.start_both();
+    // Kill from the dialer side (1 dials 0); the very next send must drop.
+    t.transports[1]->kill_connection(0);
+    EXPECT_EQ(t.transports[1]->stats().conns_killed, 1u);
+    t.transports[1]->send(1, 0, make_payload(bytes_of("lost")));
+    EXPECT_GE(t.transports[1]->stats().sends_dropped, 1u);
+    // The dialer re-dials with backoff; the mesh heals on its own.
+    ASSERT_TRUE(pump(t.loop, [&t] { return t.fully_connected(); }))
+        << "never reconnected";
+    EXPECT_GE(t.transports[1]->stats().reconnects, 1u);
+    // Traffic flows again over the new connection.
+    t.transports[1]->send(1, 0, make_payload(bytes_of("after reconnect")));
+    ASSERT_TRUE(pump(t.loop, [&t] { return !t.sinks[0].got.empty(); }));
+    EXPECT_EQ(t.sinks[0].got.back().second, bytes_of("after reconnect"));
+  });
 }
 
 TEST_F(TransportPairTest, AcceptorSideKillAlsoHeals) {
-  attach_sinks();
-  start_both();
-  // Kill from the acceptor side (0 accepts 1): peer notices EOF, re-dials.
-  transports_[0]->kill_connection(1);
-  ASSERT_TRUE(pump(loop_, [this] {
-    return transports_[0]->fully_connected() &&
-           transports_[1]->fully_connected();
-  })) << "never reconnected";
-  transports_[0]->send(0, 1, make_payload(bytes_of("hi again")));
-  ASSERT_TRUE(pump(loop_, [this] { return !sinks_[1].got.empty(); }));
-  EXPECT_EQ(sinks_[1].got.back().second, bytes_of("hi again"));
+  on_each_family([](Pair& t) {
+    t.attach_sinks();
+    t.start_both();
+    // Kill from the acceptor side (0 accepts 1): peer notices EOF, re-dials.
+    t.transports[0]->kill_connection(1);
+    ASSERT_TRUE(pump(t.loop, [&t] { return t.fully_connected(); }))
+        << "never reconnected";
+    t.transports[0]->send(0, 1, make_payload(bytes_of("hi again")));
+    ASSERT_TRUE(pump(t.loop, [&t] { return !t.sinks[1].got.empty(); }));
+    EXPECT_EQ(t.sinks[1].got.back().second, bytes_of("hi again"));
+  });
 }
 
-// ------------------------------------------------------- ARQ over TCP -----
+// ---------------------------------------------- ARQ over a stream pair -----
 
 /// ReliableNode layered on TcpTransport: a forced disconnect mid-stream
 /// loses queued frames (datagram semantics), and the ARQ's retransmission
 /// repairs them over the re-dialed connection, still exactly-once.
 TEST_F(TransportPairTest, ReliableNodeRepairsAcrossReconnect) {
-  CapturingSink upper[2];
-  ReliableConfig arq = net_reliable_defaults();
-  arq.rto = sim_ms(10);  // repair quickly; reconnect_min is 2ms here
-  ReliableNode node0(loop_.queue(), *transports_[0], 0, upper[0], arq);
-  ReliableNode node1(loop_.queue(), *transports_[1], 1, upper[1], arq);
-  transports_[0]->attach(0, node0);
-  transports_[1]->attach(1, node1);
-  start_both();
+  on_each_family([](Pair& t) {
+    CapturingSink upper[2];
+    ReliableConfig arq = net_reliable_defaults();
+    arq.rto = sim_ms(10);  // repair quickly; reconnect_min is 2ms here
+    ReliableNode node0(t.loop.queue(), *t.transports[0], 0, upper[0], arq);
+    ReliableNode node1(t.loop.queue(), *t.transports[1], 1, upper[1], arq);
+    t.transports[0]->attach(0, node0);
+    t.transports[1]->attach(1, node1);
+    t.start_both();
 
-  constexpr std::size_t kMessages = 30;
-  std::size_t sent = 0;
-  bool killed = false;
-  while (sent < kMessages) {
-    node1.send(0, make_payload(bytes_of("m" + std::to_string(sent))));
-    ++sent;
-    if (sent == kMessages / 2 && !killed) {
-      // Drop the link mid-stream with unacked traffic in flight.
-      transports_[1]->kill_connection(0);
-      killed = true;
+    constexpr std::size_t kMessages = 30;
+    std::size_t sent = 0;
+    bool killed = false;
+    while (sent < kMessages) {
+      node1.send(0, make_payload(bytes_of("m" + std::to_string(sent))));
+      ++sent;
+      if (sent == kMessages / 2 && !killed) {
+        // Drop the link mid-stream with unacked traffic in flight.
+        t.transports[1]->kill_connection(0);
+        killed = true;
+      }
+      t.loop.poll_once(sim_us(200));
     }
-    loop_.poll_once(sim_us(200));
-  }
-  ASSERT_TRUE(pump(loop_, [&] {
-    return upper[0].got.size() == kMessages && node1.quiescent();
-  }, 10'000)) << "delivered " << upper[0].got.size();
+    ASSERT_TRUE(pump(t.loop, [&] {
+      return upper[0].got.size() == kMessages && node1.quiescent();
+    }, 10'000)) << "delivered " << upper[0].got.size();
 
-  // Exactly-once: every payload arrives precisely once.
-  std::vector<std::string> delivered;
-  for (const auto& [from, bytes] : upper[0].got) {
-    EXPECT_EQ(from, 1u);
-    delivered.emplace_back(bytes.begin(), bytes.end());
-  }
-  std::sort(delivered.begin(), delivered.end());
-  EXPECT_EQ(std::unique(delivered.begin(), delivered.end()), delivered.end());
-  EXPECT_EQ(delivered.size(), kMessages);
+    // Exactly-once: every payload arrives precisely once.
+    std::vector<std::string> delivered;
+    for (const auto& [from, bytes] : upper[0].got) {
+      EXPECT_EQ(from, 1u);
+      delivered.emplace_back(bytes.begin(), bytes.end());
+    }
+    std::sort(delivered.begin(), delivered.end());
+    EXPECT_EQ(std::unique(delivered.begin(), delivered.end()),
+              delivered.end());
+    EXPECT_EQ(delivered.size(), kMessages);
 
-  // The kill really cost traffic and the ARQ really repaired it.
-  EXPECT_GE(transports_[1]->stats().reconnects, 1u);
-  EXPECT_GE(node1.stats().retransmissions, 1u);
-  EXPECT_EQ(node1.stats().abandoned, 0u);
+    // The kill really cost traffic and the ARQ really repaired it.
+    EXPECT_GE(t.transports[1]->stats().reconnects, 1u);
+    EXPECT_GE(node1.stats().retransmissions, 1u);
+    EXPECT_EQ(node1.stats().abandoned, 0u);
+  });
 }
 
 // ------------------------------------------------------------ merge -------
@@ -870,6 +956,7 @@ TEST(Merge, RebuildsH1RunFromPerNodeViews) {
   const auto runs = split_run(*sim.recorder);
   const auto merged = merge_runs(runs);
   ASSERT_TRUE(merged.has_value());
+  EXPECT_TRUE(CoRelation::build(merged->history).has_value());
 
   // The merged history is causally consistent and auditable.
   EXPECT_TRUE(ConsistencyChecker::check(merged->history).consistent());
@@ -911,6 +998,7 @@ TEST(Merge, RebuildsRandomizedRunsAcrossSeeds) {
     ASSERT_TRUE(sim.settled);
     const auto merged = merge_runs(split_run(*sim.recorder));
     ASSERT_TRUE(merged.has_value()) << "seed " << seed;
+    EXPECT_TRUE(CoRelation::build(merged->history).has_value());
     EXPECT_TRUE(ConsistencyChecker::check(merged->history).consistent());
     for (ProcessId p = 0; p < 4; ++p) {
       EXPECT_EQ(sequence_str(merged->events, p),
@@ -939,6 +1027,26 @@ TEST(Merge, ReadFromUnknownWriteGetsStuck) {
   runs.push_back(std::move(r0));
   runs.push_back({GlobalHistory(2, 1), {}});
   EXPECT_FALSE(merge_runs(runs).has_value());
+}
+
+TEST(Merge, SendOfAWriteTheNodeNeverIssuedRejected) {
+  // p1 issued write {1, 1}.  A send event in p0's log that names it (or a
+  // write of p0's own that p0 never issued) cannot come from a real run.
+  for (const WriteId named : {WriteId{1, 1}, WriteId{0, 1}}) {
+    std::vector<ImportedRun> runs;
+    ImportedRun r0{GlobalHistory(2, 1), {}};
+    RunEvent send;
+    send.at = 0;
+    send.kind = EvKind::kSend;
+    send.write = named;
+    r0.events.push_back(send);
+    runs.push_back(std::move(r0));
+    ImportedRun r1{GlobalHistory(2, 1), {}};
+    (void)r1.history.add_write(1, 0, 7);
+    runs.push_back(std::move(r1));
+    EXPECT_FALSE(merge_runs(runs).has_value())
+        << "send of write " << named.proc << ":" << named.seq;
+  }
 }
 
 TEST(Merge, EventFromWrongProcessRejected) {

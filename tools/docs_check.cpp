@@ -14,10 +14,11 @@
 //   * every `--preset NAME` a code block mentions is defined in
 //     CMakePresets.json;
 //   * every backtick-cited metric name resolves to a registered name in
-//     `dsm::metric` (src/dsm/telemetry/metrics.h), and — the reverse — every
-//     registered name has a row in docs/OBSERVABILITY.md's catalogue and a
-//     producer: some file under src/ or tools/ other than metrics.h uses its
-//     constant;
+//     `dsm::metric` (src/dsm/telemetry/metrics.h) or to a metric the
+//     benchmark declares (BENCHMARK.json, which procbench prints), and — the
+//     reverse — every registered name has a row in docs/OBSERVABILITY.md's
+//     catalogue and a producer: some file under src/ or tools/ other than
+//     metrics.h uses its constant;
 //   * every backtick-cited repo path under src/, tests/, tools/, examples/,
 //     procbench/ or docs/ that README, DESIGN, EXPERIMENTS or docs/ cites
 //     exists (`dir/name.{h,cpp}` names one file per alternative).  The
@@ -70,6 +71,7 @@ struct Checker {
   fs::path build;
   std::string presets_json;
   std::set<std::string> registered_metrics;  ///< names in dsm::metric
+  std::set<std::string> benchmark_metrics;   ///< metrics in BENCHMARK.json
   /// metric::kName constant -> "metric_name", as registered.
   std::map<std::string, std::string> metric_constants;
   std::vector<std::string> failures;
@@ -119,6 +121,17 @@ struct Checker {
     }
   }
 
+  /// The benchmark's metric declarations: {"name": "...", "unit": ...}.
+  void load_benchmark_metrics() {
+    const std::string json = read_file(repo / "BENCHMARK.json");
+    static const std::regex name_re(
+        R"re(\{"name":\s*"([a-z0-9_.]+)",\s*"unit")re");
+    for (auto it = std::sregex_iterator(json.begin(), json.end(), name_re);
+         it != std::sregex_iterator(); ++it) {
+      benchmark_metrics.insert((*it)[1].str());
+    }
+  }
+
   /// Every registered name has a producer: its constant appears in some
   /// file under src/ or tools/ (the CLI fills the checker's metric) other
   /// than metrics.h, so a catalogue row cannot outlive the code that fills
@@ -159,13 +172,17 @@ struct Checker {
     for (auto it = std::sregex_iterator(text.begin(), text.end(), tick_re);
          it != std::sregex_iterator(); ++it) {
       const std::string name = (*it)[1].str();
-      if (registered_metrics.count(name) != 0) continue;
+      if (registered_metrics.count(name) != 0 ||
+          benchmark_metrics.count(name) != 0) {
+        continue;
+      }
       const bool metric_like =
           name.ends_with("_total") || name.find("_per_") != std::string::npos;
       if (metric_like) {
         fail(md, "cites metric \"" + name +
                      "\" which is not registered in dsm::metric "
-                     "(src/dsm/telemetry/metrics.h)");
+                     "(src/dsm/telemetry/metrics.h) nor declared in "
+                     "BENCHMARK.json");
       }
     }
   }
@@ -332,6 +349,7 @@ int main(int argc, char** argv) {
   }
 
   c.load_registered_metrics();
+  c.load_benchmark_metrics();
   if (c.registered_metrics.empty()) {
     std::fprintf(stderr,
                  "docs_check: no metric names found in "

@@ -133,13 +133,14 @@ constexpr FlagSpec kFlags[] = {
      .help = "Chrome trace_event JSON, or CSV when FILE ends in .csv"},
     {.name = "bench-json", .type = T::kText, .commands = kRun,
      .value = "FILE", .help = "the run's hot-path numbers as JSON"},
-    // -- serve / drive: the TCP tier (docs/NETWORK.md, docs/DURABILITY.md) ---
+    // -- serve / drive: the process tier (docs/NETWORK.md, DURABILITY.md) ----
     {.name = "id", .type = T::kInt, .commands = kServe, .value = "P",
      .fallback = "0", .min = 0, .help = "this process's index into --peers"},
     {.name = "peers", .type = T::kText, .commands = kServe,
-     .value = "HOST:PORT,...", .help = "required: every address, in id order"},
+     .value = "ADDR,...",
+     .help = "required: every HOST:PORT or @NAME, in id order"},
     {.name = "listen", .type = T::kText, .commands = kServe,
-     .value = "HOST:PORT", .help = "bind here instead of at peers[id]"},
+     .value = "ADDR", .help = "bind here instead of at peers[id]"},
     {.name = "state-dir", .type = T::kText, .commands = kServe | kDrive,
      .value = "DIR",
      .help = "durable WAL + snapshots; checkpoint every mutation"},
@@ -955,10 +956,12 @@ std::optional<Work> prepare_paper(const FlagValues& f) {
   };
 }
 
-// -- the TCP tier: serve, drive -----------------------------------------------
+// -- the process tier: serve, drive -------------------------------------------
 
 std::optional<Work> prepare_serve(const FlagValues& f) {
-  if (!f.has("peers")) return reject("serve needs --peers=<host:port,...>");
+  if (!f.has("peers")) {
+    return reject("serve needs --peers=<HOST:PORT|@NAME,...>");
+  }
   const auto id = f.num<std::size_t>("id");
   std::vector<std::string> peers = split_commas(f.text("peers"));
   if (id >= peers.size()) return reject("--id must index into --peers");
@@ -1063,10 +1066,10 @@ bool start_drive_cluster(ProcessCluster& cluster, const DriveRun& d) {
   }
   if (d.shards_per_proc > 1) {
     std::printf("cluster up: %zu shards packed %zu per process, ring mesh "
-                "inside, TCP between, on 127.0.0.1\n",
+                "inside, AF_UNIX between, on this host\n",
                 cluster.n_procs(), d.shards_per_proc);
   } else {
-    std::printf("cluster up: %zu processes, full TCP mesh on 127.0.0.1\n",
+    std::printf("cluster up: %zu processes, full AF_UNIX mesh on this host\n",
                 cluster.n_procs());
   }
   if (!cluster.run(d.scripts, d.time_scale)) {
