@@ -1,15 +1,17 @@
 // exp_chaos — the process-tier chaos sweep: nemesis schedules × drop rates
-// over a real forked loopback cluster (EXPERIMENTS.md; docs/FAULTS.md).
+// over a real forked cluster (EXPERIMENTS.md; docs/FAULTS.md).
 //
 // Every cell runs the same dense write workload under a different fault
 // regime — steady link noise, rolling asymmetric partitions, reconnect
 // churn, or a SIGKILL crash with a WAL failpoint — through the same
 // `--nemesis` DSL the CLI exposes, so the bench doubles as an end-to-end
-// exercise of NemesisPlan::parse + run_nemesis.  Causal consistency of the
-// merged (and, for crash cells, stitched) log is a HARD requirement: a
-// violation aborts the bench, it is never a table column that quietly reads
-// "no".  Reported instead: wall time, injected-fault volume, the ARQ repair
-// bill, and the storage-failpoint accounting.
+// exercise of NemesisPlan::parse + run_nemesis.  Each node's final log is
+// merged as fetched: a crashed node's respawn replayed its WAL into its log,
+// so that log holds the whole run.  Causal consistency of the merged log is
+// a HARD requirement: a violation aborts the bench, it is never a table
+// column that quietly reads "no".  Reported instead: wall time,
+// injected-fault volume, the ARQ repair bill, and the storage-failpoint
+// accounting.
 
 #include <sys/types.h>
 #include <unistd.h>
@@ -18,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,24 +122,11 @@ bool run_cell(const std::string& schedule_name, const std::string& spec,
       stats.wal_retries = total.wal.write_retries;
       stats.wal_fsync_errors = total.wal.fsync_errors;
 
-      // Merge (stitching crashed nodes' pre-kill archives first) and check.
-      std::map<ProcessId, std::vector<ImportedRun>> incarnations;
-      for (const auto& [node, archived] : outcome.pre_crash) {
-        incarnations[node].push_back(archived);
-      }
       std::vector<ImportedRun> runs;
       for (ProcessId p = 0; p < kProcs; ++p) {
         auto run = cluster.fetch_log(p);
         if (!run.has_value()) goto done;
-        auto it = incarnations.find(p);
-        if (it != incarnations.end()) {
-          it->second.push_back(std::move(*run));
-          auto stitched = stitch_incarnations(it->second);
-          if (!stitched.has_value()) goto done;
-          runs.push_back(std::move(*stitched));
-        } else {
-          runs.push_back(std::move(*run));
-        }
+        runs.push_back(std::move(*run));
       }
       const auto merged = merge_runs(runs);
       if (!merged.has_value() ||

@@ -49,6 +49,9 @@ class GlobalHistory {
   /// copied one.  Returns the new op.
   OpRef append(const Operation& op);
 
+  /// Make room for `n_ops` operations in all.
+  void reserve(std::size_t n_ops) { ops_.reserve(n_ops); }
+
   [[nodiscard]] std::size_t n_procs() const noexcept { return n_procs_; }
   [[nodiscard]] std::size_t n_vars() const noexcept { return n_vars_; }
   [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }

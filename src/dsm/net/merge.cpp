@@ -1,9 +1,5 @@
 #include "dsm/net/merge.h"
 
-#include <map>
-#include <set>
-#include <tuple>
-
 namespace dsm {
 
 namespace {
@@ -18,11 +14,21 @@ class Merger {
  public:
   explicit Merger(std::span<const ImportedRun> runs)
       : runs_(runs),
-        merged_(runs.size(), runs.empty() ? 0 : runs[0].history.n_vars()),
-        cursors_(runs.size()) {}
+        merged_{GlobalHistory(runs.size(), runs[0].history.n_vars()), {}},
+        cursors_(runs.size()),
+        sent_(runs.size()) {}
 
   std::optional<MergedRun> run() {
     if (!validate()) return std::nullopt;
+    std::size_t ops = 0;
+    std::size_t events = 0;
+    for (ProcessId p = 0; p < runs_.size(); ++p) {
+      ops += runs_[p].history.size();
+      events += runs_[p].events.size();
+      sent_[p].resize(runs_[p].history.write_count(p));
+    }
+    merged_.history.reserve(ops);
+    merged_.events.reserve(events);
     bool progress = true;
     while (progress) {
       progress = false;
@@ -48,13 +54,12 @@ class Merger {
           r.history.n_vars() != merged_.history.n_vars()) {
         return false;
       }
+      // A node only records its own ops: one of another process would
+      // never be emitted.
+      if (r.history.size() != r.history.local(p).size()) return false;
       for (const RunEvent& e : r.events) {
         if (e.at != p) return false;  // a node only observes itself
         if (e.kind == EvKind::kSend && e.write.proc != p) return false;
-      }
-      for (const OpRef ref : r.history.local(p)) {
-        // Sanity: the run really is p's local history in program order.
-        if (r.history.op(ref).proc != p) return false;
       }
     }
     return true;
@@ -69,7 +74,8 @@ class Merger {
   /// writer's send has been merged.
   [[nodiscard]] bool update_visible(ProcessId at, const WriteId& w) const {
     if (w.proc == at) return write_known(w);
-    return sent_.contains(w);
+    return w.proc < sent_.size() && w.seq >= 1 &&
+           w.seq <= sent_[w.proc].size() && sent_[w.proc][w.seq - 1];
   }
 
   bool try_emit_op(ProcessId p) {
@@ -105,10 +111,10 @@ class Merger {
         if (ev.write.valid() && !update_visible(p, ev.write)) return false;
         break;
     }
-    RunEvent copy = ev;
-    copy.order = merged_.events.size();
-    if (copy.kind == EvKind::kSend) sent_.insert(copy.write);
-    merged_.events.push_back(std::move(copy));
+    // A send passed write_known, so its seq is within the writer's count.
+    if (ev.kind == EvKind::kSend) sent_[p][ev.write.seq - 1] = true;
+    merged_.events.push_back(ev);
+    merged_.events.back().order = merged_.events.size() - 1;
     ++c.ev;
     return true;
   }
@@ -116,7 +122,9 @@ class Merger {
   std::span<const ImportedRun> runs_;
   MergedRun merged_;
   std::vector<Cursor> cursors_;
-  std::set<WriteId> sent_;
+  /// sent_[q][s - 1]: write (q, s)'s send has been merged.  Sized from q's
+  /// own write count; a seq past it reads as not sent.
+  std::vector<std::vector<bool>> sent_;
 };
 
 }  // namespace
@@ -124,70 +132,6 @@ class Merger {
 std::optional<MergedRun> merge_runs(std::span<const ImportedRun> runs) {
   if (runs.empty()) return std::nullopt;
   return Merger(runs).run();
-}
-
-std::optional<ImportedRun> stitch_incarnations(
-    std::span<const ImportedRun> incarnations) {
-  if (incarnations.empty()) return std::nullopt;
-  const std::size_t n_procs = incarnations[0].history.n_procs();
-  const std::size_t n_vars = incarnations[0].history.n_vars();
-  for (const ImportedRun& r : incarnations) {
-    if (r.history.n_procs() != n_procs || r.history.n_vars() != n_vars)
-      return std::nullopt;
-  }
-
-  ImportedRun out{GlobalHistory(n_procs, n_vars), {}};
-
-  // Operations: validate the common prefix per process, keep the longest.
-  for (ProcessId p = 0; p < n_procs; ++p) {
-    const ImportedRun* longest = &incarnations[0];
-    for (const ImportedRun& r : incarnations) {
-      if (r.history.local(p).size() > longest->history.local(p).size())
-        longest = &r;
-    }
-    const auto base = longest->history.local(p);
-    for (const ImportedRun& r : incarnations) {
-      const auto ops = r.history.local(p);
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const Operation& a = r.history.op(ops[i]);
-        const Operation& b = longest->history.op(base[i]);
-        if (a.kind != b.kind || a.var != b.var || a.value != b.value ||
-            a.write_id != b.write_id || a.spec != b.spec ||
-            a.opcode != b.opcode || a.arg2 != b.arg2) {
-          return std::nullopt;
-        }
-      }
-    }
-    for (const OpRef ref : base) {
-      const Operation& op = longest->history.op(ref);
-      // Write ids follow program order; a mismatch means the log's own write
-      // ids were not in program order.
-      if (out.history.op(out.history.append(op)).write_id != op.write_id) {
-        return std::nullopt;
-      }
-    }
-  }
-
-  // Events: first-seen-order union with per-key occurrence counting.
-  using EvKey = std::tuple<std::uint8_t, ProcessId, WriteId, WriteId, bool>;
-  const auto key_of = [](const RunEvent& e) {
-    return EvKey{static_cast<std::uint8_t>(e.kind), e.at, e.write, e.other,
-                 e.delayed};
-  };
-  std::map<EvKey, std::size_t> emitted;  // occurrences already in `out`
-  for (const ImportedRun& r : incarnations) {
-    std::map<EvKey, std::size_t> local;
-    for (const RunEvent& e : r.events) {
-      const std::size_t seen = ++local[key_of(e)];
-      std::size_t& have = emitted[key_of(e)];
-      if (seen <= have) continue;  // this incarnation replayed it from WAL
-      have = seen;
-      RunEvent copy = e;
-      copy.order = out.events.size();
-      out.events.push_back(std::move(copy));
-    }
-  }
-  return out;
 }
 
 }  // namespace dsm

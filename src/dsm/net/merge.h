@@ -20,9 +20,14 @@
 // and the auditor (which evaluates per-process delay decisions).
 //
 // Returns std::nullopt when the logs are mutually inconsistent (a read from
-// a write nobody sent, a send of a write its node never issued, mismatched
-// proc/var counts, a dependency cycle) — that is a correctness failure worth
-// failing a test over, not an input to repair.
+// a write nobody sent, a send of a write its node never issued, an op of
+// another process in a node's trace, mismatched proc/var counts, a
+// dependency cycle) — that is a correctness failure worth failing a test
+// over, not an input to repair.
+//
+// A node that was SIGKILLed and respawned needs no special case: its boot
+// replayed the WAL, which holds its run log's own bytes, before it recorded
+// anything new, so the log fetched at the end of the run is its whole run.
 //
 // Contract: a merged history always has a ↦co.  Reads follow their writes
 // and each op its program-order predecessor, so program order plus read-from
@@ -39,33 +44,12 @@
 
 namespace dsm {
 
-struct MergedRun {
-  GlobalHistory history;
-  std::vector<RunEvent> events;
-
-  MergedRun(std::size_t n_procs, std::size_t n_vars)
-      : history(n_procs, n_vars) {}
-};
+/// A merged run is a run like any node's: one history and one event log.
+using MergedRun = ImportedRun;
 
 /// `runs[p]` must be node p's own trace (ops of process p only; events
 /// observed at p only), all with identical procs/vars metadata.
 [[nodiscard]] std::optional<MergedRun> merge_runs(
     std::span<const ImportedRun> runs);
-
-/// Stitch one node's per-incarnation logs (archived across kill -9 / respawn
-/// cycles, oldest first) into the single log an uninterrupted run would have
-/// produced — suitable as that node's entry in merge_runs().
-///
-/// Each incarnation boots by replaying the predecessor's WAL, so per process
-/// the op lists must agree on their common prefix; the longest list carries
-/// every operation (an uncommitted tail op re-executes deterministically in
-/// the next incarnation, so divergence means genuinely inconsistent logs →
-/// std::nullopt).  Events are unioned in first-seen order with per-key
-/// occurrence counting — keyed on (kind, at, write, other, delayed), not
-/// time, because a WAL replay preserves an event verbatim while a re-executed
-/// tail op re-records it with a fresh timestamp; the counter keeps repeated
-/// identical observations (two returns of the same read-from) distinct.
-[[nodiscard]] std::optional<ImportedRun> stitch_incarnations(
-    std::span<const ImportedRun> incarnations);
 
 }  // namespace dsm

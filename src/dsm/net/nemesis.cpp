@@ -356,15 +356,6 @@ NemesisOutcome run_nemesis(ProcessCluster& cluster, const NemesisPlan& plan,
         }
         break;
       case NemesisEvent::Kind::kCrash: {
-        // Archive this incarnation's view before the SIGKILL — the caller
-        // stitches it against the respawned node's final log.
-        auto log = cluster.fetch_log(ev.a);
-        if (!log) {
-          out.error = "crash: pre-kill fetch_log failed (" +
-                      std::string(to_string(cluster.last_error())) + ")";
-          return out;
-        }
-        out.pre_crash.emplace_back(ev.a, std::move(*log));
         if (!cluster.kill_process(ev.a)) {
           out.error = "crash: kill_process failed";
           return out;

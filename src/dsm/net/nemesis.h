@@ -39,12 +39,12 @@
 // already running, sleeping wall-clock between events.  Every partition
 // start/heal recomputes the victim sender's NetFaultPlan from the base mix
 // plus the set of currently blocked links (overlapping partitions refcount)
-// and installs it over the control plane.  A crash archives the victim's
-// pre-kill log first — the caller stitches it with the final log via
-// stitch_incarnations() — and the run ends with the caller's ordinary
-// wait_done + quiescence + ARQ repair of the respawn, after which the merged
-// log must still pass the causal checker (the chaos tests assert exactly
-// that).
+// and installs it over the control plane.  A crash is SIGKILL, respawn,
+// barrier and resume.  The respawn replays its WAL into its run log before
+// it records anything new, so the caller merges each node's final fetched
+// log as it is, after its ordinary wait_done + quiescence + ARQ repair of
+// the respawn; the merged log must still pass the causal checker (the chaos
+// tests assert exactly that).
 
 #pragma once
 
@@ -118,9 +118,6 @@ struct NemesisEvent {
 struct NemesisOutcome {
   bool ok = false;
   std::string error;  ///< first failure, human-readable, when !ok
-  /// Pre-kill logs archived immediately before each SIGKILL, in event order
-  /// (stitch each against the node's final log via stitch_incarnations).
-  std::vector<std::pair<ProcessId, ImportedRun>> pre_crash;
 };
 
 /// Execute the plan's timeline against a cluster whose scripts are already

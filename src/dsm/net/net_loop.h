@@ -37,8 +37,8 @@
 // queued since the last tick flushes before the loop sleeps) and again after
 // dispatch (so work produced by socket callbacks flushes within the same
 // tick).  TcpTransport coalesces its out-queues into one writev per peer
-// there, and ProcessNode group-commits its WAL there; neither adds latency
-// beyond the tick that produced the work.
+// there, and a durable NodeStack::tick fsyncs its group-committed WAL there;
+// neither adds latency beyond the tick that produced the work.
 //
 // Thread-safety: none.  One NetLoop per thread of control; tests may park
 // several transports on one loop (single-threaded multi-node harnesses).

@@ -15,11 +15,11 @@ constexpr std::size_t kControlReadChunk = 64 * 1024;
 
 ReliableConfig net_reliable_defaults() {
   ReliableConfig config;
-  // Loopback TCP never loses bytes within one connection incarnation, so
-  // retransmission only repairs sends dropped across a disconnect.  Keep the
-  // RTO far above loopback RTT (spurious retransmits are pure overhead) but
-  // below the redial backoff ceiling so a reconnect is repaired in one or two
-  // timer fires.
+  // A same-host stream (AF_UNIX or loopback TCP) never loses bytes within
+  // one connection incarnation, so retransmission only repairs sends dropped
+  // across a disconnect.  Keep the RTO far above the local RTT (spurious
+  // retransmits are pure overhead) but below the redial backoff ceiling so a
+  // reconnect is repaired in one or two timer fires.
   config.rto = sim_ms(20);
   config.min_rto = sim_ms(5);
   config.max_rto = sim_ms(250);

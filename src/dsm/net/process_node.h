@@ -45,10 +45,12 @@
 
 namespace dsm {
 
-/// ARQ defaults tuned for loopback TCP: the transport itself is lossless per
-/// connection incarnation, so the RTO only matters across reconnects — keep
-/// it well above loopback RTT to avoid spurious retransmits but short enough
-/// that a 10ms redial window is repaired promptly.
+/// ARQ defaults tuned for a same-host stream link (AF_UNIX in a forked
+/// cluster, loopback TCP for `optcm serve`): the transport itself is
+/// lossless per connection incarnation, so the RTO only matters across
+/// reconnects — keep it well above the local RTT to avoid spurious
+/// retransmits but short enough that a 10ms redial window is repaired
+/// promptly.
 [[nodiscard]] ReliableConfig net_reliable_defaults();
 
 struct ProcessNodeConfig {

@@ -7,7 +7,8 @@
 // FaultyTransport, NodeStack (protocol + ARQ) — and its own listener, so
 // the cluster driver steers a sharded deployment exactly like a forked one: n
 // control ports, n nodes, identical wire protocol.  Only the transport
-// between co-located shards changes, from loopback TCP to SPSC rings.
+// between co-located shards changes, from a stream socket (AF_UNIX in a
+// forked cluster) to SPSC rings.
 //
 // run() blocks until every shard has acknowledged its control kShutdown.
 

@@ -51,6 +51,8 @@ struct RunEvent {
   /// send/receipt events: the piggybacked vector (Write_co for OptP, the FM
   /// clock for ANBKH).  The auditor derives protocol enabling sets from it.
   VectorClock clock;
+
+  friend bool operator==(const RunEvent&, const RunEvent&) = default;
 };
 
 /// "apply_3(w1^2)" — paper-style event label.
@@ -79,7 +81,7 @@ struct LogRecord {
 [[nodiscard]] bool decode_log_record(ByteReader& r, LogRecord& out);
 
 /// A run read back from a log (fetched from a node, imported from an
-/// archive, or stitched from several): its history and its events.
+/// archive, or merged from several nodes'): its history and its events.
 struct ImportedRun {
   GlobalHistory history;
   std::vector<RunEvent> events;
@@ -137,8 +139,9 @@ class RunRecorder final : public ProtocolObserver {
   void record_accessor(ProcessId p, VarId x, std::uint8_t spec,
                        std::uint8_t opcode, Value arg, Value returned,
                        WriteId from, std::vector<std::uint64_t> visible);
-  /// Log a process boot (incarnation counter); stitch and merge tooling
-  /// uses it to see restarts.  Not part of the history or the events.
+  /// Log a process boot (incarnation counter), after a respawn's WAL replay,
+  /// so a node's one log shows where each incarnation began.  Not part of
+  /// the history or the events.
   void record_incarnation(std::uint64_t boot);
 
   /// Replay entry points: re-ingest a previously recorded run verbatim.

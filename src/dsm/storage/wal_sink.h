@@ -6,8 +6,9 @@
 // commit as ONE WAL record.  The stack commits at each spill — after each
 // protocol-visible mutation — so a record is the atomic unit "one mutation
 // plus the events it produced", and a torn WAL tail can only ever lose whole
-// mutations.  A boot is logged as a kIncarnation record, after replay;
-// stitch/merge tooling uses it to see restarts.
+// mutations.  A boot is logged as a kIncarnation record, after replay, so a
+// respawned node's one log — the WAL's records, then its own — shows where
+// each incarnation began.
 //
 // replay_wal_record() is the inverse: feed one recovered record back into a
 // RunRecorder (restore_* entry points, which log the same bytes again) and

@@ -1060,138 +1060,16 @@ TEST(Merge, EventFromWrongProcessRejected) {
   EXPECT_FALSE(merge_runs(runs).has_value());
 }
 
-// ---------------------------------------------------- incarnation stitch ---
-
-TEST(Stitch, SingleIncarnationIsIdentity) {
-  const ConstantLatency latency(sim_us(10));
-  SimRunConfig config;
-  config.n_procs = 3;
-  config.n_vars = 2;
-  config.latency = &latency;
-  const auto sim = run_sim(config, paper::make_h1_scripts());
-  ASSERT_TRUE(sim.settled);
-  for (const ImportedRun& run : split_run(*sim.recorder)) {
-    const auto out = stitch_incarnations({&run, 1});
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(out->history.size(), run.history.size());
-    ASSERT_EQ(out->events.size(), run.events.size());
-    for (std::size_t i = 0; i < run.events.size(); ++i) {
-      EXPECT_EQ(event_to_string(out->events[i]),
-                event_to_string(run.events[i]));
-    }
-  }
-}
-
-/// The production shape: incarnation 1 is the pre-crash archive, incarnation
-/// 2 replayed that prefix from the WAL (events verbatim, timestamps
-/// preserved) and carried on.  Ops keep the longest list; replayed events
-/// dedup against the archive.
-TEST(Stitch, PrefixPlusExtensionKeepsLongestAndDedupsReplayedEvents) {
-  ImportedRun inc1{GlobalHistory(2, 1), {}};
-  const WriteId w1 = inc1.history.add_write(0, 0, 7);
-  RunEvent send1;
-  send1.order = 0;
-  send1.time = 11;
-  send1.at = 0;
-  send1.kind = EvKind::kSend;
-  send1.write = w1;
-  inc1.events.push_back(send1);
-
-  ImportedRun inc2{GlobalHistory(2, 1), {}};
-  (void)inc2.history.add_write(0, 0, 7);
-  const WriteId w2 = inc2.history.add_write(0, 0, 9);
-  inc2.events.push_back(send1);  // WAL replay: same event, same timestamp
-  RunEvent send2 = send1;
-  send2.order = 1;
-  send2.time = 99;
-  send2.write = w2;
-  inc2.events.push_back(send2);
-
-  std::vector<ImportedRun> incs;
-  incs.push_back(std::move(inc1));
-  incs.push_back(std::move(inc2));
-  const auto out = stitch_incarnations(incs);
-  ASSERT_TRUE(out.has_value());
-  ASSERT_EQ(out->history.local(0).size(), 2u);
-  EXPECT_EQ(out->history.op(out->history.local(0)[1]).write_id, w2);
-  ASSERT_EQ(out->events.size(), 2u);
-  EXPECT_EQ(out->events[0].write, w1);
-  EXPECT_EQ(out->events[0].time, 11u);
-  EXPECT_EQ(out->events[1].write, w2);
-}
-
-/// An uncommitted tail op re-executes in the next incarnation with a fresh
-/// timestamp — the stitch key deliberately excludes time, so the re-recorded
-/// event still dedups against the archive's copy.
-TEST(Stitch, ReexecutedTailOpDedupsDespiteFreshTimestamp) {
-  ImportedRun inc1{GlobalHistory(1, 1), {}};
-  const WriteId w = inc1.history.add_write(0, 0, 5);
-  RunEvent send;
-  send.at = 0;
-  send.kind = EvKind::kSend;
-  send.write = w;
-  send.time = 10;
-  inc1.events.push_back(send);
-
-  ImportedRun inc2{GlobalHistory(1, 1), {}};
-  (void)inc2.history.add_write(0, 0, 5);
-  send.time = 999;  // re-executed, not replayed: wall clock moved on
-  inc2.events.push_back(send);
-
-  std::vector<ImportedRun> incs;
-  incs.push_back(std::move(inc1));
-  incs.push_back(std::move(inc2));
-  const auto out = stitch_incarnations(incs);
-  ASSERT_TRUE(out.has_value());
-  ASSERT_EQ(out->events.size(), 1u);
-  EXPECT_EQ(out->events[0].time, 10u);  // first seen wins
-}
-
-/// Two identical returns (same read-from, twice) are genuinely distinct
-/// observations — the per-key occurrence counter must keep both.
-TEST(Stitch, RepeatedIdenticalEventsSurviveDedup) {
-  ImportedRun inc1{GlobalHistory(1, 1), {}};
-  const WriteId w = inc1.history.add_write(0, 0, 5);
-  RunEvent ret;
-  ret.at = 0;
-  ret.kind = EvKind::kReturn;
-  ret.write = w;
-  ret.var = 0;
-  ret.value = 5;
-  inc1.events.push_back(ret);
-  inc1.events.push_back(ret);
-
-  ImportedRun inc2{GlobalHistory(1, 1), {}};
-  (void)inc2.history.add_write(0, 0, 5);
-  inc2.events.push_back(ret);
-  inc2.events.push_back(ret);  // replayed pair: dedups against inc1's
-  inc2.events.push_back(ret);  // a third, live occurrence survives
-
-  std::vector<ImportedRun> incs;
-  incs.push_back(std::move(inc1));
-  incs.push_back(std::move(inc2));
-  const auto out = stitch_incarnations(incs);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->events.size(), 3u);
-}
-
-TEST(Stitch, DivergentOpPrefixRejected) {
-  ImportedRun inc1{GlobalHistory(1, 1), {}};
-  (void)inc1.history.add_write(0, 0, 7);
-  ImportedRun inc2{GlobalHistory(1, 1), {}};
-  (void)inc2.history.add_write(0, 0, 8);  // disagrees with the archive
-  std::vector<ImportedRun> incs;
-  incs.push_back(std::move(inc1));
-  incs.push_back(std::move(inc2));
-  EXPECT_FALSE(stitch_incarnations(incs).has_value());
-}
-
-TEST(Stitch, EmptyAndMismatchedShapesRejected) {
-  EXPECT_FALSE(stitch_incarnations({}).has_value());
-  std::vector<ImportedRun> incs;
-  incs.push_back({GlobalHistory(2, 1), {}});
-  incs.push_back({GlobalHistory(3, 1), {}});
-  EXPECT_FALSE(stitch_incarnations(incs).has_value());
+/// A node records only its own ops.  One of another process inside node p's
+/// run would never be emitted, so the merge must refuse rather than drop it.
+TEST(Merge, OpOfAnotherProcessRejected) {
+  std::vector<ImportedRun> runs;
+  ImportedRun r0{GlobalHistory(2, 1), {}};
+  (void)r0.history.add_write(0, 0, 7);
+  (void)r0.history.add_write(1, 0, 9);  // p1's write in p0's run
+  runs.push_back(std::move(r0));
+  runs.push_back({GlobalHistory(2, 1), {}});
+  EXPECT_FALSE(merge_runs(runs).has_value());
 }
 
 // ---------------------------------------------------- fork-based cluster ---
@@ -1333,11 +1211,13 @@ TEST(ProcessClusterTest, ReconnectMidRunRepairsViaArq) {
 }
 
 /// SIGKILL a node mid-run (no cleanup, no goodbye), fork a fresh process on
-/// the same port and state dir, and let it rejoin from its snapshot + WAL
-/// tail while its peers' ARQs resend what it missed.  The
-/// victim's archived pre-kill log stitched with its respawned final log,
-/// merged with the survivors', must be checker-clean and byte-identical to
-/// the uninterrupted simulator run.
+/// the same address and state dir, and let it rejoin from its snapshot + WAL
+/// tail while its peers' ARQs resend what it missed.  The respawn replays
+/// its WAL into its log before it records anything new, so the log fetched
+/// just before the kill is a field-for-field prefix of the final one: every
+/// op, and every event with its order and time.  The final logs, merged as
+/// they are, must be checker-clean and byte-identical to the uninterrupted
+/// simulator run.
 TEST(ProcessClusterTest, SigkillRespawnFromStateDirMatchesSimulator) {
   std::string state_dir = "/tmp/optcm-net-state-XXXXXX";
   ASSERT_NE(::mkdtemp(state_dir.data()), nullptr);
@@ -1365,7 +1245,7 @@ TEST(ProcessClusterTest, SigkillRespawnFromStateDirMatchesSimulator) {
   Rng rng(static_cast<std::uint64_t>(::getpid()));
   const auto kill_at = std::chrono::milliseconds(1 + rng.below(100));
   std::this_thread::sleep_for(kill_at);
-  auto pre_kill = cluster.fetch_log(0);  // incarnation 1's archive
+  const auto pre_kill = cluster.fetch_log(0);
   ASSERT_TRUE(pre_kill.has_value());
   ASSERT_TRUE(cluster.kill_process(0));
   ASSERT_TRUE(cluster.respawn_process(0));
@@ -1382,10 +1262,26 @@ TEST(ProcessClusterTest, SigkillRespawnFromStateDirMatchesSimulator) {
   }
   EXPECT_TRUE(cluster.shutdown());
 
-  ImportedRun incs[2] = {std::move(*pre_kill), std::move(runs[0])};
-  auto stitched = stitch_incarnations(incs);
-  ASSERT_TRUE(stitched.has_value()) << "kill at +" << kill_at.count() << "ms";
-  runs[0] = std::move(*stitched);
+  // What the first incarnation logged, the WAL replayed verbatim.
+  const auto pre_ops = pre_kill->history.all_ops();
+  const auto ops = runs[0].history.all_ops();
+  ASSERT_LE(pre_ops.size(), ops.size()) << "kill at +" << kill_at.count();
+  for (std::size_t i = 0; i < pre_ops.size(); ++i) {
+    EXPECT_TRUE(pre_ops[i] == ops[i])
+        << "op " << i << ": " << op_to_string(pre_ops[i]) << " became "
+        << op_to_string(ops[i]) << ", kill at +" << kill_at.count() << "ms";
+  }
+  const std::vector<RunEvent>& pre_events = pre_kill->events;
+  ASSERT_LE(pre_events.size(), runs[0].events.size())
+      << "kill at +" << kill_at.count();
+  for (std::size_t i = 0; i < pre_events.size(); ++i) {
+    EXPECT_TRUE(pre_events[i] == runs[0].events[i])
+        << "event " << i << ": " << event_to_string(pre_events[i]) << " @"
+        << pre_events[i].time << " became "
+        << event_to_string(runs[0].events[i]) << " @"
+        << runs[0].events[i].time << ", kill at +" << kill_at.count()
+        << "ms";
+  }
 
   const auto merged = merge_runs(runs);
   ASSERT_TRUE(merged.has_value());

@@ -68,26 +68,13 @@ TEST(RunRecorder, HistoryRecordingAssignsIds) {
   EXPECT_EQ(rec.history().size(), 3u);
 }
 
-void expect_same_event(const RunEvent& got, const RunEvent& want) {
-  EXPECT_EQ(got.order, want.order);
-  EXPECT_EQ(got.time, want.time);
-  EXPECT_EQ(got.at, want.at);
-  EXPECT_EQ(got.kind, want.kind);
-  EXPECT_EQ(got.write, want.write);
-  EXPECT_EQ(got.other, want.other);
-  EXPECT_EQ(got.var, want.var);
-  EXPECT_EQ(got.value, want.value);
-  EXPECT_EQ(got.delayed, want.delayed);
-  EXPECT_TRUE(std::ranges::equal(got.clock.components(),
-                                 want.clock.components()));
-}
-
 void expect_same_events(const std::vector<RunEvent>& got,
                         const std::vector<RunEvent>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i));
-    expect_same_event(got[i], want[i]);
+    EXPECT_TRUE(got[i] == want[i])
+        << "event " << i << ": " << event_to_string(got[i]) << " vs "
+        << event_to_string(want[i]);
   }
 }
 

@@ -27,13 +27,6 @@ namespace {
 using testutil::DirectCluster;
 using Bytes = std::vector<std::uint8_t>;
 
-bool events_equal(const RunEvent& a, const RunEvent& b) {
-  return a.order == b.order && a.time == b.time && a.at == b.at &&
-         a.kind == b.kind && a.write == b.write && a.other == b.other &&
-         a.var == b.var && a.value == b.value && a.delayed == b.delayed &&
-         a.clock == b.clock;
-}
-
 /// A hand-written archive header, field by field as trace_io.h documents it.
 Bytes header(std::uint64_t procs, std::uint64_t vars,
              std::uint8_t version = 1) {
@@ -173,8 +166,7 @@ TEST(TraceIo, FullRunRoundTripsLosslessly) {
   const auto& original_events = c.recorder().events();
   ASSERT_EQ(imported->events.size(), original_events.size());
   for (std::size_t i = 0; i < original_events.size(); ++i) {
-    EXPECT_TRUE(events_equal(imported->events[i], original_events[i]))
-        << "event " << i;
+    EXPECT_TRUE(imported->events[i] == original_events[i]) << "event " << i;
   }
 }
 

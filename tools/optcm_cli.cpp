@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -1079,45 +1078,19 @@ bool start_drive_cluster(ProcessCluster& cluster, const DriveRun& d) {
   return true;
 }
 
-/// The nemesis path: print the expanded schedule and play it.  Each crash
-/// archives the victim's pre-kill log in `out.pre_crash`.
-bool drive_nemesis(ProcessCluster& cluster, const DriveRun& d,
-                   NemesisOutcome& out) {
+/// The nemesis path: print the expanded schedule and play it.
+bool drive_nemesis(ProcessCluster& cluster, const DriveRun& d) {
   const auto timeline = expand(*d.nemesis);
   std::printf("nemesis schedule (%zu events):\n%s", timeline.size(),
               trace_str(timeline).c_str());
-  out = run_nemesis(cluster, *d.nemesis, d.scripts, d.time_scale);
+  const NemesisOutcome out =
+      run_nemesis(cluster, *d.nemesis, d.scripts, d.time_scale);
   if (!out.ok) {
     std::fprintf(stderr, "nemesis failed: %s\n", out.error.c_str());
     return false;
   }
-  std::printf("nemesis schedule complete (%zu crash(es) archived)\n",
-              out.pre_crash.size());
-  return true;
-}
-
-/// Each nemesis crash archived the victim's pre-kill view;
-/// stitch the archived incarnations (oldest first) against the node's final
-/// log in `runs`.
-bool stitch_crashed_nodes(
-    std::vector<std::pair<ProcessId, ImportedRun>>& pre_crash,
-    std::vector<ImportedRun>& runs) {
-  std::map<ProcessId, std::vector<ImportedRun>> incarnations;
-  for (auto& [node, log] : pre_crash) {
-    incarnations[node].push_back(std::move(log));
-  }
-  for (auto& [node, logs] : incarnations) {
-    logs.push_back(std::move(runs[node]));
-    auto stitched = stitch_incarnations(logs);
-    if (!stitched) {
-      std::fprintf(stderr,
-                   "p%u's incarnation logs do not stitch (inconsistent op "
-                   "prefixes)\n",
-                   static_cast<unsigned>(node));
-      return false;
-    }
-    runs[node] = std::move(*stitched);
-  }
+  std::printf("nemesis schedule complete (%zu crash(es) respawned)\n",
+              d.nemesis->crashes.size());
   return true;
 }
 
@@ -1157,9 +1130,7 @@ int run_drive(DriveRun d) {
   }
   ProcessCluster cluster(drive_cluster_config(d));
   if (!start_drive_cluster(cluster, d)) return 1;
-  NemesisOutcome crashes;
-  crashes.ok = true;
-  if (d.nemesis && !drive_nemesis(cluster, d, crashes)) return 1;
+  if (d.nemesis && !drive_nemesis(cluster, d)) return 1;
   if (!cluster.wait_done()) {
     std::fprintf(stderr, "run did not complete (last control error: %s)\n",
                  std::string(to_string(cluster.last_error())).c_str());
@@ -1182,7 +1153,6 @@ int run_drive(DriveRun d) {
     if (stats) total += *stats;
   }
   const bool clean_exit = cluster.shutdown();
-  if (!stitch_crashed_nodes(crashes.pre_crash, runs)) return 1;
 
   const auto merged = merge_runs(runs);
   if (!merged) {
@@ -1234,7 +1204,7 @@ int run_drive(DriveRun d) {
                   std::to_string(total.wal.write_retries));
     table.add("WAL fsync errors", total.wal.fsync_errors);
     table.add("snapshot spills skipped/failed", total.node.snapshot_failures);
-    table.add("crashes (SIGKILL + respawn)", crashes.pre_crash.size());
+    table.add("crashes (SIGKILL + respawn)", d.nemesis->crashes.size());
   }
   std::printf("%s", table.str().c_str());
 

@@ -219,8 +219,9 @@ else
 fi
 
 # Durability equivalence acceptance: a nemesis crash SIGKILLs node 0 mid-run
-# and respawns it from its state dir; its incarnations stitched, the merged
-# log must still match the simulator byte for byte.
+# and respawns it from its state dir; merged from each node's final log
+# (the respawn's is WAL-replayed), the run must still match the simulator
+# byte for byte.
 if "$build/tools/optcm" drive --script=h1 --spawn=3 --time-scale=3000 \
     --nemesis=crash=0@30 --compare-sim > /dev/null; then
   echo "kill -9 respawn equivalence check: PASS (drive --nemesis=crash=0@30)"
